@@ -12,7 +12,7 @@ derived by residuation; declared tables can only be cross-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
@@ -471,21 +471,17 @@ def iso_check(a: AnyAlgebra, b: AnyAlgebra) -> dict[str, str] | None:
     inv_b = [0] * b.size
     for old, new in enumerate(perm_b):
         inv_b[new] = old
-    mapping = {a.element(i): b.element(inv_b[perm_a[i]]) for i in range(a.size)}
     f = [inv_b[perm_a[i]] for i in range(a.size)]
     la, lb = a.lattice, b.lattice
     for i in range(a.size):
         for j in range(a.size):
-            assert la.leq[i][j] == lb.leq[f[i]][f[j]]
-    assert all(f[a.neg[i]] == b.neg[f[i]] for i in range(a.size))
-    if isinstance(a, Algebra):
-        assert isinstance(b, Algebra)
-        assert all(f[a.impl[i][j]] == b.impl[f[i]][f[j]]
-                   for i in range(a.size) for j in range(a.size))
-    if a.tilde is not None:
-        assert b.tilde is not None
-        assert all(f[a.tilde[i]] == b.tilde[f[i]] for i in range(a.size))
-    return mapping
+            if la.leq[i][j] != lb.leq[f[i]][f[j]] or (
+                    isinstance(a, Algebra) and f[a.impl[i][j]] != b.impl[f[i]][f[j]]):
+                raise VerificationError("iso-binary-mismatch", (a.element(i), a.element(j)))
+        if f[a.neg[i]] != b.neg[f[i]] or (
+                a.tilde is not None and f[a.tilde[i]] != b.tilde[f[i]]):
+            raise VerificationError("iso-unary-mismatch", a.element(i))
+    return {a.element(i): b.element(f[i]) for i in range(a.size)}
 
 
 def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
@@ -504,46 +500,18 @@ def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
 CATALOG_CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
 
 
-def _antitone_maps(lat: FiniteLattice) -> Iterable[Unary]:
-    """All order-reversing unary maps with t(bottom) = top, by backtracking in
-    a linear-extension order."""
-    n = lat.size
-    order = sorted(range(n), key=lambda x: (sum(1 for k in range(n) if lat.leq[k][x]), x))
-    below = [[k for k in range(n) if lat.leq[k][x] and k != x] for x in range(n)]
-    t: list[int | None] = [None] * n
-
-    def rec(k: int):
-        if k == n:
-            yield tuple(t)  # type: ignore[arg-type]
-            return
-        x = order[k]
-        if x == lat.bottom:
-            t[x] = lat.top
-            yield from rec(k + 1)
-            t[x] = None
-            return
-        cap = lat.top
-        for d in below[x]:
-            td = t[d]
-            if td is not None:
-                cap = lat.meet[cap][td]
-        for val in range(n):
-            if lat.leq[val][cap]:
-                t[x] = val
-                yield from rec(k + 1)
-        t[x] = None
-
-    yield from rec(0)
-
-
 @lru_cache(maxsize=None)
 def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
                        guard: int | None = 8) -> tuple[AnyAlgebra, ...]:
     """All non-isomorphic catalog members of `cls` with size <= max_size, in
     canonical order (size, then canonical key); elements renamed e0, e1, ...
 
-    ccpba pairs every distributive lattice with every !!-fixed element as ~1;
-    kim enumerates all minimal negation tables outright.
+    ccpba pairs every distributive lattice with every !!-fixed element as ~1.
+    The Kim classes are the implication-free reducts of the same pairs: in a
+    Heyting algebra the Kim laws force ~a = a -> ~1 (absorption with
+    (a, 1, a) gives ~a <= a -> ~1, quasi at 1 gives ~~1 = 1, and absorption
+    with (a -> ~1, a, ~1) the converse), so they are the ccpba/cvcpba pairs
+    with the implication dropped.
     """
     if cls not in CATALOG_CLASSES:
         raise AlgebraError("unknown-class", cls)
@@ -551,64 +519,30 @@ def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
         raise AlgebraError("bad-size", max_size)
     if guard is not None and max_size > guard:
         raise BoundGuardError("enumerate max_size", guard, max_size)
+    kim = cls in ("kim", "kim_vee")
     found: dict[tuple, AnyAlgebra] = {}
     for lat in all_lattices(max_size):
         if lat.size == 1 and not include_trivial:
             continue
-        if cls == "pba":
-            alg = attach_negations(lat, None)
+        for t1 in ([None] if cls == "pba" else tilde_one_candidates(lat)):
+            alg: AnyAlgebra = attach_negations(lat, t1)
+            if cls in ("cvcpba", "kim_vee") and _em(lat, alg.tilde) is not None:
+                continue
+            if kim:
+                alg = KimAlgebra("", lat, alg.neg, alg.tilde)
             key, perm = _canonical_data(alg)
             if key not in found:
-                found[key] = attach_negations(_relabel_lattice(lat, perm), None)
-            continue
-        if cls in ("ccpba", "cvcpba"):
-            for t1 in tilde_one_candidates(lat):
-                alg = attach_negations(lat, t1)
-                if cls == "cvcpba" and _em(lat, alg.tilde) is not None:
-                    continue
-                key, perm = _canonical_data(alg)
-                if key not in found:
-                    found[key] = attach_negations(_relabel_lattice(lat, perm), perm[t1])
-            continue
-        # kim / kim_vee: the intuitionistic negation on a finite distributive
-        # lattice is forced (the pseudocomplement); tilde ranges over all
-        # minimal negations with the dne link.
-        impl = derive_heyting(lat)
-        neg = tuple(impl[a][lat.bottom] for a in range(lat.size))
-        for tilde in _antitone_maps(lat):
-            if _or_linear(lat, tilde) or _quasi(lat, tilde) or _absorb(lat, tilde):
-                continue
-            t1 = tilde[lat.top]
-            if neg[neg[t1]] != t1:
-                continue
-            if cls == "kim_vee" and _em(lat, tilde) is not None:
-                continue
-            key, perm = canonical_form(lat.leq, (neg, tilde), ())
-            if key not in found:
-                rl = _relabel_lattice(lat, perm)
-                new_neg = tuple(perm[neg[_inv(perm, i)]] for i in range(lat.size))
-                new_tilde = tuple(perm[tilde[_inv(perm, i)]] for i in range(lat.size))
-                found[key] = KimAlgebra("", rl, new_neg, new_tilde)
+                new = attach_negations(_relabel_lattice(lat, perm),
+                                       None if t1 is None else perm[t1])
+                found[key] = KimAlgebra("", new.lattice, new.neg, new.tilde) if kim else new
     entries = [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
-    out: list[AnyAlgebra] = []
     counters: dict[int, int] = {}
+    out: list[AnyAlgebra] = []
     for alg in entries:
         i = counters.get(alg.size, 0)
         counters[alg.size] = i + 1
-        label = f"{cls}_{alg.size}_{i}"
-        if isinstance(alg, Algebra):
-            out.append(Algebra(label, alg.lattice, alg.impl, alg.neg,
-                               alg.tilde_one, alg.tilde))
-        else:
-            out.append(KimAlgebra(label, alg.lattice, alg.neg, alg.tilde))
+        out.append(replace(alg, name=f"{cls}_{alg.size}_{i}"))
     return tuple(out)
-
-
-def _inv(perm: list[int], new: int) -> int:
-    for old, p in enumerate(perm):
-        if p == new:
-            return old
-    raise ValueError(new)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +551,7 @@ def _inv(perm: list[int], new: int) -> int:
 
 def read_algebra(text: str) -> Algebra:
     from .errors import FileFormatError
-    name = ""
+    name: str | None = None
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     tilde_name: str | None = None
@@ -631,12 +565,16 @@ def read_algebra(text: str) -> Algebra:
         words = line.split()
         match words:
             case ["algebra", nm]:
+                if name is not None:
+                    raise FileFormatError("duplicate-directive", "algebra")
                 name = nm
             case ["elements", *rest] if rest:
                 elements.extend(rest)
             case ["leq", a, b]:
                 pairs.append((a, b))
             case ["tilde_one", e]:
+                if tilde_name is not None:
+                    raise FileFormatError("duplicate-directive", "tilde_one")
                 tilde_name = e
             case ["end"]:
                 ended = True

@@ -100,6 +100,8 @@ def _parse_assignment(alg: Algebra | KimAlgebra, text: str) -> dict[str, int]:
         if "=" not in part:
             raise FileFormatError("bad-assignment", part)
         name, _, value = part.partition("=")
+        if name.strip() in out:
+            raise FileFormatError("duplicate-assignment", name.strip())
         out[name.strip()] = alg.lattice.index(value.strip())
     return out
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LatticeError
+from .errors import LatticeError, VerificationError
 
 __all__ = [
     "FiniteLattice", "build_lattice", "lattice_from_upsets",
@@ -158,8 +158,8 @@ def lattice_from_upsets(sets: list[frozenset[int]], names: list[str]) -> FiniteL
     """Lattice of a family of sets closed under union/intersection, ordered by inclusion.
 
     Meets/joins are set intersection/union, so distributivity holds by
-    construction; used for upset algebras where the generic O(n^3) table scan
-    would be wasteful.
+    construction; used for upset algebras and for the downset lattices of
+    `all_lattices`, where the generic O(n^3) table scan would be wasteful.
     """
     n = len(sets)
     pos = {s: i for i, s in enumerate(sets)}
@@ -330,23 +330,32 @@ def canonical_form(leq: Table,
         if best is None or enc < best:
             best = enc
             best_perm = perm
-    assert best is not None and best_perm is not None
+    if best_perm is None:
+        raise VerificationError("no-canonical-form", n)
     return best, best_perm
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration at desk scale: all posets up to isomorphism are grown
-# by repeatedly attaching a fresh maximal element above a downward-closed
-# subset; lattices are the posets that pass the bounded-lattice filter.
+# Exhaustive enumeration at desk scale.  Posets are grown up to isomorphism by
+# attaching a fresh maximal element above a downward-closed subset.  A finite
+# distributive lattice is the downset lattice of its poset of join-irreducibles
+# (Birkhoff), so the lattices of size <= n come from the posets with <= n
+# downsets; attaching an element never removes a downset, so posets over that
+# bound are pruned as soon as they appear.
 
-@lru_cache(maxsize=None)
-def all_posets(max_size: int) -> dict[int, tuple[Table, ...]]:
-    """Canonical posets of each size 1..max_size, as leq tables."""
-    by_size: dict[int, tuple[Table, ...]] = {1: (((True,),),)}
-    for k in range(2, max_size + 1):
+def _grow_posets(max_size: int, max_downsets: int | None = None) -> dict[int, tuple[Table, ...]]:
+    """Canonical posets of each size 0..max_size (with at most `max_downsets`
+    downsets, if given), as leq tables in canonical-key order per size."""
+    by_size: dict[int, tuple[Table, ...]] = {0: ((),)}
+    for k in range(1, max_size + 1):
         seen: dict[tuple, Table] = {}
         for base in by_size[k - 1]:
-            for dset in downsets_of(base):
+            downs = downsets_of(base)
+            for dset in downs:
+                # the new poset's downsets: those of base, plus each one above dset
+                if (max_downsets is not None
+                        and len(downs) + sum(dset <= d for d in downs) > max_downsets):
+                    continue
                 rows = [tuple(base[i]) + (i in dset,) for i in range(k - 1)]
                 rows.append(tuple(False for _ in range(k - 1)) + (True,))
                 cand = tuple(rows)
@@ -363,27 +372,27 @@ def all_posets(max_size: int) -> dict[int, tuple[Table, ...]]:
 
 
 @lru_cache(maxsize=None)
+def all_posets(max_size: int) -> dict[int, tuple[Table, ...]]:
+    """Canonical posets of each size 1..max_size, as leq tables."""
+    return {k: v for k, v in _grow_posets(max_size).items() if k}
+
+
+@lru_cache(maxsize=None)
 def all_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
     """All bounded distributive lattices with at most max_size elements, up to
-    isomorphism, in canonical order; elements are named e0, e1, ... bottom-up."""
-    out = []
-    posets = all_posets(max_size)
-    for size in range(1, max_size + 1):
-        for leq in posets[size]:
-            names = [f"e{i}" for i in range(size)]
-            try:
-                lat = build_lattice_from_leq(names, leq)
-            except LatticeError:
-                continue
-            if not lat.distributive:
-                continue
-            out.append(lat)
-    return tuple(out)
+    isomorphism, as downset lattices of their posets of join-irreducibles.
 
-
-def build_lattice_from_leq(names: list[str], leq: Table) -> FiniteLattice:
-    """Like build_lattice but from an already-closed order table (no distributivity
-    requirement; the flag records it)."""
-    pairs = [(names[i], names[j]) for i in range(len(leq)) for j in range(len(leq))
-             if leq[i][j] and i != j]
-    return build_lattice(names, pairs, require_distributive=False)
+    Sizes ascend; within a size, lattices follow their join-irreducible posets
+    (fewer join-irreducibles first, then the posets' canonical order).
+    Elements are named e0, e1, ... along the downsets ordered by cardinality,
+    then lexicographically, so e0 is the bottom and the order is bottom-up.
+    """
+    if max_size < 1:
+        return ()
+    by_size: dict[int, list[FiniteLattice]] = {}
+    for posets in _grow_posets(max_size - 1, max_size).values():
+        for leq in posets:
+            downs = downsets_of(leq)
+            names = [f"e{i}" for i in range(len(downs))]
+            by_size.setdefault(len(downs), []).append(lattice_from_upsets(downs, names))
+    return tuple(lat for size in sorted(by_size) for lat in by_size[size])

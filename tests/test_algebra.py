@@ -7,7 +7,8 @@ from twoneg.algebra import (Algebra, algebra_valid, attach_negations, build_au,
                             enumerate_algebras, evaluate, iso_check,
                             kim_reduct, read_algebra, sequent_valid,
                             tilde_one_candidates, write_algebra)
-from twoneg.errors import AlgebraError, BoundGuardError
+from twoneg import algebra
+from twoneg.errors import AlgebraError, BoundGuardError, VerificationError
 from twoneg.formula import parse
 from twoneg.lattice import build_lattice
 
@@ -147,6 +148,16 @@ def test_iso_check(a_prime, b_prime, chain3):
     other = build_lattice(["bot", "mid", "top"], [("bot", "mid"), ("mid", "top")])
     assert iso_check(a_prime, attach_negations(other, 0)) == {
         "0": "bot", "a": "mid", "1": "top"}
+
+
+def test_iso_check_raises_on_bad_bijection(monkeypatch, a_prime):
+    # equal keys but a permutation that reverses the chain: the re-check must
+    # raise, not assert (python -O strips asserts)
+    perms = iter([[0, 1, 2], [2, 1, 0]])
+    monkeypatch.setattr(algebra, "_canonical_data", lambda alg: ("key", next(perms)))
+    with pytest.raises(VerificationError) as e:
+        iso_check(a_prime, a_prime)
+    assert e.value.kind == "iso-binary-mismatch"
 
 
 def test_build_au_example(h6):

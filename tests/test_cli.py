@@ -38,6 +38,23 @@ def test_check_algebra_rejects(tmp_path, capsys):
     assert "not-distributive" in out
 
 
+@pytest.mark.parametrize("key,line", [("tilde_one", "tilde_one 0"),
+                                      ("algebra", "algebra other")])
+def test_duplicate_algebra_directive_rejected(tmp_path, capsys, key, line):
+    dup = tmp_path / "dup.alg"
+    dup.write_text(f"algebra c3\nelements 0 a 1\nleq 0 a\nleq a 1\ntilde_one 1\n{line}\nend\n")
+    code, out = run(capsys, "--porcelain", "check-algebra", str(dup))
+    assert code == 2
+    assert "error=duplicate-directive" in out and repr(key) in out
+
+
+def test_eval_duplicate_assignment_rejected(capsys, fixtures_dir):
+    code, out = run(capsys, "--porcelain", "eval", str(fixtures_dir / "b_prime.alg"),
+                    "p | ~p", "--assign", "p=a,p=0")
+    assert code == 2
+    assert "error=duplicate-assignment" in out and "'p'" in out
+
+
 def test_classify(capsys, fixtures_dir):
     code, out = run(capsys, "--porcelain", "classify", str(fixtures_dir / "a_prime.alg"))
     assert code == 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from twoneg.errors import LatticeError
@@ -105,6 +107,21 @@ def test_lattice_counts():
     for lat in all_lattices(6):
         sizes[lat.size] = sizes.get(lat.size, 0) + 1
     assert sizes == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5}
+
+
+def test_lattice_counts_match_a006982():
+    # distributive lattices with n elements, n = 1..12 (OEIS A006982)
+    sizes = Counter(lat.size for lat in all_lattices(12))
+    assert [sizes[n] for n in range(1, 13)] == [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151]
+
+
+def test_all_lattices_are_downset_lattices_bottom_up():
+    for lat in all_lattices(8):
+        assert lat.distributive and lat.bottom == 0 and lat.top == lat.size - 1
+        assert lat.elements == tuple(f"e{i}" for i in range(lat.size))
+        # e0, e1, ... is a linear extension of the order
+        assert all(i <= j for i in range(lat.size) for j in range(lat.size)
+                   if lat.leq[i][j])
 
 
 def test_upsets_sorted_by_cardinality(chain3):

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import pytest
 
-from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
+from twoneg.algebra import (KimAlgebra, _absorb, _em, _or_linear, _quasi,
+                            algebra_valid, attach_negations, classify_algebra,
                             classify_negation_pair, enumerate_algebras,
                             kim_violations, sequent_valid)
 from twoneg.formula import parse
-from twoneg.lattice import all_lattices
+from twoneg.lattice import FiniteLattice, all_lattices, canonical_form, derive_heyting
 
 
 def _laws(alg):
@@ -100,3 +101,82 @@ def test_em_subclass_is_exact(cls):
                   if all(a.lattice.join[i][a.tilde[i]] == a.lattice.top
                          for i in range(a.size))]
     assert len(em_holding) == len(sub)
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle for the Kim catalogs: every antitone map with
+# t(bottom) = top, filtered by the minimal-negation laws and the dne link,
+# deduplicated by canonical form.  The catalog builds the same classes as
+# implication-free reducts of the ccpba/cvcpba pairs.
+
+def _antitone_maps(lat):
+    """All order-reversing unary maps with t(bottom) = top, by backtracking in
+    a linear-extension order."""
+    n = lat.size
+    order = sorted(range(n), key=lambda x: (sum(1 for k in range(n) if lat.leq[k][x]), x))
+    below = [[k for k in range(n) if lat.leq[k][x] and k != x] for x in range(n)]
+    t = [None] * n
+
+    def rec(k):
+        if k == n:
+            yield tuple(t)
+            return
+        x = order[k]
+        if x == lat.bottom:
+            t[x] = lat.top
+            yield from rec(k + 1)
+            t[x] = None
+            return
+        cap = lat.top
+        for d in below[x]:
+            if t[d] is not None:
+                cap = lat.meet[cap][t[d]]
+        for val in range(n):
+            if lat.leq[val][cap]:
+                t[x] = val
+                yield from rec(k + 1)
+        t[x] = None
+
+    yield from rec(0)
+
+
+def _kim_oracle(cls, max_size):
+    found = {}
+    for lat in all_lattices(max_size):
+        if lat.size == 1:
+            continue
+        impl = derive_heyting(lat)
+        neg = tuple(impl[a][lat.bottom] for a in range(lat.size))
+        for tilde in _antitone_maps(lat):
+            if _or_linear(lat, tilde) or _quasi(lat, tilde) or _absorb(lat, tilde):
+                continue
+            t1 = tilde[lat.top]
+            if neg[neg[t1]] != t1:
+                continue
+            if cls == "kim_vee" and _em(lat, tilde) is not None:
+                continue
+            key, perm = canonical_form(lat.leq, (neg, tilde), ())
+            found.setdefault(key, (lat, perm, neg, tilde))
+    out = []
+    counters = {}
+    for key in sorted(found, key=lambda k: (k[0], k)):
+        lat, perm, neg, tilde = found[key]
+        n = lat.size
+        inv = sorted(range(n), key=perm.__getitem__)
+        rl = FiniteLattice(
+            tuple(f"e{i}" for i in range(n)),
+            tuple(tuple(lat.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n)),
+            tuple(tuple(perm[lat.meet[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
+            tuple(tuple(perm[lat.join[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
+            perm[lat.bottom], perm[lat.top], True)
+        i = counters.get(n, 0)
+        counters[n] = i + 1
+        out.append(KimAlgebra(f"{cls}_{n}_{i}", rl,
+                              tuple(perm[neg[inv[x]]] for x in range(n)),
+                              tuple(perm[tilde[inv[x]]] for x in range(n))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("cls", ["kim", "kim_vee"])
+def test_kim_catalog_matches_antitone_oracle(cls):
+    assert enumerate_algebras(cls, 6) == _kim_oracle(cls, 6)
