@@ -33,16 +33,11 @@ Unary = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Algebra:
-    """Residuated algebra; `tilde_one is None` means a plain pseudo-Boolean
-    algebra with no minimal negation attached."""
+class _Carrier:
+    """A named lattice, shared by the two flavours."""
 
     name: str
     lattice: FiniteLattice
-    impl: OpTable
-    neg: Unary
-    tilde_one: int | None
-    tilde: Unary | None
 
     @property
     def size(self) -> int:
@@ -53,21 +48,23 @@ class Algebra:
 
 
 @dataclass(frozen=True)
-class KimAlgebra:
+class Algebra(_Carrier):
+    """Residuated algebra; `tilde_one is None` means a plain pseudo-Boolean
+    algebra with no minimal negation attached."""
+
+    impl: OpTable
+    neg: Unary
+    tilde_one: int | None
+    tilde: Unary | None
+
+
+@dataclass(frozen=True)
+class KimAlgebra(_Carrier):
     """Implication-free algebra with negation tables `neg` (intuitionistic)
     and `tilde` (minimal) linked by !!~1 = ~1."""
 
-    name: str
-    lattice: FiniteLattice
     neg: Unary
     tilde: Unary
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-    def element(self, i: int) -> str:
-        return self.lattice.elements[i]
 
 
 AnyAlgebra = Union[Algebra, KimAlgebra]

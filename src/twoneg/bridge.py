@@ -11,14 +11,14 @@ here rather than trusted; a failure raises VerificationError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import (Algebra, AnyAlgebra, KimAlgebra, attach_negations,
+from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, attach_negations,
                       build_kim, classify_algebra, kim_violations)
-from .errors import AlgebraError, BoundGuardError, VerificationError
-from .frames import (CompatFrame, SubNormalFrame, build_compat,
-                     build_subnormal, condition_d, is_compat_identity,
-                     is_identity, is_subcompat)
+from .errors import AlgebraError, BoundGuardError, LatticeError, VerificationError
+from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
+                     build_subnormal, dne_tilde_top_witness, is_identity,
+                     subcompat_violation, write_frame)
 from .lattice import FiniteLattice, lattice_from_upsets, upsets_of
 
 __all__ = [
@@ -34,27 +34,28 @@ __all__ = [
 def prime_filters(lat: FiniteLattice, *, guard: int | None = None) -> tuple[frozenset[int], ...]:
     """All prime filters, ordered by size then lexicographically.
 
-    Enumerates the upward-closed subsets and keeps the nonempty, proper,
-    meet-closed, join-prime ones.  `guard` caps the carrier size (CLI use).
+    In a finite distributive lattice these are exactly the principal filters
+    of the join-irreducible elements (Davey & Priestley, ch. 5), so no upset
+    is scanned.  `guard` caps the carrier size (CLI use).
     """
     if guard is not None and lat.size > guard:
         raise BoundGuardError("prime-filter carrier", guard, lat.size)
-    return _prime_filters_cached(lat)
+    return _join_irreducible_filters(lat)
 
 
 @lru_cache(maxsize=1024)
-def _prime_filters_cached(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
+def _join_irreducible_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
+    if not lat.distributive:
+        raise LatticeError("not-distributive", None, "prime filters need a distributive lattice")
     out = []
-    for s in upsets_of(lat.leq):
-        if not s or lat.bottom in s:
-            continue
-        if any(lat.meet[a][b] not in s for a in s for b in s):
-            continue
-        if any(lat.join[a][b] in s and a not in s and b not in s
-               for a in range(lat.size) for b in range(lat.size)):
-            continue
-        out.append(s)
-    return tuple(out)
+    for j in range(lat.size):
+        below = lat.bottom
+        for k in range(lat.size):
+            if lat.leq[k][j] and k != j:
+                below = lat.join[below][k]
+        if below != j:  # j is not the join of what lies below it
+            out.append(lat.upset(j))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
 def sigma(lat: FiniteLattice, filters, a: int) -> frozenset[int]:
@@ -84,52 +85,56 @@ class Embedding:
         return self.onto
 
 
-# -- residuated side ----------------------------------------------------------
+# -- the shared skeletons ----------------------------------------------------
 
-def _require_ccpba(alg: Algebra):
-    report = classify_algebra(alg)
-    if not report.is_ccpba.holds:
-        raise AlgebraError("not-a-ccpba", alg.name, str(report.is_ccpba.witness))
-
-
-def canonical_frame_ccpba(alg: Algebra) -> SubNormalFrame:
-    """Prime filters ordered by inclusion; the queer worlds are the filters
-    containing ~1.  The result is re-validated as a sub-normal frame."""
-    _require_ccpba(alg)
-    assert alg.tilde_one is not None
+def _canonical_frame(alg: AnyAlgebra, build, own_relation):
+    """Prime filters named F0, F1, ... ordered by inclusion, plus the kind's
+    own structure `own_relation(filters, names)`; re-validated by `build`,
+    and required to be an identity frame when the algebra satisfies EM."""
     filters = prime_filters(alg.lattice)
     names = [f"F{i}" for i in range(len(filters))]
     pairs = [(names[i], names[j]) for i in range(len(filters))
              for j in range(len(filters)) if filters[i] <= filters[j] and i != j]
-    y0 = [names[i] for i, f in enumerate(filters) if alg.tilde_one in f]
-    fr = build_subnormal(names, pairs, y0)
-    em = all(alg.lattice.join[a][alg.tilde[a]] == alg.lattice.top  # type: ignore[index]
-             for a in range(alg.size))
-    if em and not is_identity(fr):
+    fr = build(names, pairs, own_relation(filters, names))
+    if _em(alg.lattice, alg.tilde) is None and not is_identity(fr):
         raise VerificationError("canonical-frame-not-identity", alg.name)
     return fr
 
 
-def upset_name(worlds: tuple[str, ...], s: frozenset[int]) -> str:
-    return "{" + ",".join(worlds[i] for i in sorted(s)) + "}"
-
-
-def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
-    """The algebra of all upsets: implication by residuation (which is the
-    order-theoretic arrow on upsets), ~1 the set Y0."""
-    if condition_d(fr) is not None:
-        raise AlgebraError("not-a-subnormal-frame", None, "condition (D) fails")
+def _algebra_embedding(alg: AnyAlgebra, fr, complex_algebra) -> Embedding:
+    """a -> sigma(a), into the upset algebra of the canonical frame `fr`."""
+    target = complex_algebra(fr, name=f"{alg.name}_dual")
+    filters = prime_filters(alg.lattice)
     ups = upsets_of(fr.leq)
-    names = [upset_name(fr.worlds, s) for s in ups]
-    lat = lattice_from_upsets(ups, names)
-    t1 = ups.index(fr.y0)
-    alg = attach_negations(lat, t1, name=name or "complex")
-    report = classify_algebra(alg)
-    if not report.is_ccpba.holds:
-        raise VerificationError("complex-not-ccpba", report.is_ccpba.witness)
-    if is_identity(fr) and not report.is_cvcpba.holds:
-        raise VerificationError("complex-not-cvcpba", report.is_cvcpba.witness)
-    return alg
+    image = [ups.index(sigma(alg.lattice, filters, a)) for a in range(alg.size)]
+    checks = _hom_checks(alg, target, image)
+    injective = len(set(image)) == alg.size
+    onto = len(set(image)) == target.size
+    return Embedding(alg.name, target.name, tuple(image), checks, injective, onto)
+
+
+def _frame_embedding(fr, complex_algebra, canonical_frame, own_tag, own_check) -> Embedding:
+    """w -> {upsets containing w}, into the canonical frame of the upset
+    algebra; the order and the kind's own structure (`own_check`) are
+    preserved and reflected."""
+    alg = complex_algebra(fr)
+    ups = upsets_of(fr.leq)
+    filters = prime_filters(alg.lattice)
+    target = canonical_frame(alg)
+    image = [filters.index(frozenset(j for j, u in enumerate(ups) if w in u))
+             for w in range(fr.size)]
+    checks = {
+        "order-preserving": all(filters[image[a]] <= filters[image[b]]
+                                for a in range(fr.size) for b in range(fr.size)
+                                if fr.leq[a][b]),
+        "order-reflecting": all(fr.leq[a][b]
+                                for a in range(fr.size) for b in range(fr.size)
+                                if filters[image[a]] <= filters[image[b]]),
+        own_tag: own_check(target, image),
+    }
+    injective = len(set(image)) == fr.size
+    onto = len(set(image)) == target.size
+    return Embedding("frame", "canonical", tuple(image), checks, injective, onto)
 
 
 def _hom_checks(alg: AnyAlgebra, target: AnyAlgebra, image: list[int]) -> dict[str, bool]:
@@ -158,45 +163,59 @@ def _hom_checks(alg: AnyAlgebra, target: AnyAlgebra, image: list[int]) -> dict[s
     return checks
 
 
+# -- residuated side ----------------------------------------------------------
+
+def _require_ccpba(alg: AnyAlgebra):
+    if not isinstance(alg, Algebra):
+        raise AlgebraError("not-a-ccpba", alg.name, "no implication")
+    report = classify_algebra(alg)
+    if not report.is_ccpba.holds:
+        raise AlgebraError("not-a-ccpba", alg.name, str(report.is_ccpba.witness))
+
+
+def canonical_frame_ccpba(alg: AnyAlgebra) -> SubNormalFrame:
+    """Prime filters ordered by inclusion; the queer worlds are the filters
+    containing ~1.  The result is re-validated as a sub-normal frame."""
+    _require_ccpba(alg)
+    return _canonical_frame(alg, build_subnormal, lambda filters, names: [
+        names[i] for i, f in enumerate(filters) if alg.tilde_one in f])
+
+
+def upset_name(worlds: tuple[str, ...], s: frozenset[int]) -> str:
+    return "{" + ",".join(worlds[i] for i in sorted(s)) + "}"
+
+
+def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
+    """The algebra of all upsets: implication by residuation (which is the
+    order-theoretic arrow on upsets), ~1 the set Y0."""
+    if dne_tilde_top_witness(fr) is not None:
+        raise AlgebraError("not-a-subnormal-frame", None, "condition (D) fails")
+    ups = upsets_of(fr.leq)
+    names = [upset_name(fr.worlds, s) for s in ups]
+    lat = lattice_from_upsets(ups, names)
+    t1 = ups.index(fr.y0)
+    alg = attach_negations(lat, t1, name=name or "complex")
+    report = classify_algebra(alg)
+    if not report.is_ccpba.holds:
+        raise VerificationError("complex-not-ccpba", report.is_ccpba.witness)
+    if is_identity(fr) and not report.is_cvcpba.holds:
+        raise VerificationError("complex-not-cvcpba", report.is_cvcpba.witness)
+    return alg
+
+
 def stone_embedding(alg: Algebra) -> Embedding:
     """a -> sigma(a), into the upset algebra of the canonical frame; onto (and
     hence an isomorphism) for every finite input."""
-    _require_ccpba(alg)
-    fr = canonical_frame_ccpba(alg)
-    target = complex_algebra_subnormal(fr, name=f"{alg.name}_dual")
-    filters = prime_filters(alg.lattice)
-    ups = upsets_of(fr.leq)
-    image = [ups.index(sigma(alg.lattice, filters, a)) for a in range(alg.size)]
-    checks = _hom_checks(alg, target, image)
-    injective = len(set(image)) == alg.size
-    onto = len(set(image)) == target.size
-    return Embedding(alg.name, target.name, tuple(image), checks, injective, onto)
+    return _algebra_embedding(alg, canonical_frame_ccpba(alg), complex_algebra_subnormal)
 
 
 def frame_embedding(fr: SubNormalFrame) -> Embedding:
-    """w -> {upsets containing w}, into the canonical frame of the upset
-    algebra; order-embedding preserving queerness, onto at finite scale."""
-    alg = complex_algebra_subnormal(fr)
-    ups = upsets_of(fr.leq)
-    filters = prime_filters(alg.lattice)
-    target = canonical_frame_ccpba(alg)
-    flist = list(filters)
-    image = []
-    for w in range(fr.size):
-        g = frozenset(j for j, u in enumerate(ups) if w in u)
-        image.append(flist.index(g))
-    checks = {
-        "order-preserving": all(flist[image[a]] <= flist[image[b]]
-                                for a in range(fr.size) for b in range(fr.size)
-                                if fr.leq[a][b]),
-        "order-reflecting": all(fr.leq[a][b]
-                                for a in range(fr.size) for b in range(fr.size)
-                                if flist[image[a]] <= flist[image[b]]),
-        "y0": all((a in fr.y0) == (image[a] in target.y0) for a in range(fr.size)),
-    }
-    injective = len(set(image)) == fr.size
-    onto = len(set(image)) == target.size
-    return Embedding("frame", "canonical", tuple(image), checks, injective, onto)
+    """Into the canonical frame of the upset algebra; an order-embedding
+    preserving queerness, onto at finite scale."""
+    return _frame_embedding(
+        fr, complex_algebra_subnormal, canonical_frame_ccpba, "y0",
+        lambda target, image: all((a in fr.y0) == (image[a] in target.y0)
+                                  for a in range(fr.size)))
 
 
 # -- implication-free side ----------------------------------------------------
@@ -216,102 +235,58 @@ def canonical_frame_kim(alg: AnyAlgebra) -> CompatFrame:
     """Prime filters with P C Q iff no ~a in P has a in Q; re-validated as a
     sub-compatibility frame, an identity one when the algebra satisfies EM."""
     kim = _require_kim(alg)
-    lat = kim.lattice
-    filters = prime_filters(lat)
-    names = [f"F{i}" for i in range(len(filters))]
-    pairs = [(names[i], names[j]) for i in range(len(filters))
-             for j in range(len(filters)) if filters[i] <= filters[j] and i != j]
-    c_pairs = []
-    for i, p in enumerate(filters):
-        for j, q in enumerate(filters):
-            if all(a not in q for a in range(lat.size) if kim.tilde[a] in p):
-                c_pairs.append((names[i], names[j]))
-    fr = build_compat(names, pairs, c_pairs, require_subcompat=True)
-    em = all(lat.join[a][kim.tilde[a]] == lat.top for a in range(lat.size))
-    if em and not is_compat_identity(fr):
-        raise VerificationError("canonical-frame-not-identity", kim.name)
-    return fr
+    size = kim.size
+
+    def compatible(filters, names):
+        return [(names[i], names[j]) for i, p in enumerate(filters)
+                for j, q in enumerate(filters)
+                if all(a not in q for a in range(size) if kim.tilde[a] in p)]
+
+    return _canonical_frame(kim, partial(build_compat, require_subcompat=True), compatible)
 
 
 def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
     """Upsets with `!U` the worlds whose order-successors avoid U and `~U` the
     worlds whose C-successors avoid U."""
-    if not is_subcompat(fr):
-        raise AlgebraError("not-a-subcompat-frame", subcompat_violation_name(fr))
+    bad = subcompat_violation(fr)
+    if bad is not None:
+        raise AlgebraError("not-a-subcompat-frame", bad[0])
     ups = upsets_of(fr.leq)
     names = [upset_name(fr.worlds, s) for s in ups]
     lat = lattice_from_upsets(ups, names)
-    n = fr.size
     pos = {s: i for i, s in enumerate(ups)}
-    neg = tuple(pos[frozenset(w for w in range(n)
-                              if all(v not in u for v in range(n) if fr.leq[w][v]))]
-                for u in ups)
-    tilde = tuple(pos[frozenset(w for w in range(n)
-                                if all(v not in u for v in range(n) if fr.c[w][v]))]
-                  for u in ups)
+    neg = tuple(pos[_no_successor_in(fr.bang, u)] for u in ups)
+    tilde = tuple(pos[_no_successor_in(fr.tilde, u)] for u in ups)
     kim = build_kim(lat, neg, tilde, name=name or "complex")
-    if is_compat_identity(fr):
-        if any(lat.join[a][tilde[a]] != lat.top for a in range(lat.size)):
-            raise VerificationError("complex-not-kim-vee", fr.worlds)
+    if is_identity(fr) and _em(lat, tilde) is not None:
+        raise VerificationError("complex-not-kim-vee", fr.worlds)
     return kim
-
-
-def subcompat_violation_name(fr: CompatFrame):
-    from .frames import subcompat_violation
-    bad = subcompat_violation(fr)
-    return bad[0] if bad else None
 
 
 def kim_algebra_embedding(alg: AnyAlgebra) -> Embedding:
     """sigma into the upset algebra of the canonical compatibility frame."""
-    kim = _require_kim(alg)
-    fr = canonical_frame_kim(kim)
-    target = complex_algebra_compat(fr, name=f"{kim.name}_dual")
-    filters = prime_filters(kim.lattice)
-    ups = upsets_of(fr.leq)
-    image = [ups.index(sigma(kim.lattice, filters, a)) for a in range(kim.size)]
-    checks = _hom_checks(kim, target, image)
-    injective = len(set(image)) == kim.size
-    onto = len(set(image)) == target.size
-    return Embedding(kim.name, target.name, tuple(image), checks, injective, onto)
+    return _algebra_embedding(alg, canonical_frame_kim(alg), complex_algebra_compat)
 
 
 def kim_frame_embedding(fr: CompatFrame) -> Embedding:
     """w -> {upsets containing w}, with C preserved and reflected."""
-    alg = complex_algebra_compat(fr)
-    ups = upsets_of(fr.leq)
-    filters = list(prime_filters(alg.lattice))
-    target = canonical_frame_kim(alg)
-    image = []
-    for w in range(fr.size):
-        g = frozenset(j for j, u in enumerate(ups) if w in u)
-        image.append(filters.index(g))
-    checks = {
-        "order-preserving": all(filters[image[a]] <= filters[image[b]]
-                                for a in range(fr.size) for b in range(fr.size)
-                                if fr.leq[a][b]),
-        "order-reflecting": all(fr.leq[a][b]
-                                for a in range(fr.size) for b in range(fr.size)
-                                if filters[image[a]] <= filters[image[b]]),
-        "compat": all(fr.c[a][b] == target.c[image[a]][image[b]]
-                      for a in range(fr.size) for b in range(fr.size)),
-    }
-    injective = len(set(image)) == fr.size
-    onto = len(set(image)) == target.size
-    return Embedding("frame", "canonical", tuple(image), checks, injective, onto)
+    return _frame_embedding(
+        fr, complex_algebra_compat, canonical_frame_kim, "compat",
+        lambda target, image: all(fr.c[a][b] == target.c[image[a]][image[b]]
+                                  for a in range(fr.size) for b in range(fr.size)))
 
 
 def canonical_frame_file(alg: AnyAlgebra, kind: str = "auto") -> str:
     """Emit the canonical frame as a .frm file with a sidecar comment per
     world listing the prime filter's elements."""
-    from .frames import write_frame
     if kind == "auto":
         kind = "subnormal" if isinstance(alg, Algebra) else "compat"
     if kind == "subnormal":
-        assert isinstance(alg, Algebra)
         fr: SubNormalFrame | CompatFrame = canonical_frame_ccpba(alg)
-    else:
+    elif kind == "compat":
         fr = canonical_frame_kim(alg)
+    else:
+        raise AlgebraError("unknown-frame-kind", kind)
     filters = prime_filters(alg.lattice)
     comments = [
         f"# F{i} = {{{', '.join(alg.lattice.elements[e] for e in sorted(f))}}}"

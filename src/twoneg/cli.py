@@ -20,8 +20,9 @@ from .algebra import (Algebra, KimAlgebra, algebra_valid, build_au,
                       write_algebra)
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      FormulaSyntaxError, LatticeError, WorkbenchError)
-from .formula import And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top
+from .formula import Atom, Bot, Formula, Top
 from .formula import atoms as formula_atoms
+from .formula import fold
 from .formula import parse as parse_formula
 from .formula import render
 
@@ -51,25 +52,19 @@ class Report:
                 print(line)
 
 
-def ast_string(f: Formula) -> str:
-    match f:
+def _ast_node(g: Formula, kids: list[str]) -> str:
+    match g:
         case Top():
             return "Top"
         case Bot():
             return "Bot"
         case Atom(name):
             return name
-        case And(l, r):
-            return f"And({ast_string(l)},{ast_string(r)})"
-        case Or(l, r):
-            return f"Or({ast_string(l)},{ast_string(r)})"
-        case Impl(l, r):
-            return f"Impl({ast_string(l)},{ast_string(r)})"
-        case Neg(c):
-            return f"Neg({ast_string(c)})"
-        case Tilde(c):
-            return f"Tilde({ast_string(c)})"
-    raise TypeError(f)
+    return f"{type(g).__name__}({','.join(kids)})"
+
+
+def ast_string(f: Formula) -> str:
+    return fold(f, _ast_node)
 
 
 def _read_text(path: str) -> str:
@@ -240,7 +235,7 @@ def cmd_translate(args, rep: Report) -> int:
     if isinstance(fr, frames.SubNormalFrame):
         out = translate.phi(fr)
         rep.kv("direction", "subnormal->nhat")
-        rep.kv("nhat_prime", frames.is_nhat_prime(out))
+        rep.kv("nhat_prime", frames.is_identity(out))
     elif isinstance(fr, frames.NhatFrame):
         out = translate.psi(fr)
         rep.kv("direction", "nhat->subnormal")

@@ -20,17 +20,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import FormulaSyntaxError
 
 __all__ = [
     "Formula", "Top", "Bot", "Atom", "And", "Or", "Impl", "Neg", "Tilde",
-    "TOP", "BOT", "parse", "render", "atoms", "match_scheme", "substitute",
-    "metavariables", "contains_impl", "contains_neg", "contains_bot",
+    "TOP", "BOT", "MAX_DEPTH", "parse", "render", "subformulas", "fold",
+    "atoms", "contains", "match_scheme", "substitute",
 ]
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 _KEYWORDS = frozenset({"top", "bot"})
+
+# Deepest nesting (parentheses and operators) and deepest AST a parsed
+# formula may have; deeper input is a syntax error, so that the recursive
+# parser and the evaluators stay far from the interpreter's stack limit.
+MAX_DEPTH = 100
 
 
 class Formula:
@@ -133,6 +139,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -147,11 +154,21 @@ class _Parser:
         raise FormulaSyntaxError(offset, expected,
                                  f"found {value!r}" if value else "found end of input")
 
+    def nested(self, parse_fn) -> Formula:
+        """`parse_fn()` one nesting level deeper, rejected past MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(self.peek()[2], frozenset(),
+                                     f"nested deeper than {MAX_DEPTH} levels")
+        node = parse_fn()
+        self.depth -= 1
+        return node
+
     def formula(self) -> Formula:
         left = self.impl()
         if self.peek()[0] == "iff":
             self.take()
-            right = self.formula()
+            right = self.nested(self.formula)
             return And(Impl(left, right), Impl(right, left))
         return left
 
@@ -159,7 +176,7 @@ class _Parser:
         left = self.disj()
         if self.peek()[0] == "arrow":
             self.take()
-            return Impl(left, self.impl())
+            return Impl(left, self.nested(self.impl))
         return left
 
     def disj(self) -> Formula:
@@ -180,10 +197,10 @@ class _Parser:
         kind, _, _ = self.peek()
         if kind == "bang":
             self.take()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         if kind == "tilde":
             self.take()
-            return Tilde(self.unary())
+            return Tilde(self.nested(self.unary))
         return self.atom()
 
     def atom(self) -> Formula:
@@ -199,7 +216,7 @@ class _Parser:
             return Atom(value)
         if kind == "lp":
             self.take()
-            node = self.formula()
+            node = self.nested(self.formula)
             if self.peek()[0] != "rp":
                 self.fail(frozenset({")"}))
             self.take()
@@ -214,111 +231,136 @@ def parse(text: str) -> Formula:
     node = p.formula()
     if p.peek()[0] != "eof":
         p.fail(frozenset({"end of input", "->", "<->", "&", "|"}))
+    # a token adds at most two levels (`<->`: an And over Impls), so short
+    # input needs no walk
+    if len(p.tokens) > MAX_DEPTH // 2 and _depth(node) > MAX_DEPTH:
+        raise FormulaSyntaxError(0, frozenset(), f"formula deeper than {MAX_DEPTH} levels")
     return node
 
 
-# Precedence levels for minimal-parenthesis rendering.
-_PREC_IMPL, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 0, 1, 2, 3, 4
+# Binding strengths for minimal-parenthesis rendering: atoms and constants
+# bind tightest, then the unaries, then each infix operator, which also names
+# the strength its left and right operands need to go without parentheses.
+_ATOMIC, _UNARY = 4, 3
+_INFIX = {Impl: (" -> ", 0, 1, 0), Or: (" | ", 1, 1, 2), And: (" & ", 2, 2, 3)}
 
 
-def _prec(f: Formula) -> int:
-    match f:
-        case Impl():
-            return _PREC_IMPL
-        case Or():
-            return _PREC_OR
-        case And():
-            return _PREC_AND
-        case Neg() | Tilde():
-            return _PREC_UNARY
-        case _:
-            return _PREC_ATOM
+def _operand(kid: tuple[str, int], need: int) -> str:
+    return f"({kid[0]})" if kid[1] < need else kid[0]
 
 
-def _render(f: Formula, need: int) -> str:
-    match f:
+def _render_node(g: Formula, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """(text, binding strength) of `g` from those of its children."""
+    match g:
         case Top():
-            s = "top"
+            return "top", _ATOMIC
         case Bot():
-            s = "bot"
+            return "bot", _ATOMIC
         case Atom(name):
-            s = name
-        case Impl(l, r):
-            s = f"{_render(l, _PREC_OR)} -> {_render(r, _PREC_IMPL)}"
-        case Or(l, r):
-            s = f"{_render(l, _PREC_OR)} | {_render(r, _PREC_AND)}"
-        case And(l, r):
-            s = f"{_render(l, _PREC_AND)} & {_render(r, _PREC_UNARY)}"
-        case Neg(c):
-            s = f"!{_render(c, _PREC_UNARY)}"
-        case Tilde(c):
-            s = f"~{_render(c, _PREC_UNARY)}"
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if _prec(f) < need:
-        return f"({s})"
-    return s
+            return name, _ATOMIC
+        case Neg():
+            return "!" + _operand(kids[0], _UNARY), _UNARY
+        case Tilde():
+            return "~" + _operand(kids[0], _UNARY), _UNARY
+    op, strength, left, right = _INFIX[type(g)]
+    return _operand(kids[0], left) + op + _operand(kids[1], right), strength
 
 
 def render(f: Formula) -> str:
     """Minimal-parenthesis text; parse(render(f)) is structurally equal to f."""
-    return _render(f, _PREC_IMPL)
+    return fold(f, _render_node)[0]
+
+
+# -- one traversal ----------------------------------------------------------
+# Structural walks go through `_children` and its inverse `_rebuild` without
+# recursion, so they work at any depth; the parser and the evaluators
+# recurse and rely on MAX_DEPTH.
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    # dispatch on the exact type: a class-pattern `match` costs five times
+    # as much, and this runs once per node of every walk
+    t = type(f)
+    if t is And or t is Or or t is Impl:
+        return (f.left, f.right)
+    if t is Neg or t is Tilde:
+        return (f.child,)
+    if t is Atom or t is Top or t is Bot:
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _rebuild(f: Formula, kids) -> Formula:
+    """The node `f` over the children `kids`."""
+    return type(f)(*kids) if kids else f
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence, each node before its children, left
+    before right; lazily, so a search can stop at the first hit."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
+
+
+def fold(f: Formula, combine):
+    """Bottom-up value of `f`: `combine(node, values of its children)`.  A
+    node shared by several parents (`<->` shares both sides) is folded once."""
+    value: dict[int, object] = {}
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in value:
+            continue
+        kids = _children(g)
+        if expanded:
+            value[id(g)] = combine(g, [value[id(c)] for c in kids])
+        else:
+            stack.append((g, True))
+            stack.extend([(c, False) for c in reversed(kids)])
+    return value[id(f)]
+
+
+def _depth(f: Formula) -> int:
+    """Levels below the root on the longest path, walked level by level so
+    that a node shared by several parents (`<->` shares both sides) is seen
+    once per level."""
+    depth, level = 0, {id(f): f}
+    while True:
+        below = {id(c): c for g in level.values() for c in _children(g)}
+        if not below:
+            return depth
+        depth, level = depth + 1, below
 
 
 def atoms(f: Formula) -> list[str]:
     """Atom names in first-occurrence order, duplicates removed."""
-    out: list[str] = []
-    seen: set[str] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Atom(name):
-                if name not in seen:
-                    seen.add(name)
-                    out.append(name)
-            case And(l, r) | Or(l, r) | Impl(l, r):
-                stack.append(r)
-                stack.append(l)
-            case Neg(c) | Tilde(c):
-                stack.append(c)
-    return out
+    return list(dict.fromkeys(g.name for g in subformulas(f) if type(g) is Atom))
 
 
-# A Scheme is a Formula whose atoms are read as metavariables.
-metavariables = atoms
+def contains(f: Formula, kinds) -> bool:
+    """Whether some subformula is an instance of `kinds` (a node class or a
+    tuple of them)."""
+    return any(isinstance(g, kinds) for g in subformulas(f))
 
 
 def match_into(scheme: Formula, target: Formula, subst: dict[str, Formula]) -> bool:
     """Extend `subst` so that subst(scheme) == target; one-way matching."""
-    match scheme:
-        case Atom(name):
-            bound = subst.get(name)
+    stack = [(scheme, target)]
+    while stack:
+        s, t = stack.pop()
+        if type(s) is Atom:
+            bound = subst.get(s.name)
             if bound is None:
-                subst[name] = target
-                return True
-            return bound == target
-        case Top():
-            return isinstance(target, Top)
-        case Bot():
-            return isinstance(target, Bot)
-        case And(l, r):
-            return (isinstance(target, And)
-                    and match_into(l, target.left, subst)
-                    and match_into(r, target.right, subst))
-        case Or(l, r):
-            return (isinstance(target, Or)
-                    and match_into(l, target.left, subst)
-                    and match_into(r, target.right, subst))
-        case Impl(l, r):
-            return (isinstance(target, Impl)
-                    and match_into(l, target.left, subst)
-                    and match_into(r, target.right, subst))
-        case Neg(c):
-            return isinstance(target, Neg) and match_into(c, target.child, subst)
-        case Tilde(c):
-            return isinstance(target, Tilde) and match_into(c, target.child, subst)
-    raise TypeError(f"not a formula: {scheme!r}")
+                subst[s.name] = t
+            elif bound != t:
+                return False
+        elif type(s) is not type(t):
+            return False
+        else:
+            stack.extend(zip(reversed(_children(s)), reversed(_children(t))))
+    return True
 
 
 def match_scheme(scheme: Formula, target: Formula) -> dict[str, Formula] | None:
@@ -330,55 +372,5 @@ def match_scheme(scheme: Formula, target: Formula) -> dict[str, Formula] | None:
 
 
 def substitute(scheme: Formula, subst: dict[str, Formula]) -> Formula:
-    match scheme:
-        case Atom(name):
-            return subst.get(name, scheme)
-        case Top() | Bot():
-            return scheme
-        case And(l, r):
-            return And(substitute(l, subst), substitute(r, subst))
-        case Or(l, r):
-            return Or(substitute(l, subst), substitute(r, subst))
-        case Impl(l, r):
-            return Impl(substitute(l, subst), substitute(r, subst))
-        case Neg(c):
-            return Neg(substitute(c, subst))
-        case Tilde(c):
-            return Tilde(substitute(c, subst))
-    raise TypeError(f"not a formula: {scheme!r}")
-
-
-def contains_impl(f: Formula) -> bool:
-    match f:
-        case Impl():
-            return True
-        case And(l, r) | Or(l, r):
-            return contains_impl(l) or contains_impl(r)
-        case Neg(c) | Tilde(c):
-            return contains_impl(c)
-        case _:
-            return False
-
-
-def contains_neg(f: Formula) -> bool:
-    match f:
-        case Neg():
-            return True
-        case And(l, r) | Or(l, r) | Impl(l, r):
-            return contains_neg(l) or contains_neg(r)
-        case Tilde(c):
-            return contains_neg(c)
-        case _:
-            return False
-
-
-def contains_bot(f: Formula) -> bool:
-    match f:
-        case Bot():
-            return True
-        case And(l, r) | Or(l, r) | Impl(l, r):
-            return contains_bot(l) or contains_bot(r)
-        case Neg(c) | Tilde(c):
-            return contains_bot(c)
-        case _:
-            return False
+    return fold(scheme, lambda g, kids: subst.get(g.name, g) if isinstance(g, Atom)
+                else _rebuild(g, kids))

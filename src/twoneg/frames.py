@@ -20,30 +20,36 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 from .algebra import Verdict, VALID
-from .errors import BoundGuardError, FrameError
+from .errors import BoundGuardError, FileFormatError, FrameError
 from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
-                      atoms, contains_impl)
-from .lattice import Table, transitive_reduction, upsets_of
+                      atoms, contains)
+from .lattice import Table, _closure, transitive_reduction, upsets_of
 
 __all__ = [
     "SubNormalFrame", "NhatFrame", "CompatFrame", "Frame", "FrameModel",
     "build_subnormal", "build_nhat", "build_compat",
-    "condition_d", "is_identity", "nhat_condition3", "is_nhat_prime",
-    "subcompat_violation", "compat_condition3", "is_compat_identity",
+    "dne_tilde_top_witness", "is_identity", "subcompat_violation",
     "truth_set", "truth_at", "frame_valid", "frame_sequent_valid",
-    "tilde_top_worlds", "dne_tilde_top_holds", "frame_upsets",
-    "read_frame", "write_frame",
+    "tilde_top_worlds", "frame_upsets", "read_frame", "write_frame",
 ]
 
 
 @dataclass(frozen=True)
-class SubNormalFrame:
+class _FrameCore:
+    """Worlds and their partial order, shared by the three kinds.
+
+    Each kind names the relation `!` reads (`bang`) and the one `~` reads
+    (`tilde`); a sub-normal frame has no `~` relation, its `~` reads the
+    order and Y0.
+    """
+
     worlds: tuple[str, ...]
     leq: Table
-    y0: frozenset[int]
+
+    kind: ClassVar[str]
 
     @property
     def size(self) -> int:
@@ -55,61 +61,64 @@ class SubNormalFrame:
         except ValueError:
             raise FrameError("unknown-world", name) from None
 
+    @property
+    def bang(self) -> Table:
+        return self.leq
+
 
 @dataclass(frozen=True)
-class NhatFrame:
-    worlds: tuple[str, ...]
-    leq: Table
+class SubNormalFrame(_FrameCore):
+    y0: frozenset[int]
+
+    kind: ClassVar[str] = "subnormal"
+    tilde: ClassVar[None] = None
+
+
+@dataclass(frozen=True)
+class NhatFrame(_FrameCore):
     rn1: Table
     rn2: Table
 
-    @property
-    def size(self) -> int:
-        return len(self.worlds)
+    kind: ClassVar[str] = "nhat"
 
-    def index(self, name: str) -> int:
-        try:
-            return self.worlds.index(name)
-        except ValueError:
-            raise FrameError("unknown-world", name) from None
+    @property
+    def bang(self) -> Table:
+        return self.rn1
+
+    @property
+    def tilde(self) -> Table:
+        return self.rn2
 
 
 @dataclass(frozen=True)
-class CompatFrame:
-    worlds: tuple[str, ...]
-    leq: Table
+class CompatFrame(_FrameCore):
     c: Table
 
-    @property
-    def size(self) -> int:
-        return len(self.worlds)
+    kind: ClassVar[str] = "compat"
 
-    def index(self, name: str) -> int:
-        try:
-            return self.worlds.index(name)
-        except ValueError:
-            raise FrameError("unknown-world", name) from None
+    @property
+    def tilde(self) -> Table:
+        return self.c
 
 
 Frame = Union[SubNormalFrame, NhatFrame, CompatFrame]
 
 
-def _close_order(worlds: tuple[str, ...], pairs) -> Table:
-    n = len(worlds)
+def _index_pairs(worlds: tuple[str, ...], pairs) -> set[tuple[int, int]]:
     idx = {w: i for i, w in enumerate(worlds)}
-    if len(idx) != n:
-        raise FrameError("duplicate-world", worlds)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    out = set()
     for a, b in pairs:
         if a not in idx or b not in idx:
             raise FrameError("relation-out-of-range", (a, b))
-        leq[idx[a]][idx[b]] = True
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = True
+        out.add((idx[a], idx[b]))
+    return out
+
+
+def _close_order(worlds: tuple[str, ...], pairs) -> Table:
+    n = len(worlds)
+    if len(set(worlds)) != n:
+        raise FrameError("duplicate-world", worlds)
+    leq = _closure(n, _index_pairs(worlds, pairs))
     for i in range(n):
         for j in range(i + 1, n):
             if leq[i][j] and leq[j][i]:
@@ -120,12 +129,9 @@ def _close_order(worlds: tuple[str, ...], pairs) -> Table:
 
 def _relation(worlds: tuple[str, ...], pairs) -> Table:
     n = len(worlds)
-    idx = {w: i for i, w in enumerate(worlds)}
     rel = [[False] * n for _ in range(n)]
-    for a, b in pairs:
-        if a not in idx or b not in idx:
-            raise FrameError("relation-out-of-range", (a, b))
-        rel[idx[a]][idx[b]] = True
+    for a, b in _index_pairs(worlds, pairs):
+        rel[a][b] = True
     return tuple(tuple(row) for row in rel)
 
 
@@ -133,28 +139,53 @@ def _is_upset(leq: Table, s: frozenset[int]) -> bool:
     return all(j in s for i in s for j in range(len(leq)) if leq[i][j])
 
 
-# -- sub-normal ---------------------------------------------------------------
+def _no_successor_in(rel: Table, s: frozenset[int]) -> frozenset[int]:
+    """Worlds with no `rel`-successor in `s`: `!s` over the `!` relation, and
+    `~s` over the `~` relation of an N-hat or compatibility frame."""
+    n = len(rel)
+    return frozenset(w for w in range(n) if all(v not in s for v in range(n) if rel[w][v]))
 
-def condition_d(fr: SubNormalFrame) -> str | None:
-    """Witness world violating: every world all of whose successors reach Y0
-    must itself lie in Y0.  None when the condition holds."""
+
+# -- conditions shared by the three kinds ------------------------------------
+
+def tilde_top_worlds(fr: Frame) -> frozenset[int]:
+    """Worlds where `~top` holds; depends only on the frame."""
+    tilde = fr.tilde
+    if tilde is None:
+        return fr.y0
+    return frozenset(x for x in range(fr.size) if not any(tilde[x]))
+
+
+def dne_tilde_top_witness(fr: Frame) -> str | None:
+    """First world refuting `!!~top -> ~top`, or None when it is frame-valid;
+    this is condition (D) of sub-normal frames and (3) of the other kinds.
+    Decided without valuations: a world outside `~top` refutes it when each
+    of its `!`-successors has a `!`-successor inside `~top`."""
+    quiet = tilde_top_worlds(fr)
+    rel = fr.bang
     n = fr.size
     for x in range(n):
-        if x in fr.y0:
+        if x in quiet:
             continue
-        if all(any(fr.leq[y][z] and z in fr.y0 for z in range(n))
-               for y in range(n) if fr.leq[x][y]):
+        if all(any(rel[y][z] and z in quiet for z in range(n))
+               for y in range(n) if rel[x][y]):
             return fr.worlds[x]
     return None
 
 
-def is_identity(fr: SubNormalFrame) -> bool:
-    """Condition (E): <= restricted to the non-queer worlds is symmetric."""
-    n = fr.size
-    return all(fr.leq[y][x]
-               for x in range(n) if x not in fr.y0
-               for y in range(n) if y not in fr.y0 and fr.leq[x][y])
+def is_identity(fr: Frame) -> bool:
+    """Identity frames, where `~` looks only downwards: the `~` relation lies
+    inside the converse order; on a sub-normal frame (condition (E)), <=
+    restricted to the non-queer worlds is symmetric."""
+    n, tilde = fr.size, fr.tilde
+    if tilde is None:
+        return all(fr.leq[y][x]
+                   for x in range(n) if x not in fr.y0
+                   for y in range(n) if y not in fr.y0 and fr.leq[x][y])
+    return all(fr.leq[y][x] for x in range(n) for y in range(n) if tilde[x][y])
 
+
+# -- sub-normal ---------------------------------------------------------------
 
 def build_subnormal(worlds, leq_pairs, y0_names) -> SubNormalFrame:
     ws = tuple(worlds)
@@ -167,7 +198,7 @@ def build_subnormal(worlds, leq_pairs, y0_names) -> SubNormalFrame:
     fr = SubNormalFrame(ws, leq, y0)
     if not _is_upset(leq, y0):
         raise FrameError("y0-not-upset", tuple(sorted(ws[i] for i in y0)))
-    w = condition_d(fr)
+    w = dne_tilde_top_witness(fr)
     if w is not None:
         raise FrameError("condition-violation", ("D", w))
     return fr
@@ -202,7 +233,7 @@ def _condensation_witness(leq: Table, r: Table):
     return None
 
 
-def _symmetry_witness(r: Table):
+def _symmetry_witness(leq: Table, r: Table):
     n = len(r)
     for x in range(n):
         for y in range(n):
@@ -211,42 +242,22 @@ def _symmetry_witness(r: Table):
     return None
 
 
-def nhat_condition3(fr: NhatFrame) -> str | None:
-    """Witness world x where `!!~top` would hold but `~top` would not."""
-    n = fr.size
-    quiet = [not any(fr.rn2[x]) for x in range(n)]
-    for x in range(n):
-        if quiet[x]:
-            continue
-        if all(any(fr.rn1[y][z] and quiet[z] for z in range(n))
-               for y in range(n) if fr.rn1[x][y]):
-            return fr.worlds[x]
-    return None
-
-
-def is_nhat_prime(fr: NhatFrame) -> bool:
-    """R2 contained in the converse order."""
-    n = fr.size
-    return all(fr.leq[y][x] for x in range(n) for y in range(n) if fr.rn2[x][y])
+_SYMMETRY_CONDENSATION = (("symmetry", _symmetry_witness),
+                          ("condensation", _condensation_witness))
 
 
 def nhat_violations(fr: NhatFrame) -> list[tuple[str, tuple]]:
     out = []
     for tag, rel in (("R1", fr.rn1), ("R2", fr.rn2)):
-        w = _stability_witness(fr.leq, rel)
-        if w is not None:
-            out.append((f"{tag}-stability", tuple(fr.worlds[i] for i in w)))
-        w = _symmetry_witness(rel)
-        if w is not None:
-            out.append((f"{tag}-symmetry", tuple(fr.worlds[i] for i in w)))
-        w = _condensation_witness(fr.leq, rel)
-        if w is not None:
-            out.append((f"{tag}-condensation", tuple(fr.worlds[i] for i in w)))
+        for law, witness in (("stability", _stability_witness), *_SYMMETRY_CONDENSATION):
+            w = witness(fr.leq, rel)
+            if w is not None:
+                out.append((f"{tag}-{law}", tuple(fr.worlds[i] for i in w)))
     for x in range(fr.size):
         if not fr.rn1[x][x]:
             out.append(("R1-reflexivity", (fr.worlds[x],)))
             break
-    w3 = nhat_condition3(fr)
+    w3 = dne_tilde_top_witness(fr)
     if w3 is not None:
         out.append(("3", (w3,)))
     return out
@@ -264,50 +275,22 @@ def build_nhat(worlds, leq_pairs, rn1_pairs, rn2_pairs) -> NhatFrame:
 
 # -- compatibility ------------------------------------------------------------
 
-def compat_law_witness(fr: CompatFrame):
-    """Downward-closure law (C): x' <= x, y' <= y, x C y  =>  x' C y'."""
-    return _stability_witness(fr.leq, fr.c)
-
-
-def compat_condition3(fr: CompatFrame) -> str | None:
-    n = fr.size
-    quiet = [not any(fr.c[x]) for x in range(n)]
-    for x in range(n):
-        if quiet[x]:
-            continue
-        if all(any(fr.leq[y][z] and quiet[z] for z in range(n))
-               for y in range(n) if fr.leq[x][y]):
-            return fr.worlds[x]
-    return None
-
-
 def subcompat_violation(fr: CompatFrame) -> tuple[str, tuple] | None:
-    w = _symmetry_witness(fr.c)
-    if w is not None:
-        return ("C-symmetry", tuple(fr.worlds[i] for i in w))
-    w = _condensation_witness(fr.leq, fr.c)
-    if w is not None:
-        return ("C-condensation", tuple(fr.worlds[i] for i in w))
-    w3 = compat_condition3(fr)
+    for law, witness in _SYMMETRY_CONDENSATION:
+        w = witness(fr.leq, fr.c)
+        if w is not None:
+            return (f"C-{law}", tuple(fr.worlds[i] for i in w))
+    w3 = dne_tilde_top_witness(fr)
     if w3 is not None:
         return ("3", (w3,))
     return None
-
-
-def is_subcompat(fr: CompatFrame) -> bool:
-    return subcompat_violation(fr) is None
-
-
-def is_compat_identity(fr: CompatFrame) -> bool:
-    n = fr.size
-    return all(fr.leq[y][x] for x in range(n) for y in range(n) if fr.c[x][y])
 
 
 def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False) -> CompatFrame:
     ws = tuple(worlds)
     leq = _close_order(ws, leq_pairs)
     fr = CompatFrame(ws, leq, _relation(ws, c_pairs))
-    w = compat_law_witness(fr)
+    w = _stability_witness(leq, fr.c)  # the downward-closure law (C)
     if w is not None:
         raise FrameError("condition-violation",
                          ("C-law", tuple(ws[i] for i in w)))
@@ -340,6 +323,7 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
     """Worlds where f holds; `bot` holds nowhere in every kind."""
     n = fr.size
     every = frozenset(range(n))
+    bang, tilde = fr.bang, fr.tilde
 
     def rec(g: Formula) -> frozenset[int]:
         match g:
@@ -364,22 +348,15 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
                     if all(v in right for v in range(n)
                            if fr.leq[w][v] and v in left))
             case Neg(c):
-                body = rec(c)
-                rel = fr.rn1 if isinstance(fr, NhatFrame) else fr.leq
-                return frozenset(
-                    w for w in range(n)
-                    if all(v not in body for v in range(n) if rel[w][v]))
+                return _no_successor_in(bang, rec(c))
             case Tilde(c):
                 body = rec(c)
-                if isinstance(fr, SubNormalFrame):
+                if tilde is None:  # sub-normal: every successor in body is queer
                     return frozenset(
                         w for w in range(n)
                         if all(v in fr.y0 for v in range(n)
                                if fr.leq[w][v] and v in body))
-                rel = fr.rn2 if isinstance(fr, NhatFrame) else fr.c
-                return frozenset(
-                    w for w in range(n)
-                    if all(v not in body for v in range(n) if rel[w][v]))
+                return _no_successor_in(tilde, body)
         raise TypeError(f"not a formula: {g!r}")
 
     return rec(f)
@@ -394,95 +371,64 @@ def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
     return tuple(upsets_of(leq))
 
 
-def _check_guards(fr: Frame, names: list[str], max_worlds, max_atoms, force):
-    if force:
-        return
-    if max_worlds is not None and fr.size > max_worlds:
-        raise BoundGuardError("frame worlds", max_worlds, fr.size)
-    if max_atoms is not None and len(names) > max_atoms:
-        raise BoundGuardError("valuation atoms", max_atoms, len(names))
-
-
-def _witness_valuation(fr: Frame, names: list[str], combo) -> dict[str, tuple[str, ...]]:
-    return {name: tuple(fr.worlds[i] for i in sorted(s))
-            for name, s in zip(names, combo)}
+def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms, force,
+                     sides) -> Verdict:
+    """Exhaust all assignments of `names` to upsets, in (cardinality,
+    lexicographic) order, for the first valuation whose truth sets
+    `sides(valuation) = (left, right)` have some world in left but not in
+    right; it is reported with the least such world."""
+    if not force:
+        if max_worlds is not None and fr.size > max_worlds:
+            raise BoundGuardError("frame worlds", max_worlds, fr.size)
+        if max_atoms is not None and len(names) > max_atoms:
+            raise BoundGuardError("valuation atoms", max_atoms, len(names))
+    for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
+        left, right = sides(dict(zip(names, combo)))
+        if not left <= right:
+            witness = {name: tuple(fr.worlds[i] for i in sorted(s))
+                       for name, s in zip(names, combo)}
+            return Verdict(False, witness, fr.worlds[min(left - right)])
+    return VALID
 
 
 def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = 10,
                 max_atoms: int | None = 3, force: bool = False) -> Verdict:
-    """Exhaust all assignments of atoms to upsets, in (cardinality, lexicographic)
-    order; the first falsifying valuation and world are reported."""
-    if isinstance(fr, CompatFrame) and contains_impl(f):
+    """Truth at every world under every upset valuation."""
+    if isinstance(fr, CompatFrame) and contains(f, Impl):
         raise FrameError("wrong-language", f)
-    names = atoms(f)
-    _check_guards(fr, names, max_worlds, max_atoms, force)
-    ups = frame_upsets(fr.leq)
     every = frozenset(range(fr.size))
-    for combo in itertools.product(ups, repeat=len(names)):
-        holds = truth_set(fr, dict(zip(names, combo)), f)
-        if holds != every:
-            world = min(set(range(fr.size)) - holds)
-            return Verdict(False, _witness_valuation(fr, names, combo),
-                           fr.worlds[world])
-    return VALID
+    return _first_falsifier(fr, atoms(f), max_worlds, max_atoms, force,
+                            lambda val: (every, truth_set(fr, val, f)))
 
 
 def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
                         max_worlds: int | None = 10, max_atoms: int | None = 3,
                         force: bool = False) -> Verdict:
     """Pointwise truth implication under every upset valuation."""
-    if isinstance(fr, CompatFrame) and (contains_impl(lhs) or contains_impl(rhs)):
+    if isinstance(fr, CompatFrame) and contains(And(lhs, rhs), Impl):
         raise FrameError("wrong-language", lhs)
-    names = atoms(And(lhs, rhs))
-    _check_guards(fr, names, max_worlds, max_atoms, force)
-    ups = frame_upsets(fr.leq)
-    for combo in itertools.product(ups, repeat=len(names)):
-        val = dict(zip(names, combo))
-        left = truth_set(fr, val, lhs)
-        right = truth_set(fr, val, rhs)
-        if not left <= right:
-            world = min(left - right)
-            return Verdict(False, _witness_valuation(fr, names, combo),
-                           fr.worlds[world])
-    return VALID
-
-
-# -- valuation-free canonicity ------------------------------------------------
-
-def tilde_top_worlds(fr: Frame) -> frozenset[int]:
-    """Worlds where `~top` holds; depends only on the frame."""
-    if isinstance(fr, SubNormalFrame):
-        return fr.y0
-    rel = fr.rn2 if isinstance(fr, NhatFrame) else fr.c
-    return frozenset(x for x in range(fr.size) if not any(rel[x]))
-
-
-def dne_tilde_top_holds(fr: Frame) -> bool:
-    """Whether `!!~top -> ~top` is frame-valid; decided without valuations."""
-    quiet = tilde_top_worlds(fr)
-    rel = fr.rn1 if isinstance(fr, NhatFrame) else fr.leq
-    n = fr.size
-    for x in range(n):
-        if x in quiet:
-            continue
-        if all(any(rel[y][z] and z in quiet for z in range(n))
-               for y in range(n) if rel[x][y]):
-            return False
-    return True
+    return _first_falsifier(fr, atoms(And(lhs, rhs)), max_worlds, max_atoms, force,
+                            lambda val: (truth_set(fr, val, lhs), truth_set(fr, val, rhs)))
 
 
 # -- frame files --------------------------------------------------------------
 
+# Per kind: its builder and the lines naming its own structure, in the
+# builder's argument order; `write_frame` emits exactly these lines and
+# `read_frame` accepts no others besides `worlds` and `leq`.
+_KINDS = {
+    "subnormal": (build_subnormal, ("y0",)),
+    "nhat": (build_nhat, ("rn1", "rn2")),
+    "compat": (build_compat, ("c",)),
+}
+
+
 def read_frame(text: str) -> Frame:
-    from .errors import FileFormatError
-    kind = ""
-    name = ""
+    header: tuple[str, str] | None = None
     worlds: list[str] = []
     leq_pairs: list[tuple[str, str]] = []
-    y0: list[str] = []
-    rn1: list[tuple[str, str]] = []
-    rn2: list[tuple[str, str]] = []
-    c: list[tuple[str, str]] = []
+    own: dict[str, list] = {"y0": [], "rn1": [], "rn2": [], "c": []}
+    own_lines: list[tuple[str, str]] = []
     ended = False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -493,52 +439,48 @@ def read_frame(text: str) -> Frame:
         words = line.split()
         match words:
             case ["frame", k, nm]:
-                kind, name = k, nm
+                if header is not None:
+                    raise FileFormatError("duplicate-directive", "frame")
+                header = (k, nm)
             case ["worlds", *rest] if rest:
                 worlds.extend(rest)
             case ["leq", a, b]:
                 leq_pairs.append((a, b))
             case ["y0", *rest]:
-                y0.extend(rest)
-            case ["rn1", a, b]:
-                rn1.append((a, b))
-            case ["rn2", a, b]:
-                rn2.append((a, b))
-            case ["c", a, b]:
-                c.append((a, b))
+                own["y0"].extend(rest)
+                own_lines.append(("y0", line))
+            case [("rn1" | "rn2" | "c") as tag, a, b]:
+                own[tag].append((a, b))
+                own_lines.append((tag, line))
             case ["end"]:
                 ended = True
             case _:
                 raise FileFormatError("bad-line", line)
     if not ended:
         raise FileFormatError("missing-end", None)
-    if kind == "subnormal":
-        return build_subnormal(worlds, leq_pairs, y0)
-    if kind == "nhat":
-        return build_nhat(worlds, leq_pairs, rn1, rn2)
-    if kind == "compat":
-        return build_compat(worlds, leq_pairs, c)
-    raise FileFormatError("unknown-frame-kind", kind)
+    kind = header[0] if header is not None else ""
+    if kind not in _KINDS:
+        raise FileFormatError("unknown-frame-kind", kind)
+    build, tags = _KINDS[kind]
+    for tag, line in own_lines:
+        if tag not in tags:
+            raise FileFormatError("line-of-other-kind", line, f"not a line of a {kind} frame")
+    return build(worlds, leq_pairs, *(own[tag] for tag in tags))
 
 
 def write_frame(fr: Frame, name: str = "frame") -> str:
-    kind = {SubNormalFrame: "subnormal", NhatFrame: "nhat", CompatFrame: "compat"}[type(fr)]
-    lines = [f"frame {kind} {name}", "worlds " + " ".join(fr.worlds)]
+    lines = [f"frame {fr.kind} {name}", "worlds " + " ".join(fr.worlds)]
     for a, b in transitive_reduction(fr.leq):
         lines.append(f"leq {fr.worlds[a]} {fr.worlds[b]}")
-    if isinstance(fr, SubNormalFrame):
-        if fr.y0:
-            lines.append("y0 " + " ".join(fr.worlds[i] for i in sorted(fr.y0)))
-    elif isinstance(fr, NhatFrame):
-        for tag, rel in (("rn1", fr.rn1), ("rn2", fr.rn2)):
-            for x in range(fr.size):
-                for y in range(fr.size):
-                    if rel[x][y]:
-                        lines.append(f"{tag} {fr.worlds[x]} {fr.worlds[y]}")
-    else:
+    for tag in _KINDS[fr.kind][1]:
+        if tag == "y0":
+            if fr.y0:
+                lines.append("y0 " + " ".join(fr.worlds[i] for i in sorted(fr.y0)))
+            continue
+        rel = getattr(fr, tag)
         for x in range(fr.size):
             for y in range(fr.size):
-                if fr.c[x][y]:
-                    lines.append(f"c {fr.worlds[x]} {fr.worlds[y]}")
+                if rel[x][y]:
+                    lines.append(f"{tag} {fr.worlds[x]} {fr.worlds[y]}")
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -48,14 +48,8 @@ class FiniteLattice:
         except ValueError:
             raise LatticeError("unknown-element", name) from None
 
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
     def upset(self, a: int) -> frozenset[int]:
         return frozenset(b for b in range(self.size) if self.leq[a][b])
-
-    def downset(self, a: int) -> frozenset[int]:
-        return frozenset(b for b in range(self.size) if self.leq[b][a])
 
 
 def _closure(n: int, pairs: set[tuple[int, int]]) -> list[list[bool]]:

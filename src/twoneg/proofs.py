@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 from .algebra import algebra_valid, enumerate_algebras, sequent_valid
 from .errors import AlgebraError, BoundGuardError, FileFormatError
-from .formula import (And, Bot, Formula, Impl, Neg, Or, Tilde,
-                      contains_bot, contains_impl, contains_neg, match_into,
-                      parse, render)
+from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
+                      match_into, parse, render)
 
 __all__ = [
     "SCHEMES", "HILBERT_SYSTEMS", "SEQUENT_RULES", "SEQUENT_SYSTEMS",
@@ -30,9 +29,7 @@ __all__ = [
 ]
 
 
-def _s(text: str) -> Formula:
-    return parse(text)
-
+_s = parse
 
 # Axiom schemes; metavariables are the atoms a, b, c.
 SCHEMES: dict[str, tuple[Formula, ...]] = {
@@ -61,7 +58,7 @@ def _lang_full(f: Formula) -> bool:
 
 
 def _lang_no_bot_no_neg(f: Formula) -> bool:
-    return not contains_bot(f) and not contains_neg(f)
+    return not contains(f, (Bot, Neg))
 
 
 @dataclass(frozen=True)
@@ -87,19 +84,8 @@ HILBERT_SYSTEMS: dict[str, HilbertSystem] = {
 
 def expand_neg(f: Formula) -> Formula:
     """Rewrite every !x into x -> bot (the ILM2 reading of negation)."""
-    match f:
-        case Neg(c):
-            return Impl(expand_neg(c), Bot())
-        case And(l, r):
-            return And(expand_neg(l), expand_neg(r))
-        case Or(l, r):
-            return Or(expand_neg(l), expand_neg(r))
-        case Impl(l, r):
-            return Impl(expand_neg(l), expand_neg(r))
-        case Tilde(c):
-            return Tilde(expand_neg(c))
-        case _:
-            return f
+    return fold(f, lambda g, kids: Impl(kids[0], BOT) if isinstance(g, Neg)
+                else _rebuild(g, kids))
 
 
 @dataclass(frozen=True)
@@ -259,7 +245,7 @@ def check_derivation(system: str, root: DerivationNode) -> CheckResult:
 
     def visit(node: DerivationNode) -> CheckResult:
         for f in (node.lhs, node.rhs):
-            if contains_impl(f):
+            if contains(f, Impl):
                 return CheckResult(False, "wrong-language", node.label, render(f))
         if node.rule not in sys.rules or node.rule not in SEQUENT_RULES:
             return CheckResult(False, "bad-axiom" if not node.children
@@ -318,26 +304,22 @@ def countermodel_search(system: str, goal, max_size: int, *,
         if not sys.language_ok(goal):
             raise AlgebraError("wrong-language", render(goal))
         f = expand_neg(goal) if sys.expand else goal
-        catalog = enumerate_algebras(sys.algebra_class, max_size, guard=None)
-        for alg in catalog:
-            verdict = algebra_valid(alg, f)
-            if not verdict.valid:
-                return alg, verdict.valuation
-        return None
-    if system in SEQUENT_SYSTEMS:
-        ssys = SEQUENT_SYSTEMS[system]
+        cls, check = sys.algebra_class, lambda alg: algebra_valid(alg, f)
+    elif system in SEQUENT_SYSTEMS:
         if isinstance(goal, Formula):
             raise AlgebraError("wrong-goal-kind", system, "expected a sequent")
         lhs, rhs = goal
-        if contains_impl(lhs) or contains_impl(rhs):
+        if contains(lhs, Impl) or contains(rhs, Impl):
             raise AlgebraError("wrong-language", f"{render(lhs)} |- {render(rhs)}")
-        catalog = enumerate_algebras(ssys.algebra_class, max_size, guard=None)
-        for alg in catalog:
-            verdict = sequent_valid(alg, lhs, rhs)
-            if not verdict.valid:
-                return alg, verdict.valuation
-        return None
-    raise AlgebraError("unknown-system", system)
+        cls, check = (SEQUENT_SYSTEMS[system].algebra_class,
+                      lambda alg: sequent_valid(alg, lhs, rhs))
+    else:
+        raise AlgebraError("unknown-system", system)
+    for alg in enumerate_algebras(cls, max_size, guard=None):
+        verdict = check(alg)
+        if not verdict.valid:
+            return alg, verdict.valuation
+    return None
 
 
 # ---------------------------------------------------------------------------

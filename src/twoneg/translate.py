@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import FrameError
 from .frames import (NhatFrame, SubNormalFrame, build_nhat, build_subnormal,
-                     is_identity, is_nhat_prime)
+                     is_identity, tilde_top_worlds)
 
 __all__ = ["phi", "psi"]
 
@@ -20,19 +20,19 @@ __all__ = ["phi", "psi"]
 def phi(fr: SubNormalFrame) -> NhatFrame:
     """Sub-normal frame to modal frame; output is validated, and an identity
     input yields a frame with R2 inside the converse order."""
-    n = fr.size
-    leq = fr.leq
-    rn1 = [(x, y) for x in range(n) for y in range(n)
-           if any(leq[x][z] and leq[y][z] for z in range(n))]
-    rn2 = [(x, y) for x in range(n) for y in range(n)
-           if any(leq[x][z] and leq[y][z] and z not in fr.y0 for z in range(n))]
-    names = fr.worlds
-    out = build_nhat(names,
-                     [(names[i], names[j]) for i in range(n) for j in range(n)
-                      if leq[i][j] and i != j],
-                     [(names[i], names[j]) for i, j in rn1],
-                     [(names[i], names[j]) for i, j in rn2])
-    if is_identity(fr) and not is_nhat_prime(out):
+    n, leq, names = fr.size, fr.leq, fr.worlds
+    order, rn1, rn2 = [], [], []
+    for x in range(n):
+        for y in range(n):
+            pair = (names[x], names[y])
+            if leq[x][y] and x != y:
+                order.append(pair)
+            if any(leq[x][z] and leq[y][z] for z in range(n)):
+                rn1.append(pair)
+            if any(leq[x][z] and leq[y][z] and z not in fr.y0 for z in range(n)):
+                rn2.append(pair)
+    out = build_nhat(names, order, rn1, rn2)
+    if is_identity(fr) and not is_identity(out):
         raise FrameError("translation-broke-identity", None)
     return out
 
@@ -40,13 +40,11 @@ def phi(fr: SubNormalFrame) -> NhatFrame:
 def psi(fr: NhatFrame) -> SubNormalFrame:
     """Modal frame to sub-normal frame: Y0 is the set of worlds with no
     R2-successor; an R2-inside-converse-order input yields an identity frame."""
-    n = fr.size
-    names = fr.worlds
-    y0 = [names[x] for x in range(n) if not any(fr.rn2[x])]
+    n, names = fr.size, fr.worlds
     out = build_subnormal(names,
-                          [(names[i], names[j]) for i in range(n) for j in range(n)
-                           if fr.leq[i][j] and i != j],
-                          y0)
-    if is_nhat_prime(fr) and not is_identity(out):
+                          [(names[x], names[y]) for x in range(n) for y in range(n)
+                           if fr.leq[x][y] and x != y],
+                          [names[x] for x in sorted(tilde_top_worlds(fr))])
+    if is_identity(fr) and not is_identity(out):
         raise FrameError("translation-broke-identity", None)
     return out

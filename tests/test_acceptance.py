@@ -20,10 +20,9 @@ from twoneg.bridge import (frame_embedding, kim_algebra_embedding,
 from twoneg.errors import LatticeError
 from twoneg.formula import parse, substitute, Atom
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
-                           build_compat, compat_condition3, condition_d,
-                           dne_tilde_top_holds, frame_sequent_valid,
-                           frame_valid, is_identity, is_nhat_prime,
-                           nhat_condition3, nhat_violations, truth_set)
+                           build_compat, dne_tilde_top_witness,
+                           frame_sequent_valid, frame_valid, is_identity,
+                           nhat_violations, truth_set)
 from twoneg.lattice import (all_lattices, all_posets, build_lattice,
                             derive_heyting, residuation_mismatch, upsets_of)
 from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
@@ -195,7 +194,7 @@ def _random_subnormal_frames(count: int, max_worlds: int):
         ups = upsets_of(leq)
         y0 = rng.choice(ups)
         fr = SubNormalFrame(tuple(names), leq, y0)
-        if condition_d(fr) is not None:
+        if dne_tilde_top_witness(fr) is not None:
             continue
         key = (leq, y0)
         if key in seen:
@@ -222,9 +221,7 @@ def test_criterion_6_translation_suite():
             assert phi(psi(nh)) == nh
             if is_identity(fr):
                 identity_count += 1
-                assert is_nhat_prime(nh)
-            if is_nhat_prime(nh):
-                assert is_identity(fr)
+            assert is_identity(fr) == is_identity(nh)
             ups = upsets_of(fr.leq)
             for _ in range(3):
                 v = {"p": rng.choice(ups), "q": rng.choice(ups)}
@@ -242,7 +239,7 @@ def _all_subnormal(max_worlds, require_d=True):
             names = tuple(f"w{i}" for i in range(size))
             for y0 in upsets_of(leq):
                 fr = SubNormalFrame(names, leq, y0)
-                if not require_d or condition_d(fr) is None:
+                if not require_d or dne_tilde_top_witness(fr) is None:
                     out.append(fr)
     return out
 
@@ -279,8 +276,7 @@ def test_criterion_8_canonicity():
     with criterion(8, "frame-condition checks agree with validity search"):
         sub_candidates = _all_subnormal(5, require_d=False)
         for fr in sub_candidates:
-            holds = condition_d(fr) is None
-            assert dne_tilde_top_holds(fr) == holds
+            holds = dne_tilde_top_witness(fr) is None
             assert frame_valid(fr, DNE_FORMULA).valid == holds
         for fr in sub_candidates:
             n = fr.size
@@ -292,12 +288,10 @@ def test_criterion_8_canonicity():
             nh = NhatFrame(fr.worlds, fr.leq, rn1, rn2)
             others = [v for v in nhat_violations(nh) if v[0] != "3"]
             assert not others  # the common-bound relations satisfy (1) and (2)
-            holds = nhat_condition3(nh) is None
-            assert dne_tilde_top_holds(nh) == holds
+            holds = dne_tilde_top_witness(nh) is None
             assert frame_valid(nh, DNE_FORMULA).valid == holds
             cf = CompatFrame(fr.worlds, fr.leq, rn2)
-            holds = compat_condition3(cf) is None
-            assert dne_tilde_top_holds(cf) == holds
+            holds = dne_tilde_top_witness(cf) is None
             assert frame_sequent_valid(cf, parse("!!~top"), parse("~top")).valid == holds
             assert frame_sequent_valid(cf, parse("~top"), parse("!!~top")).valid
 

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
@@ -10,12 +16,13 @@ from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
                            complex_algebra_subnormal, frame_embedding,
                            kim_algebra_embedding, kim_frame_embedding,
                            prime_filters, sigma, stone_embedding)
-from twoneg.errors import AlgebraError, BoundGuardError
+from twoneg.errors import AlgebraError, BoundGuardError, LatticeError
 from twoneg.formula import parse
 from twoneg.frames import (build_compat, build_subnormal, frame_valid,
-                           frame_sequent_valid, is_compat_identity,
-                           is_identity, read_frame)
-from twoneg.lattice import build_lattice
+                           frame_sequent_valid, is_identity, read_frame)
+from twoneg.lattice import build_lattice, upsets_of
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -137,7 +144,7 @@ def test_complex_compat_examples(fork):
     i_w1 = kim2.lattice.index("{w1}")
     assert kim2.element(kim2.tilde[i_w1]) == "{w2}"
     ident = build_compat(["a", "b"], [], [("a", "a")])
-    assert is_compat_identity(ident)
+    assert is_identity(ident)
     kim3 = complex_algebra_compat(ident)
     assert all(kim3.lattice.join[i][kim3.tilde[i]] == kim3.lattice.top
                for i in range(kim3.size))
@@ -154,7 +161,7 @@ def test_kim_embeddings(b_prime):
 
 
 def test_frame_validity_matches_complex_algebra(fork):
-    from twoneg.frames import SubNormalFrame, condition_d
+    from twoneg.frames import SubNormalFrame, dne_tilde_top_witness
     from twoneg.lattice import all_posets, upsets_of
     suite = [parse(t) for t in
              ["p | ~p", "!p -> ~p", "~~p", "!!~top <-> ~top",
@@ -166,7 +173,7 @@ def test_frame_validity_matches_complex_algebra(fork):
             names = tuple(f"w{i}" for i in range(size))
             for y0 in upsets_of(leq):
                 fr = SubNormalFrame(names, leq, y0)
-                if condition_d(fr) is None:
+                if dne_tilde_top_witness(fr) is None:
                     frames.append(fr)
     for fr in frames:
         alg = complex_algebra_subnormal(fr)
@@ -193,3 +200,85 @@ def test_canonical_frame_file_round_trip(a_prime):
     assert text.splitlines()[0].startswith("# F0 =")
     fr = read_frame(text)
     assert fr == canonical_frame_ccpba(a_prime)
+
+
+def _upset_scan_prime_filters(lat):
+    """Oracle: scan every upset and keep the nonempty, proper, meet-closed,
+    join-prime ones (the definition, at exponential cost)."""
+    out = []
+    for s in upsets_of(lat.leq):
+        if not s or lat.bottom in s:
+            continue
+        if any(lat.meet[a][b] not in s for a in s for b in s):
+            continue
+        if any(lat.join[a][b] in s and a not in s and b not in s
+               for a in range(lat.size) for b in range(lat.size)):
+            continue
+        out.append(s)
+    return tuple(out)
+
+
+def _chain_product(dims):
+    elements = list(itertools.product(*(range(d) for d in dims)))
+    names = ["".join(map(str, e)) for e in elements]
+    pairs = [(names[i], names[j]) for i, a in enumerate(elements)
+             for j, b in enumerate(elements)
+             if sum(y - x for x, y in zip(a, b)) == 1 and all(x <= y for x, y in zip(a, b))]
+    return build_lattice(names, pairs)
+
+
+CHAIN_SHAPES = [(5,), (8,), (2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (3, 4), (2, 2, 2),
+                (2, 2, 3), (2, 6), (4, 4), (3, 5), (2, 8), (2, 2, 4), (2, 3, 3), (3, 6),
+                (2, 2, 5), (4, 5), (2, 3, 4), (2, 2, 6), (3, 8), (4, 6)]
+
+
+def test_prime_filters_match_upset_scan_on_catalog():
+    lattices = [alg.lattice for alg in enumerate_algebras("pba", 8)]
+    assert len(lattices) == 35
+    for lat in lattices:
+        assert prime_filters(lat) == _upset_scan_prime_filters(lat)
+
+
+@pytest.mark.parametrize("dims", CHAIN_SHAPES)
+def test_prime_filters_match_upset_scan_on_chain_products(dims):
+    lat = _chain_product(dims)
+    filters = prime_filters(lat)
+    assert filters == _upset_scan_prime_filters(lat)
+    assert len(filters) == sum(d - 1 for d in dims)  # one per join-irreducible
+
+
+def test_prime_filters_reject_non_distributive():
+    m3 = build_lattice(list("0xyz1"), [("0", "x"), ("0", "y"), ("0", "z"),
+                                       ("x", "1"), ("y", "1"), ("z", "1")],
+                       require_distributive=False)
+    with pytest.raises(LatticeError) as e:
+        prime_filters(m3)
+    assert e.value.kind == "not-distributive"
+
+
+def test_canonical_frame_file_rejects_bad_input(a_prime):
+    kim = kim_reduct(a_prime)
+    with pytest.raises(AlgebraError) as e:
+        canonical_frame_file(kim, "subnormal")
+    assert e.value.kind == "not-a-ccpba"
+    with pytest.raises(AlgebraError) as e:
+        canonical_frame_file(a_prime, "nhat")
+    assert e.value.kind == "unknown-frame-kind"
+
+
+def test_canonical_frame_file_rejects_bad_input_under_optimize():
+    # python -O strips assert statements; the rejections must not rely on them
+    code = ("from twoneg.algebra import enumerate_algebras\n"
+            "from twoneg.bridge import canonical_frame_file\n"
+            "from twoneg.errors import AlgebraError\n"
+            "alg = enumerate_algebras('kim', 3)[0]\n"
+            "for kind in ('subnormal', 'nhat'):\n"
+            "    try:\n"
+            "        canonical_frame_file(alg, kind)\n"
+            "    except AlgebraError as e:\n"
+            "        print(e.kind)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["not-a-ccpba", "unknown-frame-kind"]

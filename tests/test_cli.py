@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twoneg.cli import main
+from twoneg.formula import MAX_DEPTH
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -215,3 +223,62 @@ def test_eval_multi_assignment_with_pair_names(capsys, tmp_path, fixtures_dir):
                     "p | ~p & q", "--assign", "p=(0,y),q=(z,w)")
     assert code == 0
     assert "value=(z,w)" in out
+
+
+SUBNORMAL_FORK = "frame subnormal a\nworlds w0 w1 w2\nleq w0 w1\nleq w0 w2\ny0 w2\n"
+
+
+def test_duplicate_frame_directive_rejected(capsys, tmp_path):
+    dup = tmp_path / "dup.frm"
+    dup.write_text(SUBNORMAL_FORK + "frame compat b\nend\n")
+    code, out = run(capsys, "--porcelain", "complex", str(dup))
+    assert code == 2
+    assert "error=duplicate-directive" in out and "'frame'" in out
+
+
+@pytest.mark.parametrize("line", ["rn1 w0 w1", "c w0 w0"])
+def test_frame_line_of_other_kind_rejected(capsys, tmp_path, line):
+    bad = tmp_path / "bad.frm"
+    bad.write_text(SUBNORMAL_FORK + line + "\nend\n")
+    code, out = run(capsys, "--porcelain", "translate", str(bad))
+    assert code == 2
+    assert "error=line-of-other-kind" in out and repr(line) in out
+
+
+def test_frame_y0_line_under_compat_rejected(capsys, tmp_path):
+    bad = tmp_path / "bad.frm"
+    bad.write_text("frame compat a\nworlds w0\ny0 w0\nend\n")
+    code, out = run(capsys, "--porcelain", "duality", str(bad))
+    assert code == 2
+    assert "error=line-of-other-kind" in out
+
+
+DEEP_FORMULAS = {
+    "negations": "!" * 3000 + "p",
+    "parentheses": "(" * 200 + "p" + ")" * 200,
+    "conjunction": "&".join(["p"] * 3000),
+    "arrows": "->".join(["p"] * 3000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_FORMULAS))
+def test_deep_formula_is_a_syntax_error(name):
+    # a fresh process, so that a stack overflow would show as a traceback
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "twoneg.cli", "--porcelain", "parse",
+                           DEEP_FORMULAS[name]], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error=syntax-error" in done.stdout
+
+
+def test_depth_cap_boundary(capsys):
+    code, out = run(capsys, "--porcelain", "parse", "!" * MAX_DEPTH + "p")
+    assert code == 0
+    code, out = run(capsys, "--porcelain", "parse", "!" * (MAX_DEPTH + 1) + "p")
+    assert code == 2
+    code, out = run(capsys, "--porcelain", "parse", "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH)
+    assert code == 0
+    code, out = run(capsys, "--porcelain", "parse", "&".join(["p"] * (MAX_DEPTH + 2)))
+    assert code == 2

@@ -6,8 +6,8 @@ from twoneg.errors import BoundGuardError, FrameError
 from twoneg.formula import parse
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            build_compat, build_nhat, build_subnormal,
-                           condition_d, dne_tilde_top_holds, frame_valid,
-                           frame_sequent_valid, is_identity, is_subcompat,
+                           dne_tilde_top_witness, frame_valid,
+                           frame_sequent_valid, is_identity, subcompat_violation,
                            read_frame, truth_at, truth_set, write_frame)
 
 
@@ -17,7 +17,7 @@ def fork():
 
 
 def test_build_fork_valid(fork):
-    assert condition_d(fork) is None
+    assert dne_tilde_top_witness(fork) is None
     assert not is_identity(fork)
 
 
@@ -133,9 +133,9 @@ def test_nhat_build_rejects_broken_conditions(fork):
 def test_compat_build_and_flags():
     fr = build_compat(["a", "b"], [("a", "b")], [("a", "a")])
     assert isinstance(fr, CompatFrame)
-    assert not is_subcompat(fr)  # b is quiet above a, so condition (3) fails
+    assert subcompat_violation(fr) == ("3", ("a",))  # b is quiet above a
     total = build_compat(["a"], [], [("a", "a")])
-    assert is_subcompat(total)
+    assert subcompat_violation(total) is None
 
 
 def test_compat_law_rejection():
@@ -149,7 +149,7 @@ def test_compat_sequent_validity():
     empty = build_compat(["a", "b"], [("a", "b")], [])
     assert frame_sequent_valid(empty, parse("!!~top"), parse("~top")).valid
     assert frame_sequent_valid(empty, parse("bot"), parse("p")).valid
-    assert dne_tilde_top_holds(empty)
+    assert dne_tilde_top_witness(empty) is None
 
 
 def test_compat_condition3_falsifier():
@@ -157,7 +157,7 @@ def test_compat_condition3_falsifier():
     fr = CompatFrame(("a", "b"),
                      ((True, True), (False, True)),
                      ((True, False), (False, False)))
-    assert not dne_tilde_top_holds(fr)
+    assert dne_tilde_top_witness(fr) == "a"
     v = frame_sequent_valid(fr, parse("!!~top"), parse("~top"))
     assert not v.valid and v.world == "a"
 

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from twoneg.formula import parse
-from twoneg.frames import (SubNormalFrame, build_subnormal, condition_d,
-                           frame_valid, is_identity, is_nhat_prime, truth_set,
+from twoneg.frames import (SubNormalFrame, build_subnormal, dne_tilde_top_witness,
+                           frame_valid, is_identity, truth_set,
                            upsets_of)
 from twoneg.lattice import all_posets
 from twoneg.translate import phi, psi
@@ -27,7 +27,7 @@ def all_subnormal_frames(max_worlds: int):
             names = [f"w{i}" for i in range(size)]
             for y0 in upsets_of(leq):
                 fr = SubNormalFrame(tuple(names), leq, y0)
-                if condition_d(fr) is None:
+                if dne_tilde_top_witness(fr) is None:
                     out.append(fr)
     return out
 
@@ -54,7 +54,7 @@ def test_round_trips_exhaustive_small():
         nh = phi(fr)
         assert psi(nh) == fr
         assert phi(psi(nh)) == nh
-        assert is_identity(fr) == is_nhat_prime(nh)
+        assert is_identity(fr) == is_identity(nh)
 
 
 def test_truth_preservation_battery():
