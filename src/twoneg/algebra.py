@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import AlgebraError, BoundGuardError, VerificationError
-from .formula import And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms
+from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
+                      fold, subformulas)
 from .lattice import (FiniteLattice, OpTable, all_lattices, build_lattice,
                       canonical_form, derive_heyting, transitive_reduction)
 
@@ -330,60 +331,132 @@ def kim_reduct(alg: Algebra, *, name: str = "") -> KimAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and validity.
+# Evaluation and validity.  Each goal is compiled once into a function over
+# the op tables (`_program`); a search calls it once per valuation.
+
+# Compiled goals kept; a countermodel scan or a validity sweep reuses one
+# goal across a whole catalog, so a small bound holds every live goal.
+_PROGRAM_CACHE = 64
+
+_OPS = {And: "meet[{}][{}]", Or: "join[{}][{}]", Impl: "impl[{}][{}]",
+        Neg: "neg[{}]", Tilde: "tilde[{}]"}
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE)
+def _program(goals: tuple[Formula, ...], names: tuple[str, ...]):
+    """Compile `goals` over the atoms `names` into a factory
+    `make(meet, join, impl, neg, tilde, top, bottom)`; the function it
+    returns maps the element indices `v0, ..., vk` of `names` to the tuple of
+    the goals' values.
+
+    Every distinct node gets one assignment, so a node that `<->` shares is
+    computed once.  The tables are closure cells, so one compiled function
+    serves every algebra of a catalog.  The source holds only fixed
+    identifiers, `v<i>` and `x<j>`: atom names never enter it.
+    """
+    var = {name: f"v{i}" for i, name in enumerate(names)}
+    slot: dict[str, str] = {}
+
+    def node(g: Formula, kids: list[str]) -> str:
+        t = type(g)
+        if t is Atom:
+            return var[g.name]
+        if t is Top:
+            return "top"
+        if t is Bot:
+            return "bottom"
+        expr = _OPS[t].format(*kids)
+        if expr not in slot:
+            slot[expr] = f"x{len(slot)}"
+        return slot[expr]
+
+    results = [fold(g, node) for g in goals]
+    source = ("def make(meet, join, impl, neg, tilde, top, bottom):\n"
+              f" def value({', '.join(var.values())}):\n"
+              + "".join(f"  {x} = {expr}\n" for expr, x in slot.items())
+              + f"  return ({', '.join(results)},)\n"
+              " return value\n")
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, "<twoneg goal>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _compiled(alg: AnyAlgebra, goals: tuple[Formula, ...], names: tuple[str, ...]):
+    """The value function of `goals` bound to the tables of `alg`."""
+    lat = alg.lattice
+    impl = alg.impl if isinstance(alg, Algebra) else None
+    return _program(goals, names)(lat.meet, lat.join, impl, alg.neg, alg.tilde,
+                                  lat.top, lat.bottom)
+
+
+def _first_error(alg: AnyAlgebra, f: Formula,
+                 valuation: Mapping[str, int] | None = None) -> AlgebraError | None:
+    """The error evaluating `f` in `alg` raises, or None: that of the first
+    offending node in pre-order, the order a left-to-right walk meets them.
+    Atoms are checked against `valuation` unless it is None."""
+    kim = isinstance(alg, KimAlgebra)
+    if not kim and alg.tilde is not None and valuation is None:
+        return None
+    for g in subformulas(f):
+        t = type(g)
+        if t is Impl and kim:
+            return AlgebraError("implication-in-kim-language", g)
+        if t is Tilde and alg.tilde is None:
+            return AlgebraError("tilde-undefined", g)
+        if t is Atom and valuation is not None and valuation.get(g.name) is None:
+            return AlgebraError("unbound-atom", g.name)
+    return None
+
 
 def evaluate(alg: AnyAlgebra, f: Formula, valuation: Mapping[str, int]) -> int:
-    lat = alg.lattice
-    match f:
-        case Top():
-            return lat.top
-        case Bot():
-            return lat.bottom
-        case Atom(name):
-            v = valuation.get(name)
-            if v is None:
-                raise AlgebraError("unbound-atom", name)
-            return v
-        case And(l, r):
-            return lat.meet[evaluate(alg, l, valuation)][evaluate(alg, r, valuation)]
-        case Or(l, r):
-            return lat.join[evaluate(alg, l, valuation)][evaluate(alg, r, valuation)]
-        case Impl(l, r):
-            if isinstance(alg, KimAlgebra):
-                raise AlgebraError("implication-in-kim-language", f)
-            return alg.impl[evaluate(alg, l, valuation)][evaluate(alg, r, valuation)]
-        case Neg(c):
-            return alg.neg[evaluate(alg, c, valuation)]
-        case Tilde(c):
-            if isinstance(alg, Algebra) and alg.tilde is None:
-                raise AlgebraError("tilde-undefined", f)
-            assert alg.tilde is not None
-            return alg.tilde[evaluate(alg, c, valuation)]
-    raise TypeError(f"not a formula: {f!r}")
+    """Value of `f` in `alg` with each atom sent to its element index."""
+    error = _first_error(alg, f, valuation)
+    if error is not None:
+        raise error
+    names = tuple(atoms(f))
+    return _compiled(alg, (f,), names)(*[valuation[n] for n in names])[0]
 
 
-def _valuations(alg: AnyAlgebra, names: list[str]) -> Iterable[dict[str, int]]:
-    for combo in itertools.product(range(alg.size), repeat=len(names)):
-        yield dict(zip(names, combo))
+def _falsifier(alg: AnyAlgebra, names: tuple[str, ...], combo: tuple[int, ...]) -> Verdict:
+    return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
 
 
 def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
     """Exhaustive search over all valuations; first falsifier in lexicographic
     order over the declared element order."""
-    names = atoms(f)
-    for v in _valuations(alg, names):
-        if evaluate(alg, f, v) != alg.lattice.top:
-            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
+    error = _first_error(alg, f)
+    if error is not None:
+        raise error
+    names = tuple(atoms(f))
+    value = _compiled(alg, (f,), names)
+    top = alg.lattice.top
+    for combo in itertools.product(range(alg.size), repeat=len(names)):
+        if value(*combo)[0] != top:
+            return _falsifier(alg, names, combo)
     return VALID
 
 
 def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
-    """v(lhs) = 1 implies v(rhs) = 1, for every valuation."""
-    names = atoms(And(lhs, rhs))
+    """v(lhs) = 1 implies v(rhs) = 1, for every valuation.  An error in `rhs`
+    alone is raised only once some valuation sends `lhs` to 1."""
+    error = _first_error(alg, lhs)
+    if error is not None:
+        raise error
+    names = tuple(atoms(And(lhs, rhs)))
     top = alg.lattice.top
-    for v in _valuations(alg, names):
-        if evaluate(alg, lhs, v) == top and evaluate(alg, rhs, v) != top:
-            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
+    valuations = itertools.product(range(alg.size), repeat=len(names))
+    error = _first_error(alg, rhs)
+    if error is not None:
+        value = _compiled(alg, (lhs,), names)
+        for combo in valuations:
+            if value(*combo)[0] == top:
+                raise error
+        return VALID
+    value = _compiled(alg, (lhs, rhs), names)
+    for combo in valuations:
+        left, right = value(*combo)
+        if left == top and right != top:
+            return _falsifier(alg, names, combo)
     return VALID
 
 

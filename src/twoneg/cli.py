@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/valid/accepted, 1 falsified/rejected (witness in the
-report), 2 malformed input, 3 bound guard tripped (override with --force).
+report), 2 malformed input, 3 bound guard tripped (override with --force),
+4 internal error (an unexpected exception, reported without a traceback).
 `--porcelain` switches to line-oriented key=value records with byte-stable
 ordering.
 """
@@ -71,7 +72,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError("unreadable", path, str(e)) from None
 
 
@@ -443,6 +444,10 @@ def main(argv=None) -> int:
         rep.kv("error", e.kind)
         rep.kv("detail", str(e))
         return 2
+    except Exception as e:  # a defect, never a verdict: keep it off codes 0-3
+        rep.kv("error", "internal-error")
+        rep.kv("detail", f"{type(e).__name__}: {e}")
+        return 4
 
 
 if __name__ == "__main__":

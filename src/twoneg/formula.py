@@ -26,7 +26,7 @@ from .errors import FormulaSyntaxError
 
 __all__ = [
     "Formula", "Top", "Bot", "Atom", "And", "Or", "Impl", "Neg", "Tilde",
-    "TOP", "BOT", "MAX_DEPTH", "parse", "render", "subformulas", "fold",
+    "TOP", "BOT", "MAX_DEPTH", "MAX_NODES", "parse", "render", "subformulas", "fold",
     "atoms", "contains", "match_scheme", "substitute",
 ]
 
@@ -35,8 +35,14 @@ _KEYWORDS = frozenset({"top", "bot"})
 
 # Deepest nesting (parentheses and operators) and deepest AST a parsed
 # formula may have; deeper input is a syntax error, so that the recursive
-# parser and the evaluators stay far from the interpreter's stack limit.
+# parser, the frame truth sets and the nodes' own `hash`/`==` stay far from
+# the interpreter's stack limit.
 MAX_DEPTH = 100
+
+# Most subformula occurrences a parsed formula may have.  `a <-> b` shares
+# both sides, so a chain of k `<->` has about 3 * 2**k occurrences, and
+# every walk by occurrence (printing, atoms, hashing) would take that long.
+MAX_NODES = 10_000
 
 
 class Formula:
@@ -140,6 +146,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.shared = False
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -168,6 +175,7 @@ class _Parser:
         left = self.impl()
         if self.peek()[0] == "iff":
             self.take()
+            self.shared = True
             right = self.nested(self.formula)
             return And(Impl(left, right), Impl(right, left))
         return left
@@ -235,6 +243,11 @@ def parse(text: str) -> Formula:
     # input needs no walk
     if len(p.tokens) > MAX_DEPTH // 2 and _depth(node) > MAX_DEPTH:
         raise FormulaSyntaxError(0, frozenset(), f"formula deeper than {MAX_DEPTH} levels")
+    # without `<->` every node has a token of its own; with it, count the
+    # occurrences over the shared nodes, each node once
+    if ((p.shared or len(p.tokens) > MAX_NODES)
+            and fold(node, lambda g, kids: 1 + sum(kids)) > MAX_NODES):
+        raise FormulaSyntaxError(0, frozenset(), f"formula has more than {MAX_NODES} nodes")
     return node
 
 
@@ -273,7 +286,7 @@ def render(f: Formula) -> str:
 
 # -- one traversal ----------------------------------------------------------
 # Structural walks go through `_children` and its inverse `_rebuild` without
-# recursion, so they work at any depth; the parser and the evaluators
+# recursion, so they work at any depth; the parser and `frames.truth_set`
 # recurse and rely on MAX_DEPTH.
 
 def _children(f: Formula) -> tuple[Formula, ...]:

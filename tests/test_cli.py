@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from twoneg import cli
 from twoneg.cli import main
-from twoneg.formula import MAX_DEPTH
+from twoneg.formula import MAX_DEPTH, MAX_NODES, parse, subformulas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -282,3 +283,40 @@ def test_depth_cap_boundary(capsys):
     assert code == 0
     code, out = run(capsys, "--porcelain", "parse", "&".join(["p"] * (MAX_DEPTH + 2)))
     assert code == 2
+
+
+def test_iff_chain_node_cap():
+    # `<->` shares both sides, so an 18-term chain is 786 427 occurrences;
+    # a fresh process, so that a traceback would show
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "twoneg.cli", "--porcelain", "parse",
+                           "<->".join(["p"] * 18)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "error=syntax-error" in done.stdout and str(MAX_NODES) in done.stdout
+
+
+def test_iff_chain_under_node_cap(capsys):
+    text = "<->".join(["p"] * 10)
+    assert sum(1 for _ in subformulas(parse(text))) == 3067
+    code, out = run(capsys, "--porcelain", "parse", text)
+    assert code == 0 and "atoms=p" in out
+
+
+def test_non_utf8_file_is_malformed(capsys, tmp_path):
+    bad = tmp_path / "bad.prf"
+    bad.write_bytes(b"proof hilbert ILM\n\xc8\xe8\n")
+    code, out = run(capsys, "--porcelain", "check-proof", str(bad))
+    assert code == 2 and "error=unreadable" in out
+
+
+def test_internal_error_exit_code(capsys, monkeypatch, fixtures_dir):
+    def broken(args, rep):
+        raise RuntimeError("table out of step")
+
+    monkeypatch.setattr(cli, "cmd_check_algebra", broken)
+    code, out = run(capsys, "--porcelain", "check-algebra", str(fixtures_dir / "h6.alg"))
+    assert code == 4
+    assert out == "error=internal-error\ndetail=RuntimeError: table out of step\n"
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,0 +1,201 @@
+"""The compiled evaluator against the recursive tree walk it replaced.
+
+`walk` is the former body of `algebra.evaluate`, kept here as the oracle:
+values, falsifying valuations, error kinds and offending nodes must agree on
+every catalog algebra up to size 5 of all five classes."""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twoneg import algebra
+from twoneg.algebra import (Algebra, KimAlgebra, VALID, Verdict, algebra_valid,
+                            enumerate_algebras, evaluate, kim_reduct, sequent_valid)
+from twoneg.errors import AlgebraError
+from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
+                            atoms, parse)
+
+CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
+
+# Names a careless code generator would confuse with its own identifiers.
+NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "make", "value"]
+
+
+def walk(alg, f, valuation):
+    lat = alg.lattice
+    match f:
+        case Top():
+            return lat.top
+        case Bot():
+            return lat.bottom
+        case Atom(name):
+            v = valuation.get(name)
+            if v is None:
+                raise AlgebraError("unbound-atom", name)
+            return v
+        case And(l, r):
+            return lat.meet[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Or(l, r):
+            return lat.join[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Impl(l, r):
+            if isinstance(alg, KimAlgebra):
+                raise AlgebraError("implication-in-kim-language", f)
+            return alg.impl[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Neg(c):
+            return alg.neg[walk(alg, c, valuation)]
+        case Tilde(c):
+            if isinstance(alg, Algebra) and alg.tilde is None:
+                raise AlgebraError("tilde-undefined", f)
+            return alg.tilde[walk(alg, c, valuation)]
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def valuations(alg, names):
+    for combo in itertools.product(range(alg.size), repeat=len(names)):
+        yield dict(zip(names, combo))
+
+
+def walk_valid(alg, f):
+    for v in valuations(alg, atoms(f)):
+        if walk(alg, f, v) != alg.lattice.top:
+            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
+    return VALID
+
+
+def walk_sequent(alg, lhs, rhs):
+    top = alg.lattice.top
+    for v in valuations(alg, atoms(And(lhs, rhs))):
+        if walk(alg, lhs, v) == top and walk(alg, rhs, v) != top:
+            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
+    return VALID
+
+
+def outcome(fn, *args):
+    """The result, or the kind and witness of the AlgebraError raised."""
+    try:
+        return fn(*args)
+    except AlgebraError as e:
+        return ("raised", e.kind, e.witness)
+
+
+def same(a, b) -> bool:
+    """Equal outcomes; an offending node must be the same object."""
+    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(a[2], Impl | Tilde):
+        return a[:2] == b[:2] and a[2] is b[2]
+    return a == b
+
+
+def formulas(names, with_impl=True):
+    leaves = st.one_of(st.sampled_from(names).map(Atom), st.just(TOP), st.just(BOT))
+
+    def grow(kids):
+        nodes = [st.builds(And, kids, kids), st.builds(Or, kids, kids),
+                 st.builds(Neg, kids), st.builds(Tilde, kids)]
+        if with_impl:
+            # `<->` as the parser builds it, sharing both sides
+            nodes += [st.builds(Impl, kids, kids),
+                      st.builds(lambda a, b: And(Impl(a, b), Impl(b, a)), kids, kids)]
+        return st.one_of(nodes)
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
+goals = st.tuples(names3, st.booleans()).flatmap(lambda t: formulas(*t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(goals)
+def test_values_agree_on_every_valuation(f):
+    names = tuple(atoms(f))
+    for alg in CATALOG:
+        expected = outcome(walk, alg, f, dict.fromkeys(names, 0))
+        got = outcome(evaluate, alg, f, dict.fromkeys(names, 0))
+        assert same(got, expected), (alg.name, f)
+        if isinstance(expected, tuple):
+            continue
+        value = algebra._compiled(alg, (f,), names)
+        for combo in itertools.product(range(alg.size), repeat=len(names)):
+            assert value(*combo) == (walk(alg, f, dict(zip(names, combo))),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(goals)
+def test_validity_verdicts_agree(f):
+    for alg in CATALOG:
+        assert same(outcome(algebra_valid, alg, f), outcome(walk_valid, alg, f)), alg.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(names3.flatmap(lambda names: st.tuples(formulas(names, False), formulas(names))))
+def test_sequent_verdicts_agree(goal):
+    # the lhs is implication-free, so on Kim algebras an implication in the
+    # rhs alone is raised only when some valuation sends the lhs to top
+    lhs, rhs = goal
+    for alg in CATALOG:
+        assert same(outcome(sequent_valid, alg, lhs, rhs),
+                    outcome(walk_sequent, alg, lhs, rhs)), alg.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(goals, st.lists(st.sampled_from(NAMES), unique=True))
+def test_unbound_atom_errors_agree(f, bound):
+    valuation = dict.fromkeys(bound, 0)
+    for alg in CATALOG[:12] + CATALOG[-12:]:
+        assert same(outcome(evaluate, alg, f, valuation), outcome(walk, alg, f, valuation))
+
+
+@pytest.mark.parametrize("lhs,rhs,raises", [
+    ("p & ~p", "p -> p", True),     # lhs is top at p = top
+    ("bot", "p -> p", False),       # lhs is never top
+    ("p -> p", "~p", True),         # lhs error, raised before the rhs
+])
+def test_rhs_only_error_waits_for_lhs(b_prime, lhs, rhs, raises):
+    kim = kim_reduct(b_prime)
+    l, r = parse(lhs), parse(rhs)
+    if raises:
+        with pytest.raises(AlgebraError) as e:
+            sequent_valid(kim, l, r)
+        assert e.value.kind == "implication-in-kim-language"
+        assert e.value.witness is (l if "->" in lhs else r)
+    else:
+        assert sequent_valid(kim, l, r) == VALID
+
+
+def test_error_node_is_the_first_in_preorder(b_prime):
+    kim = kim_reduct(b_prime)
+    f = parse("(p -> q) | (p -> q)")
+    with pytest.raises(AlgebraError) as e:
+        evaluate(kim, f, {"p": 0, "q": 0})
+    assert e.value.witness is f.left
+    pba = enumerate_algebras("pba", 3)[0]
+    f = parse("!x0 & ~q | ~p")
+    with pytest.raises(AlgebraError) as e:
+        evaluate(pba, f, {"x0": 0, "p": 0})
+    assert e.value.kind == "tilde-undefined" and e.value.witness is f.left.right
+    with pytest.raises(AlgebraError) as e:
+        evaluate(pba, parse("q & ~p"), {"p": 0})
+    assert e.value.kind == "unbound-atom" and e.value.witness == "q"
+
+
+def test_atom_names_never_reach_the_source(b_prime):
+    f = parse("(meet | neg) & (make -> value) | ~top_ & !x0 | v0")
+    valuation = {"meet": 1, "neg": 0, "make": 2, "value": 1, "top_": 0, "x0": 1, "v0": 0}
+    assert evaluate(b_prime, f, valuation) == walk(b_prime, f, valuation)
+    v0_first = parse("v0 & !x0")
+    for a in range(3):
+        for b in range(3):
+            v = {"v0": a, "x0": b}
+            assert evaluate(b_prime, v0_first, v) == walk(b_prime, v0_first, v)
+
+
+def test_shared_nodes_compile_once():
+    # a 10-term `<->` chain has 3 067 occurrences but only 26 distinct
+    # compound nodes (3 per `<->`, and the innermost `p -> p` twice)
+    f = parse("<->".join(["p"] * 10))
+    make = algebra._program((f,), ("p",))
+    value_code = next(c for c in make.__code__.co_consts if hasattr(c, "co_varnames"))
+    assert value_code.co_nlocals == 1 + 26

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twoneg.errors import FormulaSyntaxError
-from twoneg.formula import (And, Atom, Bot, Impl, Neg, Or, Tilde, Top, atoms,
-                            match_scheme, parse, render, substitute)
+from twoneg.formula import (MAX_NODES, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
+                            atoms, match_scheme, parse, render, subformulas,
+                            substitute)
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -75,6 +76,17 @@ def test_syntax_error_offset_and_expected():
         parse("p @ q")
     with pytest.raises(FormulaSyntaxError):
         parse("(p")
+
+
+def test_node_cap_without_iff():
+    # a balanced formula stays shallow, so only the occurrence cap stops it
+    text = "p"
+    for _ in range(12):
+        text = f"({text}) | ({text})"
+    assert sum(1 for _ in subformulas(parse(text))) == 8191 <= MAX_NODES
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse(f"({text}) | ({text})")
+    assert str(MAX_NODES) in e.value.detail
 
 
 def test_reserved_word_as_atom_rejected():

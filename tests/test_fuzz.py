@@ -1,0 +1,107 @@
+"""Seeded fuzz pass over the command line: random formula strings and
+random or mutated input files must end in a documented exit code (0-3)
+with no exception escaping `cli.main`."""
+
+from __future__ import annotations
+
+import io
+import random
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from twoneg.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SEED = 20201
+
+TOKENS = ["p", "q", "r", "top", "bot", "meet", "x0", "v0", "&", "|", "->", "<->",
+          "!", "~", "(", ")", " ", "-", "<", ">", "|-", "#", "=", "1", "P", "_", "é"]
+
+# Which commands read which fixture files.
+FILE_COMMANDS = {".alg": ("check-algebra", "classify"), ".frm": ("complex",),
+                 ".prf": ("check-proof",)}
+
+
+def formula_text(rng: random.Random) -> str:
+    """Half token soup, half grammatical formulas over three atoms."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 25)))
+
+    def grow(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(["p", "q", "r", "top", "bot"])
+        kind = rng.randrange(5)
+        if kind < 2:
+            return rng.choice("!~") + grow(depth - 1)
+        op = rng.choice(["&", "|", "->", "<->"])
+        return f"({grow(depth - 1)} {op} {grow(depth - 1)})"
+
+    return grow(rng.randint(0, 5))
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    """A few random edits: drop, repeat or swap lines, swap or replace words,
+    splice in bytes, truncate."""
+    for _ in range(rng.randint(1, 4)):
+        lines = data.split(b"\n")
+        words = data.split()
+        kind = rng.randrange(6)
+        if kind == 0 and lines:
+            del lines[rng.randrange(len(lines))]
+            data = b"\n".join(lines)
+        elif kind == 1 and lines:
+            i = rng.randrange(len(lines))
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            data = b"\n".join(lines)
+        elif kind == 2 and len(lines) > 1:
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+            data = b"\n".join(lines)
+        elif kind == 3 and words:
+            old = rng.choice(words)
+            new = rng.choice(words + [b"", b"x", b"0", b"1", b"end", b"-1", b"99"])
+            data = data.replace(old, new, 1)
+        elif kind == 4:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.randbytes(rng.randint(1, 8)) + data[at:]
+        else:
+            data = data[:rng.randrange(len(data) + 1)]
+    return data
+
+
+def run_cli(argv: list[str]) -> int:
+    with redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def formula_cases(rng: random.Random, count: int):
+    for _ in range(count):
+        text = formula_text(rng)
+        yield ["parse", "--", text]
+        yield ["eval", str(FIXTURES / "b_prime.alg"), "--assign", "p=a,q=0,r=1", "--", text]
+        yield ["valid", str(FIXTURES / "h5.alg"), "--", text]
+        system = rng.choice(["ILM", "ILM-v", "ILM1", "ILM2", "JP'"])
+        yield ["countermodel", "--system", system, "--max-size", "3", "--", text]
+
+
+def file_cases(rng: random.Random, count: int, tmp_path: Path):
+    sources = sorted(p for p in FIXTURES.iterdir() if p.suffix in FILE_COMMANDS)
+    for n in range(count):
+        src = rng.choice(sources)
+        if rng.random() < 0.2:
+            data = rng.randbytes(rng.randint(0, 200))
+        else:
+            data = mutate(rng, src.read_bytes())
+        path = tmp_path / f"case{n}{src.suffix}"
+        path.write_bytes(data)
+        for command in FILE_COMMANDS[src.suffix]:
+            yield [command, str(path)]
+
+
+def test_fuzz_exit_codes(tmp_path):
+    rng = random.Random(SEED)
+    cases = [*formula_cases(rng, 120), *file_cases(rng, 200, tmp_path)]
+    for argv in cases:
+        porcelain = ["--porcelain"] if rng.random() < 0.5 else []
+        code = run_cli(porcelain + argv)
+        assert code in (0, 1, 2, 3), argv
