@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Union
 
-from .errors import AlgebraError, BoundGuardError, VerificationError
+from .errors import (AlgebraError, BoundGuardError, FileFormatError,
+                     VerificationError, content_lines)
 from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
                       fold, subformulas)
 from .lattice import (FiniteLattice, OpTable, all_lattices, build_lattice,
@@ -27,7 +28,7 @@ __all__ = [
     "ClassReport", "attach_negations", "classify_algebra",
     "classify_negation_pair", "evaluate", "algebra_valid", "sequent_valid",
     "tilde_one_candidates", "build_au", "iso_check", "enumerate_algebras",
-    "read_algebra", "write_algebra", "CATALOG_CLASSES",
+    "read_algebra", "write_algebra", "CATALOG_CLASSES", "SIZE_GUARD",
 ]
 
 Unary = tuple[int, ...]
@@ -569,19 +570,42 @@ def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
 
 CATALOG_CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
 
+# Default bound on the algebra size a search scans; `guard=None` (CLI:
+# `--force`) lifts it.
+SIZE_GUARD = 8
+
+
+@lru_cache(maxsize=None)
+def _canonical_pass(family: str, max_size: int,
+                    include_trivial: bool) -> tuple[Algebra, ...]:
+    """One representative per isomorphism class, in canonical order (size,
+    then canonical key), elements renamed e0, e1, ...: every distributive
+    lattice with no ~1 (`pba`), or with every !!-fixed element as ~1
+    (`ccpba`)."""
+    found: dict[tuple, Algebra] = {}
+    for lat in all_lattices(max_size):
+        if lat.size == 1 and not include_trivial:
+            continue
+        for t1 in ([None] if family == "pba" else tilde_one_candidates(lat)):
+            key, perm = _canonical_data(attach_negations(lat, t1))
+            if key not in found:
+                found[key] = attach_negations(_relabel_lattice(lat, perm),
+                                              None if t1 is None else perm[t1])
+    return tuple(found[k] for k in sorted(found, key=lambda k: (k[0], k)))
+
 
 @lru_cache(maxsize=None)
 def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
-                       guard: int | None = 8) -> tuple[AnyAlgebra, ...]:
+                       guard: int | None = SIZE_GUARD) -> tuple[AnyAlgebra, ...]:
     """All non-isomorphic catalog members of `cls` with size <= max_size, in
     canonical order (size, then canonical key); elements renamed e0, e1, ...
 
-    ccpba pairs every distributive lattice with every !!-fixed element as ~1.
-    The Kim classes are the implication-free reducts of the same pairs: in a
-    Heyting algebra the Kim laws force ~a = a -> ~1 (absorption with
-    (a, 1, a) gives ~a <= a -> ~1, quasi at 1 gives ~~1 = 1, and absorption
-    with (a -> ~1, a, ~1) the converse), so they are the ccpba/cvcpba pairs
-    with the implication dropped.
+    Only pba and ccpba run a canonical pass.  cvcpba is the sub-list of
+    ccpba where excluded middle holds.  The Kim classes are the
+    implication-free reducts of ccpba and cvcpba: in a Heyting algebra the
+    Kim laws force ~a = a -> ~1 (absorption with (a, 1, a) gives
+    ~a <= a -> ~1, quasi at 1 gives ~~1 = 1, and absorption with
+    (a -> ~1, a, ~1) the converse).
     """
     if cls not in CATALOG_CLASSES:
         raise AlgebraError("unknown-class", cls)
@@ -589,23 +613,12 @@ def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
         raise AlgebraError("bad-size", max_size)
     if guard is not None and max_size > guard:
         raise BoundGuardError("enumerate max_size", guard, max_size)
-    kim = cls in ("kim", "kim_vee")
-    found: dict[tuple, AnyAlgebra] = {}
-    for lat in all_lattices(max_size):
-        if lat.size == 1 and not include_trivial:
-            continue
-        for t1 in ([None] if cls == "pba" else tilde_one_candidates(lat)):
-            alg: AnyAlgebra = attach_negations(lat, t1)
-            if cls in ("cvcpba", "kim_vee") and _em(lat, alg.tilde) is not None:
-                continue
-            if kim:
-                alg = KimAlgebra("", lat, alg.neg, alg.tilde)
-            key, perm = _canonical_data(alg)
-            if key not in found:
-                new = attach_negations(_relabel_lattice(lat, perm),
-                                       None if t1 is None else perm[t1])
-                found[key] = KimAlgebra("", new.lattice, new.neg, new.tilde) if kim else new
-    entries = [found[k] for k in sorted(found, key=lambda k: (k[0], k))]
+    entries: tuple[AnyAlgebra, ...] = _canonical_pass(
+        "pba" if cls == "pba" else "ccpba", max_size, include_trivial)
+    if cls in ("cvcpba", "kim_vee"):
+        entries = tuple(a for a in entries if _em(a.lattice, a.tilde) is None)
+    if cls in ("kim", "kim_vee"):
+        entries = tuple(KimAlgebra("", a.lattice, a.neg, a.tilde) for a in entries)
     counters: dict[int, int] = {}
     out: list[AnyAlgebra] = []
     for alg in entries:
@@ -620,20 +633,12 @@ def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
 # `#` starts a comment, tokens are whitespace-separated.
 
 def read_algebra(text: str) -> Algebra:
-    from .errors import FileFormatError
     name: str | None = None
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     tilde_name: str | None = None
-    ended = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise FileFormatError("trailing-content", line)
-        words = line.split()
-        match words:
+    for line in content_lines(text):
+        match line.split():
             case ["algebra", nm]:
                 if name is not None:
                     raise FileFormatError("duplicate-directive", "algebra")
@@ -646,12 +651,8 @@ def read_algebra(text: str) -> Algebra:
                 if tilde_name is not None:
                     raise FileFormatError("duplicate-directive", "tilde_one")
                 tilde_name = e
-            case ["end"]:
-                ended = True
             case _:
                 raise FileFormatError("bad-line", line)
-    if not ended:
-        raise FileFormatError("missing-end", None)
     if not elements:
         raise FileFormatError("missing-elements", None)
     lat = build_lattice(elements, pairs)

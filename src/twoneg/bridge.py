@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, attach_negations,
                       build_kim, classify_algebra, kim_violations)
-from .errors import AlgebraError, BoundGuardError, LatticeError, VerificationError
+from .errors import AlgebraError, LatticeError, VerificationError
 from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
                      build_subnormal, dne_tilde_top_witness, is_identity,
                      subcompat_violation, write_frame)
@@ -31,20 +31,14 @@ __all__ = [
 ]
 
 
-def prime_filters(lat: FiniteLattice, *, guard: int | None = None) -> tuple[frozenset[int], ...]:
+@lru_cache(maxsize=1024)
+def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     """All prime filters, ordered by size then lexicographically.
 
     In a finite distributive lattice these are exactly the principal filters
     of the join-irreducible elements (Davey & Priestley, ch. 5), so no upset
-    is scanned.  `guard` caps the carrier size (CLI use).
+    is scanned.
     """
-    if guard is not None and lat.size > guard:
-        raise BoundGuardError("prime-filter carrier", guard, lat.size)
-    return _join_irreducible_filters(lat)
-
-
-@lru_cache(maxsize=1024)
-def _join_irreducible_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     if not lat.distributive:
         raise LatticeError("not-distributive", None, "prime filters need a distributive lattice")
     out = []
@@ -116,7 +110,8 @@ def _algebra_embedding(alg: AnyAlgebra, fr, complex_algebra) -> Embedding:
 def _frame_embedding(fr, complex_algebra, canonical_frame, own_tag, own_check) -> Embedding:
     """w -> {upsets containing w}, into the canonical frame of the upset
     algebra; the order and the kind's own structure (`own_check`) are
-    preserved and reflected."""
+    preserved and reflected.  `complex_algebra` has already validated the
+    algebra, so `canonical_frame` does not check it again."""
     alg = complex_algebra(fr)
     ups = upsets_of(fr.leq)
     filters = prime_filters(alg.lattice)
@@ -165,20 +160,26 @@ def _hom_checks(alg: AnyAlgebra, target: AnyAlgebra, image: list[int]) -> dict[s
 
 # -- residuated side ----------------------------------------------------------
 
-def _require_ccpba(alg: AnyAlgebra):
+def _require_ccpba(alg: AnyAlgebra) -> Algebra:
     if not isinstance(alg, Algebra):
         raise AlgebraError("not-a-ccpba", alg.name, "no implication")
+    if alg.tilde is None:
+        raise AlgebraError("not-a-ccpba", alg.name, "no tilde_one attached")
     report = classify_algebra(alg)
     if not report.is_ccpba.holds:
         raise AlgebraError("not-a-ccpba", alg.name, str(report.is_ccpba.witness))
+    return alg
+
+
+def _subnormal_frame(alg: Algebra) -> SubNormalFrame:
+    return _canonical_frame(alg, build_subnormal, lambda filters, names: [
+        names[i] for i, f in enumerate(filters) if alg.tilde_one in f])
 
 
 def canonical_frame_ccpba(alg: AnyAlgebra) -> SubNormalFrame:
     """Prime filters ordered by inclusion; the queer worlds are the filters
     containing ~1.  The result is re-validated as a sub-normal frame."""
-    _require_ccpba(alg)
-    return _canonical_frame(alg, build_subnormal, lambda filters, names: [
-        names[i] for i, f in enumerate(filters) if alg.tilde_one in f])
+    return _subnormal_frame(_require_ccpba(alg))
 
 
 def upset_name(worlds: tuple[str, ...], s: frozenset[int]) -> str:
@@ -213,7 +214,7 @@ def frame_embedding(fr: SubNormalFrame) -> Embedding:
     """Into the canonical frame of the upset algebra; an order-embedding
     preserving queerness, onto at finite scale."""
     return _frame_embedding(
-        fr, complex_algebra_subnormal, canonical_frame_ccpba, "y0",
+        fr, complex_algebra_subnormal, _subnormal_frame, "y0",
         lambda target, image: all((a in fr.y0) == (image[a] in target.y0)
                                   for a in range(fr.size)))
 
@@ -231,18 +232,19 @@ def _require_kim(alg: AnyAlgebra) -> KimAlgebra:
     return alg
 
 
-def canonical_frame_kim(alg: AnyAlgebra) -> CompatFrame:
-    """Prime filters with P C Q iff no ~a in P has a in Q; re-validated as a
-    sub-compatibility frame, an identity one when the algebra satisfies EM."""
-    kim = _require_kim(alg)
-    size = kim.size
-
+def _compat_frame(kim: KimAlgebra) -> CompatFrame:
     def compatible(filters, names):
         return [(names[i], names[j]) for i, p in enumerate(filters)
                 for j, q in enumerate(filters)
-                if all(a not in q for a in range(size) if kim.tilde[a] in p)]
+                if all(a not in q for a in range(kim.size) if kim.tilde[a] in p)]
 
     return _canonical_frame(kim, partial(build_compat, require_subcompat=True), compatible)
+
+
+def canonical_frame_kim(alg: AnyAlgebra) -> CompatFrame:
+    """Prime filters with P C Q iff no ~a in P has a in Q; re-validated as a
+    sub-compatibility frame, an identity one when the algebra satisfies EM."""
+    return _compat_frame(_require_kim(alg))
 
 
 def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
@@ -271,7 +273,7 @@ def kim_algebra_embedding(alg: AnyAlgebra) -> Embedding:
 def kim_frame_embedding(fr: CompatFrame) -> Embedding:
     """w -> {upsets containing w}, with C preserved and reflected."""
     return _frame_embedding(
-        fr, complex_algebra_compat, canonical_frame_kim, "compat",
+        fr, complex_algebra_compat, _compat_frame, "compat",
         lambda target, image: all(fr.c[a][b] == target.c[image[a]][image[b]]
                                   for a in range(fr.size) for b in range(fr.size)))
 

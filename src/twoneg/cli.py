@@ -15,8 +15,8 @@ import sys
 
 from . import algebra as alg_mod
 from . import bridge, frames, proofs, translate
-from .algebra import (Algebra, KimAlgebra, algebra_valid, build_au,
-                      classify_algebra, classify_negation_pair,
+from .algebra import (SIZE_GUARD, Algebra, KimAlgebra, algebra_valid,
+                      build_au, classify_algebra, classify_negation_pair,
                       enumerate_algebras, evaluate, read_algebra,
                       write_algebra)
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
@@ -27,8 +27,6 @@ from .formula import fold
 from .formula import parse as parse_formula
 from .formula import render
 
-GUARD_ALGEBRA = 8
-GUARD_WORLDS = 10
 GUARD_ATOMS = 3
 GUARD_FILTER_CARRIER = 12
 
@@ -177,8 +175,8 @@ def cmd_valid(args, rep: Report) -> int:
     alg = _load_algebra(args.file)
     f = parse_formula(args.formula)
     if not args.force:
-        if alg.size > GUARD_ALGEBRA:
-            raise BoundGuardError("algebra size", GUARD_ALGEBRA, alg.size)
+        if alg.size > SIZE_GUARD:
+            raise BoundGuardError("algebra size", SIZE_GUARD, alg.size)
         if len(formula_atoms(f)) > GUARD_ATOMS:
             raise BoundGuardError("formula atoms", GUARD_ATOMS, len(formula_atoms(f)))
     verdict = algebra_valid(alg, f)
@@ -192,7 +190,7 @@ def cmd_valid(args, rep: Report) -> int:
 
 
 def cmd_enumerate(args, rep: Report) -> int:
-    guard = None if args.force else GUARD_ALGEBRA
+    guard = None if args.force else SIZE_GUARD
     catalog = enumerate_algebras(args.cls, args.size, args.allow_trivial, guard)
     exact = [a for a in catalog if a.size == args.size]
     rep.kv("class", args.cls)
@@ -217,7 +215,7 @@ def cmd_countermodel(args, rep: Report) -> int:
         goal = parse_formula(args.formula)
         rep.kv("formula", render(goal))
     found = proofs.countermodel_search(args.system, goal, args.max_size,
-                                       force=args.force)
+                                       guard=None if args.force else SIZE_GUARD)
     if found is None:
         rep.kv("countermodel", "none")
         rep.kv("note", f"no countermodel up to size {args.max_size}")
@@ -292,10 +290,9 @@ def cmd_duality(args, rep: Report) -> int:
         rep.kv("stone_injective", emb.injective)
         rep.kv("stone_onto", emb.onto)
         rep.kv("stone_isomorphism", emb.is_isomorphism)
-        if alg.tilde is not None:
-            kemb = bridge.kim_algebra_embedding(alg)
-            rep.kv("kim_injective", kemb.injective)
-            rep.kv("kim_onto", kemb.onto)
+        kemb = bridge.kim_algebra_embedding(alg)
+        rep.kv("kim_injective", kemb.injective)
+        rep.kv("kim_onto", kemb.onto)
         return 0
     fr = _load_frame(args.file)
     if isinstance(fr, frames.SubNormalFrame):

@@ -46,7 +46,25 @@ class VerificationError(WorkbenchError):
 
 
 class BoundGuardError(WorkbenchError):
-    """A search bound guard tripped; override with force=True (CLI: --force)."""
+    """A search bound guard tripped; passing None as the bound lifts it
+    (CLI: --force)."""
 
     def __init__(self, what: str, limit: object, actual: object):
         super().__init__("bound-guard", what, f"limit {limit}, requested {actual}")
+
+
+def content_lines(text: str):
+    """The line grammar shared by .alg, .frm and .prf files: yield each line
+    before `end`, stripped, with `#` comments and blank lines dropped.  The
+    first non-blank line after `end` is `trailing-content`; text without
+    `end` is `missing-end` once every line before has been consumed."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    for line in lines:
+        if line == "end":
+            for rest in lines:
+                if rest:
+                    raise FileFormatError("trailing-content", rest)
+            return
+        if line:
+            yield line
+    raise FileFormatError("missing-end", None)

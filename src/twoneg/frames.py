@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 from .algebra import Verdict, VALID
-from .errors import BoundGuardError, FileFormatError, FrameError
+from .errors import BoundGuardError, FileFormatError, FrameError, content_lines
 from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains)
 from .lattice import Table, _closure, transitive_reduction, upsets_of
@@ -371,17 +371,17 @@ def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
     return tuple(upsets_of(leq))
 
 
-def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms, force,
+def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms,
                      sides) -> Verdict:
     """Exhaust all assignments of `names` to upsets, in (cardinality,
     lexicographic) order, for the first valuation whose truth sets
     `sides(valuation) = (left, right)` have some world in left but not in
-    right; it is reported with the least such world."""
-    if not force:
-        if max_worlds is not None and fr.size > max_worlds:
-            raise BoundGuardError("frame worlds", max_worlds, fr.size)
-        if max_atoms is not None and len(names) > max_atoms:
-            raise BoundGuardError("valuation atoms", max_atoms, len(names))
+    right; it is reported with the least such world.  A bound of None is
+    not checked."""
+    if max_worlds is not None and fr.size > max_worlds:
+        raise BoundGuardError("frame worlds", max_worlds, fr.size)
+    if max_atoms is not None and len(names) > max_atoms:
+        raise BoundGuardError("valuation atoms", max_atoms, len(names))
     for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
         left, right = sides(dict(zip(names, combo)))
         if not left <= right:
@@ -392,22 +392,22 @@ def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms, force,
 
 
 def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = 10,
-                max_atoms: int | None = 3, force: bool = False) -> Verdict:
+                max_atoms: int | None = 3) -> Verdict:
     """Truth at every world under every upset valuation."""
     if isinstance(fr, CompatFrame) and contains(f, Impl):
         raise FrameError("wrong-language", f)
     every = frozenset(range(fr.size))
-    return _first_falsifier(fr, atoms(f), max_worlds, max_atoms, force,
+    return _first_falsifier(fr, atoms(f), max_worlds, max_atoms,
                             lambda val: (every, truth_set(fr, val, f)))
 
 
 def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
-                        max_worlds: int | None = 10, max_atoms: int | None = 3,
-                        force: bool = False) -> Verdict:
+                        max_worlds: int | None = 10,
+                        max_atoms: int | None = 3) -> Verdict:
     """Pointwise truth implication under every upset valuation."""
     if isinstance(fr, CompatFrame) and contains(And(lhs, rhs), Impl):
         raise FrameError("wrong-language", lhs)
-    return _first_falsifier(fr, atoms(And(lhs, rhs)), max_worlds, max_atoms, force,
+    return _first_falsifier(fr, atoms(And(lhs, rhs)), max_worlds, max_atoms,
                             lambda val: (truth_set(fr, val, lhs), truth_set(fr, val, rhs)))
 
 
@@ -429,15 +429,8 @@ def read_frame(text: str) -> Frame:
     leq_pairs: list[tuple[str, str]] = []
     own: dict[str, list] = {"y0": [], "rn1": [], "rn2": [], "c": []}
     own_lines: list[tuple[str, str]] = []
-    ended = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise FileFormatError("trailing-content", line)
-        words = line.split()
-        match words:
+    for line in content_lines(text):
+        match line.split():
             case ["frame", k, nm]:
                 if header is not None:
                     raise FileFormatError("duplicate-directive", "frame")
@@ -452,12 +445,8 @@ def read_frame(text: str) -> Frame:
             case [("rn1" | "rn2" | "c") as tag, a, b]:
                 own[tag].append((a, b))
                 own_lines.append((tag, line))
-            case ["end"]:
-                ended = True
             case _:
                 raise FileFormatError("bad-line", line)
-    if not ended:
-        raise FileFormatError("missing-end", None)
     kind = header[0] if header is not None else ""
     if kind not in _KINDS:
         raise FileFormatError("unknown-frame-kind", kind)
@@ -469,7 +458,9 @@ def read_frame(text: str) -> Frame:
 
 
 def write_frame(fr: Frame, name: str = "frame") -> str:
-    lines = [f"frame {fr.kind} {name}", "worlds " + " ".join(fr.worlds)]
+    lines = [f"frame {fr.kind} {name}"]
+    if fr.worlds:
+        lines.append("worlds " + " ".join(fr.worlds))
     for a, b in transitive_reduction(fr.leq):
         lines.append(f"leq {fr.worlds[a]} {fr.worlds[b]}")
     for tag in _KINDS[fr.kind][1]:

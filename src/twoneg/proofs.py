@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import algebra_valid, enumerate_algebras, sequent_valid
-from .errors import AlgebraError, BoundGuardError, FileFormatError
+from .algebra import SIZE_GUARD, algebra_valid, enumerate_algebras, sequent_valid
+from .errors import AlgebraError, BoundGuardError, FileFormatError, content_lines
 from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
                       match_into, parse, render)
 
@@ -288,14 +288,14 @@ def system_names() -> tuple[str, ...]:
 
 
 def countermodel_search(system: str, goal, max_size: int, *,
-                        guard: int | None = 8, force: bool = False):
+                        guard: int | None = SIZE_GUARD):
     """Scan the system's catalog in canonical order, smallest size first, and
     return (algebra, falsifying valuation) or None up to max_size.
 
     `goal` is a Formula for the Hilbert systems, an (lhs, rhs) pair for the
-    sequent systems.
+    sequent systems.  `guard=None` lifts the bound on `max_size`.
     """
-    if guard is not None and max_size > guard and not force:
+    if guard is not None and max_size > guard:
         raise BoundGuardError("countermodel max_size", guard, max_size)
     if system in HILBERT_SYSTEMS:
         sys = HILBERT_SYSTEMS[system]
@@ -338,16 +338,7 @@ def parse_proof(text: str):
     goal: Formula | None = None
     nodes: dict[int, DerivationNode] = {}
     last: DerivationNode | None = None
-    ended = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise FileFormatError("trailing-content", line)
-        if line == "end":
-            ended = True
-            continue
+    for line in content_lines(text):
         words = line.split()
         if words[0] == "proof":
             if len(words) != 3 or words[1] not in ("hilbert", "sequent"):
@@ -408,8 +399,6 @@ def parse_proof(text: str):
                 raise FileFormatError("bad-line", line)
             nodes[idx] = node
             last = node
-    if not ended:
-        raise FileFormatError("missing-end", None)
     if mode == "hilbert":
         if goal is None:
             raise FileFormatError("missing-qed", None)

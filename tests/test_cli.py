@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from twoneg import cli
+from twoneg import cli, frames, proofs
+from twoneg.algebra import read_algebra
 from twoneg.cli import main
+from twoneg.errors import FileFormatError
 from twoneg.formula import MAX_DEPTH, MAX_NODES, parse, subformulas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,6 +113,17 @@ def test_countermodel(capsys):
     assert "witness_p=e1" in out
 
 
+def test_countermodel_guard_and_force(capsys):
+    code, out = run(capsys, "--porcelain", "countermodel", "--system", "ILM",
+                    "--max-size", "9", "p|~p")
+    assert code == 3
+    assert "error=bound-guard" in out
+    code, out = run(capsys, "--porcelain", "countermodel", "--system", "ILM",
+                    "--max-size", "9", "--force", "p|~p")
+    assert code == 1
+    assert "countermodel=ccpba_3_0" in out
+
+
 def test_countermodel_none(capsys):
     code, out = run(capsys, "--porcelain", "countermodel", "--system", "ILM-v",
                     "--max-size", "4", "p | ~p")
@@ -169,6 +182,17 @@ def test_duality(capsys, fixtures_dir):
     code, out = run(capsys, "duality", str(fixtures_dir / "three_world.frm"))
     assert code == 0
     assert "frame_onto: true" in out
+
+
+@pytest.mark.parametrize("command,code", [("duality", 2), ("canonical", 1)])
+def test_plain_pba_has_no_canonical_frame(capsys, fixtures_dir, command, code):
+    got, out = run(capsys, "--porcelain", command, str(fixtures_dir / "h6.alg"))
+    assert got == code
+    assert "error=not-a-ccpba" in out
+    if command == "canonical":
+        assert "accepted=false" in out
+    else:
+        assert "detail=not-a-ccpba at 'h6': no tilde_one attached" in out
 
 
 def test_build_au(capsys, fixtures_dir):
@@ -252,6 +276,36 @@ def test_frame_y0_line_under_compat_rejected(capsys, tmp_path):
     code, out = run(capsys, "--porcelain", "duality", str(bad))
     assert code == 2
     assert "error=line-of-other-kind" in out
+
+
+# One body per file kind, each complete but for its `end`.
+BODIES = {
+    "alg": ("algebra a\nelements 0 1\nleq 0 1\n", read_algebra),
+    "frm": ("frame subnormal f\nworlds w0 w1\nleq w0 w1\n", frames.read_frame),
+    "prf": ("proof sequent Kim\n1 p |- p axiom A1\n", proofs.parse_proof),
+}
+
+# name -> (tail, (error kind, witness)), or None when the file is accepted
+TAILS = {
+    "content-after-end": ("end\nextra line\n", ("trailing-content", "extra line")),
+    "second-end": ("end\n\nend\n", ("trailing-content", "end")),
+    "no-end": ("", ("missing-end", None)),
+    "end-with-comment": ("end # comment\n# more\n\n", None),
+    "bad-line-no-end": ("extra line\n", ("bad-line", "extra line")),
+}
+
+
+@pytest.mark.parametrize("tail", sorted(TAILS))
+@pytest.mark.parametrize("kind", sorted(BODIES))
+def test_line_grammar_is_shared(kind, tail):
+    body, read = BODIES[kind]
+    text, expected = TAILS[tail]
+    try:
+        read(body + text)
+        outcome = None
+    except FileFormatError as e:
+        outcome = (e.kind, e.witness)
+    assert outcome == expected
 
 
 DEEP_FORMULAS = {

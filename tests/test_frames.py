@@ -175,7 +175,7 @@ def test_guards(fork):
     big = build_subnormal([f"w{i}" for i in range(11)], [], [])
     with pytest.raises(BoundGuardError):
         frame_valid(big, parse("p"))
-    assert frame_valid(big, parse("p -> p"), force=True).valid
+    assert frame_valid(big, parse("p -> p"), max_worlds=None).valid
 
 
 def test_frame_io_round_trip(fork, fixtures_dir):
@@ -187,6 +187,9 @@ def test_frame_io_round_trip(fork, fixtures_dir):
     assert read_frame(write_frame(cp)) == cp
     disk = read_frame((fixtures_dir / "three_world.frm").read_text())
     assert disk == fork
+    for empty in (build_subnormal([], [], []), build_nhat([], [], [], []),
+                  build_compat([], [], [])):
+        assert read_frame(write_frame(empty)) == empty
 
 
 def test_frame_model_validates_valuation(fork):

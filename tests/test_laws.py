@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import pytest
 
-from twoneg.algebra import (KimAlgebra, _absorb, _em, _or_linear, _quasi,
-                            algebra_valid, attach_negations, classify_algebra,
-                            classify_negation_pair, enumerate_algebras,
-                            kim_violations, sequent_valid)
+from dataclasses import replace
+
+from twoneg.algebra import (CATALOG_CLASSES, KimAlgebra, _absorb,
+                            _canonical_data, _em, _or_linear, _quasi,
+                            _relabel_lattice, algebra_valid, attach_negations,
+                            classify_algebra, classify_negation_pair,
+                            enumerate_algebras, kim_violations, sequent_valid,
+                            tilde_one_candidates)
 from twoneg.formula import parse
 from twoneg.lattice import FiniteLattice, all_lattices, canonical_form, derive_heyting
 
@@ -180,3 +184,44 @@ def _kim_oracle(cls, max_size):
 @pytest.mark.parametrize("cls", ["kim", "kim_vee"])
 def test_kim_catalog_matches_antitone_oracle(cls):
     assert enumerate_algebras(cls, 6) == _kim_oracle(cls, 6)
+
+
+# ---------------------------------------------------------------------------
+# Per-class oracle: one canonical pass for each of the five classes, with the
+# excluded-middle filter inside the pass and the Kim classes keyed on their
+# two negations only.  The catalog runs the pba and ccpba passes alone and
+# derives cvcpba as the EM sub-list of ccpba and the Kim classes as reducts.
+
+def _per_class_catalog(cls, max_size, include_trivial):
+    kim = cls in ("kim", "kim_vee")
+    found = {}
+    for lat in all_lattices(max_size):
+        if lat.size == 1 and not include_trivial:
+            continue
+        for t1 in ([None] if cls == "pba" else tilde_one_candidates(lat)):
+            alg = attach_negations(lat, t1)
+            if cls in ("cvcpba", "kim_vee") and _em(lat, alg.tilde) is not None:
+                continue
+            if kim:
+                alg = KimAlgebra("", lat, alg.neg, alg.tilde)
+            key, perm = _canonical_data(alg)
+            if key not in found:
+                new = attach_negations(_relabel_lattice(lat, perm),
+                                       None if t1 is None else perm[t1])
+                found[key] = KimAlgebra("", new.lattice, new.neg, new.tilde) if kim else new
+    counters = {}
+    out = []
+    for key in sorted(found, key=lambda k: (k[0], k)):
+        alg = found[key]
+        i = counters.get(alg.size, 0)
+        counters[alg.size] = i + 1
+        out.append(replace(alg, name=f"{cls}_{alg.size}_{i}"))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("include_trivial", [False, True])
+@pytest.mark.parametrize("cls", CATALOG_CLASSES)
+def test_catalog_matches_per_class_passes(cls, include_trivial):
+    for max_size in range(1, 10):
+        assert (enumerate_algebras(cls, max_size, include_trivial, None)
+                == _per_class_catalog(cls, max_size, include_trivial)), max_size
