@@ -336,25 +336,28 @@ def kim_reduct(alg: Algebra, *, name: str = "") -> KimAlgebra:
 # the op tables (`_program`); a search calls it once per valuation.
 
 # Compiled goals kept; a countermodel scan or a validity sweep reuses one
-# goal across a whole catalog, so a small bound holds every live goal.
+# goal across a whole catalog, so a small bound holds every live goal (frame
+# searches, which compile over upsets, share it).
 _PROGRAM_CACHE = 64
 
-_OPS = {And: "meet[{}][{}]", Or: "join[{}][{}]", Impl: "impl[{}][{}]",
-        Neg: "neg[{}]", Tilde: "tilde[{}]"}
+# The code of And, Or, Impl, Neg and Tilde over the op tables.
+_TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE)
-def _program(goals: tuple[Formula, ...], names: tuple[str, ...]):
+def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
+             code: tuple[str, ...] = _TABLE_CODE):
     """Compile `goals` over the atoms `names` into a factory
     `make(meet, join, impl, neg, tilde, top, bottom)`; the function it
-    returns maps the element indices `v0, ..., vk` of `names` to the tuple of
-    the goals' values.
+    returns maps the values `v0, ..., vk` of `names` to the tuple of the
+    goals' values.
 
     Every distinct node gets one assignment, so a node that `<->` shares is
-    computed once.  The tables are closure cells, so one compiled function
-    serves every algebra of a catalog.  The source holds only fixed
+    computed once.  The operations are closure cells, so one compiled
+    function serves every algebra of a catalog.  The source holds only fixed
     identifiers, `v<i>` and `x<j>`: atom names never enter it.
     """
+    ops = dict(zip((And, Or, Impl, Neg, Tilde), code))
     var = {name: f"v{i}" for i, name in enumerate(names)}
     slot: dict[str, str] = {}
 
@@ -366,7 +369,7 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...]):
             return "top"
         if t is Bot:
             return "bottom"
-        expr = _OPS[t].format(*kids)
+        expr = ops[t].format(*kids)
         if expr not in slot:
             slot[expr] = f"x{len(slot)}"
         return slot[expr]

@@ -20,7 +20,7 @@ from .algebra import (SIZE_GUARD, Algebra, KimAlgebra, algebra_valid,
                       enumerate_algebras, evaluate, read_algebra,
                       write_algebra)
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
-                     FormulaSyntaxError, LatticeError, WorkbenchError)
+                     LatticeError, WorkbenchError)
 from .formula import Atom, Bot, Formula, Top
 from .formula import atoms as formula_atoms
 from .formula import fold
@@ -433,10 +433,6 @@ def main(argv=None) -> int:
         rep.kv("error", "bound-guard")
         rep.kv("detail", str(e))
         return 3
-    except (FormulaSyntaxError, FileFormatError) as e:
-        rep.kv("error", e.kind)
-        rep.kv("detail", str(e))
-        return 2
     except WorkbenchError as e:
         rep.kv("error", e.kind)
         rep.kv("detail", str(e))

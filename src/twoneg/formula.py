@@ -35,8 +35,8 @@ _KEYWORDS = frozenset({"top", "bot"})
 
 # Deepest nesting (parentheses and operators) and deepest AST a parsed
 # formula may have; deeper input is a syntax error, so that the recursive
-# parser, the frame truth sets and the nodes' own `hash`/`==` stay far from
-# the interpreter's stack limit.
+# parser and the nodes' own `hash`/`==` stay far from the interpreter's
+# stack limit.
 MAX_DEPTH = 100
 
 # Most subformula occurrences a parsed formula may have.  `a <-> b` shares
@@ -286,8 +286,8 @@ def render(f: Formula) -> str:
 
 # -- one traversal ----------------------------------------------------------
 # Structural walks go through `_children` and its inverse `_rebuild` without
-# recursion, so they work at any depth; the parser and `frames.truth_set`
-# recurse and rely on MAX_DEPTH.
+# recursion, so they work at any depth; only the parser recurses, and it
+# relies on MAX_DEPTH.
 
 def _children(f: Formula) -> tuple[Formula, ...]:
     # dispatch on the exact type: a class-pattern `match` costs five times

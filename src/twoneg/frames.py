@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, Union
 
-from .algebra import Verdict, VALID
+from .algebra import Verdict, VALID, _program
 from .errors import BoundGuardError, FileFormatError, FrameError, content_lines
-from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
-                      atoms, contains)
+from .formula import TOP, And, Atom, Formula, Impl, atoms, contains, subformulas
 from .lattice import Table, _closure, transitive_reduction, upsets_of
 
 __all__ = [
@@ -319,47 +318,35 @@ class FrameModel:
         return truth_at(self.frame, self.valuation, world, f)
 
 
+# The code of And, Or, Impl, Neg and Tilde over upsets.
+_UPSET_CODE = ("{} & {}", "{} | {}", "impl({}, {})", "neg({})", "tilde({})")
+
+
+def _compiled(fr: Frame, goals: tuple[Formula, ...], names: tuple[str, ...]):
+    """The truth-set function of `goals` on `fr`.  Every clause is "no
+    successor in": `a -> b` holds where no successor lies in `a - b`, and on a
+    sub-normal frame `~s` where no successor lies in `s - Y0`; `bot` holds
+    nowhere."""
+    leq, tilde = fr.leq, fr.tilde
+    return _program(goals, names, _UPSET_CODE)(
+        None, None, lambda a, b: _no_successor_in(leq, a - b),
+        partial(_no_successor_in, fr.bang),
+        partial(_no_successor_in, tilde) if tilde is not None
+        else lambda s: _no_successor_in(leq, s - fr.y0),
+        frozenset(range(fr.size)), frozenset())
+
+
 def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> frozenset[int]:
-    """Worlds where f holds; `bot` holds nowhere in every kind."""
-    n = fr.size
-    every = frozenset(range(n))
-    bang, tilde = fr.bang, fr.tilde
-
-    def rec(g: Formula) -> frozenset[int]:
-        match g:
-            case Top():
-                return every
-            case Bot():
-                return frozenset()
-            case Atom(name):
-                if name not in valuation:
-                    raise FrameError("unbound-atom", name)
-                return valuation[name]
-            case And(l, r):
-                return rec(l) & rec(r)
-            case Or(l, r):
-                return rec(l) | rec(r)
-            case Impl(l, r):
-                if isinstance(fr, CompatFrame):
-                    raise FrameError("wrong-language", g)
-                left, right = rec(l), rec(r)
-                return frozenset(
-                    w for w in range(n)
-                    if all(v in right for v in range(n)
-                           if fr.leq[w][v] and v in left))
-            case Neg(c):
-                return _no_successor_in(bang, rec(c))
-            case Tilde(c):
-                body = rec(c)
-                if tilde is None:  # sub-normal: every successor in body is queer
-                    return frozenset(
-                        w for w in range(n)
-                        if all(v in fr.y0 for v in range(n)
-                               if fr.leq[w][v] and v in body))
-                return _no_successor_in(tilde, body)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
+    """Worlds where f holds; an error is that of the first offending node in
+    pre-order."""
+    compat = isinstance(fr, CompatFrame)
+    for g in subformulas(f):
+        if type(g) is Impl and compat:
+            raise FrameError("wrong-language", g)
+        if type(g) is Atom and g.name not in valuation:
+            raise FrameError("unbound-atom", g.name)
+    names = tuple(atoms(f))
+    return _compiled(fr, (f,), names)(*[valuation[n] for n in names])[0]
 
 
 def truth_at(fr: Frame, valuation: dict[str, frozenset[int]], world: str, f: Formula) -> bool:
@@ -371,19 +358,20 @@ def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
     return tuple(upsets_of(leq))
 
 
-def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms,
-                     sides) -> Verdict:
-    """Exhaust all assignments of `names` to upsets, in (cardinality,
-    lexicographic) order, for the first valuation whose truth sets
-    `sides(valuation) = (left, right)` have some world in left but not in
-    right; it is reported with the least such world.  A bound of None is
-    not checked."""
+def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
+                     max_atoms) -> Verdict:
+    """Exhaust all assignments of the atoms of `goals` = (left, right) to
+    upsets, in (cardinality, lexicographic) order, for the first valuation
+    with some world in the truth set of left but not of right; it is
+    reported with the least such world.  A bound of None is not checked."""
+    names = tuple(atoms(And(*goals)))
     if max_worlds is not None and fr.size > max_worlds:
         raise BoundGuardError("frame worlds", max_worlds, fr.size)
     if max_atoms is not None and len(names) > max_atoms:
         raise BoundGuardError("valuation atoms", max_atoms, len(names))
+    value = _compiled(fr, goals, names)
     for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
-        left, right = sides(dict(zip(names, combo)))
+        left, right = value(*combo)
         if not left <= right:
             witness = {name: tuple(fr.worlds[i] for i in sorted(s))
                        for name, s in zip(names, combo)}
@@ -393,12 +381,10 @@ def _first_falsifier(fr: Frame, names: list[str], max_worlds, max_atoms,
 
 def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = 10,
                 max_atoms: int | None = 3) -> Verdict:
-    """Truth at every world under every upset valuation."""
+    """Truth at every world under every upset valuation: the sequent `top |- f`."""
     if isinstance(fr, CompatFrame) and contains(f, Impl):
         raise FrameError("wrong-language", f)
-    every = frozenset(range(fr.size))
-    return _first_falsifier(fr, atoms(f), max_worlds, max_atoms,
-                            lambda val: (every, truth_set(fr, val, f)))
+    return _first_falsifier(fr, (TOP, f), max_worlds, max_atoms)
 
 
 def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
@@ -407,8 +393,7 @@ def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
     """Pointwise truth implication under every upset valuation."""
     if isinstance(fr, CompatFrame) and contains(And(lhs, rhs), Impl):
         raise FrameError("wrong-language", lhs)
-    return _first_falsifier(fr, atoms(And(lhs, rhs)), max_worlds, max_atoms,
-                            lambda val: (truth_set(fr, val, lhs), truth_set(fr, val, rhs)))
+    return _first_falsifier(fr, (lhs, rhs), max_worlds, max_atoms)
 
 
 # -- frame files --------------------------------------------------------------

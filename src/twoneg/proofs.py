@@ -271,13 +271,20 @@ def check_derivation(system: str, root: DerivationNode) -> CheckResult:
         if not matched:
             kind = "bad-axiom" if not node.children else "premise-mismatch"
             return CheckResult(False, kind, node.label, node.rule)
-        for ch in node.children:
-            res = visit(ch)
-            if not res.ok:
-                return res
         return ACCEPT
 
-    return visit(root)
+    # Each distinct node once, in pre-order: a node met again was accepted
+    # together with its subtree when first met.
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            res = visit(node)
+            if not res.ok:
+                return res
+            stack.extend(reversed(node.children))
+    return ACCEPT
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +431,24 @@ def hilbert_proof_text(system: str, proof: ProofScript) -> str:
 
 def sequent_proof_text(system: str, root: DerivationNode) -> str:
     lines = [f"proof sequent {system}"]
-    counter = 0
-    seen: dict[int, int] = {}
-
-    def emit(node: DerivationNode) -> int:
-        nonlocal counter
-        if id(node) in seen:
-            return seen[id(node)]
-        refs = [emit(ch) for ch in node.children]
-        counter += 1
+    number: dict[int, int] = {}
+    # Post-order: a node is numbered once all its children are.
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [ch for ch in node.children if id(ch) not in number]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        if id(node) in number:
+            continue
+        number[id(node)] = len(number) + 1
         seq = f"{render(node.lhs)} |- {render(node.rhs)}"
-        if refs:
-            lines.append(f"{counter} {seq} rule {node.rule} from "
-                         + " ".join(str(r) for r in refs))
+        if node.children:
+            lines.append(f"{number[id(node)]} {seq} rule {node.rule} from "
+                         + " ".join(str(number[id(ch)]) for ch in node.children))
         else:
-            lines.append(f"{counter} {seq} axiom {node.rule}")
-        seen[id(node)] = counter
-        return counter
-
-    emit(root)
+            lines.append(f"{number[id(node)]} {seq} axiom {node.rule}")
     lines.append("end")
     return "\n".join(lines) + "\n"

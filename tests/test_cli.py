@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -374,3 +375,29 @@ def test_internal_error_exit_code(capsys, monkeypatch, fixtures_dir):
     assert code == 4
     assert out == "error=internal-error\ndetail=RuntimeError: table out of step\n"
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _a2_chain(lines: int, second: str) -> str:
+    """Line i is `p |- p` by A2 from line i-1 and from `second` (a format
+    of i); line 1 is an A1 axiom."""
+    body = [f"{i} p |- p rule A2 from {i - 1} {second.format(i - 1)}"
+            for i in range(2, lines + 1)]
+    return "\n".join(["proof sequent Kim", "1 p |- p axiom A1", *body, "end"]) + "\n"
+
+
+@pytest.mark.parametrize("name,lines,second,seconds", [
+    ("shared", 60, "{}", 2),    # each line cites the previous one twice
+    ("long", 1500, "1", 30),    # 1 500 levels deep
+])
+def test_proof_chain_checks_in_a_fresh_process(tmp_path, name, lines, second, seconds):
+    path = tmp_path / f"{name}.prf"
+    path.write_text(_a2_chain(lines, second))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "twoneg.cli", "--porcelain",
+                           "check-proof", str(path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert time.perf_counter() - start < seconds
+    assert done.returncode == 0, done.stdout
+    assert "accepted=true" in done.stdout
+    assert "Traceback" not in done.stderr

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,3 +186,40 @@ def test_proof_text_round_trip(fixtures_dir):
     text = sequent_proof_text(system, root)
     mode2, system2, root2 = parse_proof(text)
     assert (root2.lhs, root2.rhs, root2.rule) == (root.lhs, root.rhs, root.rule)
+
+
+def test_shared_premises_checked_once_in_preorder():
+    # line 2 is met twice under line 3; the first failure in pre-order is 4
+    text = "\n".join(["proof sequent Kim",
+                      "1 q |- q axiom A1",
+                      "2 q |- q rule A2 from 1 1",
+                      "3 q |- q rule A2 from 2 2",
+                      "4 q |- p axiom A1",
+                      "5 q |- p rule A2 from 3 4",
+                      "end"]) + "\n"
+    _, system, root = parse_proof(text)
+    assert check_derivation(system, root) == CheckResult(False, "bad-axiom", 4, "A1")
+
+
+@pytest.mark.parametrize("second", ["{}", "1"])
+def test_deep_and_shared_derivations_round_trip(second):
+    body = [f"{i} p |- p rule A2 from {i - 1} {second.format(i - 1)}" for i in range(2, 1501)]
+    text = "\n".join(["proof sequent Kim", "1 p |- p axiom A1", *body, "end"]) + "\n"
+    _, system, root = parse_proof(text)
+    assert check_derivation(system, root).ok
+    assert sequent_proof_text(system, root) == text
+
+
+def test_proof_fixtures_regenerate(tmp_path, fixtures_dir):
+    """The fixture tool, run from a copy, writes every .prf byte for byte."""
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    script = Path(__file__).resolve().parent.parent / "tools" / "make_proof_fixtures.py"
+    shutil.copy(script, tools)
+    env = dict(os.environ, PYTHONPATH=str(script.parent.parent / "src"))
+    subprocess.run([sys.executable, str(tools / script.name)], check=True,
+                   capture_output=True, env=env, timeout=60)
+    written = sorted((tmp_path / "tests" / "fixtures").glob("*.prf"))
+    assert [p.name for p in written] == sorted(p.name for p in fixtures_dir.glob("*.prf"))
+    for path in written:
+        assert path.read_bytes() == (fixtures_dir / path.name).read_bytes(), path.name
