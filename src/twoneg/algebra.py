@@ -12,10 +12,10 @@ derived by residuation; declared tables can only be cross-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Union
 
+from ._record import record, replace
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      VerificationError, content_lines)
 from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
@@ -34,7 +34,7 @@ __all__ = [
 Unary = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class _Carrier:
     """A named lattice, shared by the two flavours."""
 
@@ -49,7 +49,7 @@ class _Carrier:
         return self.lattice.elements[i]
 
 
-@dataclass(frozen=True)
+@record
 class Algebra(_Carrier):
     """Residuated algebra; `tilde_one is None` means a plain pseudo-Boolean
     algebra with no minimal negation attached."""
@@ -60,7 +60,7 @@ class Algebra(_Carrier):
     tilde: Unary | None
 
 
-@dataclass(frozen=True)
+@record
 class KimAlgebra(_Carrier):
     """Implication-free algebra with negation tables `neg` (intuitionistic)
     and `tilde` (minimal) linked by !!~1 = ~1."""
@@ -72,7 +72,7 @@ class KimAlgebra(_Carrier):
 AnyAlgebra = Union[Algebra, KimAlgebra]
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Result of an exhaustive validity search; `valuation` maps atom names to
     element (or upset) witnesses when falsified."""
@@ -175,7 +175,7 @@ def _em(lat, t):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Flag:
     holds: bool
     witness: tuple[str, ...] | None = None
@@ -187,7 +187,7 @@ def _flag(lat: FiniteLattice, witness) -> Flag:
     return Flag(False, tuple(lat.elements[i] for i in witness))
 
 
-@dataclass(frozen=True)
+@record
 class KiteReport:
     """Placement of a negation table on the kite of negation properties, with
     the fixed companion negation `neg` assumed intuitionistic."""
@@ -250,7 +250,7 @@ def classify_negation_pair(lat: FiniteLattice, neg: Unary, tilde: Unary) -> Kite
     return KiteReport(pre, quasi, minimal, intuit, dem, ortho, em, dne)
 
 
-@dataclass(frozen=True)
+@record
 class ClassReport:
     is_pba: Flag
     is_ccpba: Flag

@@ -10,9 +10,9 @@ here rather than trusted; a failure raises VerificationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
+from ._record import record
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, attach_negations,
                       build_kim, classify_algebra, kim_violations)
 from .errors import AlgebraError, LatticeError, VerificationError
@@ -56,7 +56,7 @@ def sigma(lat: FiniteLattice, filters, a: int) -> frozenset[int]:
     return frozenset(i for i, f in enumerate(filters) if a in f)
 
 
-@dataclass(frozen=True)
+@record
 class Embedding:
     """A verified structure embedding; `mapping[i]` is the target index of
     source index i.  Construction re-runs every recorded check."""

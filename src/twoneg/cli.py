@@ -14,7 +14,6 @@ import re
 import sys
 
 from . import algebra as alg_mod
-from . import bridge, frames, proofs, translate
 from .algebra import (SIZE_GUARD, Algebra, KimAlgebra, algebra_valid,
                       build_au, classify_algebra, classify_negation_pair,
                       enumerate_algebras, evaluate, read_algebra,
@@ -80,9 +79,10 @@ def _load_algebra(path: str) -> Algebra:
     return read_algebra(_read_text(path))
 
 
-def _load_frame(path: str) -> frames.Frame:
+def _load_frame(path: str):
     if not path.endswith(".frm"):
         raise FileFormatError("wrong-extension", path, "expected .frm")
+    from . import frames
     return frames.read_frame(_read_text(path))
 
 
@@ -113,6 +113,19 @@ def _flag_report(rep: Report, prefix: str, flag) -> None:
     rep.kv(prefix, flag.holds)
     if not flag.holds and flag.witness:
         rep.kv(prefix + "_witness", ",".join(flag.witness))
+
+
+class _SystemNames:
+    """The `--system` choices, `proofs.system_names()`, read only when argparse
+    checks or prints them, so that other commands never import `proofs`."""
+
+    def __contains__(self, name) -> bool:
+        from .proofs import system_names
+        return name in system_names()
+
+    def __iter__(self):
+        from .proofs import system_names
+        return iter(system_names())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -203,6 +216,10 @@ def cmd_enumerate(args, rep: Report) -> int:
 
 
 def cmd_countermodel(args, rep: Report) -> int:
+    from . import proofs
+    if args.sequent and args.formula:
+        raise FileFormatError("conflicting-goals", None,
+                              "give either a formula or --sequent, not both")
     if args.sequent:
         lhs_t, sep, rhs_t = args.sequent.partition("|-")
         if not sep:
@@ -230,6 +247,7 @@ def cmd_countermodel(args, rep: Report) -> int:
 
 
 def cmd_translate(args, rep: Report) -> int:
+    from . import frames, translate
     fr = _load_frame(args.file)
     if isinstance(fr, frames.SubNormalFrame):
         out = translate.phi(fr)
@@ -247,6 +265,7 @@ def cmd_translate(args, rep: Report) -> int:
 
 
 def cmd_complex(args, rep: Report) -> int:
+    from . import bridge, frames
     fr = _load_frame(args.file)
     if isinstance(fr, frames.SubNormalFrame):
         alg = bridge.complex_algebra_subnormal(fr, name="complex")
@@ -268,6 +287,7 @@ def cmd_complex(args, rep: Report) -> int:
 
 
 def cmd_canonical(args, rep: Report) -> int:
+    from . import bridge
     alg = _load_algebra(args.file)
     if not args.force and alg.size > GUARD_FILTER_CARRIER:
         raise BoundGuardError("prime-filter carrier", GUARD_FILTER_CARRIER, alg.size)
@@ -282,6 +302,7 @@ def cmd_canonical(args, rep: Report) -> int:
 
 
 def cmd_duality(args, rep: Report) -> int:
+    from . import bridge, frames
     if args.file.endswith(".alg"):
         alg = _load_algebra(args.file)
         if not args.force and alg.size > GUARD_FILTER_CARRIER:
@@ -326,6 +347,7 @@ def cmd_build_au(args, rep: Report) -> int:
 
 
 def cmd_check_proof(args, rep: Report) -> int:
+    from . import proofs
     if not args.file.endswith(".prf"):
         raise FileFormatError("wrong-extension", args.file, "expected .prf")
     mode, system, obj = proofs.parse_proof(_read_text(args.file))
@@ -393,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-trivial", action="store_true")
 
     p = add("countermodel", cmd_countermodel, "search the catalogs for a refuting algebra")
-    p.add_argument("--system", required=True, choices=list(proofs.system_names()))
+    # set after add_argument, which formats the choices (importing `proofs`)
+    p.add_argument("--system", required=True).choices = _SystemNames()
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("formula", nargs="?")
     p.add_argument("--sequent", help='"lhs |- rhs" goal for the sequent systems')

@@ -19,7 +19,6 @@ Grammar::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import FormulaSyntaxError
@@ -35,68 +34,168 @@ _KEYWORDS = frozenset({"top", "bot"})
 
 # Deepest nesting (parentheses and operators) and deepest AST a parsed
 # formula may have; deeper input is a syntax error, so that the recursive
-# parser and the nodes' own `hash`/`==` stay far from the interpreter's
+# parser and the nodes' own `==` and `repr` stay far from the interpreter's
 # stack limit.
 MAX_DEPTH = 100
 
 # Most subformula occurrences a parsed formula may have.  `a <-> b` shares
 # both sides, so a chain of k `<->` has about 3 * 2**k occurrences, and
-# every walk by occurrence (printing, atoms, hashing) would take that long.
+# every walk by occurrence (printing, atoms, comparing) would take that long.
 MAX_NODES = 10_000
 
 
 class Formula:
-    """Base class; all nodes are frozen dataclasses with structural equality."""
+    """Base class of the formula nodes.  Nodes are immutable and compare
+    structurally, only within one node class; each computes its hash once,
+    at construction, as the hash of the tuple of its fields."""
 
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+# The node methods name their fields instead of looping over a field list,
+# and the constructors store them through the slot descriptors: every parse
+# and substitution builds nodes, and equality and hashing run on every cache
+# lookup and proof-line match.
+_set_hash = Formula._hash.__set__
+_EMPTY_HASH = hash(())
+
+
+class _Constant(Formula):
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init__(self):
+        _set_hash(self, _EMPTY_HASH)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    __hash__ = Formula.__hash__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}()"
+
+    def __reduce__(self):
+        return self.__class__, ()
+
+
+class Top(_Constant):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Top(Formula):
+class Bot(_Constant):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.name) or self.name in _KEYWORDS:
+    def __init__(self, name: str):
+        if not _ATOM_RE.match(name) or name in _KEYWORDS:
             raise FormulaSyntaxError(0, frozenset({"identifier"}),
-                                     f"reserved or malformed atom name {self.name!r}")
+                                     f"reserved or malformed atom name {name!r}")
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return self.name == other.name
+        return NotImplemented
+
+    __hash__ = Formula.__hash__
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r})"
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+_set_name = Atom.name.__set__
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or (self._hash == other._hash and self.left == other.left
+                                     and self.right == other.right)
+        return NotImplemented
+
+    __hash__ = Formula.__hash__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Impl(Formula):
-    left: Formula
-    right: Formula
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
-@dataclass(frozen=True)
-class Neg(Formula):
-    child: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tilde(Formula):
-    child: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Impl(_Binary):
+    __slots__ = ()
+
+
+class _Unary(Formula):
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __init__(self, child: Formula):
+        _set_child(self, child)
+        _set_hash(self, hash((child,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or (self._hash == other._hash and self.child == other.child)
+        return NotImplemented
+
+    __hash__ = Formula.__hash__
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(child={self.child!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.child,)
+
+
+_set_child = _Unary.child.__set__
+
+
+class Neg(_Unary):
+    __slots__ = ()
+
+
+class Tilde(_Unary):
+    __slots__ = ()
 
 
 TOP = Top()

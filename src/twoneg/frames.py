@@ -10,18 +10,18 @@ Three kinds:
   order and `~` off the compatibility relation C.
 
 Builders close <= reflexively/transitively and *validate* the kind's frame
-conditions; the R/C relations are taken as given, never repaired.  Raw
-dataclass construction skips validation, which the canonicity tests use to
+conditions; the R/C relations are taken as given, never repaired.  Calling
+a frame class directly skips validation, which the canonicity tests use to
 probe frames that violate a condition.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import ClassVar, Union
 
+from ._record import record
 from .algebra import Verdict, VALID, _program
 from .errors import BoundGuardError, FileFormatError, FrameError, content_lines
 from .formula import TOP, And, Atom, Formula, Impl, atoms, contains, subformulas
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class _FrameCore:
     """Worlds and their partial order, shared by the three kinds.
 
@@ -65,7 +65,7 @@ class _FrameCore:
         return self.leq
 
 
-@dataclass(frozen=True)
+@record
 class SubNormalFrame(_FrameCore):
     y0: frozenset[int]
 
@@ -73,7 +73,7 @@ class SubNormalFrame(_FrameCore):
     tilde: ClassVar[None] = None
 
 
-@dataclass(frozen=True)
+@record
 class NhatFrame(_FrameCore):
     rn1: Table
     rn2: Table
@@ -89,7 +89,7 @@ class NhatFrame(_FrameCore):
         return self.rn2
 
 
-@dataclass(frozen=True)
+@record
 class CompatFrame(_FrameCore):
     c: Table
 
@@ -302,7 +302,7 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 
 # -- truth and validity -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FrameModel:
     """A frame plus an upset-valued valuation (checked at construction)."""
 

@@ -10,9 +10,9 @@ cross-checked against it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .errors import LatticeError, VerificationError
 
 __all__ = [
@@ -26,7 +26,7 @@ Table = tuple[tuple[bool, ...], ...]
 OpTable = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class FiniteLattice:
     """A finite bounded lattice; `distributive` records the constructor's check."""
 
@@ -256,27 +256,42 @@ def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
 # isomorphism-invariant signature and breaks ties by minimising the encoded
 # (order, operations, marks) tuple over within-block permutations.
 
-def _heights(leq: Table) -> list[int]:
-    n = len(leq)
-    order = sorted(range(n), key=lambda x: sum(1 for k in range(n) if leq[k][x]))
-    h = [0] * n
-    for x in order:
-        below = [h[k] + 1 for k in range(n) if leq[k][x] and k != x]
-        h[x] = max(below, default=0)
-    return h
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _signatures(leq: Table, unaries: tuple[OpTableRow, ...], marks: tuple[int, ...]):
+    """Isomorphism-invariant signature of each element: its height (longest
+    chain below it), the numbers of elements below and above it (itself
+    included) and of its lower and upper covers, then one flag per mark and,
+    per unary map t, whether t fixes it and the below/above counts of t(x)."""
     n = len(leq)
-    heights = _heights(leq)
-    down = [sum(1 for k in range(n) if leq[k][x]) for x in range(n)]
-    up = [sum(1 for k in range(n) if leq[x][k]) for x in range(n)]
-    covers = transitive_reduction(leq)
-    below = [sum(1 for a, b in covers if b == x) for x in range(n)]
-    above = [sum(1 for a, b in covers if a == x) for x in range(n)]
+    # strictly-above masks; x's upper covers are the elements strictly above
+    # x that lie strictly above no other element strictly above x
+    above = [sum(1 << k for k in range(n) if row[k] and k != x) for x, row in enumerate(leq)]
+    covers = []
+    for x in range(n):
+        cov = above[x]
+        for k in _bits(above[x]):
+            cov &= ~above[k]
+        covers.append(cov)
+    up = [mask.bit_count() + 1 for mask in above]
+    down = [sum(row[x] for row in leq) for x in range(n)]
+    lower = [0] * n
+    heights = [0] * n
+    # fewer elements below first is a linear extension, so each height is
+    # final before it is pushed to the upper covers
+    for x in sorted(range(n), key=down.__getitem__):
+        for k in _bits(covers[x]):
+            lower[k] += 1
+            heights[k] = max(heights[k], heights[x] + 1)
     sigs = []
     for x in range(n):
-        sig = [heights[x], down[x], up[x], below[x], above[x]]
+        sig = [heights[x], down[x], up[x], lower[x], covers[x].bit_count()]
         for m in marks:
             sig.append(1 if x == m else 0)
         for t in unaries:

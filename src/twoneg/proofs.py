@@ -14,8 +14,7 @@ just that, never as theoremhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .algebra import SIZE_GUARD, algebra_valid, enumerate_algebras, sequent_valid
 from .errors import AlgebraError, BoundGuardError, FileFormatError, content_lines
 from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
@@ -61,7 +60,7 @@ def _lang_no_bot_no_neg(f: Formula) -> bool:
     return not contains(f, (Bot, Neg))
 
 
-@dataclass(frozen=True)
+@record
 class HilbertSystem:
     name: str
     axioms: tuple[str, ...]
@@ -88,20 +87,20 @@ def expand_neg(f: Formula) -> Formula:
                 else _rebuild(g, kids))
 
 
-@dataclass(frozen=True)
+@record
 class ProofLine:
     index: int
     formula: Formula
     just: tuple  # ("axiom", id) or ("mp", i, j)
 
 
-@dataclass(frozen=True)
+@record
 class ProofScript:
     lines: tuple[ProofLine, ...]
     goal: Formula
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     ok: bool
     error: str | None = None
@@ -212,7 +211,7 @@ SEQUENT_RULES: dict[str, tuple[RuleVariant, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SequentSystem:
     name: str
     rules: tuple[str, ...]
@@ -227,7 +226,7 @@ SEQUENT_SYSTEMS: dict[str, SequentSystem] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class DerivationNode:
     lhs: Formula
     rhs: Formula

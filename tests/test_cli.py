@@ -140,6 +140,58 @@ def test_countermodel_sequent(capsys):
     assert "size=2" in out
 
 
+@pytest.mark.parametrize("system,sequent", [("ILM", "p |- q"), ("Kim", "~~p |- p")])
+def test_countermodel_rejects_formula_and_sequent(capsys, system, sequent):
+    code, out = run(capsys, "--porcelain", "countermodel", "--system", system,
+                    "--max-size", "3", "p", "--sequent", sequent)
+    assert code == 2
+    assert out.splitlines()[0] == "error=conflicting-goals"
+
+
+# A cold run imports only the modules its command uses: none of these loads
+# `dataclasses`/`inspect` or the frame and duality modules, and `enumerate`
+# does not load the proof module either.
+NOT_LOADED = ("dataclasses", "inspect", "twoneg.frames", "twoneg.bridge", "twoneg.translate")
+COLD_RUNS = {
+    "enumerate": (["enumerate", "--class", "ccpba", "--size", "5"], NOT_LOADED + ("twoneg.proofs",)),
+    "countermodel": (["countermodel", "--system", "ILM", "--max-size", "4", "p | ~p"], NOT_LOADED),
+    "countermodel-sequent": (["countermodel", "--system", "Kim", "--max-size", "4",
+                              "--sequent", "~~p |- p"], NOT_LOADED),
+}
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("name", sorted(COLD_RUNS))
+def test_cold_run_imports_only_what_it_uses(name):
+    argv, absent = COLD_RUNS[name]
+    done = _fresh("import sys\n"
+                  "from twoneg import cli\n"
+                  "code = cli.main(['--porcelain', *sys.argv[1:]])\n"
+                  "print('loaded=' + ','.join(sorted(sys.modules)))\n"
+                  "sys.exit(code)", *argv)
+    assert done.returncode in (0, 1), done.stderr
+    loaded = set(done.stdout.splitlines()[-1].removeprefix("loaded=").split(","))
+    assert "twoneg.algebra" in loaded
+    assert not loaded & set(absent), sorted(loaded & set(absent))
+
+
+def test_lazy_package_attributes_resolve():
+    done = _fresh("import twoneg\n"
+                  "assert callable(twoneg.frames.read_frame)\n"
+                  "from twoneg import *\n"
+                  "assert callable(bridge.frame_embedding) and callable(translate.phi)\n"
+                  "assert __version__ == twoneg.__version__\n"
+                  "import sys\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('twoneg.')))")
+    assert done.returncode == 0, done.stderr
+    assert "'twoneg.frames'" in done.stdout and "'twoneg.proofs'" in done.stdout
+
+
 def test_translate(capsys, fixtures_dir):
     code, out = run(capsys, "translate", str(fixtures_dir / "three_world.frm"))
     assert code == 0

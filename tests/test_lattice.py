@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
+from twoneg.algebra import attach_negations, tilde_one_candidates
 from twoneg.errors import LatticeError
-from twoneg.lattice import (all_lattices, all_posets, build_lattice,
+from twoneg.lattice import (_signatures, all_lattices, all_posets, build_lattice,
                             canonical_form, derive_heyting,
                             residuation_mismatch, residuum,
                             transitive_reduction, upsets_of)
@@ -145,3 +146,55 @@ def test_transitive_reduction_round_trip(h6):
                 ("w", "1"), ("x", "1")}
     named = {(h6.elements[a], h6.elements[b]) for a, b in covers}
     assert named == expected
+
+
+# The signature computation `_signatures` replaced: covers by the O(n^3)
+# transitive reduction, heights by a scan below each element.
+def _heights_oracle(leq):
+    n = len(leq)
+    order = sorted(range(n), key=lambda x: sum(1 for k in range(n) if leq[k][x]))
+    h = [0] * n
+    for x in order:
+        below = [h[k] + 1 for k in range(n) if leq[k][x] and k != x]
+        h[x] = max(below, default=0)
+    return h
+
+
+def _signatures_oracle(leq, unaries, marks):
+    n = len(leq)
+    heights = _heights_oracle(leq)
+    down = [sum(1 for k in range(n) if leq[k][x]) for x in range(n)]
+    up = [sum(1 for k in range(n) if leq[x][k]) for x in range(n)]
+    covers = transitive_reduction(leq)
+    below = [sum(1 for a, b in covers if b == x) for x in range(n)]
+    above = [sum(1 for a, b in covers if a == x) for x in range(n)]
+    sigs = []
+    for x in range(n):
+        sig = [heights[x], down[x], up[x], below[x], above[x]]
+        for m in marks:
+            sig.append(1 if x == m else 0)
+        for t in unaries:
+            y = t[x]
+            sig.extend((1 if y == x else 0, down[y], up[y]))
+        sigs.append(tuple(sig))
+    return sigs
+
+
+def test_signatures_match_oracle_on_posets():
+    for posets in all_posets(6).values():
+        for leq in posets:
+            n = len(leq)
+            # the reversed labelling is no linear extension of the order
+            rev = tuple(tuple(leq[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
+            for table in (leq, rev):
+                assert _signatures(table, (), ()) == _signatures_oracle(table, (), ())
+
+
+def test_signatures_match_oracle_on_catalog_lattices():
+    for lat in all_lattices(9):
+        for t1 in [None] + tilde_one_candidates(lat):
+            alg = attach_negations(lat, t1)
+            unaries = (alg.neg,) if t1 is None else (alg.neg, alg.tilde)
+            marks = () if t1 is None else (t1,)
+            assert (_signatures(lat.leq, unaries, marks)
+                    == _signatures_oracle(lat.leq, unaries, marks))

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from dataclasses import replace
-
+from twoneg._record import replace
 from twoneg.algebra import (CATALOG_CLASSES, KimAlgebra, _absorb,
                             _canonical_data, _em, _or_linear, _quasi,
                             _relabel_lattice, algebra_valid, attach_negations,
