@@ -28,7 +28,7 @@ __all__ = [
     "ClassReport", "attach_negations", "classify_algebra",
     "classify_negation_pair", "evaluate", "algebra_valid", "sequent_valid",
     "tilde_one_candidates", "build_au", "iso_check", "enumerate_algebras",
-    "read_algebra", "write_algebra", "CATALOG_CLASSES", "SIZE_GUARD",
+    "read_algebra", "write_algebra", "CATALOG_CLASSES", "SIZE_GUARD", "ATOM_GUARD",
 ]
 
 Unary = tuple[int, ...]
@@ -573,9 +573,11 @@ def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
 
 CATALOG_CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
 
-# Default bound on the algebra size a search scans; `guard=None` (CLI:
-# `--force`) lifts it.
+# Default bounds on the algebra size a search scans and on the atoms of a
+# validity search's goal; `guard=None` or `max_atoms=None` (CLI: `--force`)
+# lifts them.
 SIZE_GUARD = 8
+ATOM_GUARD = 3
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from .errors import AlgebraError, LatticeError, VerificationError
 from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
                      build_subnormal, dne_tilde_top_witness, is_identity,
                      subcompat_violation, write_frame)
-from .lattice import FiniteLattice, lattice_from_upsets, upsets_of
+from .lattice import FiniteLattice, _upper_covers, lattice_from_upsets, upsets_of
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -36,19 +36,14 @@ def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     """All prime filters, ordered by size then lexicographically.
 
     In a finite distributive lattice these are exactly the principal filters
-    of the join-irreducible elements (Davey & Priestley, ch. 5), so no upset
-    is scanned.
+    of the join-irreducible elements (Davey & Priestley, ch. 5), the elements
+    with exactly one lower cover, so no upset is scanned.
     """
     if not lat.distributive:
         raise LatticeError("not-distributive", None, "prime filters need a distributive lattice")
-    out = []
-    for j in range(lat.size):
-        below = lat.bottom
-        for k in range(lat.size):
-            if lat.leq[k][j] and k != j:
-                below = lat.join[below][k]
-        if below != j:  # j is not the join of what lies below it
-            out.append(lat.upset(j))
+    covers = _upper_covers(lat.leq)
+    out = [lat.upset(j) for j in range(lat.size)
+           if sum(cov >> j & 1 for cov in covers) == 1]
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 

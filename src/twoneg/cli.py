@@ -14,10 +14,10 @@ import re
 import sys
 
 from . import algebra as alg_mod
-from .algebra import (SIZE_GUARD, Algebra, KimAlgebra, algebra_valid,
-                      build_au, classify_algebra, classify_negation_pair,
-                      enumerate_algebras, evaluate, read_algebra,
-                      write_algebra)
+from .algebra import (ATOM_GUARD, SIZE_GUARD, Algebra, KimAlgebra,
+                      algebra_valid, build_au, classify_algebra,
+                      classify_negation_pair, enumerate_algebras, evaluate,
+                      read_algebra, write_algebra)
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      LatticeError, WorkbenchError)
 from .formula import Atom, Bot, Formula, Top
@@ -26,7 +26,6 @@ from .formula import fold
 from .formula import parse as parse_formula
 from .formula import render
 
-GUARD_ATOMS = 3
 GUARD_FILTER_CARRIER = 12
 
 
@@ -190,8 +189,8 @@ def cmd_valid(args, rep: Report) -> int:
     if not args.force:
         if alg.size > SIZE_GUARD:
             raise BoundGuardError("algebra size", SIZE_GUARD, alg.size)
-        if len(formula_atoms(f)) > GUARD_ATOMS:
-            raise BoundGuardError("formula atoms", GUARD_ATOMS, len(formula_atoms(f)))
+        if len(formula_atoms(f)) > ATOM_GUARD:
+            raise BoundGuardError("formula atoms", ATOM_GUARD, len(formula_atoms(f)))
     verdict = algebra_valid(alg, f)
     rep.kv("valid", verdict.valid)
     if not verdict.valid:

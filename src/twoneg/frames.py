@@ -22,10 +22,10 @@ from functools import lru_cache, partial
 from typing import ClassVar, Union
 
 from ._record import record
-from .algebra import Verdict, VALID, _program
+from .algebra import ATOM_GUARD, Verdict, VALID, _program
 from .errors import BoundGuardError, FileFormatError, FrameError, content_lines
-from .formula import TOP, And, Atom, Formula, Impl, atoms, contains, subformulas
-from .lattice import Table, _closure, transitive_reduction, upsets_of
+from .formula import TOP, And, Atom, Formula, Impl, atoms, subformulas
+from .lattice import Table, _order, _table, transitive_reduction, upsets_of
 
 __all__ = [
     "SubNormalFrame", "NhatFrame", "CompatFrame", "Frame", "FrameModel",
@@ -117,13 +117,11 @@ def _close_order(worlds: tuple[str, ...], pairs) -> Table:
     n = len(worlds)
     if len(set(worlds)) != n:
         raise FrameError("duplicate-world", worlds)
-    leq = _closure(n, _index_pairs(worlds, pairs))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise FrameError("condition-violation",
-                                 ("poset", (worlds[i], worlds[j])), "order cycle")
-    return tuple(tuple(row) for row in leq)
+    up, cycle = _order(n, _index_pairs(worlds, pairs))
+    if cycle is not None:
+        raise FrameError("condition-violation",
+                         ("poset", (worlds[cycle[0]], worlds[cycle[1]])), "order cycle")
+    return _table(up)
 
 
 def _relation(worlds: tuple[str, ...], pairs) -> Table:
@@ -363,8 +361,15 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
     """Exhaust all assignments of the atoms of `goals` = (left, right) to
     upsets, in (cardinality, lexicographic) order, for the first valuation
     with some world in the truth set of left but not of right; it is
-    reported with the least such world.  A bound of None is not checked."""
-    names = tuple(atoms(And(*goals)))
+    reported with the least such world.  A bound of None is not checked.  On
+    a compatibility frame the first `->` in pre-order, left before right, is
+    rejected as wrong-language."""
+    both = And(*goals)
+    if isinstance(fr, CompatFrame):
+        for g in subformulas(both):
+            if type(g) is Impl:
+                raise FrameError("wrong-language", g)
+    names = tuple(atoms(both))
     if max_worlds is not None and fr.size > max_worlds:
         raise BoundGuardError("frame worlds", max_worlds, fr.size)
     if max_atoms is not None and len(names) > max_atoms:
@@ -380,19 +385,15 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
 
 
 def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = 10,
-                max_atoms: int | None = 3) -> Verdict:
+                max_atoms: int | None = ATOM_GUARD) -> Verdict:
     """Truth at every world under every upset valuation: the sequent `top |- f`."""
-    if isinstance(fr, CompatFrame) and contains(f, Impl):
-        raise FrameError("wrong-language", f)
     return _first_falsifier(fr, (TOP, f), max_worlds, max_atoms)
 
 
 def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
                         max_worlds: int | None = 10,
-                        max_atoms: int | None = 3) -> Verdict:
+                        max_atoms: int | None = ATOM_GUARD) -> Verdict:
     """Pointwise truth implication under every upset valuation."""
-    if isinstance(fr, CompatFrame) and contains(And(lhs, rhs), Impl):
-        raise FrameError("wrong-language", lhs)
     return _first_falsifier(fr, (lhs, rhs), max_worlds, max_atoms)
 
 

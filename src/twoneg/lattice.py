@@ -52,42 +52,72 @@ class FiniteLattice:
         return frozenset(b for b in range(self.size) if self.leq[a][b])
 
 
-def _closure(n: int, pairs: set[tuple[int, int]]) -> list[list[bool]]:
-    leq = [[i == j for j in range(n)] for i in range(n)]
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# ---------------------------------------------------------------------------
+# The order kernel.  Every order fact (closure, cycles, meets and joins,
+# bounds, covers, upsets) is read off per-element int masks: bit j of up[i]
+# is set iff i <= j, and down is its transpose.
+
+def _order(n: int, pairs) -> tuple[list[int], tuple[int, int] | None]:
+    """The reflexive-transitive closure of `pairs` over range(n) as up-set
+    masks, and its first cycle pair i < j in row-major order (None when the
+    closure is a partial order)."""
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
-        leq[a][b] = True
+        up[a] |= 1 << b
     for k in range(n):
-        row_k = leq[k]
+        bit, up_k = 1 << k, up[k]
         for i in range(n):
-            if leq[i][k]:
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
-
-
-def _glb_table(n: int, leq, names, want_meet: bool) -> list[list[int]]:
-    # For meets, scan lower bounds; for joins, upper bounds (dual order).
-    table = [[0] * n for _ in range(n)]
+            if up[i] & bit:
+                up[i] |= up_k
     for i in range(n):
-        for j in range(n):
-            if want_meet:
-                bounds = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            else:
-                bounds = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            kind = "missing-glb" if want_meet else "missing-lub"
-            if not bounds:
-                raise LatticeError(kind, (names[i], names[j]))
-            m = bounds[0]
-            for k in bounds[1:]:
-                if (leq[m][k] if want_meet else leq[k][m]):
-                    m = k
-            for k in bounds:
-                if not (leq[k][m] if want_meet else leq[m][k]):
-                    raise LatticeError(kind, (names[i], names[j]))
-            table[i][j] = m
-    return table
+        for j in _bits(up[i] & -(2 << i)):  # the j > i above i
+            if up[j] >> i & 1:
+                return up, (i, j)
+    return up, None
+
+
+def _up_masks(leq: Table) -> list[int]:
+    return [sum(1 << j for j, b in enumerate(row) if b) for row in leq]
+
+
+def _table(up: list[int]) -> Table:
+    n = len(up)
+    return tuple(tuple(bool(mask >> j & 1) for j in range(n)) for mask in up)
+
+
+def _bound_table(masks: list[int], names, kind: str) -> OpTable:
+    """Meets from down-set masks, or joins from up-set masks: the bound of i
+    and j is the element whose mask is masks[i] & masks[j]; `kind` is raised
+    at the first pair (row-major) with no such element."""
+    at = {mask: k for k, mask in enumerate(masks)}
+    table = []
+    for i, mask in enumerate(masks):
+        row = tuple(at.get(mask & other) for other in masks)
+        if None in row:
+            raise LatticeError(kind, (names[i], names[row.index(None)]))
+        table.append(row)
+    return tuple(table)
+
+
+def _upper_covers(leq: Table) -> list[int]:
+    """Each element's upper covers as a mask: the elements strictly above it
+    that lie strictly above no other element strictly above it."""
+    above = [mask & ~(1 << x) for x, mask in enumerate(_up_masks(leq))]
+    covers = []
+    for mask in above:
+        cov = mask
+        for k in _bits(mask):
+            cov &= ~above[k]
+        covers.append(cov)
+    return covers
 
 
 def _check_distributive(n: int, meet, join) -> tuple[int, int, int] | None:
@@ -121,29 +151,27 @@ def build_lattice(elements: list[str] | tuple[str, ...],
         if a not in idx or b not in idx:
             raise LatticeError("unknown-element", a if a not in idx else b)
         pairs.add((idx[a], idx[b]))
-    leq = _closure(n, pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise LatticeError("not-a-poset", (names[i], names[j]), "order cycle")
-    meet = _glb_table(n, leq, names, True)
-    join = _glb_table(n, leq, names, False)
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    if len(bottoms) != 1:
+    up, cycle = _order(n, pairs)
+    if cycle is not None:
+        raise LatticeError("not-a-poset", (names[cycle[0]], names[cycle[1]]), "order cycle")
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    meet = _bound_table(down, names, "missing-glb")
+    join = _bound_table(up, names, "missing-lub")
+    full = (1 << n) - 1
+    if full not in up:
         raise LatticeError("no-bottom", names)
-    if len(tops) != 1:
+    if full not in down:
         raise LatticeError("no-top", names)
     witness = _check_distributive(n, meet, join)
     if witness is not None and require_distributive:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
     return FiniteLattice(
         elements=names,
-        leq=tuple(tuple(row) for row in leq),
-        meet=tuple(tuple(row) for row in meet),
-        join=tuple(tuple(row) for row in join),
-        bottom=bottoms[0],
-        top=tops[0],
+        leq=_table(up),
+        meet=meet,
+        join=join,
+        bottom=up.index(full),
+        top=down.index(full),
         distributive=witness is None,
     )
 
@@ -153,7 +181,8 @@ def lattice_from_upsets(sets: list[frozenset[int]], names: list[str]) -> FiniteL
 
     Meets/joins are set intersection/union, so distributivity holds by
     construction; used for upset algebras and for the downset lattices of
-    `all_lattices`, where the generic O(n^3) table scan would be wasteful.
+    `all_lattices`, where the generic O(n^3) distributivity scan would be
+    wasteful.
     """
     n = len(sets)
     pos = {s: i for i, s in enumerate(sets)}
@@ -210,25 +239,15 @@ def residuation_mismatch(lat: FiniteLattice, impl: OpTable) -> tuple[str, str] |
 
 def upsets_of(leq: Table) -> list[frozenset[int]]:
     """All upward-closed subsets, ordered by cardinality then lexicographically."""
-    n = len(leq)
-    # Decide membership maximal-first so the upward-closure constraint only
-    # looks at already-decided elements.
-    order = sorted(range(n), key=lambda x: (sum(leq[x]), x))
-    strict_ups = [[v for v in range(n) if leq[u][v] and v != u] for u in range(n)]
-    out: list[frozenset[int]] = []
-
-    def rec(k: int, chosen: set[int]):
-        if k == len(order):
-            out.append(frozenset(chosen))
-            return
-        w = order[k]
-        rec(k + 1, chosen)
-        if all(v in chosen for v in strict_ups[w]):
-            chosen.add(w)
-            rec(k + 1, chosen)
-            chosen.discard(w)
-
-    rec(0, set())
+    up = _up_masks(leq)
+    found = [0]
+    # Maximal-first, so everything above x is decided before x: x extends
+    # each upset found so far that holds its strict up-set.
+    for x in sorted(range(len(up)), key=lambda x: (up[x].bit_count(), x)):
+        bit = 1 << x
+        above = up[x] & ~bit
+        found += [s | bit for s in found if s & above == above]
+    out = [frozenset(_bits(s)) for s in found]
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
@@ -240,15 +259,7 @@ def downsets_of(leq: Table) -> list[frozenset[int]]:
 
 def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
     """Covering pairs (a, b): a < b with nothing strictly between."""
-    n = len(leq)
-    covers = []
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b]:
-                if not any(k != a and k != b and leq[a][k] and leq[k][b]
-                           for k in range(n)):
-                    covers.append((a, b))
-    return covers
+    return [(a, b) for a, cov in enumerate(_upper_covers(leq)) for b in _bits(cov)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +267,14 @@ def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
 # isomorphism-invariant signature and breaks ties by minimising the encoded
 # (order, operations, marks) tuple over within-block permutations.
 
-def _bits(mask: int):
-    """The indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _signatures(leq: Table, unaries: tuple[OpTableRow, ...], marks: tuple[int, ...]):
     """Isomorphism-invariant signature of each element: its height (longest
     chain below it), the numbers of elements below and above it (itself
     included) and of its lower and upper covers, then one flag per mark and,
     per unary map t, whether t fixes it and the below/above counts of t(x)."""
     n = len(leq)
-    # strictly-above masks; x's upper covers are the elements strictly above
-    # x that lie strictly above no other element strictly above x
-    above = [sum(1 << k for k in range(n) if row[k] and k != x) for x, row in enumerate(leq)]
-    covers = []
-    for x in range(n):
-        cov = above[x]
-        for k in _bits(above[x]):
-            cov &= ~above[k]
-        covers.append(cov)
-    up = [mask.bit_count() + 1 for mask in above]
+    covers = _upper_covers(leq)
+    up = [sum(row) for row in leq]
     down = [sum(row[x] for row in leq) for x in range(n)]
     lower = [0] * n
     heights = [0] * n

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,11 +12,27 @@ from twoneg.algebra import attach_negations
 from twoneg.lattice import build_lattice
 
 FIXTURES = Path(__file__).parent / "fixtures"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def regenerate(tmp_path):
+    """Run a copy of a script from tools/ under tmp_path; returns the
+    fixtures directory the copy writes to."""
+    def run(name: str) -> Path:
+        (tmp_path / "tools").mkdir(exist_ok=True)
+        (tmp_path / "tests" / "fixtures").mkdir(parents=True, exist_ok=True)
+        shutil.copy(TOOLS / name, tmp_path / "tools")
+        env = dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"))
+        subprocess.run([sys.executable, str(tmp_path / "tools" / name)], check=True,
+                       capture_output=True, env=env, timeout=60)
+        return tmp_path / "tests" / "fixtures"
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_valid, frame_sequent_valid, is_identity,
                            read_frame)
-from twoneg.lattice import build_lattice, upsets_of
+from twoneg.lattice import all_lattices, build_lattice, transitive_reduction, upsets_of
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -217,6 +217,20 @@ def _upset_scan_prime_filters(lat):
     return tuple(out)
 
 
+def _join_loop_prime_filters(lat):
+    """Oracle: the former body, which keeps j when the join of everything
+    strictly below j is not j."""
+    out = []
+    for j in range(lat.size):
+        below = lat.bottom
+        for k in range(lat.size):
+            if lat.leq[k][j] and k != j:
+                below = lat.join[below][k]
+        if below != j:
+            out.append(lat.upset(j))
+    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+
+
 def _chain_product(dims):
     elements = list(itertools.product(*(range(d) for d in dims)))
     names = ["".join(map(str, e)) for e in elements]
@@ -244,6 +258,17 @@ def test_prime_filters_match_upset_scan_on_chain_products(dims):
     filters = prime_filters(lat)
     assert filters == _upset_scan_prime_filters(lat)
     assert len(filters) == sum(d - 1 for d in dims)  # one per join-irreducible
+
+
+def test_prime_filters_match_join_loop():
+    """Every distributive lattice of at most 10 elements, in its own labelling
+    and reversed, so that no labelling is a linear extension of the order."""
+    for lat in all_lattices(10):
+        names = lat.elements[::-1]
+        flipped = build_lattice(names, [(lat.elements[a], lat.elements[b])
+                                        for a, b in transitive_reduction(lat.leq)])
+        for lattice in (lat, flipped):
+            assert prime_filters(lattice) == _join_loop_prime_filters(lattice)
 
 
 def test_prime_filters_reject_non_distributive():

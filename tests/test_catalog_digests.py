@@ -29,3 +29,11 @@ def test_catalog_matches_frozen_digests(fixtures_dir, cls):
     got = [[alg.name, tool.entry_digest(alg)]
            for alg in enumerate_algebras(cls, tool.MAX_SIZE)]
     assert got == frozen[cls]
+
+
+@pytest.mark.parametrize("tool,name", [("oracle_counts.py", "enumeration_counts.json"),
+                                       ("catalog_digests.py", "catalog_digests.json")])
+def test_json_fixtures_regenerate(regenerate, fixtures_dir, tool, name):
+    """The tool, run from a copy, writes its fixture byte for byte."""
+    written = regenerate(tool) / name
+    assert written.read_bytes() == (fixtures_dir / name).read_bytes()

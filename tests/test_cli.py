@@ -50,6 +50,24 @@ def test_check_algebra_rejects(tmp_path, capsys):
     assert "not-distributive" in out
 
 
+@pytest.mark.parametrize("order,error,witness", [
+    ("0<a a<b b<a b<1", "not-a-poset", "('a', 'b')"),
+    ("a<c b<c c<1", "missing-glb", "('a', 'b')"),
+    ("0<a 0<b a<c a<d b<c b<d c<1 d<1", "missing-glb", "('c', 'd')"),
+    ("0<a 0<b", "missing-lub", "('a', 'b')"),
+    ("0<a a<b b<1 0<c c<1", "not-distributive", "('b', 'a', 'c')"),
+])
+def test_check_algebra_names_the_order_fault(tmp_path, capsys, order, error, witness):
+    """A cycle, no bottom, a missing meet, no top and a non-distributive order."""
+    pairs = [p.split("<") for p in order.split()]
+    elements = dict.fromkeys(e for p in pairs for e in p)
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra bad\nelements " + " ".join(elements) + "\n"
+                   + "".join(f"leq {a} {b}\n" for a, b in pairs) + "end\n")
+    code, out = run(capsys, "--porcelain", "check-algebra", str(bad))
+    assert (code, out) == (1, f"accepted=false\nerror={error}\nwitness={witness}\n")
+
+
 @pytest.mark.parametrize("key,line", [("tilde_one", "tilde_one 0"),
                                       ("algebra", "algebra other")])
 def test_duplicate_algebra_directive_rejected(tmp_path, capsys, key, line):

@@ -19,7 +19,7 @@ from twoneg.algebra import VALID, Verdict, enumerate_algebras
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
-                            atoms, contains, parse)
+                            atoms, parse)
 from twoneg.frames import (CompatFrame, build_compat, frame_sequent_valid,
                            frame_upsets, frame_valid, read_frame, truth_set)
 from twoneg.translate import phi
@@ -90,16 +90,14 @@ def walk_falsifier(fr, names, sides):
     return VALID
 
 
+# The walk raises at the first `->` of a compatibility frame's goal in
+# pre-order, left side before right, on the first valuation tried.
 def walk_valid(fr, f):
-    if isinstance(fr, CompatFrame) and contains(f, Impl):
-        raise FrameError("wrong-language", f)
     every = frozenset(range(fr.size))
     return walk_falsifier(fr, atoms(f), lambda val: (every, walk(fr, val, f)))
 
 
 def walk_sequent(fr, lhs, rhs):
-    if isinstance(fr, CompatFrame) and contains(And(lhs, rhs), Impl):
-        raise FrameError("wrong-language", lhs)
     return walk_falsifier(fr, atoms(And(lhs, rhs)),
                           lambda val: (walk(fr, val, lhs), walk(fr, val, rhs)))
 
@@ -181,3 +179,20 @@ def test_first_offending_node_in_preorder(text, kind, witness):
         assert e.value.witness is witness(f)
     else:
         assert e.value.witness == witness
+
+
+@pytest.mark.parametrize("lhs,rhs,witness", [
+    ("p", "p -> q", lambda lhs, rhs: rhs),
+    ("q -> p", "p -> q", lambda lhs, rhs: lhs),
+    ("top", "!p | ~(q -> r) | (p -> r)", lambda lhs, rhs: rhs.left.right.child),
+])
+def test_validity_names_first_implication(lhs, rhs, witness):
+    """On a compatibility frame `frame_sequent_valid` and `frame_valid` name
+    the first `->` in pre-order, left side before right."""
+    fr = build_compat(["a", "b"], [("a", "b")], [("a", "a")])
+    lhs, rhs = parse(lhs), parse(rhs)
+    for check, args in ((frame_sequent_valid, (lhs, rhs)), (frame_valid, (And(lhs, rhs),))):
+        with pytest.raises(FrameError) as e:
+            check(fr, *args)
+        assert e.value.kind == "wrong-language"
+        assert e.value.witness is witness(lhs, rhs)

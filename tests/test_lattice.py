@@ -149,7 +149,20 @@ def test_transitive_reduction_round_trip(h6):
 
 
 # The signature computation `_signatures` replaced: covers by the O(n^3)
-# transitive reduction, heights by a scan below each element.
+# transitive reduction (the former body of `transitive_reduction`), heights
+# by a scan below each element.
+def _transitive_reduction_oracle(leq):
+    n = len(leq)
+    covers = []
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b]:
+                if not any(k != a and k != b and leq[a][k] and leq[k][b]
+                           for k in range(n)):
+                    covers.append((a, b))
+    return covers
+
+
 def _heights_oracle(leq):
     n = len(leq)
     order = sorted(range(n), key=lambda x: sum(1 for k in range(n) if leq[k][x]))
@@ -165,7 +178,7 @@ def _signatures_oracle(leq, unaries, marks):
     heights = _heights_oracle(leq)
     down = [sum(1 for k in range(n) if leq[k][x]) for x in range(n)]
     up = [sum(1 for k in range(n) if leq[x][k]) for x in range(n)]
-    covers = transitive_reduction(leq)
+    covers = _transitive_reduction_oracle(leq)
     below = [sum(1 for a, b in covers if b == x) for x in range(n)]
     above = [sum(1 for a, b in covers if a == x) for x in range(n)]
     sigs = []
@@ -188,6 +201,15 @@ def test_signatures_match_oracle_on_posets():
             rev = tuple(tuple(leq[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
             for table in (leq, rev):
                 assert _signatures(table, (), ()) == _signatures_oracle(table, (), ())
+
+
+def test_transitive_reduction_matches_oracle_on_posets():
+    for posets in all_posets(6).values():
+        for leq in posets:
+            n = len(leq)
+            rev = tuple(tuple(leq[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
+            for table in (leq, rev):
+                assert transitive_reduction(table) == _transitive_reduction_oracle(table)
 
 
 def test_signatures_match_oracle_on_catalog_lattices():

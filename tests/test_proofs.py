@@ -1,11 +1,5 @@
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from twoneg.algebra import algebra_valid, enumerate_algebras, iso_check, sequent_valid
@@ -97,6 +91,13 @@ def test_ilm2_expands_neg():
     script = ProofScript((ProofLine(1, f, ("axiom", "A1")),), f)
     assert check_hilbert("ILM2", script).ok
     assert expand_neg(parse("!p")) == parse("p -> bot")
+
+
+def test_every_cited_scheme_and_rule_is_defined():
+    for system in HILBERT_SYSTEMS.values():
+        assert set(system.axioms) <= set(SCHEMES), system.name
+    for system in SEQUENT_SYSTEMS.values():
+        assert set(system.rules) <= set(SEQUENT_RULES), system.name
 
 
 def test_arity_error():
@@ -210,16 +211,9 @@ def test_deep_and_shared_derivations_round_trip(second):
     assert sequent_proof_text(system, root) == text
 
 
-def test_proof_fixtures_regenerate(tmp_path, fixtures_dir):
+def test_proof_fixtures_regenerate(regenerate, fixtures_dir):
     """The fixture tool, run from a copy, writes every .prf byte for byte."""
-    tools = tmp_path / "tools"
-    tools.mkdir()
-    script = Path(__file__).resolve().parent.parent / "tools" / "make_proof_fixtures.py"
-    shutil.copy(script, tools)
-    env = dict(os.environ, PYTHONPATH=str(script.parent.parent / "src"))
-    subprocess.run([sys.executable, str(tools / script.name)], check=True,
-                   capture_output=True, env=env, timeout=60)
-    written = sorted((tmp_path / "tests" / "fixtures").glob("*.prf"))
+    written = sorted(regenerate("make_proof_fixtures.py").glob("*.prf"))
     assert [p.name for p in written] == sorted(p.name for p in fixtures_dir.glob("*.prf"))
     for path in written:
         assert path.read_bytes() == (fixtures_dir / path.name).read_bytes(), path.name
