@@ -135,9 +135,10 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     """Build a bounded lattice from element names and (covering or not) order pairs.
 
     The reflexive-transitive closure is computed here; errors carry witnesses:
-    not-a-poset (a cycle), missing-glb/missing-lub, no-bottom/no-top, and
-    not-distributive unless `require_distributive` is False (then the flag on
-    the result records the outcome).
+    no-bottom (no elements), not-a-poset (a cycle), missing-glb/missing-lub,
+    and not-distributive unless `require_distributive` is False (then the flag
+    on the result records the outcome). A non-empty poset with all binary
+    meets and joins has a bottom and a top, so none is checked for.
     """
     names = tuple(elements)
     if len(set(names)) != len(names):
@@ -158,10 +159,6 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     meet = _bound_table(down, names, "missing-glb")
     join = _bound_table(up, names, "missing-lub")
     full = (1 << n) - 1
-    if full not in up:
-        raise LatticeError("no-bottom", names)
-    if full not in down:
-        raise LatticeError("no-top", names)
     witness = _check_distributive(n, meet, join)
     if witness is not None and require_distributive:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))

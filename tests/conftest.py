@@ -26,7 +26,6 @@ def regenerate(tmp_path):
     fixtures directory the copy writes to."""
     def run(name: str) -> Path:
         (tmp_path / "tools").mkdir(exist_ok=True)
-        (tmp_path / "tests" / "fixtures").mkdir(parents=True, exist_ok=True)
         shutil.copy(TOOLS / name, tmp_path / "tools")
         env = dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"))
         subprocess.run([sys.executable, str(tmp_path / "tools" / name)], check=True,

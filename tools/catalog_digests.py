@@ -46,6 +46,7 @@ def main() -> None:
     blocks = [f" {json.dumps(cls)}: [\n"
               + ",\n".join(f"  {json.dumps(pair)}" for pair in pairs) + "\n ]"
               for cls, pairs in catalog_digests().items()]
+    OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
     print(f"wrote {OUT}")
 
