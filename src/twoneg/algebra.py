@@ -18,8 +18,8 @@ from typing import Mapping, Union
 from ._record import record, replace
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      VerificationError, content_lines)
-from .formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
-                      fold, subformulas)
+from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
+                      atoms, fold, subformulas)
 from .lattice import (FiniteLattice, OpTable, all_lattices, build_lattice,
                       canonical_form, derive_heyting, transitive_reduction)
 
@@ -89,18 +89,17 @@ VALID = Verdict(True)
 
 
 def attach_negations(lat: FiniteLattice, tilde_one: int | None, *,
-                     name: str = "", require_dne: bool = True) -> Algebra:
+                     name: str = "") -> Algebra:
     """Derive the implication by residuation and attach both negations.
 
-    Rejects (dne-violation) when !!t differs from t, unless `require_dne` is
-    False -- candidates built that way are only meant for classification.
+    Rejects (dne-violation) when !!t differs from t.
     """
     impl = derive_heyting(lat)
     neg = tuple(impl[a][lat.bottom] for a in range(lat.size))
     if tilde_one is None:
         return Algebra(name, lat, impl, neg, None, None)
     fixed = neg[neg[tilde_one]]
-    if require_dne and fixed != tilde_one:
+    if fixed != tilde_one:
         raise AlgebraError("dne-violation", lat.elements[tilde_one],
                            f"!!~1 = {lat.elements[fixed]}")
     tilde = tuple(impl[a][tilde_one] for a in range(lat.size))
@@ -279,7 +278,6 @@ def classify_algebra(alg: Algebra) -> ClassReport:
         return ClassReport(pba, missing, missing, missing, missing, missing, missing)
     t = alg.tilde
     t1 = alg.tilde_one
-    assert t1 is not None
     dne_ok = alg.neg[alg.neg[t1]] == t1
     ccpba = Flag(pba.holds and dne_ok,
                  None if pba.holds and dne_ok else (pba.witness or (lat.elements[t1],)))
@@ -315,8 +313,6 @@ def kim_violations(lat: FiniteLattice, neg: Unary, tilde: Unary):
 
 
 def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -> KimAlgebra:
-    if not lat.distributive:
-        raise AlgebraError("not-a-kim-algebra", None, "lattice not distributive")
     bad = kim_violations(lat, neg, tilde)
     if bad is not None:
         raise AlgebraError("not-a-kim-algebra",
@@ -335,10 +331,10 @@ def kim_reduct(alg: Algebra, *, name: str = "") -> KimAlgebra:
 # Evaluation and validity.  Each goal is compiled once into a function over
 # the op tables (`_program`); a search calls it once per valuation.
 
-# Compiled goals kept; a countermodel scan or a validity sweep reuses one
-# goal across a whole catalog, so a small bound holds every live goal (frame
-# searches, which compile over upsets, share it).
-_PROGRAM_CACHE = 64
+# Compiled goals kept, frame goals (compiled over upsets) among them.  One
+# pass of the warm-validity benchmark workload cycles through 240 distinct
+# goals; 512 holds them twice over for about 0.3 MB.
+_PROGRAM_CACHE = 512
 
 # The code of And, Or, Impl, Neg and Tilde over the op tables.
 _TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
@@ -421,23 +417,10 @@ def evaluate(alg: AnyAlgebra, f: Formula, valuation: Mapping[str, int]) -> int:
     return _compiled(alg, (f,), names)(*[valuation[n] for n in names])[0]
 
 
-def _falsifier(alg: AnyAlgebra, names: tuple[str, ...], combo: tuple[int, ...]) -> Verdict:
-    return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
-
-
 def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
-    """Exhaustive search over all valuations; first falsifier in lexicographic
-    order over the declared element order."""
-    error = _first_error(alg, f)
-    if error is not None:
-        raise error
-    names = tuple(atoms(f))
-    value = _compiled(alg, (f,), names)
-    top = alg.lattice.top
-    for combo in itertools.product(range(alg.size), repeat=len(names)):
-        if value(*combo)[0] != top:
-            return _falsifier(alg, names, combo)
-    return VALID
+    """The sequent `top |- f`, as in `frames.frame_valid`: the first
+    falsifier in lexicographic order over the declared element order."""
+    return sequent_valid(alg, TOP, f)
 
 
 def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
@@ -460,7 +443,7 @@ def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
     for combo in valuations:
         left, right = value(*combo)
         if left == top and right != top:
-            return _falsifier(alg, names, combo)
+            return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
     return VALID
 
 
@@ -507,7 +490,6 @@ def build_au(h: Algebra, u1: int, u2: int, *, name: str = "") -> Algebra:
                 raise VerificationError("au-meet-mismatch", (names[i], names[j]))
             if pos[(lat.join[p[0]][q[0]], lat.join[p[1]][q[1]])] != carrier.join[i][j]:
                 raise VerificationError("au-join-mismatch", (names[i], names[j]))
-        assert alg.tilde is not None
         if pos[f_tilde(p)] != alg.tilde[i]:
             raise VerificationError("au-tilde-mismatch", names[i])
         nf = f_impl(p, bottom_pair)
@@ -567,8 +549,7 @@ def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
     leq = tuple(tuple(lat.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n))
     meet = tuple(tuple(perm[lat.meet[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
     join = tuple(tuple(perm[lat.join[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
-    return FiniteLattice(names, leq, meet, join, perm[lat.bottom], perm[lat.top],
-                         lat.distributive)
+    return FiniteLattice(names, leq, meet, join, perm[lat.bottom], perm[lat.top])
 
 
 CATALOG_CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")

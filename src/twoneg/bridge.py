@@ -15,11 +15,11 @@ from functools import lru_cache, partial
 from ._record import record
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, attach_negations,
                       build_kim, classify_algebra, kim_violations)
-from .errors import AlgebraError, LatticeError, VerificationError
+from .errors import AlgebraError, VerificationError
 from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
-                     build_subnormal, dne_tilde_top_witness, is_identity,
-                     subcompat_violation, write_frame)
-from .lattice import FiniteLattice, _upper_covers, lattice_from_upsets, upsets_of
+                     build_subnormal, dne_tilde_top_witness, frame_upsets,
+                     is_identity, subcompat_violation, write_frame)
+from .lattice import FiniteLattice, _upper_covers, lattice_from_upsets
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -39,8 +39,6 @@ def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     of the join-irreducible elements (Davey & Priestley, ch. 5), the elements
     with exactly one lower cover, so no upset is scanned.
     """
-    if not lat.distributive:
-        raise LatticeError("not-distributive", None, "prime filters need a distributive lattice")
     covers = _upper_covers(lat.leq)
     out = [lat.upset(j) for j in range(lat.size)
            if sum(cov >> j & 1 for cov in covers) == 1]
@@ -94,7 +92,7 @@ def _algebra_embedding(alg: AnyAlgebra, fr, complex_algebra) -> Embedding:
     """a -> sigma(a), into the upset algebra of the canonical frame `fr`."""
     target = complex_algebra(fr, name=f"{alg.name}_dual")
     filters = prime_filters(alg.lattice)
-    ups = upsets_of(fr.leq)
+    ups = frame_upsets(fr.leq)
     image = [ups.index(sigma(alg.lattice, filters, a)) for a in range(alg.size)]
     checks = _hom_checks(alg, target, image)
     injective = len(set(image)) == alg.size
@@ -108,7 +106,7 @@ def _frame_embedding(fr, complex_algebra, canonical_frame, own_tag, own_check) -
     preserved and reflected.  `complex_algebra` has already validated the
     algebra, so `canonical_frame` does not check it again."""
     alg = complex_algebra(fr)
-    ups = upsets_of(fr.leq)
+    ups = frame_upsets(fr.leq)
     filters = prime_filters(alg.lattice)
     target = canonical_frame(alg)
     image = [filters.index(frozenset(j for j, u in enumerate(ups) if w in u))
@@ -186,7 +184,7 @@ def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
     order-theoretic arrow on upsets), ~1 the set Y0."""
     if dne_tilde_top_witness(fr) is not None:
         raise AlgebraError("not-a-subnormal-frame", None, "condition (D) fails")
-    ups = upsets_of(fr.leq)
+    ups = frame_upsets(fr.leq)
     names = [upset_name(fr.worlds, s) for s in ups]
     lat = lattice_from_upsets(ups, names)
     t1 = ups.index(fr.y0)
@@ -248,7 +246,7 @@ def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
     bad = subcompat_violation(fr)
     if bad is not None:
         raise AlgebraError("not-a-subcompat-frame", bad[0])
-    ups = upsets_of(fr.leq)
+    ups = frame_upsets(fr.leq)
     names = [upset_name(fr.worlds, s) for s in ups]
     lat = lattice_from_upsets(ups, names)
     pos = {s: i for i, s in enumerate(ups)}

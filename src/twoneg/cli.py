@@ -78,6 +78,14 @@ def _load_algebra(path: str) -> Algebra:
     return read_algebra(_read_text(path))
 
 
+def _load_filter_carrier(args) -> Algebra:
+    """The algebra of `args.file`, at most GUARD_FILTER_CARRIER in size unless --force."""
+    alg = _load_algebra(args.file)
+    if not args.force and alg.size > GUARD_FILTER_CARRIER:
+        raise BoundGuardError("prime-filter carrier", GUARD_FILTER_CARRIER, alg.size)
+    return alg
+
+
 def _load_frame(path: str):
     if not path.endswith(".frm"):
         raise FileFormatError("wrong-extension", path, "expected .frm")
@@ -194,7 +202,6 @@ def cmd_valid(args, rep: Report) -> int:
     verdict = algebra_valid(alg, f)
     rep.kv("valid", verdict.valid)
     if not verdict.valid:
-        assert verdict.valuation is not None
         for k in sorted(verdict.valuation):
             rep.kv(f"witness_{k}", verdict.valuation[k])
         return 1
@@ -239,7 +246,6 @@ def cmd_countermodel(args, rep: Report) -> int:
     alg, valuation = found
     rep.kv("countermodel", alg.name)
     rep.kv("size", alg.size)
-    assert valuation is not None
     for k in sorted(valuation):
         rep.kv(f"witness_{k}", valuation[k])
     return 1
@@ -287,9 +293,7 @@ def cmd_complex(args, rep: Report) -> int:
 
 def cmd_canonical(args, rep: Report) -> int:
     from . import bridge
-    alg = _load_algebra(args.file)
-    if not args.force and alg.size > GUARD_FILTER_CARRIER:
-        raise BoundGuardError("prime-filter carrier", GUARD_FILTER_CARRIER, alg.size)
+    alg = _load_filter_carrier(args)
     try:
         text = bridge.canonical_frame_file(alg, "subnormal")
     except AlgebraError as e:
@@ -303,9 +307,7 @@ def cmd_canonical(args, rep: Report) -> int:
 def cmd_duality(args, rep: Report) -> int:
     from . import bridge, frames
     if args.file.endswith(".alg"):
-        alg = _load_algebra(args.file)
-        if not args.force and alg.size > GUARD_FILTER_CARRIER:
-            raise BoundGuardError("prime-filter carrier", GUARD_FILTER_CARRIER, alg.size)
+        alg = _load_filter_carrier(args)
         emb = bridge.stone_embedding(alg)
         rep.kv("stone_injective", emb.injective)
         rep.kv("stone_onto", emb.onto)

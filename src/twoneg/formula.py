@@ -221,7 +221,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise FormulaSyntaxError(bad, frozenset({"token"}),
                                      f"unexpected character {text[bad]!r}")
         kind = m.lastgroup
-        assert kind is not None
         value = m.group(kind)
         start = m.end() - len(value)
         if kind == "word":

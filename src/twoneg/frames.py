@@ -2,8 +2,8 @@
 
 Three kinds:
 
-* `SubNormalFrame` (W, <=, Y0): both negations read off the order; Y0 is the
-  upset of "queer" worlds, exactly where `~top` holds.
+* `SubNormalFrame` (W, <=, Y0): `!` reads the order and `~` the order into
+  the worlds outside Y0, the upset of "queer" worlds where `~top` holds.
 * `NhatFrame` (W, <=, R1, R2): each negation is an impossibility modality
   with its own accessibility relation, `!` over R1 and `~` over R2.
 * `CompatFrame` (W, C, <=): implication-free language; `!` reads off the
@@ -32,7 +32,7 @@ __all__ = [
     "build_subnormal", "build_nhat", "build_compat",
     "dne_tilde_top_witness", "is_identity", "subcompat_violation",
     "truth_set", "truth_at", "frame_valid", "frame_sequent_valid",
-    "tilde_top_worlds", "frame_upsets", "read_frame", "write_frame",
+    "tilde_top_worlds", "frame_upsets", "read_frame", "write_frame", "WORLD_GUARD",
 ]
 
 
@@ -41,8 +41,7 @@ class _FrameCore:
     """Worlds and their partial order, shared by the three kinds.
 
     Each kind names the relation `!` reads (`bang`) and the one `~` reads
-    (`tilde`); a sub-normal frame has no `~` relation, its `~` reads the
-    order and Y0.
+    (`tilde`).
     """
 
     worlds: tuple[str, ...]
@@ -70,7 +69,12 @@ class SubNormalFrame(_FrameCore):
     y0: frozenset[int]
 
     kind: ClassVar[str] = "subnormal"
-    tilde: ClassVar[None] = None
+
+    @property
+    def tilde(self) -> Table:
+        """x <= y with y outside Y0: `~s` holds where s has only queer successors."""
+        return tuple(tuple(le and y not in self.y0 for y, le in enumerate(row))
+                     for row in self.leq)
 
 
 @record
@@ -137,8 +141,8 @@ def _is_upset(leq: Table, s: frozenset[int]) -> bool:
 
 
 def _no_successor_in(rel: Table, s: frozenset[int]) -> frozenset[int]:
-    """Worlds with no `rel`-successor in `s`: `!s` over the `!` relation, and
-    `~s` over the `~` relation of an N-hat or compatibility frame."""
+    """Worlds with no `rel`-successor in `s`: `!s` over the `!` relation and
+    `~s` over the `~` relation."""
     n = len(rel)
     return frozenset(w for w in range(n) if all(v not in s for v in range(n) if rel[w][v]))
 
@@ -146,11 +150,8 @@ def _no_successor_in(rel: Table, s: frozenset[int]) -> frozenset[int]:
 # -- conditions shared by the three kinds ------------------------------------
 
 def tilde_top_worlds(fr: Frame) -> frozenset[int]:
-    """Worlds where `~top` holds; depends only on the frame."""
-    tilde = fr.tilde
-    if tilde is None:
-        return fr.y0
-    return frozenset(x for x in range(fr.size) if not any(tilde[x]))
+    """Worlds where `~top` holds: those with no `~`-successor."""
+    return frozenset(x for x, row in enumerate(fr.tilde) if not any(row))
 
 
 def dne_tilde_top_witness(fr: Frame) -> str | None:
@@ -172,13 +173,9 @@ def dne_tilde_top_witness(fr: Frame) -> str | None:
 
 def is_identity(fr: Frame) -> bool:
     """Identity frames, where `~` looks only downwards: the `~` relation lies
-    inside the converse order; on a sub-normal frame (condition (E)), <=
-    restricted to the non-queer worlds is symmetric."""
+    inside the converse order.  On a sub-normal frame this is condition (E),
+    <= restricted to the non-queer worlds is symmetric."""
     n, tilde = fr.size, fr.tilde
-    if tilde is None:
-        return all(fr.leq[y][x]
-                   for x in range(n) if x not in fr.y0
-                   for y in range(n) if y not in fr.y0 and fr.leq[x][y])
     return all(fr.leq[y][x] for x in range(n) for y in range(n) if tilde[x][y])
 
 
@@ -322,15 +319,12 @@ _UPSET_CODE = ("{} & {}", "{} | {}", "impl({}, {})", "neg({})", "tilde({})")
 
 def _compiled(fr: Frame, goals: tuple[Formula, ...], names: tuple[str, ...]):
     """The truth-set function of `goals` on `fr`.  Every clause is "no
-    successor in": `a -> b` holds where no successor lies in `a - b`, and on a
-    sub-normal frame `~s` where no successor lies in `s - Y0`; `bot` holds
-    nowhere."""
-    leq, tilde = fr.leq, fr.tilde
+    successor in": `a -> b` holds where no successor lies in `a - b`; `bot`
+    holds nowhere."""
+    leq = fr.leq
     return _program(goals, names, _UPSET_CODE)(
         None, None, lambda a, b: _no_successor_in(leq, a - b),
-        partial(_no_successor_in, fr.bang),
-        partial(_no_successor_in, tilde) if tilde is not None
-        else lambda s: _no_successor_in(leq, s - fr.y0),
+        partial(_no_successor_in, fr.bang), partial(_no_successor_in, fr.tilde),
         frozenset(range(fr.size)), frozenset())
 
 
@@ -384,14 +378,18 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
     return VALID
 
 
-def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = 10,
+# Default bound on the worlds a frame search scans; `max_worlds=None` lifts it.
+WORLD_GUARD = 10
+
+
+def frame_valid(fr: Frame, f: Formula, *, max_worlds: int | None = WORLD_GUARD,
                 max_atoms: int | None = ATOM_GUARD) -> Verdict:
     """Truth at every world under every upset valuation: the sequent `top |- f`."""
     return _first_falsifier(fr, (TOP, f), max_worlds, max_atoms)
 
 
 def frame_sequent_valid(fr: Frame, lhs: Formula, rhs: Formula, *,
-                        max_worlds: int | None = 10,
+                        max_worlds: int | None = WORLD_GUARD,
                         max_atoms: int | None = ATOM_GUARD) -> Verdict:
     """Pointwise truth implication under every upset valuation."""
     return _first_falsifier(fr, (lhs, rhs), max_worlds, max_atoms)

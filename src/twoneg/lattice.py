@@ -28,7 +28,7 @@ OpTable = tuple[tuple[int, ...], ...]
 
 @record
 class FiniteLattice:
-    """A finite bounded lattice; `distributive` records the constructor's check."""
+    """A finite bounded distributive lattice."""
 
     elements: tuple[str, ...]
     leq: Table
@@ -36,7 +36,6 @@ class FiniteLattice:
     join: OpTable
     bottom: int
     top: int
-    distributive: bool
 
     @property
     def size(self) -> int:
@@ -131,14 +130,13 @@ def _check_distributive(n: int, meet, join) -> tuple[int, int, int] | None:
 
 def build_lattice(elements: list[str] | tuple[str, ...],
                   order_pairs: list[tuple[str, str]] | tuple[tuple[str, str], ...],
-                  *, require_distributive: bool = True) -> FiniteLattice:
-    """Build a bounded lattice from element names and (covering or not) order pairs.
+                  ) -> FiniteLattice:
+    """Build a distributive lattice from element names and (covering or not) order pairs.
 
     The reflexive-transitive closure is computed here; errors carry witnesses:
-    no-bottom (no elements), not-a-poset (a cycle), missing-glb/missing-lub,
-    and not-distributive unless `require_distributive` is False (then the flag
-    on the result records the outcome). A non-empty poset with all binary
-    meets and joins has a bottom and a top, so none is checked for.
+    no-bottom (no elements), not-a-poset (a cycle), missing-glb/missing-lub
+    and not-distributive. A non-empty poset with all binary meets and joins
+    has a bottom and a top, so none is checked for.
     """
     names = tuple(elements)
     if len(set(names)) != len(names):
@@ -160,7 +158,7 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     join = _bound_table(up, names, "missing-lub")
     full = (1 << n) - 1
     witness = _check_distributive(n, meet, join)
-    if witness is not None and require_distributive:
+    if witness is not None:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
     return FiniteLattice(
         elements=names,
@@ -169,11 +167,11 @@ def build_lattice(elements: list[str] | tuple[str, ...],
         join=join,
         bottom=up.index(full),
         top=down.index(full),
-        distributive=witness is None,
     )
 
 
-def lattice_from_upsets(sets: list[frozenset[int]], names: list[str]) -> FiniteLattice:
+def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
+                        names: list[str]) -> FiniteLattice:
     """Lattice of a family of sets closed under union/intersection, ordered by inclusion.
 
     Meets/joins are set intersection/union, so distributivity holds by
@@ -190,7 +188,7 @@ def lattice_from_upsets(sets: list[frozenset[int]], names: list[str]) -> FiniteL
     top = pos[max(sets, key=len)]
     if sets[bottom] != frozenset.intersection(*sets) or sets[top] != frozenset.union(*sets):
         raise LatticeError("no-bottom", names, "family not bounded")
-    return FiniteLattice(tuple(names), leq, meet, join, bottom, top, True)
+    return FiniteLattice(tuple(names), leq, meet, join, bottom, top)
 
 
 def residuum(lat: FiniteLattice, a: int, b: int) -> int | None:

@@ -52,32 +52,24 @@ SCHEMES: dict[str, tuple[Formula, ...]] = {
 }
 
 
-def _lang_full(f: Formula) -> bool:
-    return True
-
-
-def _lang_no_bot_no_neg(f: Formula) -> bool:
-    return not contains(f, (Bot, Neg))
-
-
 @record
 class HilbertSystem:
     name: str
     axioms: tuple[str, ...]
     algebra_class: str
-    language_ok: object  # Formula -> bool
+    forbidden: tuple[type, ...] = ()  # connectives outside the language
     expand: bool = False  # rewrite !x to x -> bot before checking
 
 
 HILBERT_SYSTEMS: dict[str, HilbertSystem] = {
-    "ILM": HilbertSystem("ILM", tuple(f"A{i}" for i in range(1, 12)), "ccpba", _lang_full),
-    "ILM-v": HilbertSystem("ILM-v", tuple(f"A{i}" for i in range(1, 13)), "cvcpba", _lang_full),
+    "ILM": HilbertSystem("ILM", tuple(f"A{i}" for i in range(1, 12)), "ccpba"),
+    "ILM-v": HilbertSystem("ILM-v", tuple(f"A{i}" for i in range(1, 13)), "cvcpba"),
     "ILM1": HilbertSystem("ILM1", tuple(f"A{i}" for i in range(1, 11)) + ("TD", "DNE"),
-                          "ccpba", _lang_full),
+                          "ccpba"),
     "ILM2": HilbertSystem("ILM2", tuple(f"A{i}" for i in range(1, 9)) + ("A13", "Pprime"),
-                          "ccpba", _lang_full, expand=True),
+                          "ccpba", expand=True),
     "JP'": HilbertSystem("JP'", tuple(f"A{i}" for i in range(1, 8)) + ("A13", "Pprime"),
-                         "ccpba", _lang_no_bot_no_neg),
+                         "ccpba", (Bot, Neg)),
 }
 
 
@@ -132,13 +124,13 @@ def check_hilbert(system: str, proof: ProofScript) -> CheckResult:
     formulas: dict[int, Formula] = {}
     prev = 0
     goal = expand_neg(proof.goal) if sys.expand else proof.goal
-    if not sys.language_ok(proof.goal):
+    if sys.forbidden and contains(proof.goal, sys.forbidden):
         return CheckResult(False, "wrong-language", None, render(proof.goal))
     for line in proof.lines:
         if line.index <= prev:
             return CheckResult(False, "bad-line-order", line.index)
         prev = line.index
-        if not sys.language_ok(line.formula):
+        if sys.forbidden and contains(line.formula, sys.forbidden):
             return CheckResult(False, "wrong-language", line.index)
         f = expand_neg(line.formula) if sys.expand else line.formula
         match line.just:
@@ -304,7 +296,7 @@ def countermodel_search(system: str, goal, max_size: int, *,
         sys = HILBERT_SYSTEMS[system]
         if not isinstance(goal, Formula):
             raise AlgebraError("wrong-goal-kind", system, "expected a formula")
-        if not sys.language_ok(goal):
+        if sys.forbidden and contains(goal, sys.forbidden):
             raise AlgebraError("wrong-language", render(goal))
         f = expand_neg(goal) if sys.expand else goal
         cls, check = sys.algebra_class, lambda alg: algebra_valid(alg, f)

@@ -13,25 +13,26 @@ from __future__ import annotations
 from .errors import FrameError
 from .frames import (NhatFrame, SubNormalFrame, build_nhat, build_subnormal,
                      is_identity, tilde_top_worlds)
+from .lattice import Table
 
 __all__ = ["phi", "psi"]
 
 
+def _common_successor(names: tuple[str, ...], rel: Table) -> list[tuple[str, str]]:
+    """The pairs of worlds with a common `rel`-successor."""
+    n = len(names)
+    return [(names[x], names[y]) for x in range(n) for y in range(n)
+            if any(rel[x][z] and rel[y][z] for z in range(n))]
+
+
 def phi(fr: SubNormalFrame) -> NhatFrame:
-    """Sub-normal frame to modal frame; output is validated, and an identity
-    input yields a frame with R2 inside the converse order."""
-    n, leq, names = fr.size, fr.leq, fr.worlds
-    order, rn1, rn2 = [], [], []
-    for x in range(n):
-        for y in range(n):
-            pair = (names[x], names[y])
-            if leq[x][y] and x != y:
-                order.append(pair)
-            if any(leq[x][z] and leq[y][z] for z in range(n)):
-                rn1.append(pair)
-            if any(leq[x][z] and leq[y][z] and z not in fr.y0 for z in range(n)):
-                rn2.append(pair)
-    out = build_nhat(names, order, rn1, rn2)
+    """Sub-normal frame to modal frame, R1 over the order and R2 over `~`; output
+    is validated, and an identity input yields R2 inside the converse order."""
+    n, names = fr.size, fr.worlds
+    order = [(names[x], names[y]) for x in range(n) for y in range(n)
+             if fr.leq[x][y] and x != y]
+    out = build_nhat(names, order, _common_successor(names, fr.bang),
+                     _common_successor(names, fr.tilde))
     if is_identity(fr) and not is_identity(out):
         raise FrameError("translation-broke-identity", None)
     return out

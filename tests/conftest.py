@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from twoneg.algebra import attach_negations
-from twoneg.lattice import build_lattice
+from twoneg.algebra import Algebra, attach_negations
+from twoneg.lattice import build_lattice, derive_heyting
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -32,6 +32,18 @@ def regenerate(tmp_path):
                        capture_output=True, env=env, timeout=60)
         return tmp_path / "tests" / "fixtures"
     return run
+
+
+@pytest.fixture(scope="session")
+def candidate():
+    """Builds the `Algebra` record over `lat` with `t1` as ~1 whether or not
+    !!t1 = t1.  `attach_negations` rejects the latter, so the tests that
+    classify such candidates build the record themselves."""
+    def build(lat, t1):
+        impl = derive_heyting(lat)
+        neg = tuple(row[lat.bottom] for row in impl)
+        return Algebra("", lat, impl, neg, t1, tuple(row[t1] for row in impl))
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -93,7 +93,7 @@ def test_criterion_3_enumeration_counts(fixtures_dir):
                 assert len(got) == want, (size, cls, len(got), want)
 
 
-def test_criterion_4_law_suite():
+def test_criterion_4_law_suite(candidate):
     with criterion(4, "equational laws on the catalog up to size 6"):
         for alg in enumerate_algebras("ccpba", 6):
             lat, impl, neg, tilde, t1 = (alg.lattice, alg.impl, alg.neg,
@@ -116,7 +116,7 @@ def test_criterion_4_law_suite():
             if lat.size == 1:
                 continue
             for t1 in range(lat.size):
-                cand = attach_negations(lat, t1, require_dne=False)
+                cand = candidate(lat, t1)
                 report = classify_algebra(cand)
                 dne = cand.neg[cand.neg[t1]] == t1
                 assert report.is_ccpba.holds == dne

@@ -49,11 +49,11 @@ def test_h6_classifications(h6, t1, cvc):
     assert report.is_cvcpba.holds == cvc
 
 
-def test_h6_w_violates_dne(h6):
+def test_h6_w_violates_dne(h6, candidate):
     with pytest.raises(AlgebraError) as e:
         attach_negations(h6, h6.index("w"))
     assert e.value.kind == "dne-violation"
-    alg = attach_negations(h6, h6.index("w"), require_dne=False)
+    alg = candidate(h6, h6.index("w"))
     assert not classify_algebra(alg).is_ccpba.holds
 
 
@@ -66,8 +66,8 @@ def test_kite_constant_one_tilde(chain3):
     assert kite.intuitionistic.witness == ("a",)
 
 
-def test_kite_h6_w(h6):
-    alg = attach_negations(h6, h6.index("w"), require_dne=False)
+def test_kite_h6_w(h6, candidate):
+    alg = candidate(h6, h6.index("w"))
     kite = classify_negation_pair(h6, alg.neg, alg.tilde)
     assert kite.minimal.holds
     assert not kite.dne_tilde_one.holds

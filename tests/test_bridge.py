@@ -18,7 +18,7 @@ from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
                            complex_algebra_subnormal, frame_embedding,
                            kim_algebra_embedding, kim_frame_embedding,
                            prime_filters, sigma, stone_embedding)
-from twoneg.errors import AlgebraError, LatticeError
+from twoneg.errors import AlgebraError
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_valid, frame_sequent_valid, is_identity,
@@ -269,15 +269,6 @@ def test_prime_filters_match_join_loop():
                                         for a, b in transitive_reduction(lat.leq)])
         for lattice in (lat, flipped):
             assert prime_filters(lattice) == _join_loop_prime_filters(lattice)
-
-
-def test_prime_filters_reject_non_distributive():
-    m3 = build_lattice(list("0xyz1"), [("0", "x"), ("0", "y"), ("0", "z"),
-                                       ("x", "1"), ("y", "1"), ("z", "1")],
-                       require_distributive=False)
-    with pytest.raises(LatticeError) as e:
-        prime_filters(m3)
-    assert e.value.kind == "not-distributive"
 
 
 def test_canonical_frame_file_rejects_bad_input(a_prime):

@@ -20,8 +20,9 @@ from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
                             atoms, parse)
-from twoneg.frames import (CompatFrame, build_compat, frame_sequent_valid,
-                           frame_upsets, frame_valid, read_frame, truth_set)
+from twoneg.frames import (CompatFrame, SubNormalFrame, build_compat,
+                           frame_sequent_valid, frame_upsets, frame_valid,
+                           read_frame, truth_set)
 from twoneg.translate import phi
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,7 +70,9 @@ def walk(fr, valuation, f):
                 return no_successor_in(bang, rec(c))
             case Tilde(c):
                 body = rec(c)
-                if tilde is None:
+                # the sub-normal clause from the order and Y0, not from the
+                # frame's `~` relation
+                if isinstance(fr, SubNormalFrame):
                     return frozenset(
                         w for w in range(n)
                         if all(v in fr.y0 for v in range(n)

@@ -6,8 +6,8 @@ import pytest
 
 from twoneg.algebra import attach_negations, tilde_one_candidates
 from twoneg.errors import LatticeError
-from twoneg.lattice import (_signatures, all_lattices, all_posets, build_lattice,
-                            canonical_form, derive_heyting,
+from twoneg.lattice import (FiniteLattice, _signatures, all_lattices, all_posets,
+                            build_lattice, canonical_form, derive_heyting,
                             residuation_mismatch, residuum,
                             transitive_reduction, upsets_of)
 
@@ -42,7 +42,7 @@ def test_h6_meet_example(h6):
 
 
 def test_three_chain_is_valid(chain3):
-    assert chain3.bottom == 0 and chain3.top == 2 and chain3.distributive
+    assert chain3.bottom == 0 and chain3.top == 2
 
 
 def test_diamond_rejected_not_distributive():
@@ -54,10 +54,17 @@ def test_diamond_rejected_not_distributive():
 
 
 def test_diamond_residuum_missing():
-    m3 = build_lattice(["0", "x", "y", "z", "1"],
-                       [("0", "x"), ("0", "y"), ("0", "z"),
-                        ("x", "1"), ("y", "1"), ("z", "1")],
-                       require_distributive=False)
+    # M3 as a record: `build_lattice` rejects it as not distributive
+    t, f = True, False
+    m3 = FiniteLattice(
+        ("0", "x", "y", "z", "1"),
+        ((t, t, t, t, t), (f, t, f, f, t), (f, f, t, f, t), (f, f, f, t, t),
+         (f, f, f, f, t)),
+        ((0, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 2, 0, 2), (0, 0, 0, 3, 3),
+         (0, 1, 2, 3, 4)),
+        ((0, 1, 2, 3, 4), (1, 1, 4, 4, 4), (2, 4, 2, 4, 4), (3, 4, 4, 3, 4),
+         (4, 4, 4, 4, 4)),
+        0, 4)
     assert residuum(m3, m3.index("x"), m3.index("y")) is None
     with pytest.raises(LatticeError) as e:
         derive_heyting(m3)
@@ -118,7 +125,7 @@ def test_lattice_counts_match_a006982():
 
 def test_all_lattices_are_downset_lattices_bottom_up():
     for lat in all_lattices(8):
-        assert lat.distributive and lat.bottom == 0 and lat.top == lat.size - 1
+        assert lat.bottom == 0 and lat.top == lat.size - 1
         assert lat.elements == tuple(f"e{i}" for i in range(lat.size))
         # e0, e1, ... is a linear extension of the order
         assert all(i <= j for i in range(lat.size) for j in range(lat.size)

@@ -48,7 +48,7 @@ def test_equation_suite_size_5():
         _laws(alg)
 
 
-def test_membership_equivalence():
+def test_membership_equivalence(candidate):
     """For every candidate ~1 over every lattice up to size 4: membership in
     the two-negation class, dne of the distinguished element, and the Peirce
     closure condition coincide."""
@@ -56,7 +56,7 @@ def test_membership_equivalence():
         if lat.size == 1:
             continue
         for t1 in range(lat.size):
-            alg = attach_negations(lat, t1, require_dne=False)
+            alg = candidate(lat, t1)
             report = classify_algebra(alg)
             dne = alg.neg[alg.neg[t1]] == t1
             assert report.is_ccpba.holds == dne
@@ -171,7 +171,7 @@ def _kim_oracle(cls, max_size):
             tuple(tuple(lat.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n)),
             tuple(tuple(perm[lat.meet[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
             tuple(tuple(perm[lat.join[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
-            perm[lat.bottom], perm[lat.top], True)
+            perm[lat.bottom], perm[lat.top])
         i = counters.get(n, 0)
         counters[n] = i + 1
         out.append(KimAlgebra(f"{cls}_{n}_{i}", rl,

@@ -62,7 +62,7 @@ def glb_table(n, leq, names, want_meet):
     return table
 
 
-def scan_build_lattice(elements, order_pairs, *, require_distributive=True):
+def scan_build_lattice(elements, order_pairs):
     names = tuple(elements)
     if len(set(names)) != len(names):
         raise LatticeError("duplicate-element", names)
@@ -89,7 +89,7 @@ def scan_build_lattice(elements, order_pairs, *, require_distributive=True):
     if len(tops) != 1:
         raise LatticeError("no-top", names)
     witness = _check_distributive(n, meet, join)
-    if witness is not None and require_distributive:
+    if witness is not None:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
     return FiniteLattice(
         elements=names,
@@ -98,7 +98,6 @@ def scan_build_lattice(elements, order_pairs, *, require_distributive=True):
         join=tuple(tuple(row) for row in join),
         bottom=bottoms[0],
         top=tops[0],
-        distributive=witness is None,
     )
 
 
@@ -183,15 +182,10 @@ def random_relations(rng: random.Random, count: int):
 def test_build_lattice_matches_table_scan():
     seen = Counter()
     for names, pairs in random_relations(random.Random(8), 3000):
-        for strict in (True, False):
-            got = outcome(build_lattice, names, pairs, require_distributive=strict)
-            assert got == outcome(scan_build_lattice, names, pairs,
-                                  require_distributive=strict), (names, pairs)
-            if strict:
-                seen[got[1] if isinstance(got, tuple) else "lattice"] += 1
-            elif not isinstance(got, tuple):
-                seen["non-distributive" if not got.distributive else "distributive"] += 1
-    for kind in ("lattice", "not-distributive", "non-distributive", "not-a-poset",
+        got = outcome(build_lattice, names, pairs)
+        assert got == outcome(scan_build_lattice, names, pairs), (names, pairs)
+        seen[got[1] if isinstance(got, tuple) else "lattice"] += 1
+    for kind in ("lattice", "not-distributive", "not-a-poset",
                  "missing-glb", "missing-lub", "unknown-element", "duplicate-element",
                  "no-bottom"):
         assert seen[kind] > 0, (kind, seen)

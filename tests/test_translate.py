@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from twoneg.errors import FrameError, WorkbenchError
 from twoneg.formula import parse
-from twoneg.frames import (SubNormalFrame, build_subnormal, dne_tilde_top_witness,
-                           frame_valid, is_identity, truth_set,
-                           upsets_of)
+from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
+                           dne_tilde_top_witness, frame_valid, is_identity,
+                           tilde_top_worlds, truth_set, upsets_of)
 from twoneg.lattice import all_posets
 from twoneg.translate import phi, psi
 
@@ -30,6 +31,67 @@ def all_subnormal_frames(max_worlds: int):
                 if dne_tilde_top_witness(fr) is None:
                     out.append(fr)
     return out
+
+
+# The former sub-normal code, from when a sub-normal frame had no `~`
+# relation: `~top` held on Y0 itself, condition (E) read the order off the
+# non-queer worlds, and `phi` built R1 and R2 in one triple loop.
+def former_tilde_top_worlds(fr):
+    return fr.y0
+
+
+def former_is_identity(fr):
+    n = fr.size
+    return all(fr.leq[y][x]
+               for x in range(n) if x not in fr.y0
+               for y in range(n) if y not in fr.y0 and fr.leq[x][y])
+
+
+def former_phi(fr):
+    n, leq, names = fr.size, fr.leq, fr.worlds
+    order, rn1, rn2 = [], [], []
+    for x in range(n):
+        for y in range(n):
+            pair = (names[x], names[y])
+            if leq[x][y] and x != y:
+                order.append(pair)
+            if any(leq[x][z] and leq[y][z] for z in range(n)):
+                rn1.append(pair)
+            if any(leq[x][z] and leq[y][z] and z not in fr.y0 for z in range(n)):
+                rn2.append(pair)
+    out = build_nhat(names, order, rn1, rn2)
+    if former_is_identity(fr) and not is_identity(out):
+        raise FrameError("translation-broke-identity", None)
+    return out
+
+
+def outcome(fn, *args):
+    """The result, or the class, kind, witness and detail of the error raised."""
+    try:
+        return fn(*args)
+    except WorkbenchError as e:
+        return (type(e).__name__, e.kind, e.witness, e.detail)
+
+
+def test_subnormal_tilde_relation_matches_former_code():
+    """Every poset of at most 5 worlds with every upset as Y0, condition (D)
+    or not: the `~` relation is the order into the non-queer worlds, and
+    `tilde_top_worlds`, `is_identity` and `phi` agree with the former code."""
+    count = 0
+    posets = all_posets(5)
+    for size in range(1, 6):
+        for leq in posets[size]:
+            names = tuple(f"w{i}" for i in range(size))
+            for y0 in upsets_of(leq):
+                fr = SubNormalFrame(names, leq, y0)
+                assert fr.tilde == tuple(tuple(leq[x][y] and y not in y0
+                                               for y in range(size))
+                                         for x in range(size))
+                assert tilde_top_worlds(fr) == former_tilde_top_worlds(fr)
+                assert is_identity(fr) == former_is_identity(fr)
+                assert outcome(phi, fr) == outcome(former_phi, fr)
+                count += 1
+    assert count == 938
 
 
 def test_fork_translation_tables(chain3):
