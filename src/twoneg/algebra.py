@@ -20,12 +20,13 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      VerificationError, content_lines)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, all_lattices, build_lattice,
-                      canonical_form, derive_heyting, transitive_reduction)
+from .lattice import (FiniteLattice, OpTable, _lattice, _relabel, all_lattices,
+                      build_lattice, canonical_form, derive_heyting,
+                      transitive_reduction)
 
 __all__ = [
     "Algebra", "KimAlgebra", "AnyAlgebra", "Verdict", "Flag", "KiteReport",
-    "ClassReport", "attach_negations", "classify_algebra",
+    "ClassReport", "attach_negations", "ccpba_flags", "classify_algebra",
     "classify_negation_pair", "evaluate", "algebra_valid", "sequent_valid",
     "tilde_one_candidates", "build_au", "iso_check", "enumerate_algebras",
     "read_algebra", "write_algebra", "CATALOG_CLASSES", "SIZE_GUARD", "ATOM_GUARD",
@@ -108,14 +109,13 @@ def attach_negations(lat: FiniteLattice, tilde_one: int | None, *,
 
 def tilde_one_candidates(lat: FiniteLattice) -> list[int]:
     """Elements fixed under double intuitionistic negation."""
-    impl = derive_heyting(lat)
-    neg = tuple(impl[a][lat.bottom] for a in range(lat.size))
+    neg = attach_negations(lat, None).neg
     return [e for e in range(lat.size) if neg[neg[e]] == e]
 
 
 # ---------------------------------------------------------------------------
 # Negation-law checks.  Each returns a falsifying witness tuple or None; the
-# kite flags are cumulative down the preminimal..intuitionistic path.
+# kite flags are cumulative down the preminimal..intuitionistic path `_PATH`.
 
 def _antitone(lat, t):
     for a in range(lat.size):
@@ -160,6 +160,23 @@ def _intuit(lat, t):
     return None
 
 
+# The kite path in checking order: a negation is preminimal when it passes
+# the first three laws, quasi-minimal the first four, minimal the first five
+# and intuitionistic all six.
+_PATH = (("antitone", _antitone), ("or-linear", _or_linear), ("nor", _nor),
+         ("quasi", _quasi), ("absorption", _absorb), ("intuitionistic", _intuit))
+
+
+def _path_failure(lat, t, k: int = len(_PATH)):
+    """The first failed law among the first k of `_PATH`, as
+    (position, law, witness), or None."""
+    for pos, (law, check) in enumerate(_PATH[:k]):
+        w = check(lat, t)
+        if w is not None:
+            return pos, law, w
+    return None
+
+
 def _de_morgan(lat, t):
     for a in range(lat.size):
         if not lat.leq[t[t[a]]][a]:
@@ -186,6 +203,11 @@ def _flag(lat: FiniteLattice, witness) -> Flag:
     return Flag(False, tuple(lat.elements[i] for i in witness))
 
 
+def _all(*flags: Flag) -> Flag:
+    """Holds when every flag holds; else the first failing flag."""
+    return next((f for f in flags if not f.holds), Flag(True))
+
+
 @record
 class KiteReport:
     """Placement of a negation table on the kite of negation properties, with
@@ -201,52 +223,25 @@ class KiteReport:
     dne_tilde_one: Flag
 
 
-def minimal_negation_violation(lat: FiniteLattice, t: Unary):
-    """First failed law on the preminimal..minimal path, as (law, witness)."""
-    for law, check in (("antitone", _antitone), ("or-linear", _or_linear),
-                       ("nor", _nor), ("quasi", _quasi), ("absorption", _absorb)):
-        w = check(lat, t)
-        if w is not None:
-            return law, w
-    return None
-
-
-def intuitionistic_negation_violation(lat: FiniteLattice, t: Unary):
-    v = minimal_negation_violation(lat, t)
-    if v is not None:
-        return v
-    w = _intuit(lat, t)
-    if w is not None:
-        return ("intuitionistic", w)
-    return None
-
-
 def classify_negation_pair(lat: FiniteLattice, neg: Unary, tilde: Unary) -> KiteReport:
     """Kite verdicts for `tilde` against the intuitionistic companion `neg`.
 
     `neg` is re-verified to be intuitionistic; the dne flag compares !!~1
     with ~1 where ~1 := tilde(top).
     """
-    bad = intuitionistic_negation_violation(lat, neg)
+    bad = _path_failure(lat, neg)
     if bad is not None:
-        law, w = bad
         raise AlgebraError("neg-not-intuitionistic",
-                           tuple(lat.elements[i] for i in w), law)
-    pre_w = _antitone(lat, tilde) or _or_linear(lat, tilde) or _nor(lat, tilde)
-    pre = _flag(lat, pre_w)
-    quasi = Flag(False, pre.witness) if not pre.holds else _flag(lat, _quasi(lat, tilde))
-    minimal = Flag(False, quasi.witness) if not quasi.holds else _flag(lat, _absorb(lat, tilde))
-    intuit = Flag(False, minimal.witness) if not minimal.holds else _flag(lat, _intuit(lat, tilde))
+                           tuple(lat.elements[i] for i in bad[2]), bad[1])
+    bad = _path_failure(lat, tilde)
+    failed = len(_PATH) if bad is None else bad[0]
+    pre, quasi, minimal, intuit = (Flag(True) if failed >= k else _flag(lat, bad[2])
+                                   for k in (3, 4, 5, len(_PATH)))
     dem = _flag(lat, _de_morgan(lat, tilde))
-    if intuit.holds and dem.holds:
-        ortho = Flag(True)
-    else:
-        ortho = Flag(False, (intuit if not intuit.holds else dem).witness)
     em = _flag(lat, _em(lat, tilde))
     t1 = tilde[lat.top]
-    dd = neg[neg[t1]]
-    dne = Flag(True) if lat.leq[dd][t1] else Flag(False, (lat.elements[t1],))
-    return KiteReport(pre, quasi, minimal, intuit, dem, ortho, em, dne)
+    dne = Flag(True) if lat.leq[neg[neg[t1]]][t1] else Flag(False, (lat.elements[t1],))
+    return KiteReport(pre, quasi, minimal, intuit, dem, _all(intuit, dem), em, dne)
 
 
 @record
@@ -269,43 +264,43 @@ def _residuation_witness(lat: FiniteLattice, impl: OpTable):
     return None
 
 
-def classify_algebra(alg: Algebra) -> ClassReport:
-    """Decide every class membership exhaustively, witnesses attached."""
+def ccpba_flags(alg: Algebra) -> tuple[Flag, Flag]:
+    """`is_pba` (the implication re-checked by residuation) and `is_ccpba`
+    (also !!~1 = ~1); a plain pBa fails the latter with witness ()."""
     lat = alg.lattice
     pba = _flag(lat, _residuation_witness(lat, alg.impl))
     if alg.tilde is None:
-        missing = Flag(False, ())
-        return ClassReport(pba, missing, missing, missing, missing, missing, missing)
-    t = alg.tilde
+        return pba, Flag(False, ())
     t1 = alg.tilde_one
-    dne_ok = alg.neg[alg.neg[t1]] == t1
-    ccpba = Flag(pba.holds and dne_ok,
-                 None if pba.holds and dne_ok else (pba.witness or (lat.elements[t1],)))
+    dne = Flag(True) if alg.neg[alg.neg[t1]] == t1 else Flag(False, (lat.elements[t1],))
+    return pba, _all(pba, dne)
+
+
+def classify_algebra(alg: Algebra) -> ClassReport:
+    """Decide every class membership exhaustively, witnesses attached."""
+    lat = alg.lattice
+    pba, ccpba = ccpba_flags(alg)
+    if alg.tilde is None:  # every class below needs a ~1: all fail as ccpba does
+        return ClassReport(pba, *[ccpba] * 6)
+    t = alg.tilde
     em = _flag(lat, _em(lat, t))
-    cvc = Flag(ccpba.holds and em.holds,
-               None if ccpba.holds and em.holds else (ccpba.witness or em.witness))
     jp_w = next(((a,) for a in range(lat.size)
-                 if t[t[alg.impl[t1][a]]] != lat.top), None)
-    jp = Flag(pba.holds and jp_w is None,
-              None if pba.holds and jp_w is None else (pba.witness or _flag(lat, jp_w).witness))
+                 if t[t[alg.impl[alg.tilde_one][a]]] != lat.top), None)
     kim_v = kim_violations(lat, alg.neg, t)
-    kim = Flag(kim_v is None, None if kim_v is None
-               else tuple(lat.elements[i] for i in kim_v[1]))
-    kim_vee = Flag(kim.holds and em.holds,
-                   None if kim.holds and em.holds else (kim.witness or em.witness))
+    kim = Flag(True) if kim_v is None else _flag(lat, kim_v[1])
     inv_w = next(((a,) for a in range(lat.size) if t[t[a]] != a), None)
-    return ClassReport(pba, ccpba, cvc, jp, kim, kim_vee, _flag(lat, inv_w))
+    return ClassReport(pba, ccpba, _all(ccpba, em), _all(pba, _flag(lat, jp_w)), kim,
+                       _all(kim, em), _flag(lat, inv_w))
 
 
 def kim_violations(lat: FiniteLattice, neg: Unary, tilde: Unary):
     """None if (lat, neg, tilde) is a valid implication-free algebra of the
-    two-negation kind, else (law, witness)."""
-    bad = intuitionistic_negation_violation(lat, neg)
-    if bad is not None:
-        return ("neg-" + bad[0], bad[1])
-    bad = minimal_negation_violation(lat, tilde)
-    if bad is not None:
-        return ("tilde-" + bad[0], bad[1])
+    two-negation kind, else (law, witness): `neg` runs the whole of `_PATH`,
+    `tilde` all of it but the intuitionistic law."""
+    for prefix, t, k in (("neg-", neg, len(_PATH)), ("tilde-", tilde, len(_PATH) - 1)):
+        bad = _path_failure(lat, t, k)
+        if bad is not None:
+            return (prefix + bad[1], bad[2])
     t1 = tilde[lat.top]
     if neg[neg[t1]] != t1:
         return ("dne", (t1,))
@@ -495,9 +490,9 @@ def build_au(h: Algebra, u1: int, u2: int, *, name: str = "") -> Algebra:
         nf = f_impl(p, bottom_pair)
         if pos[nf] != alg.neg[i]:
             raise VerificationError("au-neg-mismatch", names[i])
-    report = classify_algebra(alg)
-    if not report.is_ccpba.holds:
-        raise VerificationError("au-not-ccpba", report.is_ccpba.witness)
+    ccpba = ccpba_flags(alg)[1]
+    if not ccpba.holds:
+        raise VerificationError("au-not-ccpba", ccpba.witness)
     return alg
 
 
@@ -540,18 +535,6 @@ def iso_check(a: AnyAlgebra, b: AnyAlgebra) -> dict[str, str] | None:
     return {a.element(i): b.element(f[i]) for i in range(a.size)}
 
 
-def _relabel_lattice(lat: FiniteLattice, perm: list[int]) -> FiniteLattice:
-    n = lat.size
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    names = tuple(f"e{i}" for i in range(n))
-    leq = tuple(tuple(lat.leq[inv[i]][inv[j]] for j in range(n)) for i in range(n))
-    meet = tuple(tuple(perm[lat.meet[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
-    join = tuple(tuple(perm[lat.join[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
-    return FiniteLattice(names, leq, meet, join, perm[lat.bottom], perm[lat.top])
-
-
 CATALOG_CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
 
 # Default bounds on the algebra size a search scans and on the atoms of a
@@ -575,8 +558,9 @@ def _canonical_pass(family: str, max_size: int,
         for t1 in ([None] if family == "pba" else tilde_one_candidates(lat)):
             key, perm = _canonical_data(attach_negations(lat, t1))
             if key not in found:
-                found[key] = attach_negations(_relabel_lattice(lat, perm),
-                                              None if t1 is None else perm[t1])
+                relabelled = _lattice([f"e{i}" for i in range(lat.size)],
+                                      _relabel(lat.leq, perm))
+                found[key] = attach_negations(relabelled, None if t1 is None else perm[t1])
     return tuple(found[k] for k in sorted(found, key=lambda k: (k[0], k)))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from ._record import record
-from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, attach_negations,
-                      build_kim, classify_algebra, kim_violations)
+from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negations,
+                      build_kim, ccpba_flags, kim_violations)
 from .errors import AlgebraError, VerificationError
 from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
                      build_subnormal, dne_tilde_top_witness, frame_upsets,
@@ -158,9 +158,9 @@ def _require_ccpba(alg: AnyAlgebra) -> Algebra:
         raise AlgebraError("not-a-ccpba", alg.name, "no implication")
     if alg.tilde is None:
         raise AlgebraError("not-a-ccpba", alg.name, "no tilde_one attached")
-    report = classify_algebra(alg)
-    if not report.is_ccpba.holds:
-        raise AlgebraError("not-a-ccpba", alg.name, str(report.is_ccpba.witness))
+    ccpba = ccpba_flags(alg)[1]
+    if not ccpba.holds:
+        raise AlgebraError("not-a-ccpba", alg.name, str(ccpba.witness))
     return alg
 
 
@@ -189,11 +189,13 @@ def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
     lat = lattice_from_upsets(ups, names)
     t1 = ups.index(fr.y0)
     alg = attach_negations(lat, t1, name=name or "complex")
-    report = classify_algebra(alg)
-    if not report.is_ccpba.holds:
-        raise VerificationError("complex-not-ccpba", report.is_ccpba.witness)
-    if is_identity(fr) and not report.is_cvcpba.holds:
-        raise VerificationError("complex-not-cvcpba", report.is_cvcpba.witness)
+    ccpba = ccpba_flags(alg)[1]
+    if not ccpba.holds:
+        raise VerificationError("complex-not-ccpba", ccpba.witness)
+    if is_identity(fr):
+        em = _flag(lat, _em(lat, alg.tilde))
+        if not em.holds:
+            raise VerificationError("complex-not-cvcpba", em.witness)
     return alg
 
 
@@ -214,18 +216,17 @@ def frame_embedding(fr: SubNormalFrame) -> Embedding:
 
 # -- implication-free side ----------------------------------------------------
 
-def _require_kim(alg: AnyAlgebra) -> KimAlgebra:
-    if isinstance(alg, Algebra):
-        if alg.tilde is None:
-            raise AlgebraError("not-a-kim-algebra", alg.name, "no ~ attached")
-        alg = KimAlgebra(alg.name, alg.lattice, alg.neg, alg.tilde)
+def _require_kim(alg: AnyAlgebra) -> AnyAlgebra:
+    """`alg` as it is, once its two negations pass the Kim laws."""
+    if alg.tilde is None:
+        raise AlgebraError("not-a-kim-algebra", alg.name, "no ~ attached")
     bad = kim_violations(alg.lattice, alg.neg, alg.tilde)
     if bad is not None:
         raise AlgebraError("not-a-kim-algebra", alg.name, bad[0])
     return alg
 
 
-def _compat_frame(kim: KimAlgebra) -> CompatFrame:
+def _compat_frame(kim: AnyAlgebra) -> CompatFrame:
     def compatible(filters, names):
         return [(names[i], names[j]) for i, p in enumerate(filters)
                 for j, q in enumerate(filters)

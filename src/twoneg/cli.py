@@ -109,8 +109,11 @@ def _parse_assignment(alg: Algebra | KimAlgebra, text: str) -> dict[str, int]:
 
 def _emit(rep: Report, text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise FileFormatError("unwritable", out_path, str(e)) from None
         rep.kv("written", out_path)
     else:
         rep.block(text)

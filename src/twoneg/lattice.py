@@ -106,6 +106,27 @@ def _bound_table(masks: list[int], names, kind: str) -> OpTable:
     return tuple(table)
 
 
+def _lattice(names, up: list[int]) -> FiniteLattice:
+    """The lattice of the partial order `up` over `names`: meets from the
+    down-set masks, joins from the up-set masks (missing-glb, then
+    missing-lub), bottom and top the elements below and above everything."""
+    n = len(up)
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    meet = _bound_table(down, names, "missing-glb")
+    join = _bound_table(up, names, "missing-lub")
+    full = (1 << n) - 1
+    return FiniteLattice(tuple(names), _table(up), meet, join,
+                         up.index(full), down.index(full))
+
+
+def _relabel(leq: Table, perm: list[int]) -> list[int]:
+    """The up-set masks of `leq` with each element i moved to perm[i]."""
+    up = [0] * len(leq)
+    for i, row in enumerate(leq):
+        up[perm[i]] = sum(1 << perm[j] for j, b in enumerate(row) if b)
+    return up
+
+
 def _upper_covers(leq: Table) -> list[int]:
     """Each element's upper covers as a mask: the elements strictly above it
     that lie strictly above no other element strictly above it."""
@@ -153,21 +174,11 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     up, cycle = _order(n, pairs)
     if cycle is not None:
         raise LatticeError("not-a-poset", (names[cycle[0]], names[cycle[1]]), "order cycle")
-    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
-    meet = _bound_table(down, names, "missing-glb")
-    join = _bound_table(up, names, "missing-lub")
-    full = (1 << n) - 1
-    witness = _check_distributive(n, meet, join)
+    lat = _lattice(names, up)
+    witness = _check_distributive(n, lat.meet, lat.join)
     if witness is not None:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
-    return FiniteLattice(
-        elements=names,
-        leq=_table(up),
-        meet=meet,
-        join=join,
-        bottom=up.index(full),
-        top=down.index(full),
-    )
+    return lat
 
 
 def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
@@ -179,16 +190,7 @@ def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
     `all_lattices`, where the generic O(n^3) distributivity scan would be
     wasteful.
     """
-    n = len(sets)
-    pos = {s: i for i, s in enumerate(sets)}
-    leq = tuple(tuple(sets[i] <= sets[j] for j in range(n)) for i in range(n))
-    meet = tuple(tuple(pos[sets[i] & sets[j]] for j in range(n)) for i in range(n))
-    join = tuple(tuple(pos[sets[i] | sets[j]] for j in range(n)) for i in range(n))
-    bottom = pos[min(sets, key=len)]
-    top = pos[max(sets, key=len)]
-    if sets[bottom] != frozenset.intersection(*sets) or sets[top] != frozenset.union(*sets):
-        raise LatticeError("no-bottom", names, "family not bounded")
-    return FiniteLattice(tuple(names), leq, meet, join, bottom, top)
+    return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 
 
 def residuum(lat: FiniteLattice, a: int, b: int) -> int | None:
@@ -360,12 +362,7 @@ def _grow_posets(max_size: int, max_downsets: int | None = None) -> dict[int, tu
                 cand = tuple(rows)
                 key, perm = canonical_form(cand)
                 if key not in seen:
-                    inv = [0] * k
-                    for old, new in enumerate(perm):
-                        inv[new] = old
-                    canon = tuple(tuple(cand[inv[i]][inv[j]] for j in range(k))
-                                  for i in range(k))
-                    seen[key] = canon
+                    seen[key] = _table(_relabel(cand, perm))
         by_size[k] = tuple(seen[key] for key in sorted(seen))
     return by_size
 

@@ -338,12 +338,16 @@ def parse_proof(text: str):
         if words[0] == "proof":
             if len(words) != 3 or words[1] not in ("hilbert", "sequent"):
                 raise FileFormatError("bad-header", line)
+            if mode:
+                raise FileFormatError("duplicate-directive", "proof")
             mode, system = words[1], words[2]
             continue
         if not mode:
             raise FileFormatError("missing-header", line)
         if mode == "hilbert":
             if words[0] == "qed":
+                if goal is not None:
+                    raise FileFormatError("duplicate-directive", "qed")
                 goal = parse(line[len("qed"):].strip())
                 continue
             if not words[0].isdigit():
@@ -366,6 +370,8 @@ def parse_proof(text: str):
             if not words[0].isdigit():
                 raise FileFormatError("bad-line", line)
             idx = int(words[0])
+            if idx in nodes:
+                raise FileFormatError("bad-line", line, f"line {idx} already given")
             body = line[len(words[0]):].strip()
             if " |- " not in body:
                 raise FileFormatError("bad-line", line, "missing ' |- '")

@@ -312,9 +312,11 @@ def _counting(monkeypatch, module, name):
 
 
 def test_frame_embeddings_validate_the_complex_algebra_once(monkeypatch, fork):
-    classified = _counting(monkeypatch, bridge, "classify_algebra")
+    checked = _counting(monkeypatch, bridge, "ccpba_flags")
+    classified = _counting(monkeypatch, algebra, "classify_algebra")
     assert frame_embedding(fork).onto
-    assert len(classified) == 1
+    assert len(checked) == 1
+    assert classified == []
     in_algebra = _counting(monkeypatch, algebra, "kim_violations")
     in_bridge = _counting(monkeypatch, bridge, "kim_violations")
     fr = build_compat(["a", "b"], [("a", "b")], [])

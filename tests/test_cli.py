@@ -436,6 +436,38 @@ def test_non_utf8_file_is_malformed(capsys, tmp_path):
     assert code == 2 and "error=unreadable" in out
 
 
+@pytest.mark.parametrize("text,error,where", [
+    ("proof hilbert ILM\nproof sequent Kim\n1 p |- p axiom A1\nend\n",
+     "duplicate-directive", "'proof'"),
+    ("proof hilbert ILM\n1 p -> p -> p axiom A1\nqed p -> p -> p\nqed p\nend\n",
+     "duplicate-directive", "'qed'"),
+    ("proof sequent Kim\n1 p |- p axiom A1\n1 q |- q axiom A1\n2 q |- q rule R from 1\nend\n",
+     "bad-line", "'1 q |- q axiom A1'"),
+])
+def test_repeated_proof_directive_rejected(capsys, tmp_path, text, error, where):
+    """A second header, a second qed or a repeated sequent line number is
+    rejected, never merged into the proof checked."""
+    dup = tmp_path / "dup.prf"
+    dup.write_text(text)
+    code, out = run(capsys, "--porcelain", "check-proof", str(dup))
+    assert code == 2
+    assert f"error={error}\n" in out and where in out
+
+
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+@pytest.mark.parametrize("argv", [
+    ("translate", "three_world.frm"), ("complex", "three_world.frm"),
+    ("canonical", "h6_x.alg"), ("build-au", "h6_x.alg", "--u", "0,1")])
+def test_unwritable_output_is_malformed_input(capsys, tmp_path, fixtures_dir, argv, target):
+    """An -o path in a missing directory, or naming a directory, exits 2."""
+    command, name, *rest = argv
+    path = str(tmp_path / target)
+    code, out = run(capsys, "--porcelain", command, str(fixtures_dir / name), *rest,
+                    "-o", path)
+    assert code == 2
+    assert f"error=unwritable\ndetail=unwritable at {path!r}: " in out
+
+
 def test_internal_error_exit_code(capsys, monkeypatch, fixtures_dir):
     def broken(args, rep):
         raise RuntimeError("table out of step")

@@ -9,12 +9,13 @@ import pytest
 from twoneg._record import replace
 from twoneg.algebra import (CATALOG_CLASSES, KimAlgebra, _absorb,
                             _canonical_data, _em, _or_linear, _quasi,
-                            _relabel_lattice, algebra_valid, attach_negations,
+                            algebra_valid, attach_negations,
                             classify_algebra, classify_negation_pair,
                             enumerate_algebras, kim_violations, sequent_valid,
                             tilde_one_candidates)
 from twoneg.formula import parse
-from twoneg.lattice import FiniteLattice, all_lattices, canonical_form, derive_heyting
+from twoneg.lattice import (FiniteLattice, _lattice, _relabel, all_lattices,
+                            canonical_form, derive_heyting)
 
 
 def _laws(alg):
@@ -205,8 +206,9 @@ def _per_class_catalog(cls, max_size, include_trivial):
                 alg = KimAlgebra("", lat, alg.neg, alg.tilde)
             key, perm = _canonical_data(alg)
             if key not in found:
-                new = attach_negations(_relabel_lattice(lat, perm),
-                                       None if t1 is None else perm[t1])
+                relabelled = _lattice([f"e{i}" for i in range(lat.size)],
+                                      _relabel(lat.leq, perm))
+                new = attach_negations(relabelled, None if t1 is None else perm[t1])
                 found[key] = KimAlgebra("", new.lattice, new.neg, new.tilde) if kim else new
     counters = {}
     out = []
