@@ -20,9 +20,9 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      VerificationError, content_lines)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _lattice, _relabel, all_lattices,
-                      build_lattice, canonical_form, derive_heyting,
-                      transitive_reduction)
+from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice,
+                      _relabel, _up_masks, all_lattices, build_lattice,
+                      canonical_form, derive_heyting, transitive_reduction)
 
 __all__ = [
     "Algebra", "KimAlgebra", "AnyAlgebra", "Verdict", "Flag", "KiteReport",
@@ -145,11 +145,15 @@ def _quasi(lat, t):
 
 
 def _absorb(lat, t):
-    for a in range(lat.size):
-        for b in range(lat.size):
-            for c in range(lat.size):
-                if lat.leq[lat.meet[a][b]][c] and not lat.leq[lat.meet[a][t[c]]][t[b]]:
-                    return (a, b, c)
+    """The first (a, b, c) with a /\\ b <= c but not a /\\ ~c <= ~b: the c
+    above a /\\ b outside {c : a /\\ ~c <= ~b}."""
+    up = _up_masks(lat.leq)
+    rows = [[row[x] for x in t] for row in lat.meet]
+    for a, below in enumerate(_below(lat.leq, rows)):
+        for b, ab in enumerate(lat.meet[a]):
+            bad = up[ab] & ~below[t[b]]
+            if bad:
+                return (a, b, next(_bits(bad)))
     return None
 
 
@@ -256,11 +260,13 @@ class ClassReport:
 
 
 def _residuation_witness(lat: FiniteLattice, impl: OpTable):
-    for a in range(lat.size):
-        for b in range(lat.size):
-            for c in range(lat.size):
-                if lat.leq[lat.meet[a][c]][b] != lat.leq[c][impl[a][b]]:
-                    return (a, b, c)
+    """The first (a, b, c) where a /\\ c <= b and c <= a -> b disagree."""
+    down = _down(_up_masks(lat.leq))
+    for a, below in enumerate(_below(lat.leq, lat.meet)):
+        for b, mask in enumerate(below):
+            bad = mask ^ down[impl[a][b]]
+            if bad:
+                return (a, b, next(_bits(bad)))
     return None
 
 
@@ -313,13 +319,6 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
         raise AlgebraError("not-a-kim-algebra",
                            tuple(lat.elements[i] for i in bad[1]), bad[0])
     return KimAlgebra(name, lat, neg, tilde)
-
-
-def kim_reduct(alg: Algebra, *, name: str = "") -> KimAlgebra:
-    """Drop the implication of a two-negation algebra."""
-    if alg.tilde is None:
-        raise AlgebraError("not-a-kim-algebra", alg.name, "no minimal negation attached")
-    return build_kim(alg.lattice, alg.neg, alg.tilde, name=name or alg.name)
 
 
 # ---------------------------------------------------------------------------

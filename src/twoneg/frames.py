@@ -28,10 +28,10 @@ from .formula import TOP, And, Atom, Formula, Impl, atoms, subformulas
 from .lattice import Table, _order, _table, transitive_reduction, upsets_of
 
 __all__ = [
-    "SubNormalFrame", "NhatFrame", "CompatFrame", "Frame", "FrameModel",
+    "SubNormalFrame", "NhatFrame", "CompatFrame", "Frame",
     "build_subnormal", "build_nhat", "build_compat",
     "dne_tilde_top_witness", "is_identity", "subcompat_violation",
-    "truth_set", "truth_at", "frame_valid", "frame_sequent_valid",
+    "truth_set", "frame_valid", "frame_sequent_valid",
     "tilde_top_worlds", "frame_upsets", "read_frame", "write_frame", "WORLD_GUARD",
 ]
 
@@ -297,22 +297,6 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 
 # -- truth and validity -------------------------------------------------------
 
-@record
-class FrameModel:
-    """A frame plus an upset-valued valuation (checked at construction)."""
-
-    frame: Frame
-    valuation: dict[str, frozenset[int]]
-
-    def __post_init__(self):
-        for name, s in self.valuation.items():
-            if not _is_upset(self.frame.leq, s):
-                raise FrameError("valuation-not-upset", name)
-
-    def truth(self, world: str, f: Formula) -> bool:
-        return truth_at(self.frame, self.valuation, world, f)
-
-
 # The code of And, Or, Impl, Neg and Tilde over upsets.
 _UPSET_CODE = ("{} & {}", "{} | {}", "impl({}, {})", "neg({})", "tilde({})")
 
@@ -339,10 +323,6 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
             raise FrameError("unbound-atom", g.name)
     names = tuple(atoms(f))
     return _compiled(fr, (f,), names)(*[valuation[n] for n in names])[0]
-
-
-def truth_at(fr: Frame, valuation: dict[str, frozenset[int]], world: str, f: Formula) -> bool:
-    return fr.index(world) in truth_set(fr, valuation, f)
 
 
 @lru_cache(maxsize=256)

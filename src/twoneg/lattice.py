@@ -3,8 +3,8 @@
 Everything is index-based: a lattice over n elements stores the full
 reflexive-transitive order as an n x n boolean table plus total meet/join
 tables.  The residuum (relative pseudo-complement) is always *derived* from
-the order, never taken as input; declared implication tables can only be
-cross-checked against it.
+the order, never taken as input; declared implication tables are
+cross-checked against it by `algebra.ccpba_flags`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import LatticeError, VerificationError
 
 __all__ = [
     "FiniteLattice", "build_lattice", "lattice_from_upsets",
-    "residuum", "derive_heyting", "residuation_mismatch",
+    "derive_heyting",
     "upsets_of", "downsets_of", "transitive_reduction",
     "canonical_form", "all_posets", "all_lattices",
 ]
@@ -61,8 +61,8 @@ def _bits(mask: int):
 
 # ---------------------------------------------------------------------------
 # The order kernel.  Every order fact (closure, cycles, meets and joins,
-# bounds, covers, upsets) is read off per-element int masks: bit j of up[i]
-# is set iff i <= j, and down is its transpose.
+# bounds, covers, upsets, residua) is read off per-element int masks: bit j
+# of up[i] is set iff i <= j, and down is its transpose.
 
 def _order(n: int, pairs) -> tuple[list[int], tuple[int, int] | None]:
     """The reflexive-transitive closure of `pairs` over range(n) as up-set
@@ -85,6 +85,12 @@ def _order(n: int, pairs) -> tuple[list[int], tuple[int, int] | None]:
 
 def _up_masks(leq: Table) -> list[int]:
     return [sum(1 << j for j, b in enumerate(row) if b) for row in leq]
+
+
+def _down(up: list[int]) -> list[int]:
+    """The down-set masks of the order whose up-set masks are `up`."""
+    n = len(up)
+    return [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
 
 
 def _table(up: list[int]) -> Table:
@@ -110,11 +116,10 @@ def _lattice(names, up: list[int]) -> FiniteLattice:
     """The lattice of the partial order `up` over `names`: meets from the
     down-set masks, joins from the up-set masks (missing-glb, then
     missing-lub), bottom and top the elements below and above everything."""
-    n = len(up)
-    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    down = _down(up)
     meet = _bound_table(down, names, "missing-glb")
     join = _bound_table(up, names, "missing-lub")
-    full = (1 << n) - 1
+    full = (1 << len(up)) - 1
     return FiniteLattice(tuple(names), _table(up), meet, join,
                          up.index(full), down.index(full))
 
@@ -138,6 +143,30 @@ def _upper_covers(leq: Table) -> list[int]:
             cov &= ~above[k]
         covers.append(cov)
     return covers
+
+
+def _cover_walk(leq: Table) -> list[tuple[int, int]]:
+    """Every covering pair (x, k), x below k, along a linear extension (more
+    elements above first): the pairs out of x come after every pair into x,
+    so a value pushed from x to k is final when it is pushed."""
+    covers = _upper_covers(leq)
+    order = sorted(range(len(leq)), key=lambda x: -sum(leq[x]))
+    return [(x, k) for x in order for k in _bits(covers[x])]
+
+
+def _below(leq: Table, rows) -> list[list[int]]:
+    """For each row v of element values, the masks {c : v[c] <= z} for every
+    z: bit c starts at v[c] and is pushed up the cover walk."""
+    walk = _cover_walk(leq)
+    out = []
+    for v in rows:
+        masks = [0] * len(leq)
+        for c, z in enumerate(v):
+            masks[z] |= 1 << c
+        for x, k in walk:
+            masks[k] |= masks[x]
+        out.append(masks)
+    return out
 
 
 def _check_distributive(n: int, meet, join) -> tuple[int, int, int] | None:
@@ -193,45 +222,20 @@ def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
     return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 
 
-def residuum(lat: FiniteLattice, a: int, b: int) -> int | None:
-    """max{c : a /\\ c <= b} if the set has a maximum, else None."""
-    leq, meet = lat.leq, lat.meet
-    candidates = [c for c in range(lat.size) if leq[meet[a][c]][b]]
-    m = candidates[0]  # bottom always qualifies, so nonempty
-    for c in candidates[1:]:
-        if leq[m][c]:
-            m = c
-    for c in candidates:
-        if not leq[c][m]:
-            return None
-    return m
-
-
 @lru_cache(maxsize=4096)
 def derive_heyting(lat: FiniteLattice) -> OpTable:
-    """Full residuum table; raises residuum-missing with the witness pair."""
-    n = lat.size
+    """Full residuum table: a -> b is the element whose down-set is
+    {c : a /\\ c <= b}.  Raises residuum-missing at the first pair
+    (row-major) whose set is no down-set of an element."""
+    at = {mask: k for k, mask in enumerate(_down(_up_masks(lat.leq)))}
     table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            r = residuum(lat, a, b)
-            if r is None:
-                raise LatticeError("residuum-missing",
-                                   (lat.elements[a], lat.elements[b]))
-            row.append(r)
-        table.append(tuple(row))
+    for a, below in enumerate(_below(lat.leq, lat.meet)):
+        row = tuple(at.get(mask) for mask in below)
+        if None in row:
+            raise LatticeError("residuum-missing",
+                               (lat.elements[a], lat.elements[row.index(None)]))
+        table.append(row)
     return tuple(table)
-
-
-def residuation_mismatch(lat: FiniteLattice, impl: OpTable) -> tuple[str, str] | None:
-    """First cell (row-major) where a declared implication table disagrees with
-    the derived residuum, or None if the table is the genuine residuation."""
-    for a in range(lat.size):
-        for b in range(lat.size):
-            if residuum(lat, a, b) != impl[a][b]:
-                return (lat.elements[a], lat.elements[b])
-    return None
 
 
 def upsets_of(leq: Table) -> list[frozenset[int]]:
@@ -270,20 +274,16 @@ def _signatures(leq: Table, unaries: tuple[OpTableRow, ...], marks: tuple[int, .
     included) and of its lower and upper covers, then one flag per mark and,
     per unary map t, whether t fixes it and the below/above counts of t(x)."""
     n = len(leq)
-    covers = _upper_covers(leq)
     up = [sum(row) for row in leq]
     down = [sum(row[x] for row in leq) for x in range(n)]
-    lower = [0] * n
-    heights = [0] * n
-    # fewer elements below first is a linear extension, so each height is
-    # final before it is pushed to the upper covers
-    for x in sorted(range(n), key=down.__getitem__):
-        for k in _bits(covers[x]):
-            lower[k] += 1
-            heights[k] = max(heights[k], heights[x] + 1)
+    lower, upper, heights = [0] * n, [0] * n, [0] * n
+    for x, k in _cover_walk(leq):
+        lower[k] += 1
+        upper[x] += 1
+        heights[k] = max(heights[k], heights[x] + 1)
     sigs = []
     for x in range(n):
-        sig = [heights[x], down[x], up[x], lower[x], covers[x].bit_count()]
+        sig = [heights[x], down[x], up[x], lower[x], upper[x]]
         for m in marks:
             sig.append(1 if x == m else 0)
         for t in unaries:

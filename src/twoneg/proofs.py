@@ -333,6 +333,7 @@ def parse_proof(text: str):
     goal: Formula | None = None
     nodes: dict[int, DerivationNode] = {}
     last: DerivationNode | None = None
+    seen: set[int] = set()  # line numbers, in either mode
     for line in content_lines(text):
         words = line.split()
         if words[0] == "proof":
@@ -344,16 +345,19 @@ def parse_proof(text: str):
             continue
         if not mode:
             raise FileFormatError("missing-header", line)
+        if mode == "hilbert" and words[0] == "qed":
+            if goal is not None:
+                raise FileFormatError("duplicate-directive", "qed")
+            goal = parse(line[len("qed"):].strip())
+            continue
+        if not words[0].isdigit():
+            raise FileFormatError("bad-line", line)
+        idx = int(words[0])
+        if idx in seen:
+            raise FileFormatError("bad-line", line, f"line {idx} already given")
+        seen.add(idx)
+        body = line[len(words[0]):].strip()
         if mode == "hilbert":
-            if words[0] == "qed":
-                if goal is not None:
-                    raise FileFormatError("duplicate-directive", "qed")
-                goal = parse(line[len("qed"):].strip())
-                continue
-            if not words[0].isdigit():
-                raise FileFormatError("bad-line", line)
-            idx = int(words[0])
-            body = line[len(words[0]):].strip()
             if " axiom " in body:
                 ftext, aid = body.rsplit(" axiom ", 1)
                 hlines.append(ProofLine(idx, parse(ftext), ("axiom", aid.strip())))
@@ -367,12 +371,6 @@ def parse_proof(text: str):
             else:
                 raise FileFormatError("bad-line", line)
         else:
-            if not words[0].isdigit():
-                raise FileFormatError("bad-line", line)
-            idx = int(words[0])
-            if idx in nodes:
-                raise FileFormatError("bad-line", line, f"line {idx} already given")
-            body = line[len(words[0]):].strip()
             if " |- " not in body:
                 raise FileFormatError("bad-line", line, "missing ' |- '")
             if " axiom " in body:

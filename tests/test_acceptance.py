@@ -12,9 +12,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
-                            enumerate_algebras, iso_check, kim_reduct,
-                            sequent_valid)
+from twoneg.algebra import (Algebra, algebra_valid, attach_negations,
+                            ccpba_flags, classify_algebra, enumerate_algebras,
+                            iso_check, sequent_valid)
 from twoneg.bridge import (frame_embedding, kim_algebra_embedding,
                            kim_frame_embedding, stone_embedding)
 from twoneg.errors import LatticeError
@@ -24,10 +24,13 @@ from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            frame_sequent_valid, frame_valid, is_identity,
                            nhat_violations, truth_set)
 from twoneg.lattice import (all_lattices, all_posets, build_lattice,
-                            derive_heyting, residuation_mismatch, upsets_of)
+                            derive_heyting, upsets_of)
 from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
                            check_hilbert, countermodel_search, parse_proof)
 from twoneg.translate import phi, psi
+
+from oracles import residuation_mismatch
+from support import kim_reduct
 
 
 @contextmanager
@@ -58,6 +61,10 @@ def test_criterion_1_reference_tables(h5, h6, chain3):
                 assert got == row
         nelson_impl = ((2, 2, 2), (2, 2, 2), (0, 1, 2))
         assert residuation_mismatch(chain3, nelson_impl) == ("a", "0")
+        neg = tuple(row[chain3.bottom] for row in nelson_impl)
+        nelson = Algebra("", chain3, nelson_impl, neg, None, None)
+        pba, _ = ccpba_flags(nelson)
+        assert not pba.holds and pba.witness == ("a", "0", "a")
 
 
 def test_criterion_2_tilde_one_candidates(chain3, h5, h6):

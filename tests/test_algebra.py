@@ -5,12 +5,14 @@ import pytest
 from twoneg.algebra import (Algebra, algebra_valid, attach_negations, build_au,
                             classify_algebra, classify_negation_pair,
                             enumerate_algebras, evaluate, iso_check,
-                            kim_reduct, read_algebra, sequent_valid,
+                            read_algebra, sequent_valid,
                             tilde_one_candidates, write_algebra)
 from twoneg import algebra
 from twoneg.errors import AlgebraError, BoundGuardError, VerificationError
 from twoneg.formula import parse
 from twoneg.lattice import build_lattice
+
+from support import kim_reduct
 
 
 def test_tilde_one_candidate_sets(chain3, h5, h6):

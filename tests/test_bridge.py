@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, bridge
 from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
-                            enumerate_algebras, iso_check, kim_reduct,
-                            sequent_valid)
+                            enumerate_algebras, iso_check, sequent_valid)
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
                            canonical_frame_kim, complex_algebra_compat,
                            complex_algebra_subnormal, frame_embedding,
@@ -24,6 +23,8 @@ from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_valid, frame_sequent_valid, is_identity,
                            read_frame)
 from twoneg.lattice import all_lattices, build_lattice, transitive_reduction, upsets_of
+
+from support import kim_reduct
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -443,15 +443,25 @@ def test_non_utf8_file_is_malformed(capsys, tmp_path):
      "duplicate-directive", "'qed'"),
     ("proof sequent Kim\n1 p |- p axiom A1\n1 q |- q axiom A1\n2 q |- q rule R from 1\nend\n",
      "bad-line", "'1 q |- q axiom A1'"),
+    ("proof hilbert ILM\n1 p -> p -> p axiom A1\n1 q -> q -> q axiom A1\nqed q -> q -> q\nend\n",
+     "bad-line", "'1 q -> q -> q axiom A1'"),
 ])
 def test_repeated_proof_directive_rejected(capsys, tmp_path, text, error, where):
-    """A second header, a second qed or a repeated sequent line number is
-    rejected, never merged into the proof checked."""
+    """A second header, a second qed or a repeated line number, in either
+    proof mode, is rejected, never merged into the proof checked."""
     dup = tmp_path / "dup.prf"
     dup.write_text(text)
     code, out = run(capsys, "--porcelain", "check-proof", str(dup))
     assert code == 2
     assert f"error={error}\n" in out and where in out
+
+
+def test_decreasing_hilbert_line_number_fails_the_proof(capsys, tmp_path):
+    proof = tmp_path / "order.prf"
+    proof.write_text("proof hilbert ILM\n1 p -> p -> p axiom A1\n"
+                     "0 q -> q -> q axiom A1\nqed q -> q -> q\nend\n")
+    code, out = run(capsys, "--porcelain", "check-proof", str(proof))
+    assert code == 1 and "error=bad-line-order\n" in out
 
 
 @pytest.mark.parametrize("target", ["missing/x.out", "."])

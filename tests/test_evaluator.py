@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra
 from twoneg.algebra import (Algebra, KimAlgebra, VALID, Verdict, algebra_valid,
-                            enumerate_algebras, evaluate, kim_reduct, sequent_valid)
+                            enumerate_algebras, evaluate, sequent_valid)
 from twoneg.errors import AlgebraError
 from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
                             atoms, parse)
+
+from support import kim_reduct
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
 

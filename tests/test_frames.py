@@ -8,7 +8,9 @@ from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            build_compat, build_nhat, build_subnormal,
                            dne_tilde_top_witness, frame_valid,
                            frame_sequent_valid, is_identity, subcompat_violation,
-                           read_frame, truth_at, truth_set, write_frame)
+                           read_frame, truth_set, write_frame)
+
+from support import FrameModel, truth_at
 
 
 @pytest.fixture
@@ -193,7 +195,6 @@ def test_frame_io_round_trip(fork, fixtures_dir):
 
 
 def test_frame_model_validates_valuation(fork):
-    from twoneg.frames import FrameModel
     model = FrameModel(fork, {"p": frozenset({1})})
     assert model.truth("w1", parse("p"))
     assert not model.truth("w0", parse("~p"))

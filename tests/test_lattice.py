@@ -8,8 +8,9 @@ from twoneg.algebra import attach_negations, tilde_one_candidates
 from twoneg.errors import LatticeError
 from twoneg.lattice import (FiniteLattice, _signatures, all_lattices, all_posets,
                             build_lattice, canonical_form, derive_heyting,
-                            residuation_mismatch, residuum,
                             transitive_reduction, upsets_of)
+
+from oracles import residuation_mismatch, residuum
 
 # Implication tables as printed, rows = antecedent in element order.
 H5_TABLE = {

@@ -140,7 +140,7 @@ def test_countermodel_absent_for_em_extension():
 
 
 def test_countermodel_sequent(b_prime):
-    from twoneg.algebra import kim_reduct
+    from support import kim_reduct
     goal = (parse("~~p"), parse("p"))
     found = countermodel_search("Kim", goal, 3)
     assert found is not None

@@ -22,9 +22,10 @@ from twoneg.errors import FormulaSyntaxError, FrameError, VerificationError
 from twoneg.formula import (And, Atom, Bot, Impl, Neg, Or, Tilde, Top, fold,
                             parse, render)
 
+import support
 from test_formula import formulas
 
-RECORDS = [obj for mod in (algebra, bridge, frames, lattice, proofs)
+RECORDS = [obj for mod in (algebra, bridge, frames, lattice, proofs, support)
            for obj in vars(mod).values()
            if isinstance(obj, type) and obj.__module__ == mod.__name__
            and obj.__setattr__ is _record._frozen_setattr]
@@ -126,9 +127,9 @@ def test_record_defaults_match_dataclass(cls):
 
 def test_post_init_rejections():
     with pytest.raises(FrameError) as e:
-        frames.FrameModel(FORK, {"p": frozenset({0})})
+        support.FrameModel(FORK, {"p": frozenset({0})})
     assert e.value.kind == "valuation-not-upset"
-    model = frames.FrameModel(FORK, {"p": frozenset({1})})
+    model = support.FrameModel(FORK, {"p": frozenset({1})})
     with pytest.raises(FrameError):
         replace(model, valuation={"q": frozenset({0, 1})})
     good = bridge.Embedding("a", "b", (0, 1), {"hom": True}, True, True)
