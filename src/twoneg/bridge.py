@@ -19,7 +19,8 @@ from .errors import AlgebraError, VerificationError
 from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
                      build_subnormal, dne_tilde_top_witness, frame_upsets,
                      is_identity, subcompat_violation, write_frame)
-from .lattice import FiniteLattice, _upper_covers, lattice_from_upsets
+from .lattice import (FiniteLattice, _down, _join_irreducibles, _up_masks,
+                      lattice_from_upsets)
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -39,9 +40,8 @@ def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     of the join-irreducible elements (Davey & Priestley, ch. 5), the elements
     with exactly one lower cover, so no upset is scanned.
     """
-    covers = _upper_covers(lat.leq)
-    out = [lat.upset(j) for j in range(lat.size)
-           if sum(cov >> j & 1 for cov in covers) == 1]
+    jmask = _join_irreducibles(_down(_up_masks(lat.leq)))
+    out = [lat.upset(j) for j in range(lat.size) if jmask >> j & 1]
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 

@@ -112,11 +112,13 @@ def _bound_table(masks: list[int], names, kind: str) -> OpTable:
     return tuple(table)
 
 
-def _lattice(names, up: list[int]) -> FiniteLattice:
+def _lattice(names, up: list[int], down: list[int] | None = None) -> FiniteLattice:
     """The lattice of the partial order `up` over `names`: meets from the
-    down-set masks, joins from the up-set masks (missing-glb, then
-    missing-lub), bottom and top the elements below and above everything."""
-    down = _down(up)
+    down-set masks (`_down(up)` unless given), joins from the up-set masks
+    (missing-glb, then missing-lub), bottom and top the elements below and
+    above everything."""
+    if down is None:
+        down = _down(up)
     meet = _bound_table(down, names, "missing-glb")
     join = _bound_table(up, names, "missing-lub")
     full = (1 << len(up)) - 1
@@ -132,15 +134,16 @@ def _relabel(leq: Table, perm: list[int]) -> list[int]:
     return up
 
 
-def _upper_covers(leq: Table) -> list[int]:
-    """Each element's upper covers as a mask: the elements strictly above it
-    that lie strictly above no other element strictly above it."""
-    above = [mask & ~(1 << x) for x, mask in enumerate(_up_masks(leq))]
+def _covers(masks: list[int]) -> list[int]:
+    """Each element's covers as a mask: upper covers from up-set masks, lower
+    covers from down-set masks.  A cover of x lies strictly beyond x and
+    strictly beyond no other element strictly beyond x."""
+    beyond = [mask & ~(1 << x) for x, mask in enumerate(masks)]
     covers = []
-    for mask in above:
+    for mask in beyond:
         cov = mask
         for k in _bits(mask):
-            cov &= ~above[k]
+            cov &= ~beyond[k]
         covers.append(cov)
     return covers
 
@@ -149,7 +152,7 @@ def _cover_walk(leq: Table) -> list[tuple[int, int]]:
     """Every covering pair (x, k), x below k, along a linear extension (more
     elements above first): the pairs out of x come after every pair into x,
     so a value pushed from x to k is final when it is pushed."""
-    covers = _upper_covers(leq)
+    covers = _covers(_up_masks(leq))
     order = sorted(range(len(leq)), key=lambda x: -sum(leq[x]))
     return [(x, k) for x in order for k in _bits(covers[x])]
 
@@ -169,7 +172,23 @@ def _below(leq: Table, rows) -> list[list[int]]:
     return out
 
 
-def _check_distributive(n: int, meet, join) -> tuple[int, int, int] | None:
+def _join_irreducibles(down: list[int]) -> int:
+    """The join-irreducible elements as a mask, given the down-set masks:
+    those with exactly one lower cover."""
+    return sum(1 << x for x, cov in enumerate(_covers(down)) if cov.bit_count() == 1)
+
+
+def _join_prime(down: list[int], join: OpTable) -> bool:
+    """Whether every join-irreducible is join-prime: J(x \\/ y) = J(x) | J(y)
+    for every pair, with J(x) the join-irreducibles below x.  A finite
+    lattice is distributive iff this holds (Davey & Priestley, ch. 5)."""
+    jmask = _join_irreducibles(down)
+    J = [mask & jmask for mask in down]
+    return all(J[z] == Jx | Jy for Jx, row in zip(J, join) for z, Jy in zip(row, J))
+
+
+def _distributivity_witness(n: int, meet, join) -> tuple[int, int, int] | None:
+    """The first triple (row-major) with a /\\ (b \\/ c) != (a /\\ b) \\/ (a /\\ c)."""
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -186,7 +205,9 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     The reflexive-transitive closure is computed here; errors carry witnesses:
     no-bottom (no elements), not-a-poset (a cycle), missing-glb/missing-lub
     and not-distributive. A non-empty poset with all binary meets and joins
-    has a bottom and a top, so none is checked for.
+    has a bottom and a top, so none is checked for.  Distributivity is
+    decided in O(n^2) by join-primeness (`_join_prime`); the O(n^3) triple
+    scan runs only on a lattice that fails it, to name the witness.
     """
     names = tuple(elements)
     if len(set(names)) != len(names):
@@ -203,9 +224,10 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     up, cycle = _order(n, pairs)
     if cycle is not None:
         raise LatticeError("not-a-poset", (names[cycle[0]], names[cycle[1]]), "order cycle")
-    lat = _lattice(names, up)
-    witness = _check_distributive(n, lat.meet, lat.join)
-    if witness is not None:
+    down = _down(up)
+    lat = _lattice(names, up, down)
+    if not _join_prime(down, lat.join):
+        witness = _distributivity_witness(n, lat.meet, lat.join)
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
     return lat
 
@@ -215,9 +237,8 @@ def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
     """Lattice of a family of sets closed under union/intersection, ordered by inclusion.
 
     Meets/joins are set intersection/union, so distributivity holds by
-    construction; used for upset algebras and for the downset lattices of
-    `all_lattices`, where the generic O(n^3) distributivity scan would be
-    wasteful.
+    construction and is not checked; used for upset algebras and for the
+    downset lattices of `all_lattices`.
     """
     return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 
@@ -260,7 +281,7 @@ def downsets_of(leq: Table) -> list[frozenset[int]]:
 
 def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
     """Covering pairs (a, b): a < b with nothing strictly between."""
-    return [(a, b) for a, cov in enumerate(_upper_covers(leq)) for b in _bits(cov)]
+    return [(a, b) for a, cov in enumerate(_covers(_up_masks(leq))) for b in _bits(cov)]
 
 
 # ---------------------------------------------------------------------------

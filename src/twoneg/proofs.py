@@ -14,6 +14,8 @@ just that, never as theoremhood.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._record import record
 from .algebra import SIZE_GUARD, algebra_valid, enumerate_algebras, sequent_valid
 from .errors import AlgebraError, BoundGuardError, FileFormatError, content_lines
@@ -28,28 +30,33 @@ __all__ = [
 ]
 
 
-_s = parse
-
-# Axiom schemes; metavariables are the atoms a, b, c.
-SCHEMES: dict[str, tuple[Formula, ...]] = {
-    "A1": (_s("a -> (b -> a)"),),
-    "A2": (_s("(a -> (b -> c)) -> ((a -> b) -> (a -> c))"),),
-    "A3": (_s("a -> (a | b)"), _s("b -> (a | b)")),
-    "A4": (_s("(a -> c) -> ((b -> c) -> ((a | b) -> c))"),),
-    "A5": (_s("(a & b) -> a"), _s("(a & b) -> b")),
-    "A6": (_s("(a -> b) -> ((a -> c) -> (a -> (b & c)))"),),
-    "A7": (_s("a -> top"),),
-    "A8": (_s("bot -> a"),),
-    "A9": (_s("(a -> b) -> ((a -> !b) -> !a)"),),
-    "A10": (_s("!a -> (a -> b)"),),
-    "A11": (_s("~a <-> (a -> !!~top)"),),
-    "A12": (_s("a | ~a"),),
-    "A13": (_s("(a -> b) -> ((a -> ~b) -> ~a)"),),
-    "Pprime": (_s("~~(~top -> b)"),),
+# Axiom schemes; metavariables are the atoms a, b, c.  The texts are parsed
+# on first use (`_schemes`, or the module attribute SCHEMES), so a command
+# that checks no proof never parses them.
+_SCHEME_TEXTS: dict[str, tuple[str, ...]] = {
+    "A1": ("a -> (b -> a)",),
+    "A2": ("(a -> (b -> c)) -> ((a -> b) -> (a -> c))",),
+    "A3": ("a -> (a | b)", "b -> (a | b)"),
+    "A4": ("(a -> c) -> ((b -> c) -> ((a | b) -> c))",),
+    "A5": ("(a & b) -> a", "(a & b) -> b"),
+    "A6": ("(a -> b) -> ((a -> c) -> (a -> (b & c)))",),
+    "A7": ("a -> top",),
+    "A8": ("bot -> a",),
+    "A9": ("(a -> b) -> ((a -> !b) -> !a)",),
+    "A10": ("!a -> (a -> b)",),
+    "A11": ("~a <-> (a -> !!~top)",),
+    "A12": ("a | ~a",),
+    "A13": ("(a -> b) -> ((a -> ~b) -> ~a)",),
+    "Pprime": ("~~(~top -> b)",),
     # The replacement pair for A11 in the reaxiomatisation ILM1:
-    "TD": (_s("~a <-> (a -> ~top)"),),
-    "DNE": (_s("!!~top <-> ~top"),),
+    "TD": ("~a <-> (a -> ~top)",),
+    "DNE": ("!!~top <-> ~top",),
 }
+
+
+@lru_cache(maxsize=None)
+def _schemes() -> dict[str, tuple[Formula, ...]]:
+    return {sid: tuple(map(parse, texts)) for sid, texts in _SCHEME_TEXTS.items()}
 
 
 @record
@@ -107,7 +114,7 @@ ACCEPT = CheckResult(True)
 
 
 def _is_instance(f: Formula, scheme_id: str) -> bool:
-    for scheme in SCHEMES[scheme_id]:
+    for scheme in _schemes()[scheme_id]:
         if match_into(scheme, f, {}):
             return True
     return False
@@ -163,41 +170,53 @@ Sequent = tuple[Formula, Formula]
 RuleVariant = tuple[tuple[Sequent, ...], Sequent]
 
 
-def _seq(lhs: str, rhs: str) -> Sequent:
-    return (_s(lhs), _s(rhs))
-
-
-def _rule(*premises_and_conclusion: Sequent) -> RuleVariant:
-    *premises, conclusion = premises_and_conclusion
-    return (tuple(premises), conclusion)
-
-
-SEQUENT_RULES: dict[str, tuple[RuleVariant, ...]] = {
-    "A1": (_rule(_seq("a", "a")),),
-    "A2": (_rule(_seq("a", "b"), _seq("b", "c"), _seq("a", "c")),),
-    "A3": (_rule(_seq("a & b", "a")), _rule(_seq("a & b", "b"))),
-    "A4": (_rule(_seq("a", "b"), _seq("a", "c"), _seq("a", "b & c")),),
-    "A5": (_rule(_seq("a", "c"), _seq("b", "c"), _seq("a | b", "c")),),
-    "A6": (_rule(_seq("a", "a | b")), _rule(_seq("b", "a | b"))),
-    "A7": (_rule(_seq("a & (b | c)", "(a & b) | (a & c)")),),
-    "A8": (_rule(_seq("a", "top")),),
-    "A9": (_rule(_seq("bot", "a")),),
-    "A10": (_rule(_seq("a", "b"), _seq("!b", "!a")),),
-    "A11": (_rule(_seq("!a & !b", "!(a | b)")),),
-    "A12": (_rule(_seq("top", "!bot")),),
-    "A13": (_rule(_seq("a", "!!a")),),
-    "A14": (_rule(_seq("a & b", "c"), _seq("a & !c", "!b")),),
-    "A15": (_rule(_seq("a & !a", "b")),),
-    "A16": (_rule(_seq("~a", "!(a & !~top)")),),
-    "A17": (_rule(_seq("!(a & !~top)", "~a")),),
-    "A18": (_rule(_seq("top", "a | ~a")),),
-    "P2": (_rule(_seq("a", "b"), _seq("~b", "~a")),),
-    "P3": (_rule(_seq("~a & ~b", "~(a | b)")),),
-    "P4": (_rule(_seq("top", "~bot")),),
-    "P5": (_rule(_seq("a", "~~a")),),
-    "P6": (_rule(_seq("a & b", "c"), _seq("a & ~c", "~b")),),
-    "P7": (_rule(_seq("!!~top", "~top")),),
+# Each rule variant is its premises, then its conclusion, as (lhs, rhs)
+# texts, parsed on first use like the axiom schemes.
+_SEQUENT_RULE_TEXTS: dict[str, tuple[tuple[tuple[str, str], ...], ...]] = {
+    "A1": ((("a", "a"),),),
+    "A2": ((("a", "b"), ("b", "c"), ("a", "c")),),
+    "A3": ((("a & b", "a"),), (("a & b", "b"),)),
+    "A4": ((("a", "b"), ("a", "c"), ("a", "b & c")),),
+    "A5": ((("a", "c"), ("b", "c"), ("a | b", "c")),),
+    "A6": ((("a", "a | b"),), (("b", "a | b"),)),
+    "A7": ((("a & (b | c)", "(a & b) | (a & c)"),),),
+    "A8": ((("a", "top"),),),
+    "A9": ((("bot", "a"),),),
+    "A10": ((("a", "b"), ("!b", "!a")),),
+    "A11": ((("!a & !b", "!(a | b)"),),),
+    "A12": ((("top", "!bot"),),),
+    "A13": ((("a", "!!a"),),),
+    "A14": ((("a & b", "c"), ("a & !c", "!b")),),
+    "A15": ((("a & !a", "b"),),),
+    "A16": ((("~a", "!(a & !~top)"),),),
+    "A17": ((("!(a & !~top)", "~a"),),),
+    "A18": ((("top", "a | ~a"),),),
+    "P2": ((("a", "b"), ("~b", "~a")),),
+    "P3": ((("~a & ~b", "~(a | b)"),),),
+    "P4": ((("top", "~bot"),),),
+    "P5": ((("a", "~~a"),),),
+    "P6": ((("a & b", "c"), ("a & ~c", "~b")),),
+    "P7": ((("!!~top", "~top"),),),
 }
+
+
+def _sequent(texts: tuple[str, str]) -> Sequent:
+    return (parse(texts[0]), parse(texts[1]))
+
+
+@lru_cache(maxsize=None)
+def _sequent_rules() -> dict[str, tuple[RuleVariant, ...]]:
+    return {rid: tuple((tuple(map(_sequent, v[:-1])), _sequent(v[-1])) for v in variants)
+            for rid, variants in _SEQUENT_RULE_TEXTS.items()}
+
+
+def __getattr__(name: str):
+    """SCHEMES and SEQUENT_RULES, parsed on first access."""
+    if name == "SCHEMES":
+        return _schemes()
+    if name == "SEQUENT_RULES":
+        return _sequent_rules()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @record
@@ -239,7 +258,7 @@ def check_derivation(system: str, root: DerivationNode) -> CheckResult:
             return CheckResult(False, "bad-axiom" if not node.children
                                else "premise-mismatch", node.label,
                                f"{node.rule} not a rule of {system}")
-        variants = SEQUENT_RULES[node.rule]
+        variants = _sequent_rules()[node.rule]
         arities = {len(v[0]) for v in variants}
         if len(node.children) not in arities:
             return CheckResult(False, "arity-error", node.label,

@@ -6,6 +6,10 @@ triple loops of `algebra._residuation_witness` and `algebra._absorb`.  Each
 now reads `lattice._below` instead; `tests/test_residuation_kernel.py`
 requires the same tables, errors and witnesses.
 
+`distributivity_witness` is the triple scan `build_lattice` once ran on every
+lattice; it now decides distributivity by join-primeness and keeps its own
+copy of the scan only to name the witness (`tests/test_join_prime.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -70,6 +74,17 @@ def absorb(lat, t):
         for b in range(lat.size):
             for c in range(lat.size):
                 if lat.leq[lat.meet[a][b]][c] and not lat.leq[lat.meet[a][t[c]]][t[b]]:
+                    return (a, b, c)
+    return None
+
+
+def distributivity_witness(n, meet, join):
+    """The first triple (a, b, c), row-major, where a /\\ (b \\/ c) differs
+    from (a /\\ b) \\/ (a /\\ c), or None if the lattice is distributive."""
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (a, b, c)
     return None
 

@@ -210,6 +210,21 @@ def test_lazy_package_attributes_resolve():
     assert "'twoneg.frames'" in done.stdout and "'twoneg.proofs'" in done.stdout
 
 
+def test_countermodel_parses_no_proof_scheme():
+    """The axiom schemes and sequent rules are parsed on first use: a cold
+    countermodel search never reads them, and SCHEMES parses only the schemes."""
+    done = _fresh("from twoneg import cli, proofs\n"
+                  "cli.main(['--porcelain', 'countermodel', '--system', 'ILM',\n"
+                  "          '--max-size', '3', 'p | ~p'])\n"
+                  "parsed = lambda: (proofs._schemes.cache_info().currsize,\n"
+                  "                  proofs._sequent_rules.cache_info().currsize)\n"
+                  "print(parsed())\n"
+                  "assert proofs.SCHEMES is proofs.SCHEMES\n"
+                  "print(parsed())")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["(0, 0)", "(1, 0)"], done.stdout
+
+
 def test_translate(capsys, fixtures_dir):
     code, out = run(capsys, "translate", str(fixtures_dir / "three_world.frm"))
     assert code == 0

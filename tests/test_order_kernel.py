@@ -19,9 +19,10 @@ import pytest
 
 from twoneg import frames
 from twoneg.errors import FrameError, LatticeError, WorkbenchError
-from twoneg.lattice import (_check_distributive, all_lattices, all_posets,
-                            build_lattice, downsets_of, transitive_reduction,
-                            upsets_of, FiniteLattice)
+from twoneg.lattice import (all_lattices, all_posets, build_lattice, downsets_of,
+                            transitive_reduction, upsets_of, FiniteLattice)
+
+from oracles import distributivity_witness
 
 
 def closure(n, pairs):
@@ -88,7 +89,7 @@ def scan_build_lattice(elements, order_pairs):
         raise LatticeError("no-bottom", names)
     if len(tops) != 1:
         raise LatticeError("no-top", names)
-    witness = _check_distributive(n, meet, join)
+    witness = distributivity_witness(n, meet, join)
     if witness is not None:
         raise LatticeError("not-distributive", tuple(names[k] for k in witness))
     return FiniteLattice(
