@@ -16,9 +16,9 @@ from ._record import record
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negations,
                       build_kim, ccpba_flags, kim_violations)
 from .errors import AlgebraError, VerificationError
-from .frames import (CompatFrame, SubNormalFrame, _no_successor_in, build_compat,
-                     build_subnormal, dne_tilde_top_witness, frame_upsets,
-                     is_identity, subcompat_violation, write_frame)
+from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
+                     SubNormalFrame, _no_successor_in, _violations, build_compat,
+                     build_subnormal, frame_upsets, is_identity, write_frame)
 from .lattice import (FiniteLattice, _down, _join_irreducibles, _up_masks,
                       lattice_from_upsets)
 
@@ -179,14 +179,19 @@ def upset_name(worlds: tuple[str, ...], s: frozenset[int]) -> str:
     return "{" + ",".join(worlds[i] for i in sorted(s)) + "}"
 
 
+def _upset_lattice(fr):
+    """The upsets of `fr` and their lattice, each named by `upset_name`."""
+    ups = frame_upsets(fr.leq)
+    return ups, lattice_from_upsets(ups, [upset_name(fr.worlds, s) for s in ups])
+
+
 def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
     """The algebra of all upsets: implication by residuation (which is the
     order-theoretic arrow on upsets), ~1 the set Y0."""
-    if dne_tilde_top_witness(fr) is not None:
-        raise AlgebraError("not-a-subnormal-frame", None, "condition (D) fails")
-    ups = frame_upsets(fr.leq)
-    names = [upset_name(fr.worlds, s) for s in ups]
-    lat = lattice_from_upsets(ups, names)
+    bad = next(_violations(fr, _SUBNORMAL_LAWS), None)
+    if bad is not None:
+        raise AlgebraError("not-a-subnormal-frame", None, f"condition ({bad[0]}) fails")
+    ups, lat = _upset_lattice(fr)
     t1 = ups.index(fr.y0)
     alg = attach_negations(lat, t1, name=name or "complex")
     ccpba = ccpba_flags(alg)[1]
@@ -244,12 +249,10 @@ def canonical_frame_kim(alg: AnyAlgebra) -> CompatFrame:
 def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
     """Upsets with `!U` the worlds whose order-successors avoid U and `~U` the
     worlds whose C-successors avoid U."""
-    bad = subcompat_violation(fr)
+    bad = next(_violations(fr, _COMPAT_LAWS + _SUBCOMPAT_LAWS), None)
     if bad is not None:
         raise AlgebraError("not-a-subcompat-frame", bad[0])
-    ups = frame_upsets(fr.leq)
-    names = [upset_name(fr.worlds, s) for s in ups]
-    lat = lattice_from_upsets(ups, names)
+    ups, lat = _upset_lattice(fr)
     pos = {s: i for i, s in enumerate(ups)}
     neg = tuple(pos[_no_successor_in(fr.bang, u)] for u in ups)
     tilde = tuple(pos[_no_successor_in(fr.tilde, u)] for u in ups)

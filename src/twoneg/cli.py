@@ -86,11 +86,15 @@ def _load_filter_carrier(args) -> Algebra:
     return alg
 
 
-def _load_frame(path: str):
+def _load_frame(path: str, detail: str, *kinds: str):
+    """The frame of `path`, which must be of one of `kinds`."""
     if not path.endswith(".frm"):
         raise FileFormatError("wrong-extension", path, "expected .frm")
     from . import frames
-    return frames.read_frame(_read_text(path))
+    fr = frames.read_frame(_read_text(path))
+    if fr.kind not in kinds:
+        raise FileFormatError("unsupported-kind", fr.kind, detail)
+    return fr
 
 
 def _parse_assignment(alg: Algebra | KimAlgebra, text: str) -> dict[str, int]:
@@ -256,41 +260,36 @@ def cmd_countermodel(args, rep: Report) -> int:
 
 def cmd_translate(args, rep: Report) -> int:
     from . import frames, translate
-    fr = _load_frame(args.file)
-    if isinstance(fr, frames.SubNormalFrame):
+    fr = _load_frame(args.file, "translation is between subnormal and nhat frames",
+                     "subnormal", "nhat")
+    if fr.kind == "subnormal":
         out = translate.phi(fr)
         rep.kv("direction", "subnormal->nhat")
         rep.kv("nhat_prime", frames.is_identity(out))
-    elif isinstance(fr, frames.NhatFrame):
+    else:
         out = translate.psi(fr)
         rep.kv("direction", "nhat->subnormal")
         rep.kv("identity", frames.is_identity(out))
-    else:
-        raise FileFormatError("unsupported-kind", "compat",
-                              "translation is between subnormal and nhat frames")
     _emit(rep, frames.write_frame(out, "translated"), args.output)
     return 0
 
 
 def cmd_complex(args, rep: Report) -> int:
-    from . import bridge, frames
-    fr = _load_frame(args.file)
-    if isinstance(fr, frames.SubNormalFrame):
+    from . import bridge
+    fr = _load_frame(args.file, "complex algebras are taken of subnormal/compat frames",
+                     "subnormal", "compat")
+    if fr.kind == "subnormal":
         alg = bridge.complex_algebra_subnormal(fr, name="complex")
         rep.kv("kind", "ccpba")
         rep.kv("size", alg.size)
         _emit(rep, write_algebra(alg), args.output)
-    elif isinstance(fr, frames.CompatFrame):
+    else:
         kim = bridge.complex_algebra_compat(fr, name="complex")
         rep.kv("kind", "kim")
         rep.kv("size", kim.size)
-        for i in range(kim.size):
-            rep.kv(f"neg_{kim.element(i)}", kim.element(kim.neg[i]))
-        for i in range(kim.size):
-            rep.kv(f"tilde_{kim.element(i)}", kim.element(kim.tilde[i]))
-    else:
-        raise FileFormatError("unsupported-kind", "nhat",
-                              "complex algebras are taken of subnormal/compat frames")
+        for op in ("neg", "tilde"):
+            for i in range(kim.size):
+                rep.kv(f"{op}_{kim.element(i)}", kim.element(getattr(kim, op)[i]))
     return 0
 
 
@@ -308,7 +307,7 @@ def cmd_canonical(args, rep: Report) -> int:
 
 
 def cmd_duality(args, rep: Report) -> int:
-    from . import bridge, frames
+    from . import bridge
     if args.file.endswith(".alg"):
         alg = _load_filter_carrier(args)
         emb = bridge.stone_embedding(alg)
@@ -319,14 +318,12 @@ def cmd_duality(args, rep: Report) -> int:
         rep.kv("kim_injective", kemb.injective)
         rep.kv("kim_onto", kemb.onto)
         return 0
-    fr = _load_frame(args.file)
-    if isinstance(fr, frames.SubNormalFrame):
+    fr = _load_frame(args.file, "duality runs on subnormal/compat frames or .alg files",
+                     "subnormal", "compat")
+    if fr.kind == "subnormal":
         emb = bridge.frame_embedding(fr)
-    elif isinstance(fr, frames.CompatFrame):
-        emb = bridge.kim_frame_embedding(fr)
     else:
-        raise FileFormatError("unsupported-kind", "nhat",
-                              "duality runs on subnormal/compat frames or .alg files")
+        emb = bridge.kim_frame_embedding(fr)
     rep.kv("frame_injective", emb.injective)
     rep.kv("frame_onto", emb.onto)
     return 0
@@ -383,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable key=value output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, *positionals, output=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
         p.add_argument("--force", action="store_true",
@@ -392,25 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
         # top-level parser already produced when the flag is absent here
         p.add_argument("--porcelain", action="store_true",
                        default=argparse.SUPPRESS)
+        for arg in positionals:
+            p.add_argument(arg)
+        if output:
+            p.add_argument("-o", "--output")
         return p
 
-    p = add("parse", cmd_parse, "parse a formula and print its tree")
-    p.add_argument("formula")
-
-    p = add("check-algebra", cmd_check_algebra, "validate an .alg file")
-    p.add_argument("file")
-
-    p = add("classify", cmd_classify, "class flags and kite placement of an .alg file")
-    p.add_argument("file")
-
-    p = add("eval", cmd_eval, "evaluate a formula under an assignment")
-    p.add_argument("file")
-    p.add_argument("formula")
+    add("parse", cmd_parse, "parse a formula and print its tree", "formula")
+    add("check-algebra", cmd_check_algebra, "validate an .alg file", "file")
+    add("classify", cmd_classify, "class flags and kite placement of an .alg file", "file")
+    p = add("eval", cmd_eval, "evaluate a formula under an assignment", "file", "formula")
     p.add_argument("--assign", default="", help="p=a,q=0 style element assignment")
-
-    p = add("valid", cmd_valid, "exhaustive validity over an algebra")
-    p.add_argument("file")
-    p.add_argument("formula")
+    add("valid", cmd_valid, "exhaustive validity over an algebra", "file", "formula")
 
     p = add("enumerate", cmd_enumerate, "catalog counts up to isomorphism")
     p.add_argument("--class", dest="cls", required=True,
@@ -425,29 +415,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", nargs="?")
     p.add_argument("--sequent", help='"lhs |- rhs" goal for the sequent systems')
 
-    p = add("translate", cmd_translate, "translate between subnormal and nhat frames")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = add("complex", cmd_complex, "complex algebra of a frame")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = add("canonical", cmd_canonical, "canonical frame of an algebra")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-
-    p = add("duality", cmd_duality, "verify the round-trip embeddings")
-    p.add_argument("file")
-
-    p = add("build-au", cmd_build_au, "interval construction over a pBa")
-    p.add_argument("file")
+    add("translate", cmd_translate, "translate between subnormal and nhat frames", "file",
+        output=True)
+    add("complex", cmd_complex, "complex algebra of a frame", "file", output=True)
+    add("canonical", cmd_canonical, "canonical frame of an algebra", "file", output=True)
+    add("duality", cmd_duality, "verify the round-trip embeddings", "file")
+    p = add("build-au", cmd_build_au, "interval construction over a pBa", "file")
     p.add_argument("--u", required=True, help="u1,u2 with u1 <= u2")
     p.add_argument("-o", "--output")
-
-    p = add("check-proof", cmd_check_proof, "check a .prf proof file")
-    p.add_argument("file")
-
+    add("check-proof", cmd_check_proof, "check a .prf proof file", "file")
     return parser
 
 

@@ -9,10 +9,15 @@ Three kinds:
 * `CompatFrame` (W, C, <=): implication-free language; `!` reads off the
   order and `~` off the compatibility relation C.
 
-Builders close <= reflexively/transitively and *validate* the kind's frame
-conditions; the R/C relations are taken as given, never repaired.  Calling
-a frame class directly skips validation, which the canonicity tests use to
-probe frames that violate a condition.
+Each kind's frame conditions are one table of (tag, witness) rows, in
+checking order; a sub-compatibility frame is a compatibility frame that also
+passes `_SUBCOMPAT_LAWS`.  Builders close <= reflexively/transitively and
+raise the first failing row; the R/C relations are taken as given, never
+repaired.  `nhat_violations`, `subcompat_violation` and the complex algebras
+in `bridge` read the same tables.  Calling a frame class directly skips
+validation, which the canonicity tests use to probe frames that violate a
+condition.  A world name may not contain `,`, which joins an upset's worlds
+into its name.
 """
 
 from __future__ import annotations
@@ -121,6 +126,9 @@ def _close_order(worlds: tuple[str, ...], pairs) -> Table:
     n = len(worlds)
     if len(set(worlds)) != n:
         raise FrameError("duplicate-world", worlds)
+    for w in worlds:
+        if "," in w:  # an upset is named by its worlds joined with ','
+            raise FrameError("bad-world-name", w, "a world name may not contain ','")
     up, cycle = _order(n, _index_pairs(worlds, pairs))
     if cycle is not None:
         raise FrameError("condition-violation",
@@ -179,26 +187,7 @@ def is_identity(fr: Frame) -> bool:
     return all(fr.leq[y][x] for x in range(n) for y in range(n) if tilde[x][y])
 
 
-# -- sub-normal ---------------------------------------------------------------
-
-def build_subnormal(worlds, leq_pairs, y0_names) -> SubNormalFrame:
-    ws = tuple(worlds)
-    leq = _close_order(ws, leq_pairs)
-    idx = {w: i for i, w in enumerate(ws)}
-    for w in y0_names:
-        if w not in idx:
-            raise FrameError("relation-out-of-range", ("y0", w))
-    y0 = frozenset(idx[w] for w in y0_names)
-    fr = SubNormalFrame(ws, leq, y0)
-    if not _is_upset(leq, y0):
-        raise FrameError("y0-not-upset", tuple(sorted(ws[i] for i in y0)))
-    w = dne_tilde_top_witness(fr)
-    if w is not None:
-        raise FrameError("condition-violation", ("D", w))
-    return fr
-
-
-# -- N-hat --------------------------------------------------------------------
+# -- frame laws -----------------------------------------------------------------
 
 def _stability_witness(leq: Table, r: Table):
     # (<= ; R ; >=) subset of R: x' <= x, x R y, y' <= y  =>  x' R y'.
@@ -236,63 +225,96 @@ def _symmetry_witness(leq: Table, r: Table):
     return None
 
 
-_SYMMETRY_CONDENSATION = (("symmetry", _symmetry_witness),
-                          ("condensation", _condensation_witness))
+def _reflexivity_witness(leq: Table, r: Table):
+    return next(((x,) for x in range(len(r)) if not r[x][x]), None)
+
+
+def _over(rel: str, witness):
+    """The law `witness` over the relation `rel`, its witness worlds named."""
+    def law(fr: Frame):
+        w = witness(fr.leq, getattr(fr, rel))
+        return None if w is None else tuple(fr.worlds[i] for i in w)
+    return law
+
+
+def _y0_upset(fr: SubNormalFrame):
+    return None if _is_upset(fr.leq, fr.y0) else tuple(sorted(fr.worlds[i] for i in fr.y0))
+
+
+def _condition_3(fr: Frame):
+    w = dne_tilde_top_witness(fr)
+    return None if w is None else (w,)
+
+
+# Each kind's laws in checking order: (tag, witness) rows whose witness names
+# the culprit worlds, or is None where the law holds.
+_SUBNORMAL_LAWS = (("y0-not-upset", _y0_upset), ("D", dne_tilde_top_witness))
+_NHAT_LAWS = (
+    ("R1-stability", _over("rn1", _stability_witness)),
+    ("R1-symmetry", _over("rn1", _symmetry_witness)),
+    ("R1-condensation", _over("rn1", _condensation_witness)),
+    ("R2-stability", _over("rn2", _stability_witness)),
+    ("R2-symmetry", _over("rn2", _symmetry_witness)),
+    ("R2-condensation", _over("rn2", _condensation_witness)),
+    ("R1-reflexivity", _over("rn1", _reflexivity_witness)),
+    ("3", _condition_3),
+)
+_COMPAT_LAWS = (("C-law", _over("c", _stability_witness)),)
+_SUBCOMPAT_LAWS = (
+    ("C-symmetry", _over("c", _symmetry_witness)),
+    ("C-condensation", _over("c", _condensation_witness)),
+    ("3", _condition_3),
+)
+
+
+def _violations(fr: Frame, laws):
+    """(tag, witness) of each law in `laws` that `fr` fails, in order."""
+    for tag, witness in laws:
+        w = witness(fr)
+        if w is not None:
+            yield tag, w
+
+
+def _validated(fr: Frame, laws) -> Frame:
+    """`fr` once it passes `laws`; else its first failure as a
+    condition-violation, except that Y0 keeps its own error kind."""
+    for tag, w in _violations(fr, laws):
+        if tag == "y0-not-upset":
+            raise FrameError(tag, w)
+        raise FrameError("condition-violation", (tag, w))
+    return fr
 
 
 def nhat_violations(fr: NhatFrame) -> list[tuple[str, tuple]]:
-    out = []
-    for tag, rel in (("R1", fr.rn1), ("R2", fr.rn2)):
-        for law, witness in (("stability", _stability_witness), *_SYMMETRY_CONDENSATION):
-            w = witness(fr.leq, rel)
-            if w is not None:
-                out.append((f"{tag}-{law}", tuple(fr.worlds[i] for i in w)))
-    for x in range(fr.size):
-        if not fr.rn1[x][x]:
-            out.append(("R1-reflexivity", (fr.worlds[x],)))
-            break
-    w3 = dne_tilde_top_witness(fr)
-    if w3 is not None:
-        out.append(("3", (w3,)))
-    return out
+    return list(_violations(fr, _NHAT_LAWS))
+
+
+def subcompat_violation(fr: CompatFrame) -> tuple[str, tuple] | None:
+    return next(_violations(fr, _SUBCOMPAT_LAWS), None)
+
+
+def build_subnormal(worlds, leq_pairs, y0_names) -> SubNormalFrame:
+    ws = tuple(worlds)
+    leq = _close_order(ws, leq_pairs)
+    idx = {w: i for i, w in enumerate(ws)}
+    for w in y0_names:
+        if w not in idx:
+            raise FrameError("relation-out-of-range", ("y0", w))
+    return _validated(SubNormalFrame(ws, leq, frozenset(idx[w] for w in y0_names)),
+                      _SUBNORMAL_LAWS)
 
 
 def build_nhat(worlds, leq_pairs, rn1_pairs, rn2_pairs) -> NhatFrame:
     ws = tuple(worlds)
-    leq = _close_order(ws, leq_pairs)
-    fr = NhatFrame(ws, leq, _relation(ws, rn1_pairs), _relation(ws, rn2_pairs))
-    bad = nhat_violations(fr)
-    if bad:
-        raise FrameError("condition-violation", bad[0])
-    return fr
-
-
-# -- compatibility ------------------------------------------------------------
-
-def subcompat_violation(fr: CompatFrame) -> tuple[str, tuple] | None:
-    for law, witness in _SYMMETRY_CONDENSATION:
-        w = witness(fr.leq, fr.c)
-        if w is not None:
-            return (f"C-{law}", tuple(fr.worlds[i] for i in w))
-    w3 = dne_tilde_top_witness(fr)
-    if w3 is not None:
-        return ("3", (w3,))
-    return None
+    return _validated(NhatFrame(ws, _close_order(ws, leq_pairs), _relation(ws, rn1_pairs),
+                                _relation(ws, rn2_pairs)), _NHAT_LAWS)
 
 
 def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False) -> CompatFrame:
     ws = tuple(worlds)
-    leq = _close_order(ws, leq_pairs)
-    fr = CompatFrame(ws, leq, _relation(ws, c_pairs))
-    w = _stability_witness(leq, fr.c)  # the downward-closure law (C)
-    if w is not None:
-        raise FrameError("condition-violation",
-                         ("C-law", tuple(ws[i] for i in w)))
-    if require_subcompat:
-        bad = subcompat_violation(fr)
-        if bad is not None:
-            raise FrameError("condition-violation", bad)
-    return fr
+    fr = CompatFrame(ws, _close_order(ws, leq_pairs), _relation(ws, c_pairs))
+    return _validated(fr, _COMPAT_LAWS + _SUBCOMPAT_LAWS if require_subcompat
+                      else _COMPAT_LAWS)
 
 
 # -- truth and validity -------------------------------------------------------
@@ -431,11 +453,9 @@ def write_frame(fr: Frame, name: str = "frame") -> str:
         if tag == "y0":
             if fr.y0:
                 lines.append("y0 " + " ".join(fr.worlds[i] for i in sorted(fr.y0)))
-            continue
-        rel = getattr(fr, tag)
-        for x in range(fr.size):
-            for y in range(fr.size):
-                if rel[x][y]:
-                    lines.append(f"{tag} {fr.worlds[x]} {fr.worlds[y]}")
+        else:
+            rel = getattr(fr, tag)
+            lines += [f"{tag} {fr.worlds[x]} {fr.worlds[y]}"
+                      for x in range(fr.size) for y in range(fr.size) if rel[x][y]]
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -114,10 +114,7 @@ ACCEPT = CheckResult(True)
 
 
 def _is_instance(f: Formula, scheme_id: str) -> bool:
-    for scheme in _schemes()[scheme_id]:
-        if match_into(scheme, f, {}):
-            return True
-    return False
+    return any(match_into(scheme, f, {}) for scheme in _schemes()[scheme_id])
 
 
 def check_hilbert(system: str, proof: ProofScript) -> CheckResult:
@@ -350,7 +347,7 @@ def parse_proof(text: str):
     system = ""
     hlines: list[ProofLine] = []
     goal: Formula | None = None
-    nodes: dict[int, DerivationNode] = {}
+    nodes: dict[int, tuple[DerivationNode, str]] = {}  # each with its line text
     last: DerivationNode | None = None
     seen: set[int] = set()  # line numbers, in either mode
     for line in content_lines(text):
@@ -392,30 +389,25 @@ def parse_proof(text: str):
         else:
             if " |- " not in body:
                 raise FileFormatError("bad-line", line, "missing ' |- '")
+            children = []
             if " axiom " in body:
-                seq_text, aid = body.rsplit(" axiom ", 1)
-                lhs_t, _, rhs_t = seq_text.partition(" |- ")
-                node = DerivationNode(parse(lhs_t), parse(rhs_t), aid.strip(),
-                                      (), idx)
+                seq_text, rule = body.rsplit(" axiom ", 1)
             elif " rule " in body:
                 seq_text, rest = body.rsplit(" rule ", 1)
-                rwords = rest.split()
-                if len(rwords) < 3 or rwords[1] != "from":
+                rule, *rwords = rest.split()
+                refs = rwords[1:]
+                if rwords[:1] != ["from"] or not refs or not all(r.isdigit() for r in refs):
                     raise FileFormatError("bad-line", line)
-                refs = rwords[2:]
-                if not all(r.isdigit() for r in refs):
-                    raise FileFormatError("bad-line", line)
-                children = []
                 for r in refs:
                     if int(r) not in nodes:
                         raise FileFormatError("bad-reference", line)
-                    children.append(nodes[int(r)])
-                lhs_t, _, rhs_t = seq_text.partition(" |- ")
-                node = DerivationNode(parse(lhs_t), parse(rhs_t), rwords[0],
-                                      tuple(children), idx)
+                    children.append(nodes[int(r)][0])
             else:
                 raise FileFormatError("bad-line", line)
-            nodes[idx] = node
+            lhs_t, _, rhs_t = seq_text.partition(" |- ")
+            node = DerivationNode(parse(lhs_t), parse(rhs_t), rule.strip(),
+                                  tuple(children), idx)
+            nodes[idx] = (node, line)
             last = node
     if mode == "hilbert":
         if goal is None:
@@ -424,6 +416,14 @@ def parse_proof(text: str):
     if mode == "sequent":
         if last is None:
             raise FileFormatError("empty-proof", None)
+        used = {last.label}  # a line cites only earlier lines
+        for node, _ in reversed(nodes.values()):
+            if node.label in used:
+                used.update(child.label for child in node.children)
+        for idx, (_, line) in nodes.items():
+            if idx not in used:
+                raise FileFormatError("unused-line", line,
+                                      f"line {idx} is not used to derive the last line")
         return ("sequent", system, last)
     raise FileFormatError("missing-header", None)
 

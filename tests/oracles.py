@@ -10,13 +10,22 @@ requires the same tables, errors and witnesses.
 lattice; it now decides distributivity by join-primeness and keeps its own
 copy of the scan only to name the witness (`tests/test_join_prime.py`).
 
+`build_subnormal`, `nhat_violations`, `build_nhat`, `subcompat_violation`
+and `build_compat` are the hand-written law sequences `twoneg.frames` once
+ran; the builders now read one law table per frame kind
+(`tests/test_frame_laws.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
 
 from __future__ import annotations
 
-from twoneg.errors import LatticeError
+from twoneg.errors import FrameError, LatticeError
+from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
+                           _condensation_witness, _is_upset, _relation,
+                           _stability_witness, _symmetry_witness,
+                           dne_tilde_top_witness)
 from twoneg.lattice import _lattice, _order
 
 
@@ -87,6 +96,80 @@ def distributivity_witness(n, meet, join):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (a, b, c)
     return None
+
+
+def build_subnormal(worlds, leq_pairs, y0_names):
+    ws = tuple(worlds)
+    leq = _close_order(ws, leq_pairs)
+    idx = {w: i for i, w in enumerate(ws)}
+    for w in y0_names:
+        if w not in idx:
+            raise FrameError("relation-out-of-range", ("y0", w))
+    y0 = frozenset(idx[w] for w in y0_names)
+    fr = SubNormalFrame(ws, leq, y0)
+    if not _is_upset(leq, y0):
+        raise FrameError("y0-not-upset", tuple(sorted(ws[i] for i in y0)))
+    w = dne_tilde_top_witness(fr)
+    if w is not None:
+        raise FrameError("condition-violation", ("D", w))
+    return fr
+
+
+_SYMMETRY_CONDENSATION = (("symmetry", _symmetry_witness),
+                          ("condensation", _condensation_witness))
+
+
+def nhat_violations(fr):
+    out = []
+    for tag, rel in (("R1", fr.rn1), ("R2", fr.rn2)):
+        for law, witness in (("stability", _stability_witness), *_SYMMETRY_CONDENSATION):
+            w = witness(fr.leq, rel)
+            if w is not None:
+                out.append((f"{tag}-{law}", tuple(fr.worlds[i] for i in w)))
+    for x in range(fr.size):
+        if not fr.rn1[x][x]:
+            out.append(("R1-reflexivity", (fr.worlds[x],)))
+            break
+    w3 = dne_tilde_top_witness(fr)
+    if w3 is not None:
+        out.append(("3", (w3,)))
+    return out
+
+
+def build_nhat(worlds, leq_pairs, rn1_pairs, rn2_pairs):
+    ws = tuple(worlds)
+    leq = _close_order(ws, leq_pairs)
+    fr = NhatFrame(ws, leq, _relation(ws, rn1_pairs), _relation(ws, rn2_pairs))
+    bad = nhat_violations(fr)
+    if bad:
+        raise FrameError("condition-violation", bad[0])
+    return fr
+
+
+def subcompat_violation(fr):
+    for law, witness in _SYMMETRY_CONDENSATION:
+        w = witness(fr.leq, fr.c)
+        if w is not None:
+            return (f"C-{law}", tuple(fr.worlds[i] for i in w))
+    w3 = dne_tilde_top_witness(fr)
+    if w3 is not None:
+        return ("3", (w3,))
+    return None
+
+
+def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat=False):
+    ws = tuple(worlds)
+    leq = _close_order(ws, leq_pairs)
+    fr = CompatFrame(ws, leq, _relation(ws, c_pairs))
+    w = _stability_witness(leq, fr.c)  # the downward-closure law (C)
+    if w is not None:
+        raise FrameError("condition-violation",
+                         ("C-law", tuple(ws[i] for i in w)))
+    if require_subcompat:
+        bad = subcompat_violation(fr)
+        if bad is not None:
+            raise FrameError("condition-violation", bad)
+    return fr
 
 
 def _record(names, pairs):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,13 @@ def test_span_names_resolve():
     for dotted in _spans_constant("BUSY") + _spans_constant("CALLS"):
         short, name = dotted.split(".")
         assert callable(getattr(_module(short), name, None)), f"spans reads {dotted}"
+
+
+def test_every_proof_fixture_has_a_recorded_answer():
+    """perfbench/gen.py puts every tests/fixtures/*.prf into the warm-validity
+    pool, and a query without an answer in record.json fails every run."""
+    answers = json.loads((PERFBENCH / "record.json").read_text())
+    fixtures = sorted((PERFBENCH.parent / "tests" / "fixtures").glob("*.prf"))
+    assert fixtures
+    missing = [p.name for p in fixtures if f"proof|{p.name}" not in answers]
+    assert missing == []

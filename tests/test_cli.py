@@ -364,6 +364,28 @@ def test_frame_y0_line_under_compat_rejected(capsys, tmp_path):
     assert "error=line-of-other-kind" in out
 
 
+def test_comma_world_name_is_malformed_in_a_fresh_process(fixtures_dir):
+    """`{a,b}` would name both the world `a,b` and the set {a, b}."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "twoneg.cli", "--porcelain", "complex",
+                           str(fixtures_dir / "bad_comma_world.frm")], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("error=bad-world-name\n") and "'a,b'" in done.stdout
+
+
+@pytest.mark.parametrize("command,text", [
+    ("duality", "frame compat f\nworlds a,b a b\nend\n"),
+    ("translate", "frame nhat f\nworlds a b,\nrn1 a a\nrn1 b, b,\nend\n"),
+])
+def test_comma_world_name_rejected_in_every_kind(capsys, tmp_path, command, text):
+    bad = tmp_path / "comma.frm"
+    bad.write_text(text)
+    code, out = run(capsys, "--porcelain", command, str(bad))
+    assert code == 2 and out.startswith("error=bad-world-name\n")
+
+
 # One body per file kind, each complete but for its `end`.
 BODIES = {
     "alg": ("algebra a\nelements 0 1\nleq 0 1\n", read_algebra),
@@ -469,6 +491,18 @@ def test_repeated_proof_directive_rejected(capsys, tmp_path, text, error, where)
     code, out = run(capsys, "--porcelain", "check-proof", str(dup))
     assert code == 2
     assert f"error={error}\n" in out and where in out
+
+
+def test_sequent_line_the_last_line_never_reaches_is_malformed(capsys, tmp_path):
+    """Lines 1 and 2 are outside the derivation of line 3, so they are never
+    checked; the first of them is rejected."""
+    proof = tmp_path / "unused.prf"
+    proof.write_text("proof sequent Kim\n1 p |- q axiom NOPE\n2 p -> q |- p axiom A1\n"
+                     "3 p |- p axiom A1\nend\n")
+    code, out = run(capsys, "--porcelain", "check-proof", str(proof))
+    assert code == 2
+    assert out == ("error=unused-line\ndetail=unused-line at '1 p |- q axiom NOPE': "
+                   "line 1 is not used to derive the last line\n")
 
 
 def test_decreasing_hilbert_line_number_fails_the_proof(capsys, tmp_path):

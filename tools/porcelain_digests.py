@@ -33,11 +33,14 @@ HILBERT_GOALS = ("p | ~p", "~~p -> p")
 SEQUENT_GOALS = ("~~p |- p", "~p |- !p")
 CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
 PARSES = ("(p -> q) | !!p & ~(q -> p)", "~~p <-> p", "p & (q", "!top -> bot")
+# The command each `bad_*.frm` fixture runs through, by its frame kind.
+REJECTS = {"subnormal": "complex", "nhat": "translate", "compat": "duality"}
 
 
-def _elements(path: Path) -> list[str]:
+def _words(path: Path, directive: str) -> list[str]:
+    """The words after the first `directive` line of a fixture."""
     for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("elements "):
+        if line.startswith(directive + " "):
             return line.split()[1:]
     return []
 
@@ -50,12 +53,14 @@ def matrix() -> list[list[str]]:
         alg = f"{FIXTURES}/{path.name}"
         runs += [["check-algebra", alg], ["classify", alg], ["canonical", alg],
                  ["duality", alg]]
-        names = _elements(path)
+        names = _words(path, "elements")
         for u in ((names[0], names[-1]), (names[1], names[-1]), (names[-1], names[0])):
             runs.append(["build-au", alg, "--u", ",".join(u)])
         runs += [["valid", alg, goal] for goal in GOALS]
     frame = f"{FIXTURES}/three_world.frm"
     runs += [["translate", frame], ["complex", frame], ["duality", frame]]
+    runs += [[REJECTS[_words(path, "frame")[0]], f"{FIXTURES}/{path.name}"]
+             for path in sorted(fixtures.glob("bad_*.frm"))]
     runs += [["check-proof", f"{FIXTURES}/{path.name}"]
              for path in sorted(fixtures.glob("*.prf"))]
     for system in proofs.system_names():
