@@ -17,7 +17,7 @@ from typing import Mapping, Union
 
 from ._record import record, replace
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
-                     VerificationError, content_lines)
+                     VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, fold, subformulas)
 from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice,
@@ -606,6 +606,7 @@ def read_algebra(text: str) -> Algebra:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     tilde_name: str | None = None
+    seen: set[tuple[str, str]] = set()
     for line in content_lines(text):
         match line.split():
             case ["algebra", nm]:
@@ -615,6 +616,7 @@ def read_algebra(text: str) -> Algebra:
             case ["elements", *rest] if rest:
                 elements.extend(rest)
             case ["leq", a, b]:
+                given_once(seen, (a, b), line, f"leq {a} {b}")
                 pairs.append((a, b))
             case ["tilde_one", e]:
                 if tilde_name is not None:

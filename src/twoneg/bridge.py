@@ -17,7 +17,7 @@ from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negati
                       build_kim, ccpba_flags, kim_violations)
 from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
-                     SubNormalFrame, _no_successor_in, _violations, build_compat,
+                     SubNormalFrame, _upset_clause, _violations, build_compat,
                      build_subnormal, frame_upsets, is_identity, write_frame)
 from .lattice import (FiniteLattice, _down, _join_irreducibles, _up_masks,
                       lattice_from_upsets)
@@ -252,10 +252,8 @@ def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
     bad = next(_violations(fr, _COMPAT_LAWS + _SUBCOMPAT_LAWS), None)
     if bad is not None:
         raise AlgebraError("not-a-subcompat-frame", bad[0])
-    ups, lat = _upset_lattice(fr)
-    pos = {s: i for i, s in enumerate(ups)}
-    neg = tuple(pos[_no_successor_in(fr.bang, u)] for u in ups)
-    tilde = tuple(pos[_no_successor_in(fr.tilde, u)] for u in ups)
+    _, lat = _upset_lattice(fr)
+    neg, tilde = _upset_clause(fr.leq, fr.bang), _upset_clause(fr.leq, fr.tilde)
     kim = build_kim(lat, neg, tilde, name=name or "complex")
     if is_identity(fr) and _em(lat, tilde) is not None:
         raise VerificationError("complex-not-kim-vee", fr.worlds)

@@ -329,14 +329,25 @@ def cmd_duality(args, rep: Report) -> int:
     return 0
 
 
+def _split_u(elements: tuple[str, ...], text: str) -> tuple[str, str]:
+    """`--u a,b` cut at its one comma with an element name on both sides, so
+    a name may hold commas (a complex algebra's `{w1,w2}`).  Without such a
+    comma, a lone comma still cuts and an unknown side is reported."""
+    commas = [i for i, ch in enumerate(text) if ch == ","]
+    fits = [i for i in commas
+            if text[:i].strip() in elements and text[i + 1:].strip() in elements]
+    cuts = fits or commas
+    if len(cuts) != 1:
+        raise FileFormatError("bad-u", text, "expected --u a,b")
+    return text[:cuts[0]].strip(), text[cuts[0] + 1:].strip()
+
+
 def cmd_build_au(args, rep: Report) -> int:
     alg = _load_algebra(args.file)
-    parts = args.u.split(",")
-    if len(parts) != 2:
-        raise FileFormatError("bad-u", args.u, "expected --u a,b")
+    first, second = _split_u(alg.lattice.elements, args.u)
     try:
-        u1 = alg.lattice.index(parts[0].strip())
-        u2 = alg.lattice.index(parts[1].strip())
+        u1 = alg.lattice.index(first)
+        u2 = alg.lattice.index(second)
         out = build_au(alg, u1, u2, name=f"{alg.name}_au")
     except AlgebraError as e:
         rep.kv("accepted", False)

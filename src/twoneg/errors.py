@@ -53,6 +53,14 @@ class BoundGuardError(WorkbenchError):
         super().__init__("bound-guard", what, f"limit {limit}, requested {actual}")
 
 
+def given_once(seen: set, key, line: str, what: str) -> None:
+    """Record `key`, read from `line`.  A file names each order or relation
+    pair, Y0 world and proof line number once: a repeat is `bad-line`."""
+    if key in seen:
+        raise FileFormatError("bad-line", line, f"{what} already given")
+    seen.add(key)
+
+
 def content_lines(text: str):
     """The line grammar shared by .alg, .frm and .prf files: yield each line
     before `end`, stripped, with `#` comments and blank lines dropped.  The

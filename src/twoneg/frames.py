@@ -23,14 +23,16 @@ into its name.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import ClassVar, Union
 
 from ._record import record
 from .algebra import ATOM_GUARD, Verdict, VALID, _program
-from .errors import BoundGuardError, FileFormatError, FrameError, content_lines
+from .errors import (BoundGuardError, FileFormatError, FrameError, content_lines,
+                     given_once)
 from .formula import TOP, And, Atom, Formula, Impl, atoms, subformulas
-from .lattice import Table, _order, _table, transitive_reduction, upsets_of
+from .lattice import (Table, _bits, _order, _table, _up_masks, _upset_masks,
+                      transitive_reduction)
 
 __all__ = [
     "SubNormalFrame", "NhatFrame", "CompatFrame", "Frame",
@@ -148,11 +150,23 @@ def _is_upset(leq: Table, s: frozenset[int]) -> bool:
     return all(j in s for i in s for j in range(len(leq)) if leq[i][j])
 
 
-def _no_successor_in(rel: Table, s: frozenset[int]) -> frozenset[int]:
-    """Worlds with no `rel`-successor in `s`: `!s` over the `!` relation and
-    `~s` over the `~` relation."""
+def _no_successor_in(rel: Table):
+    """The "no successor in" clause of `rel` over world masks: a mask `s`
+    goes to the worlds with no `rel`-successor in `s`, that is all worlds
+    less the `rel`-predecessors of each world of `s`.  `!s` reads the `!`
+    relation, `~s` the `~` relation and `a -> b` the order at `a & ~b`."""
     n = len(rel)
-    return frozenset(w for w in range(n) if all(v not in s for v in range(n) if rel[w][v]))
+    pred = [sum(1 << w for w in range(n) if rel[w][v]) for v in range(n)]
+    full = (1 << n) - 1
+
+    def clause(s: int) -> int:
+        hit = 0
+        while s:
+            low = s & -s
+            hit |= pred[low.bit_length() - 1]
+            s ^= low
+        return full & ~hit
+    return clause
 
 
 # -- conditions shared by the three kinds ------------------------------------
@@ -318,25 +332,26 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 
 
 # -- truth and validity -------------------------------------------------------
+# An upset is an int mask of worlds (bit w set iff w is in it); frozensets
+# appear only where `truth_set` takes and returns them and in witnesses.
 
-# The code of And, Or, Impl, Neg and Tilde over upsets.
-_UPSET_CODE = ("{} & {}", "{} | {}", "impl({}, {})", "neg({})", "tilde({})")
+# The code of And, Or, Impl, Neg and Tilde over world masks.
+_UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
 
 
 def _compiled(fr: Frame, goals: tuple[Formula, ...], names: tuple[str, ...]):
-    """The truth-set function of `goals` on `fr`.  Every clause is "no
-    successor in": `a -> b` holds where no successor lies in `a - b`; `bot`
-    holds nowhere."""
-    leq = fr.leq
+    """The truth-mask function of `goals` on `fr`.  Every clause is "no
+    successor in": `a -> b` holds where no order-successor lies in `a & ~b`;
+    `bot` holds nowhere."""
+    order = _no_successor_in(fr.leq)
+    bang = order if fr.bang is fr.leq else _no_successor_in(fr.bang)
     return _program(goals, names, _UPSET_CODE)(
-        None, None, lambda a, b: _no_successor_in(leq, a - b),
-        partial(_no_successor_in, fr.bang), partial(_no_successor_in, fr.tilde),
-        frozenset(range(fr.size)), frozenset())
+        None, None, order, bang, _no_successor_in(fr.tilde), (1 << fr.size) - 1, 0)
 
 
 def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> frozenset[int]:
     """Worlds where f holds; an error is that of the first offending node in
-    pre-order."""
+    pre-order, then the first atom whose value is no upset of `fr`."""
     compat = isinstance(fr, CompatFrame)
     for g in subformulas(f):
         if type(g) is Impl and compat:
@@ -344,12 +359,33 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
         if type(g) is Atom and g.name not in valuation:
             raise FrameError("unbound-atom", g.name)
     names = tuple(atoms(f))
-    return _compiled(fr, (f,), names)(*[valuation[n] for n in names])[0]
+    masks = [sum(1 << w for w in valuation[n]) for n in names]
+    up = _up_masks(fr.leq)
+    for name, s in zip(names, masks):
+        if s >> fr.size or any(up[w] & ~s for w in _bits(s)):
+            raise FrameError("valuation-not-upset", name)
+    return frozenset(_bits(_compiled(fr, (f,), names)(*masks)[0]))
+
+
+@lru_cache(maxsize=256)
+def _upsets(leq: Table) -> tuple[int, ...]:
+    """The upsets of `leq` as world masks, in `frame_upsets` order."""
+    return tuple(_upset_masks(leq))
 
 
 @lru_cache(maxsize=256)
 def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
-    return tuple(upsets_of(leq))
+    """All upsets, ordered by cardinality then lexicographically."""
+    return tuple(frozenset(_bits(s)) for s in _upsets(leq))
+
+
+def _upset_clause(leq: Table, rel: Table) -> tuple[int, ...]:
+    """Per upset of `leq`, in `frame_upsets` order, the position of the
+    worlds with no `rel`-successor in it, which must be an upset too."""
+    ups = _upsets(leq)
+    pos = {s: i for i, s in enumerate(ups)}
+    clause = _no_successor_in(rel)
+    return tuple(pos[clause(s)] for s in ups)
 
 
 def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
@@ -371,12 +407,13 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
     if max_atoms is not None and len(names) > max_atoms:
         raise BoundGuardError("valuation atoms", max_atoms, len(names))
     value = _compiled(fr, goals, names)
-    for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
+    for combo in itertools.product(_upsets(fr.leq), repeat=len(names)):
         left, right = value(*combo)
-        if not left <= right:
-            witness = {name: tuple(fr.worlds[i] for i in sorted(s))
+        bad = left & ~right
+        if bad:
+            witness = {name: tuple(fr.worlds[i] for i in _bits(s))
                        for name, s in zip(names, combo)}
-            return Verdict(False, witness, fr.worlds[min(left - right)])
+            return Verdict(False, witness, fr.worlds[(bad & -bad).bit_length() - 1])
     return VALID
 
 
@@ -415,6 +452,7 @@ def read_frame(text: str) -> Frame:
     leq_pairs: list[tuple[str, str]] = []
     own: dict[str, list] = {"y0": [], "rn1": [], "rn2": [], "c": []}
     own_lines: list[tuple[str, str]] = []
+    seen: set[tuple[str, ...]] = set()
     for line in content_lines(text):
         match line.split():
             case ["frame", k, nm]:
@@ -424,11 +462,15 @@ def read_frame(text: str) -> Frame:
             case ["worlds", *rest] if rest:
                 worlds.extend(rest)
             case ["leq", a, b]:
+                given_once(seen, ("leq", a, b), line, f"leq {a} {b}")
                 leq_pairs.append((a, b))
             case ["y0", *rest]:
+                for w in rest:
+                    given_once(seen, ("y0", w), line, f"y0 world {w}")
                 own["y0"].extend(rest)
                 own_lines.append(("y0", line))
             case [("rn1" | "rn2" | "c") as tag, a, b]:
+                given_once(seen, (tag, a, b), line, f"{tag} {a} {b}")
                 own[tag].append((a, b))
                 own_lines.append((tag, line))
             case _:

@@ -259,8 +259,9 @@ def derive_heyting(lat: FiniteLattice) -> OpTable:
     return tuple(table)
 
 
-def upsets_of(leq: Table) -> list[frozenset[int]]:
-    """All upward-closed subsets, ordered by cardinality then lexicographically."""
+def _upset_masks(leq: Table) -> list[int]:
+    """The masks of all upward-closed subsets, ordered by cardinality then
+    lexicographically."""
     up = _up_masks(leq)
     found = [0]
     # Maximal-first, so everything above x is decided before x: x extends
@@ -269,9 +270,13 @@ def upsets_of(leq: Table) -> list[frozenset[int]]:
         bit = 1 << x
         above = up[x] & ~bit
         found += [s | bit for s in found if s & above == above]
-    out = [frozenset(_bits(s)) for s in found]
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    found.sort(key=lambda s: (s.bit_count(), list(_bits(s))))
+    return found
+
+
+def upsets_of(leq: Table) -> list[frozenset[int]]:
+    """All upward-closed subsets, ordered by cardinality then lexicographically."""
+    return [frozenset(_bits(s)) for s in _upset_masks(leq)]
 
 
 def downsets_of(leq: Table) -> list[frozenset[int]]:

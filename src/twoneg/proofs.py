@@ -18,7 +18,8 @@ from functools import lru_cache
 
 from ._record import record
 from .algebra import SIZE_GUARD, algebra_valid, enumerate_algebras, sequent_valid
-from .errors import AlgebraError, BoundGuardError, FileFormatError, content_lines
+from .errors import (AlgebraError, BoundGuardError, FileFormatError, content_lines,
+                     given_once)
 from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
                       match_into, parse, render)
 
@@ -369,9 +370,7 @@ def parse_proof(text: str):
         if not words[0].isdigit():
             raise FileFormatError("bad-line", line)
         idx = int(words[0])
-        if idx in seen:
-            raise FileFormatError("bad-line", line, f"line {idx} already given")
-        seen.add(idx)
+        given_once(seen, idx, line, f"line {idx}")
         body = line[len(words[0]):].strip()
         if mode == "hilbert":
             if " axiom " in body:

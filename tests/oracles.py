@@ -15,6 +15,10 @@ and `build_compat` are the hand-written law sequences `twoneg.frames` once
 ran; the builders now read one law table per frame kind
 (`tests/test_frame_laws.py`).
 
+`no_successor_in` is the frozenset clause frame truth sets and
+`bridge.complex_algebra_compat` once read; both now read the mask kernel
+`frames._no_successor_in` (`tests/test_frame_evaluator.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -96,6 +100,12 @@ def distributivity_witness(n, meet, join):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (a, b, c)
     return None
+
+
+def no_successor_in(rel, s):
+    """Worlds with no `rel`-successor in `s`."""
+    n = len(rel)
+    return frozenset(w for w in range(n) if all(v not in s for v in range(n) if rel[w][v]))
 
 
 def build_subnormal(worlds, leq_pairs, y0_names):

@@ -78,6 +78,14 @@ def test_duplicate_algebra_directive_rejected(tmp_path, capsys, key, line):
     assert "error=duplicate-directive" in out and repr(key) in out
 
 
+def test_repeated_algebra_leq_rejected(tmp_path, capsys):
+    dup = tmp_path / "dup.alg"
+    dup.write_text("algebra c3\nelements 0 a 1\nleq 0 a\nleq a 1\nleq 0 a\nend\n")
+    code, out = run(capsys, "--porcelain", "check-algebra", str(dup))
+    assert (code, out) == (2, "error=bad-line\n"
+                              "detail=bad-line at 'leq 0 a': leq 0 a already given\n")
+
+
 def test_eval_duplicate_assignment_rejected(capsys, fixtures_dir):
     code, out = run(capsys, "--porcelain", "eval", str(fixtures_dir / "b_prime.alg"),
                     "p | ~p", "--assign", "p=a,p=0")
@@ -289,6 +297,23 @@ def test_build_au(capsys, fixtures_dir):
     assert code == 1
 
 
+@pytest.mark.parametrize("u,code,line", [
+    ("{},{w0,w1,w2}", 0, "size=5"),
+    (" {w1} , {w1,w2} ", 0, "size=4"),
+    ("{w1,w2},{}", 1, "error=u-not-ordered"),
+    ("{},{w0}", 2, "error=unknown-element"),
+    ("{w1}", 2, "error=bad-u"),
+    ("{},{w1},{}", 2, "error=bad-u"),
+])
+def test_build_au_names_with_commas(capsys, fixtures_dir, u, code, line):
+    """`--u` cuts at the one comma with an element name on both sides; a
+    lone comma still cuts, and no fitting comma among several is bad-u."""
+    got, out = run(capsys, "--porcelain", "build-au",
+                   str(fixtures_dir / "three_world_complex.alg"), "--u", u)
+    assert got == code
+    assert line + "\n" in out
+
+
 def test_check_proof(capsys, fixtures_dir):
     code, out = run(capsys, "check-proof", str(fixtures_dir / "top_three_lines.prf"))
     assert code == 0
@@ -354,6 +379,23 @@ def test_frame_line_of_other_kind_rejected(capsys, tmp_path, line):
     code, out = run(capsys, "--porcelain", "translate", str(bad))
     assert code == 2
     assert "error=line-of-other-kind" in out and repr(line) in out
+
+
+@pytest.mark.parametrize("kind,lines,line,what", [
+    ("subnormal", "leq w0 w1\nleq w0 w1\n", "leq w0 w1", "leq w0 w1"),
+    ("subnormal", "y0 w1\ny0 w2 w1\n", "y0 w2 w1", "y0 world w1"),
+    ("subnormal", "y0 w2 w2\n", "y0 w2 w2", "y0 world w2"),
+    ("nhat", "rn1 w0 w0\nrn2 w0 w0\nrn1 w0 w0\n", "rn1 w0 w0", "rn1 w0 w0"),
+    ("nhat", "rn2 w1 w1\nrn2 w1 w1\n", "rn2 w1 w1", "rn2 w1 w1"),
+    ("compat", "c w1 w1\nc w1 w1\n", "c w1 w1", "c w1 w1"),
+])
+def test_repeated_frame_line_rejected(capsys, tmp_path, kind, lines, line, what):
+    """A relation pair or a Y0 world given twice is malformed, never merged."""
+    dup = tmp_path / "dup.frm"
+    dup.write_text(f"frame {kind} a\nworlds w0 w1 w2\n{lines}end\n")
+    code, out = run(capsys, "--porcelain", "translate", str(dup))
+    assert (code, out) == (2, f"error=bad-line\ndetail=bad-line at {line!r}: "
+                              f"{what} already given\n")
 
 
 def test_frame_y0_line_under_compat_rejected(capsys, tmp_path):

@@ -1,35 +1,78 @@
-"""Frame truth sets through the compiled goal program, against the recursive
-frame walk it replaced.
+"""Frame truth sets through the compiled goal program over world masks,
+against the recursive frozenset walk it replaced.
 
 `walk` is the former body of `frames.truth_set`, and `walk_falsifier` the
 former valuation search behind `frame_valid`/`frame_sequent_valid`; both are
 kept here as the oracle.  Truth sets, raised errors (kind and witness),
 verdicts, falsifying valuations and least worlds must agree on sub-normal,
-N-hat and compatibility frames."""
+N-hat and compatibility frames: the canonical frames of small catalogs,
+hand-built frames of 9 and 10 worlds, and N-hat frames whose R1 is not the
+order.  The mask kernel `frames._no_successor_in` and the complex algebra of
+a compatibility frame are checked against the frozenset clause
+`oracles.no_successor_in`."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg.algebra import VALID, Verdict, enumerate_algebras
-from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
+from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
+                           complex_algebra_compat)
 from twoneg.errors import FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
                             atoms, parse)
-from twoneg.frames import (CompatFrame, SubNormalFrame, build_compat,
-                           frame_sequent_valid, frame_upsets, frame_valid,
-                           read_frame, truth_set)
+from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _no_successor_in,
+                           build_compat, build_subnormal, frame_sequent_valid,
+                           frame_upsets, frame_valid, read_frame, truth_set)
+from twoneg.lattice import _bits, all_posets
 from twoneg.translate import phi
+
+from oracles import no_successor_in
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBNORMAL = ([read_frame((FIXTURES / "three_world.frm").read_text())]
              + [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 6)])
 FRAMES = (SUBNORMAL + [phi(fr) for fr in SUBNORMAL]
           + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 6)])
+
+
+# Two 5-world chains, the second queer; the 3x3 grid; their phi images; and
+# the two chains as a compatibility frame whose C lies below a2 or b1.
+_CHAINS = ([f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)],
+           [(f"a{i}", f"a{i + 1}") for i in range(4)] + [(f"b{i}", f"b{i + 1}") for i in range(4)])
+_GRID = ([f"g{i}{j}" for i in range(3) for j in range(3)],
+         [(f"g{i}{j}", f"g{i + 1}{j}") for i in range(2) for j in range(3)]
+         + [(f"g{i}{j}", f"g{i}{j + 1}") for i in range(3) for j in range(2)])
+_TWO_CHAINS = build_subnormal(*_CHAINS, [f"b{i}" for i in range(5)])
+_GRID_FRAME = build_subnormal(*_GRID, [])
+LARGE = [
+    _TWO_CHAINS, phi(_TWO_CHAINS), phi(_GRID_FRAME),
+    # a Y0 the builder rejects (condition D), read by the evaluator all the same
+    SubNormalFrame(_GRID_FRAME.worlds, _GRID_FRAME.leq, frozenset({5, 7, 8})),
+    build_compat(*_CHAINS, [(x, y) for block in (("a0", "a1", "a2"), ("b0", "b1"))
+                            for x in block for y in block]),
+]
+
+_SMALL_POSETS = [leq for size, posets in all_posets(4).items() if size > 1 for leq in posets]
+
+
+def off_order(seed: int) -> NhatFrame:
+    """An N-hat frame, never validated, with random R1 and R2: `!` reads R1,
+    which need not contain or be the order."""
+    rnd = random.Random(seed)
+    leq = rnd.choice(_SMALL_POSETS)
+    n = len(leq)
+
+    def relation():
+        return tuple(tuple(rnd.random() < 0.3 for _ in range(n)) for _ in range(n))
+
+    return NhatFrame(tuple(f"w{i}" for i in range(n)), leq, relation(), relation())
+
 
 # Names a careless code generator would confuse with its own identifiers.
 NAMES = ["p", "q", "impl", "neg", "tilde", "bottom", "x0", "v0", "value"]
@@ -39,10 +82,6 @@ def walk(fr, valuation, f):
     n = fr.size
     every = frozenset(range(n))
     bang, tilde = fr.bang, fr.tilde
-
-    def no_successor_in(rel, s):
-        return frozenset(w for w in range(n)
-                         if all(v not in s for v in range(n) if rel[w][v]))
 
     def rec(g):
         match g:
@@ -81,6 +120,10 @@ def walk(fr, valuation, f):
         raise TypeError(f"not a formula: {g!r}")
 
     return rec(f)
+
+
+def mask(s) -> int:
+    return sum(1 << w for w in s)
 
 
 def walk_falsifier(fr, names, sides):
@@ -135,10 +178,13 @@ def formulas(names):
 
 names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
 goals = names3.flatmap(formulas)
+names2 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True)
+goals2 = names2.flatmap(formulas)
+sequents2 = names2.flatmap(lambda ns: st.tuples(formulas(ns), formulas(ns)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FRAMES), goals, st.lists(st.sampled_from(NAMES), unique=True),
+@given(st.sampled_from(FRAMES + LARGE), goals, st.lists(st.sampled_from(NAMES), unique=True),
        st.randoms(use_true_random=False))
 def test_truth_sets_agree(fr, f, bound, rnd):
     """Truth sets on valuations of the atoms `bound`; an atom of `f` left
@@ -184,6 +230,15 @@ def test_first_offending_node_in_preorder(text, kind, witness):
         assert e.value.witness == witness
 
 
+@pytest.mark.parametrize("p", [frozenset({0}), frozenset({3}), frozenset({1, 5})])
+def test_valuation_off_the_upsets_is_rejected(p):
+    """On a <= b plus c, `p` must be an upset of the frame's worlds."""
+    fr = build_subnormal(["a", "b", "c"], [("a", "b")], [])
+    with pytest.raises(FrameError) as e:
+        truth_set(fr, {"q": frozenset(), "p": p}, parse("q | !p"))
+    assert (e.value.kind, e.value.witness) == ("valuation-not-upset", "p")
+
+
 @pytest.mark.parametrize("lhs,rhs,witness", [
     ("p", "p -> q", lambda lhs, rhs: rhs),
     ("q -> p", "p -> q", lambda lhs, rhs: lhs),
@@ -199,3 +254,59 @@ def test_validity_names_first_implication(lhs, rhs, witness):
             check(fr, *args)
         assert e.value.kind == "wrong-language"
         assert e.value.witness is witness(lhs, rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(LARGE), goals2, sequents2)
+def test_large_frame_verdicts_agree(fr, f, goal):
+    assert same(outcome(frame_valid, fr, f), outcome(walk_valid, fr, f)), (fr, f)
+    lhs, rhs = goal
+    assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
+                outcome(walk_sequent, fr, lhs, rhs)), (fr, goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32).map(off_order), goals2, sequents2,
+       st.randoms(use_true_random=False))
+def test_nhat_frame_off_the_order_agrees(fr, f, goal, rnd):
+    """Truth sets and verdicts where `!` must read R1, not the order."""
+    ups = frame_upsets(fr.leq)
+    valuation = {name: rnd.choice(ups) for name in atoms(f)}
+    assert same(outcome(truth_set, fr, valuation, f), outcome(walk, fr, valuation, f))
+    assert same(outcome(frame_valid, fr, f), outcome(walk_valid, fr, f)), (fr, f)
+    lhs, rhs = goal
+    assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
+                outcome(walk_sequent, fr, lhs, rhs)), (fr, goal)
+
+
+def test_bang_reads_r1():
+    """a <= b with R1 empty: no world has an R1-successor, so `!p` holds
+    everywhere, though a and b both see b in the order."""
+    fr = NhatFrame(("a", "b"), ((True, True), (False, True)),
+                   ((False, False), (False, False)), ((True, True), (True, True)))
+    p = Atom("p")
+    assert truth_set(fr, {"p": frozenset({1})}, Neg(p)) == frozenset({0, 1})
+    assert frame_valid(fr, Neg(p)) == VALID
+    assert frame_valid(fr, Impl(Neg(p), Neg(p))) == VALID
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.booleans(), min_size=n, max_size=n).map(tuple),
+             min_size=n, max_size=n).map(tuple),
+    st.integers(0, 2**n - 1))))
+def test_kernel_is_the_frozenset_clause(case):
+    """On any relation and any set of worlds, upset or not."""
+    rel, s = case
+    assert _no_successor_in(rel)(s) == mask(no_successor_in(rel, frozenset(_bits(s))))
+
+
+@pytest.mark.parametrize("alg", enumerate_algebras("kim", 6), ids=lambda a: a.name)
+def test_complex_algebra_compat_tables(alg):
+    """`!U` and `~U` of the canonical Kim frame's complex algebra, against
+    the frozenset clause over its upsets."""
+    fr = canonical_frame_kim(alg)
+    kim = complex_algebra_compat(fr)
+    ups = frame_upsets(fr.leq)
+    assert kim.neg == tuple(ups.index(no_successor_in(fr.bang, u)) for u in ups)
+    assert kim.tilde == tuple(ups.index(no_successor_in(fr.tilde, u)) for u in ups)

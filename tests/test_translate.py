@@ -8,8 +8,8 @@ from twoneg.errors import FrameError, WorkbenchError
 from twoneg.formula import parse
 from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
                            dne_tilde_top_witness, frame_valid, is_identity,
-                           tilde_top_worlds, truth_set, upsets_of)
-from twoneg.lattice import all_posets
+                           tilde_top_worlds, truth_set)
+from twoneg.lattice import all_posets, upsets_of
 from twoneg.translate import phi, psi
 
 BATTERY = [parse(t) for t in [
