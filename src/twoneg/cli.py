@@ -123,6 +123,13 @@ def _emit(rep: Report, text: str, out_path: str | None) -> None:
         rep.block(text)
 
 
+def _rejected(rep: Report, e: WorkbenchError) -> int:
+    """Report the input as rejected with the kind of `e`: exit code 1."""
+    rep.kv("accepted", False)
+    rep.kv("error", e.kind)
+    return 1
+
+
 def _flag_report(rep: Report, prefix: str, flag) -> None:
     rep.kv(prefix, flag.holds)
     if not flag.holds and flag.witness:
@@ -156,11 +163,10 @@ def cmd_check_algebra(args, rep: Report) -> int:
     try:
         alg = _load_algebra(args.file)
     except (LatticeError, AlgebraError) as e:
-        rep.kv("accepted", False)
-        rep.kv("error", e.kind)
+        code = _rejected(rep, e)
         if e.witness is not None:
             rep.kv("witness", e.witness)
-        return 1
+        return code
     rep.kv("accepted", True)
     rep.kv("name", alg.name)
     rep.kv("size", alg.size)
@@ -174,9 +180,7 @@ def cmd_classify(args, rep: Report) -> int:
     try:
         alg = _load_algebra(args.file)
     except (LatticeError, AlgebraError) as e:
-        rep.kv("accepted", False)
-        rep.kv("error", e.kind)
-        return 1
+        return _rejected(rep, e)
     report = classify_algebra(alg)
     for field in ("is_pba", "is_ccpba", "is_cvcpba", "is_jp_algebra",
                   "is_kim", "is_kim_vee", "tilde_involutive"):
@@ -299,9 +303,7 @@ def cmd_canonical(args, rep: Report) -> int:
     try:
         text = bridge.canonical_frame_file(alg, "subnormal")
     except AlgebraError as e:
-        rep.kv("accepted", False)
-        rep.kv("error", e.kind)
-        return 1
+        return _rejected(rep, e)
     _emit(rep, text, args.output)
     return 0
 
@@ -350,9 +352,7 @@ def cmd_build_au(args, rep: Report) -> int:
         u2 = alg.lattice.index(second)
         out = build_au(alg, u1, u2, name=f"{alg.name}_au")
     except AlgebraError as e:
-        rep.kv("accepted", False)
-        rep.kv("error", e.kind)
-        return 1
+        return _rejected(rep, e)
     rep.kv("size", out.size)
     _emit(rep, write_algebra(out), args.output)
     return 0

@@ -14,10 +14,12 @@ checking order; a sub-compatibility frame is a compatibility frame that also
 passes `_SUBCOMPAT_LAWS`.  Builders close <= reflexively/transitively and
 raise the first failing row; the R/C relations are taken as given, never
 repaired.  `nhat_violations`, `subcompat_violation` and the complex algebras
-in `bridge` read the same tables.  Calling a frame class directly skips
-validation, which the canonicity tests use to probe frames that violate a
-condition.  A world name may not contain `,`, which joins an upset's worlds
-into its name.
+in `bridge` read the same tables.  Each law reads its relations as successor
+masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`;
+the former table scans are the oracles in `tests/oracles.py`.  Calling a
+frame class directly skips validation, which the canonicity tests use to
+probe frames that violate a condition.  A world name may not contain `,`,
+which joins an upset's worlds into its name.
 """
 
 from __future__ import annotations
@@ -146,8 +148,9 @@ def _relation(worlds: tuple[str, ...], pairs) -> Table:
     return tuple(tuple(row) for row in rel)
 
 
-def _is_upset(leq: Table, s: frozenset[int]) -> bool:
-    return all(j in s for i in s for j in range(len(leq)) if leq[i][j])
+def _closed_upward(up: list[int], s: int) -> bool:
+    """Whether the world mask `s` is an upset of the order with up-set masks `up`."""
+    return not s >> len(up) and not any(up[w] & ~s for w in _bits(s))
 
 
 def _no_successor_in(rel: Table):
@@ -155,9 +158,8 @@ def _no_successor_in(rel: Table):
     goes to the worlds with no `rel`-successor in `s`, that is all worlds
     less the `rel`-predecessors of each world of `s`.  `!s` reads the `!`
     relation, `~s` the `~` relation and `a -> b` the order at `a & ~b`."""
-    n = len(rel)
-    pred = [sum(1 << w for w in range(n) if rel[w][v]) for v in range(n)]
-    full = (1 << n) - 1
+    pred = _up_masks(zip(*rel))  # the successor masks of the converse
+    full = (1 << len(rel)) - 1
 
     def clause(s: int) -> int:
         hit = 0
@@ -171,25 +173,25 @@ def _no_successor_in(rel: Table):
 
 # -- conditions shared by the three kinds ------------------------------------
 
+def _tilde_top(fr: Frame) -> int:
+    """The mask of `~top`: the `~` clause of the full world mask."""
+    return _no_successor_in(fr.tilde)((1 << fr.size) - 1)
+
+
 def tilde_top_worlds(fr: Frame) -> frozenset[int]:
     """Worlds where `~top` holds: those with no `~`-successor."""
-    return frozenset(x for x, row in enumerate(fr.tilde) if not any(row))
+    return frozenset(_bits(_tilde_top(fr)))
 
 
 def dne_tilde_top_witness(fr: Frame) -> str | None:
-    """First world refuting `!!~top -> ~top`, or None when it is frame-valid;
+    """Least world refuting `!!~top -> ~top`, or None when it is frame-valid;
     this is condition (D) of sub-normal frames and (3) of the other kinds.
-    Decided without valuations: a world outside `~top` refutes it when each
-    of its `!`-successors has a `!`-successor inside `~top`."""
-    quiet = tilde_top_worlds(fr)
-    rel = fr.bang
-    n = fr.size
-    for x in range(n):
-        if x in quiet:
-            continue
-        if all(any(rel[y][z] and z in quiet for z in range(n))
-               for y in range(n) if rel[x][y]):
-            return fr.worlds[x]
+    Decided without valuations, as the least world of `!!q & ~q` where q is
+    the mask of `~top`."""
+    quiet = _tilde_top(fr)
+    bang = _no_successor_in(fr.bang)
+    for x in _bits(bang(bang(quiet)) & ~quiet):
+        return fr.worlds[x]
     return None
 
 
@@ -197,45 +199,41 @@ def is_identity(fr: Frame) -> bool:
     """Identity frames, where `~` looks only downwards: the `~` relation lies
     inside the converse order.  On a sub-normal frame this is condition (E),
     <= restricted to the non-queer worlds is symmetric."""
-    n, tilde = fr.size, fr.tilde
-    return all(fr.leq[y][x] for x in range(n) for y in range(n) if tilde[x][y])
+    below = _up_masks(zip(*fr.leq))
+    return not any(succ & ~down for succ, down in zip(_up_masks(fr.tilde), below))
 
 
 # -- frame laws -----------------------------------------------------------------
+# A witness reads the order and R as masks (bit y of succ[x] is set iff x R y,
+# and `zip(*r)` is the converse), and returns the first culprit in row-major
+# order: the lowest bit of each mask it walks.
 
 def _stability_witness(leq: Table, r: Table):
     # (<= ; R ; >=) subset of R: x' <= x, x R y, y' <= y  =>  x' R y'.
-    n = len(leq)
-    for x in range(n):
-        for y in range(n):
-            if not r[x][y]:
-                continue
-            for xp in range(n):
-                if not leq[xp][x]:
-                    continue
-                for yp in range(n):
-                    if leq[yp][y] and not r[xp][yp]:
-                        return (xp, x, y, yp)
+    succ, down = _up_masks(r), _up_masks(zip(*leq))
+    for x, row in enumerate(succ):
+        for y in _bits(row):
+            for xp in _bits(down[x]):
+                miss = down[y] & ~succ[xp]
+                if miss:
+                    return (xp, x, y, next(_bits(miss)))
     return None
 
 
 def _condensation_witness(leq: Table, r: Table):
     # x R y  =>  some z above both with x R z.
-    n = len(leq)
-    for x in range(n):
-        for y in range(n):
-            if r[x][y] and not any(leq[x][z] and leq[y][z] and r[x][z]
-                                   for z in range(n)):
+    up = _up_masks(leq)
+    for x, row in enumerate(_up_masks(r)):
+        for y in _bits(row):
+            if not up[x] & up[y] & row:
                 return (x, y)
     return None
 
 
 def _symmetry_witness(leq: Table, r: Table):
-    n = len(r)
-    for x in range(n):
-        for y in range(n):
-            if r[x][y] != r[y][x]:
-                return (x, y)
+    for x, (row, column) in enumerate(zip(_up_masks(r), _up_masks(zip(*r)))):
+        if row != column:
+            return (x, next(_bits(row ^ column)))
     return None
 
 
@@ -252,7 +250,9 @@ def _over(rel: str, witness):
 
 
 def _y0_upset(fr: SubNormalFrame):
-    return None if _is_upset(fr.leq, fr.y0) else tuple(sorted(fr.worlds[i] for i in fr.y0))
+    if _closed_upward(_up_masks(fr.leq), sum(1 << w for w in fr.y0)):
+        return None
+    return tuple(sorted(fr.worlds[i] for i in fr.y0))
 
 
 def _condition_3(fr: Frame):
@@ -362,7 +362,7 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
     masks = [sum(1 << w for w in valuation[n]) for n in names]
     up = _up_masks(fr.leq)
     for name, s in zip(names, masks):
-        if s >> fr.size or any(up[w] & ~s for w in _bits(s)):
+        if not _closed_upward(up, s):
             raise FrameError("valuation-not-upset", name)
     return frozenset(_bits(_compiled(fr, (f,), names)(*masks)[0]))
 
@@ -496,8 +496,7 @@ def write_frame(fr: Frame, name: str = "frame") -> str:
             if fr.y0:
                 lines.append("y0 " + " ".join(fr.worlds[i] for i in sorted(fr.y0)))
         else:
-            rel = getattr(fr, tag)
             lines += [f"{tag} {fr.worlds[x]} {fr.worlds[y]}"
-                      for x in range(fr.size) for y in range(fr.size) if rel[x][y]]
+                      for x, row in enumerate(_up_masks(getattr(fr, tag))) for y in _bits(row)]
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -11,41 +11,41 @@ the frames whose R2 sits inside the converse order.
 from __future__ import annotations
 
 from .errors import FrameError
-from .frames import (NhatFrame, SubNormalFrame, build_nhat, build_subnormal,
+from .frames import (Frame, NhatFrame, SubNormalFrame, build_nhat, build_subnormal,
                      is_identity, tilde_top_worlds)
-from .lattice import Table
+from .lattice import Table, _bits, _up_masks
 
 __all__ = ["phi", "psi"]
 
 
+def _translated(fr: Frame, build, *own):
+    """`build` over the worlds of `fr`, its pairs x < y (row-major) and the
+    kind's own structure `own`; an identity input must yield an identity."""
+    names = fr.worlds
+    order = [(names[x], names[y]) for x, row in enumerate(_up_masks(fr.leq))
+             for y in _bits(row & ~(1 << x))]
+    out = build(names, order, *own)
+    if is_identity(fr) and not is_identity(out):
+        raise FrameError("translation-broke-identity", None)
+    return out
+
+
 def _common_successor(names: tuple[str, ...], rel: Table) -> list[tuple[str, str]]:
     """The pairs of worlds with a common `rel`-successor."""
-    n = len(names)
-    return [(names[x], names[y]) for x in range(n) for y in range(n)
-            if any(rel[x][z] and rel[y][z] for z in range(n))]
+    succ = _up_masks(rel)
+    return [(names[x], names[y]) for x, row in enumerate(succ)
+            for y, other in enumerate(succ) if row & other]
 
 
 def phi(fr: SubNormalFrame) -> NhatFrame:
     """Sub-normal frame to modal frame, R1 over the order and R2 over `~`; output
     is validated, and an identity input yields R2 inside the converse order."""
-    n, names = fr.size, fr.worlds
-    order = [(names[x], names[y]) for x in range(n) for y in range(n)
-             if fr.leq[x][y] and x != y]
-    out = build_nhat(names, order, _common_successor(names, fr.bang),
-                     _common_successor(names, fr.tilde))
-    if is_identity(fr) and not is_identity(out):
-        raise FrameError("translation-broke-identity", None)
-    return out
+    return _translated(fr, build_nhat, _common_successor(fr.worlds, fr.bang),
+                       _common_successor(fr.worlds, fr.tilde))
 
 
 def psi(fr: NhatFrame) -> SubNormalFrame:
     """Modal frame to sub-normal frame: Y0 is the set of worlds with no
     R2-successor; an R2-inside-converse-order input yields an identity frame."""
-    n, names = fr.size, fr.worlds
-    out = build_subnormal(names,
-                          [(names[x], names[y]) for x in range(n) for y in range(n)
-                           if fr.leq[x][y] and x != y],
-                          [names[x] for x in sorted(tilde_top_worlds(fr))])
-    if is_identity(fr) and not is_identity(out):
-        raise FrameError("translation-broke-identity", None)
-    return out
+    return _translated(fr, build_subnormal,
+                       [fr.worlds[x] for x in sorted(tilde_top_worlds(fr))])

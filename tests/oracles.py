@@ -19,6 +19,14 @@ ran; the builders now read one law table per frame kind
 `bridge.complex_algebra_compat` once read; both now read the mask kernel
 `frames._no_successor_in` (`tests/test_frame_evaluator.py`).
 
+`is_upset`, `stability_witness`, `condensation_witness`,
+`symmetry_witness`, `tilde_top_worlds`, `dne_tilde_top_witness`,
+`is_identity`, `common_successor` and `phi` are the cell-by-cell table
+scans `twoneg.frames` and `twoneg.translate` once ran; the frame conditions
+now read successor masks and `~top` and condition (D)/(3) the truth-set
+kernel (`tests/test_frame_laws.py`).  The builder oracles above read these
+copies, never the package's own.
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -27,9 +35,7 @@ from __future__ import annotations
 
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
-                           _condensation_witness, _is_upset, _relation,
-                           _stability_witness, _symmetry_witness,
-                           dne_tilde_top_witness)
+                           _relation)
 from twoneg.lattice import _lattice, _order
 
 
@@ -108,6 +114,89 @@ def no_successor_in(rel, s):
     return frozenset(w for w in range(n) if all(v not in s for v in range(n) if rel[w][v]))
 
 
+def is_upset(leq, s):
+    return all(j in s for i in s for j in range(len(leq)) if leq[i][j])
+
+
+def tilde_top_worlds(fr):
+    """Worlds where `~top` holds: those with no `~`-successor."""
+    return frozenset(x for x, row in enumerate(fr.tilde) if not any(row))
+
+
+def dne_tilde_top_witness(fr):
+    """First world outside `~top` each of whose `!`-successors has a
+    `!`-successor inside `~top`, or None."""
+    quiet = tilde_top_worlds(fr)
+    rel = fr.bang
+    n = fr.size
+    for x in range(n):
+        if x in quiet:
+            continue
+        if all(any(rel[y][z] and z in quiet for z in range(n))
+               for y in range(n) if rel[x][y]):
+            return fr.worlds[x]
+    return None
+
+
+def is_identity(fr):
+    n, tilde = fr.size, fr.tilde
+    return all(fr.leq[y][x] for x in range(n) for y in range(n) if tilde[x][y])
+
+
+def stability_witness(leq, r):
+    # (<= ; R ; >=) subset of R: x' <= x, x R y, y' <= y  =>  x' R y'.
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            if not r[x][y]:
+                continue
+            for xp in range(n):
+                if not leq[xp][x]:
+                    continue
+                for yp in range(n):
+                    if leq[yp][y] and not r[xp][yp]:
+                        return (xp, x, y, yp)
+    return None
+
+
+def condensation_witness(leq, r):
+    # x R y  =>  some z above both with x R z.
+    n = len(leq)
+    for x in range(n):
+        for y in range(n):
+            if r[x][y] and not any(leq[x][z] and leq[y][z] and r[x][z]
+                                   for z in range(n)):
+                return (x, y)
+    return None
+
+
+def symmetry_witness(leq, r):
+    n = len(r)
+    for x in range(n):
+        for y in range(n):
+            if r[x][y] != r[y][x]:
+                return (x, y)
+    return None
+
+
+def common_successor(names, rel):
+    n = len(names)
+    return [(names[x], names[y]) for x in range(n) for y in range(n)
+            if any(rel[x][z] and rel[y][z] for z in range(n))]
+
+
+def phi(fr):
+    """`translate.phi` over the copies above and the `build_nhat` below."""
+    n, names = fr.size, fr.worlds
+    order = [(names[x], names[y]) for x in range(n) for y in range(n)
+             if fr.leq[x][y] and x != y]
+    out = build_nhat(names, order, common_successor(names, fr.bang),
+                     common_successor(names, fr.tilde))
+    if is_identity(fr) and not is_identity(out):
+        raise FrameError("translation-broke-identity", None)
+    return out
+
+
 def build_subnormal(worlds, leq_pairs, y0_names):
     ws = tuple(worlds)
     leq = _close_order(ws, leq_pairs)
@@ -117,7 +206,7 @@ def build_subnormal(worlds, leq_pairs, y0_names):
             raise FrameError("relation-out-of-range", ("y0", w))
     y0 = frozenset(idx[w] for w in y0_names)
     fr = SubNormalFrame(ws, leq, y0)
-    if not _is_upset(leq, y0):
+    if not is_upset(leq, y0):
         raise FrameError("y0-not-upset", tuple(sorted(ws[i] for i in y0)))
     w = dne_tilde_top_witness(fr)
     if w is not None:
@@ -125,14 +214,14 @@ def build_subnormal(worlds, leq_pairs, y0_names):
     return fr
 
 
-_SYMMETRY_CONDENSATION = (("symmetry", _symmetry_witness),
-                          ("condensation", _condensation_witness))
+_SYMMETRY_CONDENSATION = (("symmetry", symmetry_witness),
+                          ("condensation", condensation_witness))
 
 
 def nhat_violations(fr):
     out = []
     for tag, rel in (("R1", fr.rn1), ("R2", fr.rn2)):
-        for law, witness in (("stability", _stability_witness), *_SYMMETRY_CONDENSATION):
+        for law, witness in (("stability", stability_witness), *_SYMMETRY_CONDENSATION):
             w = witness(fr.leq, rel)
             if w is not None:
                 out.append((f"{tag}-{law}", tuple(fr.worlds[i] for i in w)))
@@ -171,7 +260,7 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat=False):
     ws = tuple(worlds)
     leq = _close_order(ws, leq_pairs)
     fr = CompatFrame(ws, leq, _relation(ws, c_pairs))
-    w = _stability_witness(leq, fr.c)  # the downward-closure law (C)
+    w = stability_witness(leq, fr.c)  # the downward-closure law (C)
     if w is not None:
         raise FrameError("condition-violation",
                          ("C-law", tuple(ws[i] for i in w)))

@@ -7,7 +7,9 @@ from twoneg._record import record
 from twoneg.algebra import build_kim
 from twoneg.errors import FrameError
 from twoneg.formula import Formula
-from twoneg.frames import Frame, _is_upset, truth_set
+from twoneg.frames import Frame, truth_set
+
+from oracles import is_upset
 
 
 def kim_reduct(alg):
@@ -28,7 +30,7 @@ class FrameModel:
 
     def __post_init__(self):
         for name, s in self.valuation.items():
-            if not _is_upset(self.frame.leq, s):
+            if not is_upset(self.frame.leq, s):
                 raise FrameError("valuation-not-upset", name)
 
     def truth(self, world: str, f: Formula) -> bool:

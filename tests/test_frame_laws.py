@@ -3,10 +3,13 @@
 Each frame kind's conditions are one table of (tag, witness) rows in
 `twoneg.frames`; the builders, `nhat_violations`, `subcompat_violation` and
 the complex-algebra builders in `twoneg.bridge` read them.  The former
-sequences are the oracles in `oracles.py`: on every poset of at most 4
-worlds with random relations and Y0, every builder must raise the same
-error (kind, witness and detail) and `nhat_violations` must list the same
-failures."""
+sequences are the oracles in `oracles.py`, over their own copies of the
+former cell-by-cell law witnesses, `~top`, condition (D)/(3), the identity
+test and `phi`: on the posets of at most 5 worlds with random relations and
+Y0, every builder must raise the same error (kind, witness and detail),
+`nhat_violations` must list the same failures, and `tilde_top_worlds`,
+`dne_tilde_top_witness`, `is_identity` and `phi` must agree with the
+copies."""
 
 from __future__ import annotations
 
@@ -17,13 +20,15 @@ from twoneg.bridge import complex_algebra_compat, complex_algebra_subnormal
 from twoneg.errors import AlgebraError, FrameError
 from twoneg.frames import (_COMPAT_LAWS, _NHAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS,
                            CompatFrame, NhatFrame, SubNormalFrame, build_compat,
-                           build_nhat, build_subnormal, nhat_violations,
-                           subcompat_violation)
+                           build_nhat, build_subnormal, dne_tilde_top_witness,
+                           is_identity, nhat_violations, subcompat_violation,
+                           tilde_top_worlds)
 from twoneg.lattice import all_posets
+from twoneg.translate import phi
 
 import oracles
 
-POSETS = [leq for _, found in sorted(all_posets(4).items()) for leq in found]
+POSETS = [leq for _, found in sorted(all_posets(5).items()) for leq in found]
 
 
 def _outcome(build, *args, **kwargs):
@@ -78,6 +83,12 @@ def test_table_builders_match_the_hand_written_sequences(case):
                             require_subcompat=strict))
     cf = CompatFrame(names, leq, c)
     assert subcompat_violation(cf) == oracles.subcompat_violation(cf)
+    sn = SubNormalFrame(names, leq, frozenset(y0))
+    for fr in (sn, nh, cf):
+        assert tilde_top_worlds(fr) == oracles.tilde_top_worlds(fr)
+        assert dne_tilde_top_witness(fr) == oracles.dne_tilde_top_witness(fr)
+        assert is_identity(fr) == oracles.is_identity(fr)
+    assert _outcome(phi, sn) == _outcome(oracles.phi, sn)
 
 
 def test_each_kind_lists_its_laws_in_checking_order():

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twoneg.algebra import algebra_valid, enumerate_algebras, iso_check, sequent_valid
@@ -217,3 +222,15 @@ def test_proof_fixtures_regenerate(regenerate, fixtures_dir):
     assert [p.name for p in written] == sorted(p.name for p in fixtures_dir.glob("*.prf"))
     for path in written:
         assert path.read_bytes() == (fixtures_dir / path.name).read_bytes(), path.name
+
+
+def test_proof_fixture_tool_stops_on_a_bad_construction():
+    """A construction check of the fixture tool is no `assert`: under
+    `python -O` a bad axiom instance still stops it with exit code 1."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tools.parent / "src"), str(tools)]))
+    run = subprocess.run([sys.executable, "-O", "-c",
+                          "import make_proof_fixtures as m; m.Hilbert().ax('A1', m.P)"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr.strip() == "make_proof_fixtures: p is not an instance of A1"

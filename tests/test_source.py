@@ -6,14 +6,16 @@ import ast
 import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "twoneg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twoneg"
 
 
 def test_no_assert_in_package():
-    """`python -O` strips `assert`, so no check in the package may be one."""
-    sources = sorted(PACKAGE.glob("*.py"))
+    """`python -O` strips `assert`, so no check in the package, nor in the
+    fixture generators under tools/, may be one."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
     assert sources
-    found = [f"{path.name}:{node.lineno}" for path in sources
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []

@@ -12,6 +12,8 @@ from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
 from twoneg.lattice import all_posets, upsets_of
 from twoneg.translate import phi, psi
 
+import oracles
+
 BATTERY = [parse(t) for t in [
     "p | ~p", "!p -> ~p", "~~p", "~top", "!!~top <-> ~top",
     "~(p | q) <-> (~p & ~q)", "p -> ~!p", "!~p -> ~!p",
@@ -76,7 +78,8 @@ def outcome(fn, *args):
 def test_subnormal_tilde_relation_matches_former_code():
     """Every poset of at most 5 worlds with every upset as Y0, condition (D)
     or not: the `~` relation is the order into the non-queer worlds, and
-    `tilde_top_worlds`, `is_identity` and `phi` agree with the former code."""
+    `tilde_top_worlds`, `is_identity` and `phi` agree with the former code
+    and, with `dne_tilde_top_witness`, with the table scans in `oracles`."""
     count = 0
     posets = all_posets(5)
     for size in range(1, 6):
@@ -87,9 +90,12 @@ def test_subnormal_tilde_relation_matches_former_code():
                 assert fr.tilde == tuple(tuple(leq[x][y] and y not in y0
                                                for y in range(size))
                                          for x in range(size))
-                assert tilde_top_worlds(fr) == former_tilde_top_worlds(fr)
-                assert is_identity(fr) == former_is_identity(fr)
-                assert outcome(phi, fr) == outcome(former_phi, fr)
+                assert (tilde_top_worlds(fr) == former_tilde_top_worlds(fr)
+                        == oracles.tilde_top_worlds(fr))
+                assert is_identity(fr) == former_is_identity(fr) == oracles.is_identity(fr)
+                assert dne_tilde_top_witness(fr) == oracles.dne_tilde_top_witness(fr)
+                assert (outcome(phi, fr) == outcome(former_phi, fr)
+                        == outcome(oracles.phi, fr))
                 count += 1
     assert count == 938
 

@@ -5,13 +5,15 @@ Hilbert proofs are assembled through a tiny combinator layer (identity,
 syllogism, weakening, conjunction, double-negation introduction, and a
 context monad that compiles hypothetical reasoning down to A1/A2 + MP), so
 every emitted line is a raw axiom instance or modus ponens.  Each fixture is
-re-checked before writing; the script fails loudly on any bad construction.
+re-checked before writing; on any bad construction or failed re-check the
+script stops with exit code 1 before writing that fixture, `python -O` or not.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from twoneg.formula import And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, parse, render
 from twoneg.proofs import (DerivationNode, ProofLine, ProofScript, SCHEMES,
@@ -26,6 +28,10 @@ N = Neg(T)                # !~top
 D = Neg(N)                # !!~top
 TOP = Top()
 BOT = Bot()
+
+
+def fail(message: str) -> NoReturn:
+    raise SystemExit(f"make_proof_fixtures: {message}")
 
 
 def is_instance(f: Formula, sid: str) -> bool:
@@ -52,13 +58,14 @@ class Hilbert:
         return n
 
     def ax(self, sid: str, inst: Formula) -> int:
-        assert is_instance(inst, sid), f"{render(inst)} is not an instance of {sid}"
+        if not is_instance(inst, sid):
+            fail(f"{render(inst)} is not an instance of {sid}")
         return self._emit(inst, ("axiom", sid))
 
     def mp(self, i: int, j: int) -> int:
         maj = self.formula(i)
-        assert isinstance(maj, Impl) and maj.left == self.formula(j), \
-            f"bad mp: {render(maj)} from {render(self.formula(j))}"
+        if not (isinstance(maj, Impl) and maj.left == self.formula(j)):
+            fail(f"bad mp: {render(maj)} from {render(self.formula(j))}")
         return self._emit(maj.right, ("mp", i, j))
 
     # -- derived moves ------------------------------------------------------
@@ -176,7 +183,8 @@ class Ctx:
 
     def strip(self, f: Formula) -> Formula:
         for h in self.chain:
-            assert isinstance(f, Impl) and f.left == h
+            if not (isinstance(f, Impl) and f.left == h):
+                fail(f"{render(f)} is not under the hypothesis {render(h)}")
             f = f.right
         return f
 
@@ -199,7 +207,8 @@ class Ctx:
 
     def app(self, f_idx: int, x_idx: int) -> int:
         body = self.strip(self.hb.formula(f_idx))
-        assert isinstance(body, Impl)
+        if not isinstance(body, Impl):
+            fail(f"cannot apply {render(body)}: not an implication")
         if self.parent is None:
             return self.hb.mp_under(f_idx, x_idx)
         c = self.hypo
@@ -345,7 +354,8 @@ def rule(rid: str, lhs, rhs, *children) -> DerivationNode:
 
 
 def cut(n1: DerivationNode, n2: DerivationNode) -> DerivationNode:
-    assert n1.rhs == n2.lhs
+    if n1.rhs != n2.lhs:
+        fail(f"cut: {render(n1.rhs)} is not {render(n2.lhs)}")
     return rule("A2", n1.lhs, n2.rhs, n1, n2)
 
 
@@ -358,7 +368,8 @@ def proj2(a, b) -> DerivationNode:
 
 
 def pair(n1: DerivationNode, n2: DerivationNode) -> DerivationNode:
-    assert n1.lhs == n2.lhs
+    if n1.lhs != n2.lhs:
+        fail(f"pair: {render(n1.lhs)} is not {render(n2.lhs)}")
     return rule("A4", n1.lhs, And(n1.rhs, n2.rhs), n1, n2)
 
 
@@ -495,13 +506,15 @@ def hilbert_fixture(name: str, system: str, build) -> None:
     goal = build(hb)
     script = hb.script(goal)
     res = check_hilbert(system, script)
-    assert res.ok, f"{name}: {res}"
+    if not res.ok:
+        fail(f"{name}: {res}")
     write(FIXTURES / name, hilbert_proof_text(system, script))
 
 
 def sequent_fixture(name: str, system: str, root: DerivationNode) -> None:
     res = check_derivation(system, root)
-    assert res.ok, f"{name}: {res}"
+    if not res.ok:
+        fail(f"{name}: {res}")
     write(FIXTURES / name, sequent_proof_text(system, root))
 
 
@@ -513,7 +526,9 @@ def main() -> int:
         ProofLine(2, parse("(top -> (bot -> top)) -> top"), ("axiom", "A7")),
         ProofLine(3, parse("top"), ("mp", 2, 1)),
     ), parse("top"))
-    assert check_hilbert("ILM", top_proof).ok
+    res = check_hilbert("ILM", top_proof)
+    if not res.ok:
+        fail(f"top_three_lines.prf: {res}")
     write(FIXTURES / "top_three_lines.prf", hilbert_proof_text("ILM", top_proof))
 
     hilbert_fixture("ilm_a.prf", "ILM", ilm_a)

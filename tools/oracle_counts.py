@@ -175,7 +175,9 @@ def main():
                     continue
                 # the intuitionistic negation is unique (the pseudocomplement),
                 # but verify rather than assume
-                assert is_intuitionistic_neg(leq, meet, join, bottom, top, neg)
+                if not is_intuitionistic_neg(leq, meet, join, bottom, top, neg):
+                    raise SystemExit(f"oracle_counts: the pseudocomplement of {frozen} "
+                                     "is not an intuitionistic negation")
                 kim.append((frozen, neg, tilde))
                 if all(join[a][tilde[a]] == top for a in range(n)):
                     kim_vee.append((frozen, neg, tilde))
