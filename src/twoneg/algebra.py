@@ -19,7 +19,7 @@ from ._record import record, replace
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
-                      atoms, fold, subformulas)
+                      atoms, contains, fold, subformulas)
 from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice,
                       _relabel, _up_masks, all_lattices, build_lattice,
                       canonical_form, derive_heyting, transitive_reduction)
@@ -325,16 +325,25 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 # Evaluation and validity.  Each goal is compiled once into a function over
 # the op tables (`_program`); a search calls it once per valuation.
 
-# Compiled goals kept, frame goals (compiled over upsets) among them.  One
-# pass of the warm-validity benchmark workload cycles through 240 distinct
-# goals; 512 holds them twice over for about 0.3 MB.
+# Goal plans kept (`_plan`), frame goals (compiled over upsets) among them.
+# One pass of the warm-validity benchmark workload cycles through 240
+# distinct goals, each in one language; 512 holds them twice over for about
+# 0.3 MB.
 _PROGRAM_CACHE = 512
 
-# The code of And, Or, Impl, Neg and Tilde over the op tables.
+# The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
+# world masks of a frame (`frames._bind`).
 _TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
+_UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
+
+# Per language of a search's target, the connective it lacks (None: none)
+# and the code its goals compile to: Kim, plain pseudo-Boolean and
+# two-negation algebras, compatibility frames and the other frames.
+_LANGUAGES = {"kim": (Impl, _TABLE_CODE), "pba": (Tilde, _TABLE_CODE),
+              "ccpba": (None, _TABLE_CODE), "compat": (Impl, _UPSET_CODE),
+              "frame": (None, _UPSET_CODE)}
 
 
-@lru_cache(maxsize=_PROGRAM_CACHE)
 def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
              code: tuple[str, ...] = _TABLE_CODE):
     """Compile `goals` over the atoms `names` into a factory
@@ -375,12 +384,35 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     return namespace["make"]
 
 
-def _compiled(alg: AnyAlgebra, goals: tuple[Formula, ...], names: tuple[str, ...]):
-    """The value function of `goals` bound to the tables of `alg`."""
+@lru_cache(maxsize=_PROGRAM_CACHE)
+def _plan(goals: tuple[Formula, ...], language: str):
+    """What a search needs of `goals` in `language` that no algebra or frame
+    changes: the atom names of all goals in first-occurrence order, per goal
+    whether it has a node the language lacks, and the `_program` factory of
+    the goals before the first such one (None if that is the first goal).
+
+    The key is compared by value, so an equal goal may be another object: a
+    plan holds no node, and an error names the caller's own node, found by
+    walking the caller's goal.
+    """
+    lacks, code = _LANGUAGES[language]
+    names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))
+    offends = tuple(lacks is not None and contains(g, lacks) for g in goals)
+    kept = goals[:offends.index(True)] if True in offends else goals
+    return names, offends, _program(kept, names, code) if kept else None
+
+
+def _language(alg: AnyAlgebra) -> str:
+    if isinstance(alg, KimAlgebra):
+        return "kim"
+    return "pba" if alg.tilde is None else "ccpba"
+
+
+def _bind(alg: AnyAlgebra, make):
+    """The value function of the factory `make` over the tables of `alg`."""
     lat = alg.lattice
     impl = alg.impl if isinstance(alg, Algebra) else None
-    return _program(goals, names)(lat.meet, lat.join, impl, alg.neg, alg.tilde,
-                                  lat.top, lat.bottom)
+    return make(lat.meet, lat.join, impl, alg.neg, alg.tilde, lat.top, lat.bottom)
 
 
 def _first_error(alg: AnyAlgebra, f: Formula,
@@ -407,8 +439,8 @@ def evaluate(alg: AnyAlgebra, f: Formula, valuation: Mapping[str, int]) -> int:
     error = _first_error(alg, f, valuation)
     if error is not None:
         raise error
-    names = tuple(atoms(f))
-    return _compiled(alg, (f,), names)(*[valuation[n] for n in names])[0]
+    names, _, make = _plan((f,), _language(alg))
+    return _bind(alg, make)(*[valuation[n] for n in names])[0]
 
 
 def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
@@ -418,22 +450,24 @@ def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
 
 
 def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
-    """v(lhs) = 1 implies v(rhs) = 1, for every valuation.  An error in `rhs`
-    alone is raised only once some valuation sends `lhs` to 1."""
-    error = _first_error(alg, lhs)
-    if error is not None:
-        raise error
-    names = tuple(atoms(And(lhs, rhs)))
+    """v(lhs) = 1 implies v(rhs) = 1, for every valuation, tried in
+    lexicographic order; the first falsifier is reported.  The atoms, the
+    language check and the compiled program come from one plan per goal and
+    language (`_plan`), shared by every algebra of a sweep.  An error in
+    `lhs` is raised first; one in `rhs` alone only once some valuation sends
+    `lhs` to 1.  Its witness is the first offending node of the caller's own
+    `lhs` or `rhs` in pre-order."""
+    names, offends, make = _plan((lhs, rhs), _language(alg))
+    if offends[0]:
+        raise _first_error(alg, lhs)
+    value = _bind(alg, make)
     top = alg.lattice.top
     valuations = itertools.product(range(alg.size), repeat=len(names))
-    error = _first_error(alg, rhs)
-    if error is not None:
-        value = _compiled(alg, (lhs,), names)
+    if offends[1]:
         for combo in valuations:
             if value(*combo)[0] == top:
-                raise error
+                raise _first_error(alg, rhs)
         return VALID
-    value = _compiled(alg, (lhs, rhs), names)
     for combo in valuations:
         left, right = value(*combo)
         if left == top and right != top:

@@ -29,10 +29,10 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 from ._record import record
-from .algebra import ATOM_GUARD, Verdict, VALID, _program
+from .algebra import ATOM_GUARD, Verdict, VALID, _plan
 from .errors import (BoundGuardError, FileFormatError, FrameError, content_lines,
                      given_once)
-from .formula import TOP, And, Atom, Formula, Impl, atoms, subformulas
+from .formula import TOP, Atom, Formula, Impl, subformulas
 from .lattice import (Table, _bits, _order, _table, _up_masks, _upset_masks,
                       transitive_reduction)
 
@@ -335,18 +335,17 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 # An upset is an int mask of worlds (bit w set iff w is in it); frozensets
 # appear only where `truth_set` takes and returns them and in witnesses.
 
-# The code of And, Or, Impl, Neg and Tilde over world masks.
-_UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
-
-
-def _compiled(fr: Frame, goals: tuple[Formula, ...], names: tuple[str, ...]):
-    """The truth-mask function of `goals` on `fr`.  Every clause is "no
-    successor in": `a -> b` holds where no order-successor lies in `a & ~b`;
-    `bot` holds nowhere."""
+def _bind(fr: Frame, make):
+    """The truth-mask function of the factory `make` on `fr`.  Every clause
+    is "no successor in": `a -> b` holds where no order-successor lies in
+    `a & ~b`; `bot` holds nowhere."""
     order = _no_successor_in(fr.leq)
     bang = order if fr.bang is fr.leq else _no_successor_in(fr.bang)
-    return _program(goals, names, _UPSET_CODE)(
-        None, None, order, bang, _no_successor_in(fr.tilde), (1 << fr.size) - 1, 0)
+    return make(None, None, order, bang, _no_successor_in(fr.tilde), (1 << fr.size) - 1, 0)
+
+
+def _language(fr: Frame) -> str:
+    return "compat" if isinstance(fr, CompatFrame) else "frame"
 
 
 def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> frozenset[int]:
@@ -358,13 +357,13 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
             raise FrameError("wrong-language", g)
         if type(g) is Atom and g.name not in valuation:
             raise FrameError("unbound-atom", g.name)
-    names = tuple(atoms(f))
+    names, _, make = _plan((f,), _language(fr))
     masks = [sum(1 << w for w in valuation[n]) for n in names]
     up = _up_masks(fr.leq)
     for name, s in zip(names, masks):
         if not _closed_upward(up, s):
             raise FrameError("valuation-not-upset", name)
-    return frozenset(_bits(_compiled(fr, (f,), names)(*masks)[0]))
+    return frozenset(_bits(_bind(fr, make)(*masks)[0]))
 
 
 @lru_cache(maxsize=256)
@@ -395,18 +394,18 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
     with some world in the truth set of left but not of right; it is
     reported with the least such world.  A bound of None is not checked.  On
     a compatibility frame the first `->` in pre-order, left before right, is
-    rejected as wrong-language."""
-    both = And(*goals)
-    if isinstance(fr, CompatFrame):
-        for g in subformulas(both):
-            if type(g) is Impl:
-                raise FrameError("wrong-language", g)
-    names = tuple(atoms(both))
+    rejected as wrong-language.  The atoms, the language check and the
+    compiled program come from one plan per goal and language
+    (`algebra._plan`); the rejected `->` is the caller's own node."""
+    names, offends, make = _plan(goals, _language(fr))
+    if True in offends:
+        raise FrameError("wrong-language", next(g for goal in goals for g in subformulas(goal)
+                                                if type(g) is Impl))
     if max_worlds is not None and fr.size > max_worlds:
         raise BoundGuardError("frame worlds", max_worlds, fr.size)
     if max_atoms is not None and len(names) > max_atoms:
         raise BoundGuardError("valuation atoms", max_atoms, len(names))
-    value = _compiled(fr, goals, names)
+    value = _bind(fr, make)
     for combo in itertools.product(_upsets(fr.leq), repeat=len(names)):
         left, right = value(*combo)
         bad = left & ~right

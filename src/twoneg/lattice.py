@@ -83,8 +83,12 @@ def _order(n: int, pairs) -> tuple[list[int], tuple[int, int] | None]:
     return up, None
 
 
-def _up_masks(leq: Table) -> list[int]:
-    return [sum(1 << j for j, b in enumerate(row) if b) for row in leq]
+def _up_masks(leq) -> list[int]:
+    """Per row of the square bool table `leq` (any iterable of rows, such
+    as the `zip(*rel)` of a converse), the mask of its true columns."""
+    rows = tuple(leq)
+    powers = [1 << j for j in range(len(rows))]
+    return [sum(itertools.compress(powers, row)) for row in rows]
 
 
 def _down(up: list[int]) -> list[int]:

@@ -11,12 +11,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoneg import algebra
+from twoneg import algebra, frames
 from twoneg.algebra import (Algebra, KimAlgebra, VALID, Verdict, algebra_valid,
                             enumerate_algebras, evaluate, sequent_valid)
-from twoneg.errors import AlgebraError
+from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
+from twoneg.errors import AlgebraError, FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
-                            atoms, parse)
+                            atoms, parse, subformulas)
+from twoneg.frames import frame_sequent_valid, frame_valid
 
 from support import kim_reduct
 
@@ -119,7 +121,9 @@ def test_values_agree_on_every_valuation(f):
         assert same(got, expected), (alg.name, f)
         if isinstance(expected, tuple):
             continue
-        value = algebra._compiled(alg, (f,), names)
+        plan_names, offends, make = algebra._plan((f,), algebra._language(alg))
+        assert plan_names == names and offends == (False,)
+        value = algebra._bind(alg, make)
         for combo in itertools.product(range(alg.size), repeat=len(names)):
             assert value(*combo) == (walk(alg, f, dict(zip(names, combo))),)
 
@@ -165,6 +169,80 @@ def test_rhs_only_error_waits_for_lhs(b_prime, lhs, rhs, raises):
         assert e.value.witness is (l if "->" in lhs else r)
     else:
         assert sequent_valid(kim, l, r) == VALID
+
+
+# Goals with a `->` or a `~`: lhs (None for a validity goal), rhs, and the
+# targets that reject them.
+PLAN_GOALS = [(None, "(p -> q) | ~p", {"kim", "pba", "compat"}),
+              ("~p | q", "p -> q", {"kim", "pba", "compat"}),
+              ("p -> q", "~q", {"kim", "pba", "compat"}),
+              ("~p & q", "q | p", {"pba"})]
+
+
+def test_plan_follows_language_and_object(b_prime):
+    """A goal's plan is cached by value, so equal goals parsed afresh share
+    it; the error kind must follow the target's language and the witness be
+    the first offending node of that call's own goal, in whatever order the
+    targets come.  Each order starts from an empty plan cache and runs twice."""
+    kim = kim_reduct(b_prime)
+    targets = {  # target, validity, sequent validity, lacked node, error kind
+        "kim": (kim, algebra_valid, sequent_valid, Impl, "implication-in-kim-language"),
+        "pba": (enumerate_algebras("pba", 3)[-1], algebra_valid, sequent_valid, Tilde,
+                "tilde-undefined"),
+        "ccpba": (b_prime, algebra_valid, sequent_valid, None, None),
+        "compat": (canonical_frame_kim(kim), frame_valid, frame_sequent_valid, Impl,
+                   "wrong-language"),
+        "subnormal": (canonical_frame_ccpba(b_prime), frame_valid, frame_sequent_valid,
+                      None, None),
+    }
+
+    def run(name, lhs_text, rhs_text):
+        target, valid, sequent, lacks, _ = targets[name]
+        rhs = parse(rhs_text)
+        sides = (rhs,) if lhs_text is None else (parse(lhs_text), rhs)
+        try:
+            return valid(target, rhs) if lhs_text is None else sequent(target, *sides)
+        except (AlgebraError, FrameError) as e:
+            first = next(g for side in sides for g in subformulas(side) if type(g) is lacks)
+            assert e.witness is first, (name, lhs_text, rhs_text)
+            return e.kind
+
+    for lhs, rhs, rejecting in PLAN_GOALS:
+        expected = {}
+        for name, (*_, kind) in targets.items():
+            algebra._plan.cache_clear()
+            expected[name] = run(name, lhs, rhs)
+            if name in rejecting:
+                assert expected[name] == kind, (name, lhs, rhs)
+            else:
+                assert isinstance(expected[name], Verdict), (name, lhs, rhs)
+        for order in itertools.permutations(targets):
+            algebra._plan.cache_clear()
+            for name in order + order:  # the second round reuses the plans
+                assert run(name, lhs, rhs) == expected[name], (order, name, lhs, rhs)
+
+
+def test_planned_search_walks_no_goal(monkeypatch, b_prime):
+    """Once a goal's plan is cached, searches over other algebras and frames
+    of its language, with equal goals parsed afresh, neither walk nor
+    compile the goal again."""
+    texts = ("p & ~q", "q | !p")
+    kim = kim_reduct(b_prime)
+    targets = [(alg, sequent_valid) for alg in (b_prime, kim)]
+    targets += [(canonical_frame_ccpba(b_prime), frame_sequent_valid),
+                (canonical_frame_kim(kim), frame_sequent_valid)]
+    for target, search in targets:
+        search(target, *map(parse, texts))
+
+    def walked(*args):
+        raise AssertionError("the goal was walked again")
+    for module, name in [(algebra, "atoms"), (algebra, "subformulas"), (algebra, "contains"),
+                         (algebra, "_first_error"), (algebra, "_program"),
+                         (frames, "subformulas")]:
+        monkeypatch.setattr(module, name, walked)
+    swept = [(alg, sequent_valid) for cls in ("ccpba", "kim") for alg in enumerate_algebras(cls, 4)]
+    for target, search in swept + targets:
+        search(target, *map(parse, texts))
 
 
 def test_error_node_is_the_first_in_preorder(b_prime):

@@ -5,7 +5,8 @@ scans it replaced.
 `closure`, `glb_table`, `scan_build_lattice`, `scan_close_order` and
 `recursive_upsets` are the former bodies of `lattice._closure`,
 `lattice._glb_table`, `lattice.build_lattice`, `frames._close_order` and
-`lattice.upsets_of`, kept here as the oracle.  On random relations (cycles,
+`lattice.upsets_of`, kept here as the oracle, and `generator_masks` is the
+former body of `lattice._up_masks`.  On random relations (cycles,
 unknown names, unbounded posets, non-lattices, non-distributive lattices)
 the builders must return the same value or raise the same (kind, witness,
 detail)."""
@@ -19,8 +20,8 @@ import pytest
 
 from twoneg import frames
 from twoneg.errors import FrameError, LatticeError, WorkbenchError
-from twoneg.lattice import (all_lattices, all_posets, build_lattice, downsets_of,
-                            transitive_reduction, upsets_of, FiniteLattice)
+from twoneg.lattice import (_up_masks, all_lattices, all_posets, build_lattice,
+                            downsets_of, transitive_reduction, upsets_of, FiniteLattice)
 
 from oracles import distributivity_witness
 
@@ -38,6 +39,10 @@ def closure(n, pairs):
                     if row_k[j]:
                         row_i[j] = True
     return leq
+
+
+def generator_masks(leq):
+    return [sum(1 << j for j, b in enumerate(row) if b) for row in leq]
 
 
 def glb_table(n, leq, names, want_meet):
@@ -226,3 +231,16 @@ def test_upsets_match_recursive_enumeration():
             dual = tuple(tuple(leq[j][i] for j in range(n)) for i in range(n))
             assert upsets_of(leq) == recursive_upsets(leq)
             assert downsets_of(leq) == recursive_upsets(dual)
+
+
+def test_up_masks_match_generator_form():
+    """Random square bool tables of 0-12 rows, each also through the
+    `zip(*rel)` iterator the frame laws pass for a converse."""
+    rng = random.Random(10)
+    for _ in range(600):
+        n = rng.randrange(13)
+        density = rng.random()
+        rel = tuple(tuple(rng.random() < density for _ in range(n)) for _ in range(n))
+        assert _up_masks(rel) == generator_masks(rel)
+        assert _up_masks(zip(*rel)) == generator_masks(zip(*rel))
+        assert _up_masks([list(row) for row in rel]) == generator_masks(rel)

@@ -5,9 +5,13 @@ the builders accept on the posets of at most 4 worlds, and
 `read_algebra(write_algebra(a)) == a` on the pba and ccpba catalogs up to
 size 8; both also with a comment and a blank line before every line and a
 comment after it.  `canonical_frame_file` reads back as the canonical frame
-for every kind it takes, `auto` included."""
+for every kind it takes, `auto` included.  Every proof fixture parses back
+from `hilbert_proof_text`/`sequent_proof_text` equal to its parse, with and
+without the comments and blank lines."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from twoneg.bridge import canonical_frame_ccpba, canonical_frame_file, canonical
 from twoneg.errors import FrameError
 from twoneg.frames import build_compat, build_subnormal, read_frame, write_frame
 from twoneg.lattice import all_posets, upsets_of
+from twoneg.proofs import hilbert_proof_text, parse_proof, sequent_proof_text
 from twoneg.translate import phi
 
 
@@ -50,6 +55,8 @@ def _accepted_frames():
 
 
 FRAMES = _accepted_frames()
+PROOFS = sorted((Path(__file__).parent / "fixtures").glob("*.prf"))
+WRITERS = {"hilbert": hilbert_proof_text, "sequent": sequent_proof_text}
 
 
 def _annotated(text: str) -> str:
@@ -85,3 +92,12 @@ def test_algebras_read_back_equal(cls):
 def test_canonical_frame_file_reads_back_as_the_canonical_frame(cls, kind, canonical):
     for alg in enumerate_algebras(cls, 5):
         assert read_frame(canonical_frame_file(alg, kind)) == canonical(alg), alg.name
+
+
+@pytest.mark.parametrize("path", PROOFS, ids=lambda p: p.name)
+def test_proofs_read_back_equal(path):
+    parsed = parse_proof(path.read_text())
+    mode, system, proof = parsed
+    text = WRITERS[mode](system, proof)
+    assert parse_proof(text) == parsed
+    assert parse_proof(_annotated(text)) == parsed

@@ -30,3 +30,22 @@ def test_every_exported_name_resolves():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], name
         exec(f"from {name} import *", {})
+
+
+def test_code_is_built_only_from_the_goal_source():
+    """The source `algebra._program` generates for a goal is the only code
+    the package builds at run time: the builtins `exec`, `eval` and
+    `compile` are called nowhere else (`re.compile` is an attribute call
+    and does not count)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(call): fn.name for fn in functions for call in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                found.append((path.stem, inside.get(id(node)), node.func.id))
+    assert sorted(found) == [("algebra", "_program", "compile"),
+                             ("algebra", "_program", "exec")]
