@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from ._record import record, replace
-from .errors import (AlgebraError, BoundGuardError, FileFormatError,
+from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeError,
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
@@ -173,8 +173,32 @@ _PATH = (("antitone", _antitone), ("or-linear", _or_linear), ("nor", _nor),
 
 def _path_failure(lat, t, k: int = len(_PATH)):
     """The first failed law among the first k of `_PATH`, as
-    (position, law, witness), or None."""
-    for pos, (law, check) in enumerate(_PATH[:k]):
+    (position, law, witness), or None.
+
+    Decided from the residuum: on a Heyting lattice, with t1 = t(1), a
+    negation passes the first five laws exactly when t(a) = a -> t1 for
+    every a (Rasiowa's contrapositional complement), and then passes the
+    sixth exactly when t1 = 0:
+      - absorption at (a, 1, a) gives a /\\ t(a) <= t1, so t(a) <= a -> t1;
+      - quasi at 1 gives t(t1) = 1, and absorption at (a -> t1, a, t1) then
+        gives a -> t1 <= t(a);
+      - a -> t1 passes all five laws;
+      - a /\\ (a -> t1) = 0 for every a iff t1 = 0 (take a = 1).
+    So the scans run only to name the first failure's witness: from the
+    sixth law when `t` is a -> t1, from the first otherwise, and on a
+    record with no residuum (no Heyting lattice).
+    """
+    start = 0
+    try:
+        impl = derive_heyting(lat)
+    except LatticeError:
+        impl = None
+    t1 = t[lat.top]
+    if impl is not None and all(t[a] == row[t1] for a, row in enumerate(impl)):
+        if t1 == lat.bottom:
+            return None
+        start = len(_PATH) - 1
+    for pos, (law, check) in enumerate(_PATH[start:k], start):
         w = check(lat, t)
         if w is not None:
             return pos, law, w
@@ -606,9 +630,8 @@ def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
     Only pba and ccpba run a canonical pass.  cvcpba is the sub-list of
     ccpba where excluded middle holds.  The Kim classes are the
     implication-free reducts of ccpba and cvcpba: in a Heyting algebra the
-    Kim laws force ~a = a -> ~1 (absorption with (a, 1, a) gives
-    ~a <= a -> ~1, quasi at 1 gives ~~1 = 1, and absorption with
-    (a -> ~1, a, ~1) the converse).
+    Kim laws force ~a = a -> ~1 (the theorem and its proof are in
+    `_path_failure`'s docstring).
     """
     if cls not in CATALOG_CLASSES:
         raise AlgebraError("unknown-class", cls)

@@ -19,7 +19,7 @@ from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
                      SubNormalFrame, _upset_clause, _violations, build_compat,
                      build_subnormal, frame_upsets, is_identity, write_frame)
-from .lattice import (FiniteLattice, _down, _join_irreducibles, _up_masks,
+from .lattice import (FiniteLattice, _bits, _down, _join_irreducibles, _up_masks,
                       lattice_from_upsets)
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1024)
 def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     """All prime filters, ordered by size then lexicographically.
 
@@ -40,8 +39,15 @@ def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     of the join-irreducible elements (Davey & Priestley, ch. 5), the elements
     with exactly one lower cover, so no upset is scanned.
     """
-    jmask = _join_irreducibles(_down(_up_masks(lat.leq)))
-    out = [lat.upset(j) for j in range(lat.size) if jmask >> j & 1]
+    return _prime_filters(lat.leq)
+
+
+@lru_cache(maxsize=1024)
+def _prime_filters(leq) -> tuple[frozenset[int], ...]:
+    """`prime_filters` of the order `leq`, which alone decides them: the
+    cache keeps only the order of each lattice it has seen."""
+    up = _up_masks(leq)
+    out = [frozenset(_bits(up[j])) for j in _bits(_join_irreducibles(_down(up)))]
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 

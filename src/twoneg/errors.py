@@ -63,10 +63,12 @@ def given_once(seen: set, key, line: str, what: str) -> None:
 
 def content_lines(text: str):
     """The line grammar shared by .alg, .frm and .prf files: yield each line
-    before `end`, stripped, with `#` comments and blank lines dropped.  The
-    first non-blank line after `end` is `trailing-content`; text without
-    `end` is `missing-end` once every line before has been consumed."""
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    before `end` as its words joined by single spaces, with `#` comments and
+    blank lines dropped, so no error that quotes a line depends on its
+    spacing.  The first non-blank line after `end` is `trailing-content`;
+    text without `end` is `missing-end` once every line before has been
+    consumed."""
+    lines = (" ".join(raw.split("#", 1)[0].split()) for raw in text.splitlines())
     for line in lines:
         if line == "end":
             for rest in lines:

@@ -27,12 +27,18 @@ now read successor masks and `~top` and condition (D)/(3) the truth-set
 kernel (`tests/test_frame_laws.py`).  The builder oracles above read these
 copies, never the package's own.
 
+`path_failure` is the law-by-law scan of the kite path that
+`algebra._path_failure` once ran on every negation; it now decides the first
+five laws from the residuum and scans only to name a witness
+(`tests/test_residuum_decision.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
 
 from __future__ import annotations
 
+from twoneg.algebra import _PATH
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation)
@@ -94,6 +100,16 @@ def absorb(lat, t):
             for c in range(lat.size):
                 if lat.leq[lat.meet[a][b]][c] and not lat.leq[lat.meet[a][t[c]]][t[b]]:
                     return (a, b, c)
+    return None
+
+
+def path_failure(lat, t, k=len(_PATH)):
+    """The first failed law among the first k of the kite path, as
+    (position, law, witness), or None: every law scanned in order."""
+    for pos, (law, check) in enumerate(_PATH[:k]):
+        w = check(lat, t)
+        if w is not None:
+            return pos, law, w
     return None
 
 
