@@ -247,20 +247,38 @@ def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
     return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 
 
-@lru_cache(maxsize=4096)
 def derive_heyting(lat: FiniteLattice) -> OpTable:
     """Full residuum table: a -> b is the element whose down-set is
     {c : a /\\ c <= b}.  Raises residuum-missing at the first pair
-    (row-major) whose set is no down-set of an element."""
-    at = {mask: k for k, mask in enumerate(_down(_up_masks(lat.leq)))}
+    (row-major) whose set is no down-set of an element.  The order alone
+    decides the table, so the cache (`_residuum`, whose `cache_info` and
+    `cache_clear` this function carries) keeps the order of each lattice it
+    has seen, not its names, meets or joins."""
+    table, missing = _residuum(lat.leq)
+    if missing is not None:
+        raise LatticeError("residuum-missing", tuple(lat.elements[k] for k in missing))
+    return table
+
+
+@lru_cache(maxsize=4096)
+def _residuum(leq: Table) -> tuple[OpTable | None, tuple[int, int] | None]:
+    """`derive_heyting` of the order `leq` by indices: the table and None, or
+    None and the first pair with no residuum.  Meets are the elements whose
+    down-set masks are the intersections."""
+    down = _up_masks(zip(*leq))
+    at = {mask: k for k, mask in enumerate(down)}
+    meet = _bound_table(down, range(len(leq)), "missing-glb")
     table = []
-    for a, below in enumerate(_below(lat.leq, lat.meet)):
+    for a, below in enumerate(_below(leq, meet)):
         row = tuple(at.get(mask) for mask in below)
         if None in row:
-            raise LatticeError("residuum-missing",
-                               (lat.elements[a], lat.elements[row.index(None)]))
+            return None, (a, row.index(None))
         table.append(row)
-    return tuple(table)
+    return tuple(table), None
+
+
+derive_heyting.cache_info = _residuum.cache_info  # type: ignore[attr-defined]
+derive_heyting.cache_clear = _residuum.cache_clear  # type: ignore[attr-defined]
 
 
 def _upset_masks(leq: Table) -> list[int]:
@@ -296,29 +314,32 @@ def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Canonical forms.  The canonical relabelling sorts elements by an
 # isomorphism-invariant signature and breaks ties by minimising the encoded
-# (order, operations, marks) tuple over within-block permutations.
+# (order, operations, marks) tuple over within-block relabellings, searched
+# by refinement rather than tried one by one.
 
-def _signatures(leq: Table, unaries: tuple[OpTableRow, ...], marks: tuple[int, ...]):
-    """Isomorphism-invariant signature of each element: its height (longest
-    chain below it), the numbers of elements below and above it (itself
-    included) and of its lower and upper covers, then one flag per mark and,
-    per unary map t, whether t fixes it and the below/above counts of t(x)."""
-    n = len(leq)
-    up = [sum(row) for row in leq]
-    down = [sum(row[x] for row in leq) for x in range(n)]
-    lower, upper, heights = [0] * n, [0] * n, [0] * n
-    for x, k in _cover_walk(leq):
-        lower[k] += 1
-        upper[x] += 1
-        heights[k] = max(heights[k], heights[x] + 1)
+def _signatures(up: list[int], down: list[int],
+                unaries: tuple[OpTableRow, ...], marks: tuple[int, ...]):
+    """Isomorphism-invariant signature of each element, read off the up-set
+    and down-set masks: its height (longest chain below it), the numbers of
+    elements below and above it (itself included) and of its lower and upper
+    covers, then one flag per mark and, per unary map t, whether t fixes it
+    and the below/above counts of t(x)."""
+    n = len(up)
+    above = [mask.bit_count() for mask in up]
+    below = [mask.bit_count() for mask in down]
+    lower, upper = _covers(down), _covers(up)
+    heights = [0] * n
+    for x in sorted(range(n), key=below.__getitem__):  # a linear extension
+        for k in _bits(upper[x]):
+            heights[k] = max(heights[k], heights[x] + 1)
     sigs = []
     for x in range(n):
-        sig = [heights[x], down[x], up[x], lower[x], upper[x]]
+        sig = [heights[x], below[x], above[x], lower[x].bit_count(), upper[x].bit_count()]
         for m in marks:
             sig.append(1 if x == m else 0)
         for t in unaries:
             y = t[x]
-            sig.extend((1 if y == x else 0, down[y], up[y]))
+            sig.extend((1 if y == x else 0, below[y], above[y]))
         sigs.append(tuple(sig))
     return sigs
 
@@ -331,8 +352,9 @@ def _encode(leq: Table, unaries, marks, perm: list[int]):
     inv = [0] * n
     for old, new in enumerate(perm):
         inv[new] = old
-    bits = tuple(1 if leq[inv[i]][inv[j]] else 0 for i in range(n) for j in range(n))
-    ops = tuple(tuple(perm[t[inv[i]]] for i in range(n)) for t in unaries)
+    rows = [leq[old] for old in inv]
+    bits = tuple([1 if row[old] else 0 for row in rows for old in inv])
+    ops = tuple(tuple([perm[t[old]] for old in inv]) for t in unaries)
     mk = tuple(perm[m] for m in marks)
     return (n, bits, ops, mk)
 
@@ -341,26 +363,60 @@ def canonical_form(leq: Table,
                    unaries: tuple[OpTableRow, ...] = (),
                    marks: tuple[int, ...] = ()):
     """Return (key, perm): the minimal encoding over signature-respecting
-    relabellings, and the permutation old-index -> new-index achieving it."""
+    relabellings, and the permutation old-index -> new-index achieving it.
+
+    The encoding is (n, leq bits row-major, unary tables, marks), compared as
+    a tuple; the relabellings put the signature blocks in sorted order and
+    permute freely inside each block.  On a full tie the one with the
+    lexicographically smallest inverse wins.  The relabellings are searched
+    by individualisation-refinement (McKay & Piperno 2014): positions fill in
+    order from an ordered partition of the elements into cells, the sorted
+    blocks at first.  Placing x at position i splits every later cell into
+    "not above x", then "above x", which makes row i the least that any
+    completion can have, so only the nodes whose row i is least survive,
+    branching over the cell at i in ascending order.  Once every node is a
+    single relabelling they are encoded and compared, inverses in ascending
+    order; they include every relabelling with minimal bits, so the first
+    least encoding is the one over all relabellings.
+    """
     n = len(leq)
-    sigs = _signatures(leq, unaries, marks)
-    blocks: dict[tuple, list[int]] = {}
+    up = _up_masks(leq)
+    sigs = _signatures(up, _up_masks(zip(*leq)), unaries, marks)
+    blocks: dict[tuple, int] = {}
     for x in range(n):
-        blocks.setdefault(sigs[x], []).append(x)
-    ordered = [blocks[s] for s in sorted(blocks)]
-    best = None
-    best_perm = None
-    for choice in itertools.product(*(itertools.permutations(b) for b in ordered)):
+        blocks[sigs[x]] = blocks.get(sigs[x], 0) | 1 << x
+    nodes = [[blocks[s] for s in sorted(blocks)]]
+    for i in range(n):
+        if all(len(cells) == n for cells in nodes):
+            break  # every cell a singleton: each node is one relabelling
+        least, kept = None, []
+        for cells in nodes:
+            head = cells[i]
+            for x in _bits(head):
+                above = up[x]
+                child = cells[:i] + [1 << x]
+                child += [part for cell in [head & ~(1 << x)] + cells[i + 1:]
+                          for part in (cell & ~above, cell & above) if part]
+                if len(nodes) == 1 and head == 1 << x:
+                    kept = [child]  # forced, and no other node to compare with
+                    break
+                row = 0
+                for cell in child:
+                    k = cell.bit_count()
+                    row = row << k | ((1 << k) - 1 if cell & above else 0)
+                if least is None or row < least:
+                    least, kept = row, [child]
+                elif row == least:
+                    kept.append(child)
+        nodes = kept
+    best = best_perm = None
+    for cells in nodes:
         perm = [0] * n
-        pos = 0
-        for block in choice:
-            for old in block:
-                perm[old] = pos
-                pos += 1
+        for pos, cell in enumerate(cells):
+            perm[cell.bit_length() - 1] = pos
         enc = _encode(leq, unaries, marks, perm)
         if best is None or enc < best:
-            best = enc
-            best_perm = perm
+            best, best_perm = enc, perm
     if best_perm is None:
         raise VerificationError("no-canonical-form", n)
     return best, best_perm

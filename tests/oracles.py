@@ -32,17 +32,25 @@ copies, never the package's own.
 five laws from the residuum and scans only to name a witness
 (`tests/test_residuum_decision.py`).
 
+`canonical_form` is the product search `lattice.canonical_form` once ran:
+it encodes every relabelling that permutes the sorted signature blocks
+inside themselves and keeps the least encoding, the first one met on a tie.
+The package now searches only the relabellings with least order bits
+(`tests/test_canonical_form.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from twoneg.algebra import _PATH
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation)
-from twoneg.lattice import _lattice, _order
+from twoneg.lattice import _encode, _lattice, _order, _signatures, _up_masks
 
 
 def residuum(lat, a, b):
@@ -122,6 +130,26 @@ def distributivity_witness(n, meet, join):
                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
                     return (a, b, c)
     return None
+
+
+def canonical_form(leq, unaries=(), marks=()):
+    """(key, perm): the least encoding over the block-respecting
+    relabellings, tried one by one in `itertools.product` order."""
+    n = len(leq)
+    sigs = _signatures(_up_masks(leq), _up_masks(zip(*leq)), unaries, marks)
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(sigs[x], []).append(x)
+    ordered = [blocks[s] for s in sorted(blocks)]
+    best = best_perm = None
+    for choice in itertools.product(*(itertools.permutations(b) for b in ordered)):
+        perm = [0] * n
+        for pos, old in enumerate(itertools.chain.from_iterable(choice)):
+            perm[old] = pos
+        enc = _encode(leq, unaries, marks, perm)
+        if best is None or enc < best:
+            best, best_perm = enc, perm
+    return best, best_perm
 
 
 def no_successor_in(rel, s):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import os
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            read_frame)
 from twoneg.lattice import all_lattices, build_lattice, transitive_reduction, upsets_of
 
-from support import kim_reduct
+from support import chain_product, kim_reduct
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -232,15 +231,6 @@ def _join_loop_prime_filters(lat):
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 
-def _chain_product(dims):
-    elements = list(itertools.product(*(range(d) for d in dims)))
-    names = ["".join(map(str, e)) for e in elements]
-    pairs = [(names[i], names[j]) for i, a in enumerate(elements)
-             for j, b in enumerate(elements)
-             if sum(y - x for x, y in zip(a, b)) == 1 and all(x <= y for x, y in zip(a, b))]
-    return build_lattice(names, pairs)
-
-
 CHAIN_SHAPES = [(5,), (8,), (2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (3, 4), (2, 2, 2),
                 (2, 2, 3), (2, 6), (4, 4), (3, 5), (2, 8), (2, 2, 4), (2, 3, 3), (3, 6),
                 (2, 2, 5), (4, 5), (2, 3, 4), (2, 2, 6), (3, 8), (4, 6)]
@@ -255,7 +245,7 @@ def test_prime_filters_match_upset_scan_on_catalog():
 
 @pytest.mark.parametrize("dims", CHAIN_SHAPES)
 def test_prime_filters_match_upset_scan_on_chain_products(dims):
-    lat = _chain_product(dims)
+    lat = chain_product(dims)
     filters = prime_filters(lat)
     assert filters == _upset_scan_prime_filters(lat)
     assert len(filters) == sum(d - 1 for d in dims)  # one per join-irreducible

@@ -6,8 +6,8 @@ import pytest
 
 from twoneg.algebra import attach_negations, tilde_one_candidates
 from twoneg.errors import LatticeError
-from twoneg.lattice import (FiniteLattice, _signatures, all_lattices, all_posets,
-                            build_lattice, canonical_form, derive_heyting,
+from twoneg.lattice import (FiniteLattice, _signatures, _up_masks, all_lattices,
+                            all_posets, build_lattice, canonical_form, derive_heyting,
                             transitive_reduction, upsets_of)
 
 from oracles import residuation_mismatch, residuum
@@ -181,6 +181,10 @@ def _heights_oracle(leq):
     return h
 
 
+def _masks(leq):
+    return _up_masks(leq), _up_masks(zip(*leq))
+
+
 def _signatures_oracle(leq, unaries, marks):
     n = len(leq)
     heights = _heights_oracle(leq)
@@ -208,7 +212,8 @@ def test_signatures_match_oracle_on_posets():
             # the reversed labelling is no linear extension of the order
             rev = tuple(tuple(leq[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
             for table in (leq, rev):
-                assert _signatures(table, (), ()) == _signatures_oracle(table, (), ())
+                assert (_signatures(*_masks(table), (), ())
+                        == _signatures_oracle(table, (), ()))
 
 
 def test_transitive_reduction_matches_oracle_on_posets():
@@ -226,5 +231,5 @@ def test_signatures_match_oracle_on_catalog_lattices():
             alg = attach_negations(lat, t1)
             unaries = (alg.neg,) if t1 is None else (alg.neg, alg.tilde)
             marks = () if t1 is None else (t1,)
-            assert (_signatures(lat.leq, unaries, marks)
+            assert (_signatures(*_masks(lat.leq), unaries, marks)
                     == _signatures_oracle(lat.leq, unaries, marks))

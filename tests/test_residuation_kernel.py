@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from twoneg._record import replace
 from twoneg.algebra import _absorb, _residuation_witness, enumerate_algebras
 from twoneg.errors import LatticeError
-from twoneg.lattice import _below, all_lattices, derive_heyting
+from twoneg.lattice import _below, all_lattices, build_lattice, derive_heyting
 
 import oracles
 from oracles import M3, N5
@@ -33,6 +34,25 @@ def test_derive_heyting_matches_oracle():
         assert _outcome(derive_heyting, lat) == _outcome(oracles.derive_heyting, lat)
     assert _outcome(derive_heyting, M3) == ("raises", "residuum-missing", ("x", "0"))
     assert _outcome(derive_heyting, N5) == ("raises", "residuum-missing", ("b", "a"))
+
+
+def test_derive_heyting_caches_by_order():
+    """The order alone decides the residuum: a lattice with the same order
+    and other names is a cache hit, and a failure names each caller's own
+    elements."""
+    square = [("0", "p"), ("0", "q"), ("p", "1"), ("q", "1")]
+    a = build_lattice(["0", "p", "q", "1"], square)
+    rename = dict(zip("0pq1", ("bot", "x", "y", "top")))
+    b = build_lattice([rename[e] for e in a.elements],
+                      [(rename[x], rename[y]) for x, y in square])
+    assert a.leq == b.leq and a.elements != b.elements
+    derive_heyting.cache_clear()
+    assert derive_heyting(a) == derive_heyting(b)
+    info = derive_heyting.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    m3 = replace(M3, elements=("o", "a", "b", "c", "i"))
+    assert _outcome(derive_heyting, m3) == ("raises", "residuum-missing", ("a", "o"))
+    assert _outcome(derive_heyting, M3) == ("raises", "residuum-missing", ("x", "0"))
 
 
 def test_every_implication_column_absorbs_as_before():

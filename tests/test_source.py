@@ -21,6 +21,20 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def test_no_permutation_search_in_package():
+    """Canonical forms are found by refinement; the factorial search over
+    `itertools.permutations` survives only as the oracle in tests/."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "permutations"
+                 and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                        and any(alias.name == "permutations" for alias in node.names))):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     """Each module's `__all__` names only what it defines, so `import *`
     cannot break when a function leaves the package."""
