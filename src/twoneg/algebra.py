@@ -20,8 +20,8 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeErro
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice,
-                      _relabel, _up_masks, all_lattices, build_lattice,
+from .lattice import (FiniteLattice, OpTable, _below, _bits, _bound_table, _down,
+                      _lattice, _relabel, _up_masks, all_lattices, build_lattice,
                       canonical_form, derive_heyting, transitive_reduction)
 
 __all__ = [
@@ -294,11 +294,34 @@ def _residuation_witness(lat: FiniteLattice, impl: OpTable):
     return None
 
 
+def _is_residuum(lat: FiniteLattice, impl: OpTable) -> bool:
+    """Whether `impl` is `derive_heyting(lat)` and the record's meets are
+    those of its order, the table `_bound_table` reads off its down-set
+    masks; False on a record with no residuum."""
+    try:
+        return (impl == derive_heyting(lat)
+                and lat.meet == _bound_table(_up_masks(zip(*lat.leq)), lat.elements,
+                                             "missing-glb"))
+    except LatticeError:
+        return False
+
+
 def ccpba_flags(alg: Algebra) -> tuple[Flag, Flag]:
     """`is_pba` (the implication re-checked by residuation) and `is_ccpba`
-    (also !!~1 = ~1); a plain pBa fails the latter with witness ()."""
+    (also !!~1 = ~1); a plain pBa fails the latter with witness ().
+
+    `is_pba` holds without the `_residuation_witness` walk when
+    `_is_residuum` does.  Proof: `derive_heyting` took each a -> b as the
+    element whose down-set is the mask {c : a /\\ c <= b} that `_below`
+    builds from the order's meets.  The walk builds the same masks from the
+    record's meets, which are those, and compares each with the down-set of
+    the a -> b it holds, so it finds no witness.  On any mismatch and on a
+    record with no residuum (M3, N5) the walk runs and names the witness,
+    so every flag and witness is the walk's.
+    """
     lat = alg.lattice
-    pba = _flag(lat, _residuation_witness(lat, alg.impl))
+    pba = (Flag(True) if _is_residuum(lat, alg.impl)
+           else _flag(lat, _residuation_witness(lat, alg.impl)))
     if alg.tilde is None:
         return pba, Flag(False, ())
     t1 = alg.tilde_one
@@ -663,7 +686,7 @@ def read_algebra(text: str) -> Algebra:
     elements: list[str] = []
     pairs: list[tuple[str, str]] = []
     tilde_name: str | None = None
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[str, ...]] = set()
     for line in content_lines(text):
         match line.split():
             case ["algebra", nm]:
@@ -671,9 +694,11 @@ def read_algebra(text: str) -> Algebra:
                     raise FileFormatError("duplicate-directive", "algebra")
                 name = nm
             case ["elements", *rest] if rest:
+                for e in rest:
+                    given_once(seen, ("elements", e), line, f"element {e}")
                 elements.extend(rest)
             case ["leq", a, b]:
-                given_once(seen, (a, b), line, f"leq {a} {b}")
+                given_once(seen, ("leq", a, b), line, f"leq {a} {b}")
                 pairs.append((a, b))
             case ["tilde_one", e]:
                 if tilde_name is not None:

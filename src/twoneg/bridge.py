@@ -4,8 +4,10 @@ At finite desk scale the clopen upsets of the dual space are just all upsets,
 so the Stone-type maps can be verified exhaustively: `sigma(a)` (the prime
 filters containing `a`) embeds an algebra into the upset algebra of its
 canonical frame, and `w -> {upsets containing w}` embeds a frame into the
-canonical frame of its complex algebra.  Every verification is re-executed
-here rather than trusted; a failure raises VerificationError.
+canonical frame of its complex algebra.  Every embedding check is
+re-executed here, and a failure raises VerificationError.  Whether an
+algebra is a pBa is decided against the residuum derived from its order
+(`algebra.ccpba_flags`), never taken from the record's implication table.
 """
 
 from __future__ import annotations

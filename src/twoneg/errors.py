@@ -54,8 +54,9 @@ class BoundGuardError(WorkbenchError):
 
 
 def given_once(seen: set, key, line: str, what: str) -> None:
-    """Record `key`, read from `line`.  A file names each order or relation
-    pair, Y0 world and proof line number once: a repeat is `bad-line`."""
+    """Record `key`, read from `line`.  A file names each element, order or
+    relation pair, Y0 world and proof line number once: a repeat is
+    `bad-line`."""
     if key in seen:
         raise FileFormatError("bad-line", line, f"{what} already given")
     seen.add(key)

@@ -3,8 +3,10 @@
 Everything is index-based: a lattice over n elements stores the full
 reflexive-transitive order as an n x n boolean table plus total meet/join
 tables.  The residuum (relative pseudo-complement) is always *derived* from
-the order, never taken as input; declared implication tables are
-cross-checked against it by `algebra.ccpba_flags`.
+the order, never taken as input, and cached by the order (`derive_heyting`).
+`algebra.ccpba_flags` decides whether a declared implication table is the
+residuum by comparing it with that cached table, and the record's meets
+with those of its order.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ triple loops of `algebra._residuation_witness` and `algebra._absorb`.  Each
 now reads `lattice._below` instead; `tests/test_residuation_kernel.py`
 requires the same tables, errors and witnesses.
 
+`ccpba_flags` is the former body of `algebra.ccpba_flags`, which scanned
+for a residuation witness on every call; the package now decides `is_pba`
+from the cached residuum and walks only to name a witness
+(`tests/test_pba_decision.py`).
+
 `distributivity_witness` is the triple scan `build_lattice` once ran on every
 lattice; it now decides distributivity by join-primeness and keeps its own
 copy of the scan only to name the witness (`tests/test_join_prime.py`).
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 
-from twoneg.algebra import _PATH
+from twoneg.algebra import _PATH, Flag, _flag
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation)
@@ -100,6 +105,18 @@ def residuation_witness(lat, impl):
                 if lat.leq[lat.meet[a][c]][b] != lat.leq[c][impl[a][b]]:
                     return (a, b, c)
     return None
+
+
+def ccpba_flags(alg, witness=residuation_witness):
+    """(`is_pba`, `is_ccpba`): `is_pba` from the first residuation witness
+    `witness(lat, impl)` finds, `is_ccpba` also !!~1 = ~1."""
+    lat = alg.lattice
+    pba = _flag(lat, witness(lat, alg.impl))
+    if alg.tilde is None:
+        return pba, Flag(False, ())
+    t1 = alg.tilde_one
+    dne = Flag(True) if alg.neg[alg.neg[t1]] == t1 else Flag(False, (lat.elements[t1],))
+    return pba, pba if not pba.holds else dne
 
 
 def absorb(lat, t):

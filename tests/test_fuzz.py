@@ -1,6 +1,8 @@
 """Seeded fuzz pass over the command line: random formula strings and
 random or mutated input files must end in a documented exit code (0-3)
-with no exception escaping `cli.main`."""
+with no exception escaping `cli.main`; and a structural fault (a repeated
+directive, header or line number) in any `.alg`, `.frm` or `.prf` file is
+malformed input, exit 2."""
 
 from __future__ import annotations
 
@@ -105,3 +107,50 @@ def test_fuzz_exit_codes(tmp_path):
         porcelain = ["--porcelain"] if rng.random() < 0.5 else []
         code = run_cli(porcelain + argv)
         assert code in (0, 1, 2, 3), argv
+
+
+def _repeats(rng: random.Random, lines: list[str]):
+    """Structural faults in a file: a line repeated right after itself and
+    just before `end` (every line but a numbered proof line, and three of
+    those), a later numbered line renumbered as the first, and a second
+    header of another frame kind or proof mode."""
+    content = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+    end = next((i for i in content if lines[i].strip() == "end"), len(lines))
+    numbered = [i for i in content if lines[i].split()[0].isdigit()]
+    picked = [i for i in content if i not in numbered]
+    picked += sorted(rng.sample(numbered, min(3, len(numbered))))
+    for i in picked:
+        yield lines[:i + 1] + lines[i:]
+        if i < end - 1:
+            yield lines[:end] + [lines[i]] + lines[end:]
+    if len(numbered) > 1:
+        i = rng.choice(numbered[1:])
+        number = lines[numbered[0]].split()[0]
+        yield lines[:i] + [number + " " + lines[i].split(None, 1)[1]] + lines[i + 1:]
+    headers = {"frame": "frame compat other", "proof hilbert": "proof sequent Kim",
+               "proof sequent": "proof hilbert ILM"}
+    for i in content:
+        for start, header in headers.items():
+            if lines[i].startswith(start):
+                yield lines[:end] + [header] + lines[end:]
+
+
+def test_repeated_structure_is_malformed_input(tmp_path):
+    """A repeated directive, header or line number exits 2 (never 1, never
+    a traceback) in every fixture of every format and both proof modes."""
+    sources = sorted(p for p in FIXTURES.iterdir() if p.suffix in FILE_COMMANDS)
+    modes = {line.split()[1] for p in sources if p.suffix == ".prf"
+             for line in p.read_text(encoding="utf-8").splitlines()[:1]}
+    assert modes == {"hilbert", "sequent"}
+    rng = random.Random(SEED)
+    wrong = []
+    for src in sources:
+        lines = src.read_text(encoding="utf-8").splitlines()
+        for n, case in enumerate(_repeats(rng, lines)):
+            path = tmp_path / f"{src.stem}{src.suffix}"
+            path.write_text("\n".join(case) + "\n", encoding="utf-8")
+            for command in FILE_COMMANDS[src.suffix]:
+                code = run_cli(["--porcelain", command, str(path)])
+                if code != 2:
+                    wrong.append((src.name, n, command, code))
+    assert wrong == []

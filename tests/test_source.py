@@ -63,3 +63,22 @@ def test_code_is_built_only_from_the_goal_source():
                 found.append((path.stem, inside.get(id(node)), node.func.id))
     assert sorted(found) == [("algebra", "_program", "compile"),
                              ("algebra", "_program", "exec")]
+
+
+def test_residuation_walk_is_called_only_by_ccpba_flags():
+    """`algebra._residuation_witness` walks every (a, b) of an implication;
+    `ccpba_flags` decides `is_pba` from the cached residuum and walks only
+    to name a witness.  No other code of the package may name it: no call,
+    import or alias elsewhere."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and node.id == "_residuation_witness")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_residuation_witness")
+                    or (isinstance(node, ast.alias) and node.name == "_residuation_witness")):
+                found.append((path.stem, inside.get(id(node))))
+    assert found == [("algebra", "ccpba_flags")]
