@@ -8,21 +8,25 @@ canonical frame of its complex algebra.  Every embedding check is
 re-executed here, and a failure raises VerificationError.  Whether an
 algebra is a pBa is decided against the residuum derived from its order
 (`algebra.ccpba_flags`), never taken from the record's implication table.
+
+Prime filters and upsets are int masks throughout, each read from a cache
+keyed by the order alone (`_prime_filters`, `_upset_tables`); frozensets are
+built only at the public boundary (`prime_filters`, `sigma`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from typing import Iterable
 
 from ._record import record
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negations,
                       build_kim, ccpba_flags, kim_violations)
 from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
-                     SubNormalFrame, _upset_clause, _violations, build_compat,
-                     build_subnormal, frame_upsets, is_identity, write_frame)
-from .lattice import (FiniteLattice, _bits, _down, _join_irreducibles, _up_masks,
-                      lattice_from_upsets)
+                     SubNormalFrame, _upset_clause, _upsets, _violations, build_compat,
+                     build_subnormal, is_identity, write_frame)
+from .lattice import FiniteLattice, Table, _bits, _down, _join_irreducibles, _up_masks
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -41,19 +45,23 @@ def prime_filters(lat: FiniteLattice) -> tuple[frozenset[int], ...]:
     of the join-irreducible elements (Davey & Priestley, ch. 5), the elements
     with exactly one lower cover, so no upset is scanned.
     """
-    return _prime_filters(lat.leq)
+    return tuple(frozenset(_bits(f)) for f in _prime_filters(lat.leq))
 
 
 @lru_cache(maxsize=1024)
-def _prime_filters(leq) -> tuple[frozenset[int], ...]:
-    """`prime_filters` of the order `leq`, which alone decides them: the
-    cache keeps only the order of each lattice it has seen."""
+def _prime_filters(leq) -> tuple[int, ...]:
+    """`prime_filters` of the order `leq` as element masks, which the order
+    alone decides: the cache keeps only the order of each lattice it has
+    seen."""
     up = _up_masks(leq)
-    out = [frozenset(_bits(up[j])) for j in _bits(_join_irreducibles(_down(up)))]
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+    out = [up[j] for j in _bits(_join_irreducibles(_down(up)))]
+    return tuple(sorted(out, key=lambda s: (s.bit_count(), list(_bits(s)))))
 
 
 def sigma(lat: FiniteLattice, filters, a: int) -> frozenset[int]:
+    """The positions in `filters` (as `prime_filters` lists them) of the
+    filters holding `a`: the frozenset form of the map the embeddings
+    compute on masks."""
     return frozenset(i for i, f in enumerate(filters) if a in f)
 
 
@@ -84,24 +92,45 @@ class Embedding:
 
 def _canonical_frame(alg: AnyAlgebra, build, own_relation):
     """Prime filters named F0, F1, ... ordered by inclusion, plus the kind's
-    own structure `own_relation(filters, names)`; re-validated by `build`,
-    and required to be an identity frame when the algebra satisfies EM."""
-    filters = prime_filters(alg.lattice)
+    own structure `own_relation(filters, names)` over the filter masks;
+    re-validated by `build`, and required to be an identity frame when the
+    algebra satisfies EM."""
+    filters = _prime_filters(alg.lattice.leq)
     names = [f"F{i}" for i in range(len(filters))]
-    pairs = [(names[i], names[j]) for i in range(len(filters))
-             for j in range(len(filters)) if filters[i] <= filters[j] and i != j]
+    pairs = [(names[i], names[j]) for i, f in enumerate(filters)
+             for j, g in enumerate(filters) if f & ~g == 0 and i != j]
     fr = build(names, pairs, own_relation(filters, names))
     if _em(alg.lattice, alg.tilde) is None and not is_identity(fr):
         raise VerificationError("canonical-frame-not-identity", alg.name)
     return fr
 
 
+def _holders(masks, n: int) -> list[int]:
+    """For each x in range(n), the mask of the positions i with x in masks[i]."""
+    out = [0] * n
+    for i, mask in enumerate(masks):
+        for x in _bits(mask):
+            out[x] |= 1 << i
+    return out
+
+
+def _positions(pos: dict[int, int], masks: list[int], names, kind: str) -> list[int]:
+    """The position in `pos` of each mask; `kind` is raised naming the
+    first of `names` whose mask has none."""
+    image = [pos.get(s) for s in masks]
+    if None in image:
+        raise VerificationError(kind, names[image.index(None)])
+    return image
+
+
 def _algebra_embedding(alg: AnyAlgebra, fr, complex_algebra) -> Embedding:
-    """a -> sigma(a), into the upset algebra of the canonical frame `fr`."""
+    """a -> sigma(a), into the upset algebra of the canonical frame `fr`:
+    sigma(a) is the mask of the prime filters holding a, mapped to its
+    position among the upsets of `fr`."""
     target = complex_algebra(fr, name=f"{alg.name}_dual")
-    filters = prime_filters(alg.lattice)
-    ups = frame_upsets(fr.leq)
-    image = [ups.index(sigma(alg.lattice, filters, a)) for a in range(alg.size)]
+    sigmas = _holders(_prime_filters(alg.lattice.leq), alg.size)
+    image = _positions(_upset_tables(fr.leq)[1], sigmas, alg.lattice.elements,
+                       "sigma-not-an-upset")
     checks = _hom_checks(alg, target, image)
     injective = len(set(image)) == alg.size
     onto = len(set(image)) == target.size
@@ -112,20 +141,23 @@ def _frame_embedding(fr, complex_algebra, canonical_frame, own_tag, own_check) -
     """w -> {upsets containing w}, into the canonical frame of the upset
     algebra; the order and the kind's own structure (`own_check`) are
     preserved and reflected.  `complex_algebra` has already validated the
-    algebra, so `canonical_frame` does not check it again."""
+    algebra, so `canonical_frame` does not check it again.  The upsets
+    containing w are found as a mask over upset positions, mapped to its
+    position among the prime filters of the upset algebra."""
     alg = complex_algebra(fr)
-    ups = frame_upsets(fr.leq)
-    filters = prime_filters(alg.lattice)
+    members = _holders(_upset_tables(fr.leq)[0], fr.size)
+    filters = _prime_filters(alg.lattice.leq)
+    image = _positions({f: i for i, f in enumerate(filters)}, members, fr.worlds,
+                       "world-not-a-prime-filter")
     target = canonical_frame(alg)
-    image = [filters.index(frozenset(j for j, u in enumerate(ups) if w in u))
-             for w in range(fr.size)]
+    mapped = [filters[k] for k in image]
     checks = {
-        "order-preserving": all(filters[image[a]] <= filters[image[b]]
+        "order-preserving": all(mapped[a] & ~mapped[b] == 0
                                 for a in range(fr.size) for b in range(fr.size)
                                 if fr.leq[a][b]),
         "order-reflecting": all(fr.leq[a][b]
                                 for a in range(fr.size) for b in range(fr.size)
-                                if filters[image[a]] <= filters[image[b]]),
+                                if mapped[a] & ~mapped[b] == 0),
         own_tag: own_check(target, image),
     }
     injective = len(set(image)) == fr.size
@@ -174,7 +206,7 @@ def _require_ccpba(alg: AnyAlgebra) -> Algebra:
 
 def _subnormal_frame(alg: Algebra) -> SubNormalFrame:
     return _canonical_frame(alg, build_subnormal, lambda filters, names: [
-        names[i] for i, f in enumerate(filters) if alg.tilde_one in f])
+        names[i] for i, f in enumerate(filters) if f >> alg.tilde_one & 1])
 
 
 def canonical_frame_ccpba(alg: AnyAlgebra) -> SubNormalFrame:
@@ -183,14 +215,35 @@ def canonical_frame_ccpba(alg: AnyAlgebra) -> SubNormalFrame:
     return _subnormal_frame(_require_ccpba(alg))
 
 
-def upset_name(worlds: tuple[str, ...], s: frozenset[int]) -> str:
+def upset_name(worlds: tuple[str, ...], s: Iterable[int]) -> str:
+    """The worlds of `s` (a set of world indices, or the `_bits` of a mask)
+    in index order."""
     return "{" + ",".join(worlds[i] for i in sorted(s)) + "}"
 
 
-def _upset_lattice(fr):
-    """The upsets of `fr` and their lattice, each named by `upset_name`."""
-    ups = frame_upsets(fr.leq)
-    return ups, lattice_from_upsets(ups, [upset_name(fr.worlds, s) for s in ups])
+@lru_cache(maxsize=256)
+def _upset_tables(leq: Table):
+    """The upset lattice of the order `leq` by masks: the upsets in
+    `frames.frame_upsets` order, the position of each, and the inclusion
+    (`s & ~t == 0`), meet (`pos[s & t]`) and join (`pos[s | t]`) tables by
+    position.  The empty upset comes first and is the bottom, the full one
+    last and the top.  The order alone decides them, so the cache keeps no
+    world names: the sub-normal and compatibility frames of one order, and
+    frames that only rename its worlds, share one entry."""
+    ups = _upsets(leq)
+    pos = {s: i for i, s in enumerate(ups)}
+    incl = tuple(tuple(s & ~t == 0 for t in ups) for s in ups)
+    meet = tuple(tuple(pos[s & t] for t in ups) for s in ups)
+    join = tuple(tuple(pos[s | t] for t in ups) for s in ups)
+    return ups, pos, incl, meet, join
+
+
+def _upset_lattice(fr) -> tuple[dict[int, int], FiniteLattice]:
+    """The position of each upset mask of `fr`, and the lattice of its
+    upsets, each named by `upset_name`."""
+    ups, pos, incl, meet, join = _upset_tables(fr.leq)
+    names = tuple(upset_name(fr.worlds, _bits(s)) for s in ups)
+    return pos, FiniteLattice(names, incl, meet, join, 0, len(ups) - 1)
 
 
 def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
@@ -199,8 +252,8 @@ def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
     bad = next(_violations(fr, _SUBNORMAL_LAWS), None)
     if bad is not None:
         raise AlgebraError("not-a-subnormal-frame", None, f"condition ({bad[0]}) fails")
-    ups, lat = _upset_lattice(fr)
-    t1 = ups.index(fr.y0)
+    pos, lat = _upset_lattice(fr)
+    t1 = pos[sum(1 << w for w in fr.y0)]
     alg = attach_negations(lat, t1, name=name or "complex")
     ccpba = ccpba_flags(alg)[1]
     if not ccpba.holds:
@@ -241,9 +294,11 @@ def _require_kim(alg: AnyAlgebra) -> AnyAlgebra:
 
 def _compat_frame(kim: AnyAlgebra) -> CompatFrame:
     def compatible(filters, names):
-        return [(names[i], names[j]) for i, p in enumerate(filters)
-                for j, q in enumerate(filters)
-                if all(a not in q for a in range(kim.size) if kim.tilde[a] in p)]
+        # tilded[i]: the a with ~a in filter i, none of which may lie in a C-successor
+        tilded = [sum(1 << a for a in range(kim.size) if p >> kim.tilde[a] & 1)
+                  for p in filters]
+        return [(names[i], names[j]) for i, t in enumerate(tilded)
+                for j, q in enumerate(filters) if t & q == 0]
 
     return _canonical_frame(kim, partial(build_compat, require_subcompat=True), compatible)
 
@@ -292,9 +347,8 @@ def canonical_frame_file(alg: AnyAlgebra, kind: str = "auto") -> str:
         fr = canonical_frame_kim(alg)
     else:
         raise AlgebraError("unknown-frame-kind", kind)
-    filters = prime_filters(alg.lattice)
     comments = [
-        f"# F{i} = {{{', '.join(alg.lattice.elements[e] for e in sorted(f))}}}"
-        for i, f in enumerate(filters)
+        f"# F{i} = {{{', '.join(alg.lattice.elements[e] for e in _bits(f))}}}"
+        for i, f in enumerate(_prime_filters(alg.lattice.leq))
     ]
     return "\n".join(comments) + "\n" + write_frame(fr, f"{alg.name}_canonical")

@@ -243,8 +243,9 @@ def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
     """Lattice of a family of sets closed under union/intersection, ordered by inclusion.
 
     Meets/joins are set intersection/union, so distributivity holds by
-    construction and is not checked; used for upset algebras and for the
-    downset lattices of `all_lattices`.
+    construction and is not checked; used for the downset lattices of
+    `all_lattices` (the bridge reads upset algebras from masks,
+    `bridge._upset_tables`).
     """
     return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 

@@ -43,6 +43,13 @@ inside themselves and keeps the least encoding, the first one met on a tie.
 The package now searches only the relabellings with least order bits
 (`tests/test_canonical_form.py`).
 
+`algebra_embedding_image` and `frame_embedding_image` are the frozenset
+images `bridge._algebra_embedding` and `bridge._frame_embedding` once
+computed: sigma(a), or the upsets holding a world, as a frozenset found by a
+linear search of `frame_upsets` or `prime_filters`.  The bridge now maps
+masks through the position dicts of its order-keyed upset lattice
+(`tests/test_upset_lattice.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -52,9 +59,10 @@ from __future__ import annotations
 import itertools
 
 from twoneg.algebra import _PATH, Flag, _flag
+from twoneg.bridge import prime_filters
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
-                           _relation)
+                           _relation, frame_upsets)
 from twoneg.lattice import _encode, _lattice, _order, _signatures, _up_masks
 
 
@@ -330,6 +338,23 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat=False):
         if bad is not None:
             raise FrameError("condition-violation", bad)
     return fr
+
+
+def algebra_embedding_image(alg, fr):
+    """a -> the position of sigma(a) among the upsets of the canonical frame `fr`."""
+    filters = prime_filters(alg.lattice)
+    ups = frame_upsets(fr.leq)
+    return tuple(ups.index(frozenset(i for i, f in enumerate(filters) if a in f))
+                 for a in range(alg.size))
+
+
+def frame_embedding_image(fr, alg):
+    """w -> the position of {upsets containing w} among the prime filters of
+    `alg`, the complex algebra of `fr`."""
+    ups = frame_upsets(fr.leq)
+    filters = prime_filters(alg.lattice)
+    return tuple(filters.index(frozenset(j for j, u in enumerate(ups) if w in u))
+                 for w in range(fr.size))
 
 
 def _record(names, pairs):

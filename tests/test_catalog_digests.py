@@ -1,6 +1,7 @@
 """The catalogs of every class at sizes 2..8 must match the frozen digests in
 tests/fixtures/catalog_digests.json entry by entry: same names, same tables,
-same order."""
+same order.  At sizes 9..14 each (class, size) section must match its frozen
+entry count and its digest of the names and entry digests in catalog order."""
 
 from __future__ import annotations
 
@@ -29,6 +30,14 @@ def test_catalog_matches_frozen_digests(fixtures_dir, cls):
     got = [[alg.name, tool.entry_digest(alg)]
            for alg in enumerate_algebras(cls, tool.MAX_SIZE)]
     assert got == frozen[cls]
+
+
+@pytest.mark.parametrize("cls", ["pba", "ccpba", "cvcpba", "kim", "kim_vee"])
+def test_catalog_sections_match_frozen_digests(fixtures_dir, cls):
+    frozen = json.loads((fixtures_dir / "catalog_digests.json").read_text())
+    rows = [row for row in frozen["sections"] if row[0] == cls]
+    assert [row[1] for row in rows] == list(range(9, 15))
+    assert _tool().section_digests(cls) == rows
 
 
 @pytest.mark.parametrize("tool,name", [("oracle_counts.py", "enumeration_counts.json"),

@@ -119,9 +119,10 @@ def test_lattice_counts():
 
 
 def test_lattice_counts_match_a006982():
-    # distributive lattices with n elements, n = 1..12 (OEIS A006982)
-    sizes = Counter(lat.size for lat in all_lattices(12))
-    assert [sizes[n] for n in range(1, 13)] == [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151]
+    # distributive lattices with n elements, n = 1..16 (OEIS A006982)
+    sizes = Counter(lat.size for lat in all_lattices(16))
+    assert [sizes[n] for n in range(1, 17)] == [1, 1, 1, 2, 3, 5, 8, 15, 26, 47, 82, 151,
+                                                269, 494, 891, 1639]
 
 
 def test_all_lattices_are_downset_lattices_bottom_up():
