@@ -20,9 +20,9 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeErro
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _below, _bits, _bound_table, _down,
-                      _lattice, _relabel, _up_masks, all_lattices, build_lattice,
-                      canonical_form, derive_heyting, transitive_reduction)
+from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice, _relabel,
+                      _residuum, _up_masks, all_lattices, build_lattice, canonical_form,
+                      derive_heyting, transitive_reduction)
 
 __all__ = [
     "Algebra", "KimAlgebra", "AnyAlgebra", "Verdict", "Flag", "KiteReport",
@@ -296,14 +296,13 @@ def _residuation_witness(lat: FiniteLattice, impl: OpTable):
 
 def _is_residuum(lat: FiniteLattice, impl: OpTable) -> bool:
     """Whether `impl` is `derive_heyting(lat)` and the record's meets are
-    those of its order, the table `_bound_table` reads off its down-set
-    masks; False on a record with no residuum."""
+    those of its order, both read from the cache `lattice._residuum`; False
+    on a record with no meets or no residuum."""
     try:
-        return (impl == derive_heyting(lat)
-                and lat.meet == _bound_table(_up_masks(zip(*lat.leq)), lat.elements,
-                                             "missing-glb"))
+        meet, table, _ = _residuum(lat.leq)
     except LatticeError:
         return False
+    return impl == table and lat.meet == meet
 
 
 def ccpba_flags(alg: Algebra) -> tuple[Flag, Flag]:

@@ -10,8 +10,12 @@ algebra is a pBa is decided against the residuum derived from its order
 (`algebra.ccpba_flags`), never taken from the record's implication table.
 
 Prime filters and upsets are int masks throughout, each read from a cache
-keyed by the order alone (`_prime_filters`, `_upset_tables`); frozensets are
-built only at the public boundary (`prime_filters`, `sigma`).
+keyed by the order alone: `_prime_filters` here, and the upset lattice
+`lattice._upset_tables`, which the catalogs of `all_lattices` read too, so
+this module builds no table from an order.  The complex compatibility
+algebra maps the `!` and `~` clauses (`frames._no_successor_in`) through
+that cache's mask positions.  Frozensets are built only at the public
+boundary (`prime_filters`, `sigma`).
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negati
                       build_kim, ccpba_flags, kim_violations)
 from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
-                     SubNormalFrame, _upset_clause, _upsets, _violations, build_compat,
+                     SubNormalFrame, _no_successor_in, _violations, build_compat,
                      build_subnormal, is_identity, write_frame)
-from .lattice import FiniteLattice, Table, _bits, _down, _join_irreducibles, _up_masks
+from .lattice import (FiniteLattice, _bits, _down, _join_irreducibles, _up_masks,
+                      _upset_tables)
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -221,29 +226,12 @@ def upset_name(worlds: tuple[str, ...], s: Iterable[int]) -> str:
     return "{" + ",".join(worlds[i] for i in sorted(s)) + "}"
 
 
-@lru_cache(maxsize=256)
-def _upset_tables(leq: Table):
-    """The upset lattice of the order `leq` by masks: the upsets in
-    `frames.frame_upsets` order, the position of each, and the inclusion
-    (`s & ~t == 0`), meet (`pos[s & t]`) and join (`pos[s | t]`) tables by
-    position.  The empty upset comes first and is the bottom, the full one
-    last and the top.  The order alone decides them, so the cache keeps no
-    world names: the sub-normal and compatibility frames of one order, and
-    frames that only rename its worlds, share one entry."""
-    ups = _upsets(leq)
-    pos = {s: i for i, s in enumerate(ups)}
-    incl = tuple(tuple(s & ~t == 0 for t in ups) for s in ups)
-    meet = tuple(tuple(pos[s & t] for t in ups) for s in ups)
-    join = tuple(tuple(pos[s | t] for t in ups) for s in ups)
-    return ups, pos, incl, meet, join
-
-
-def _upset_lattice(fr) -> tuple[dict[int, int], FiniteLattice]:
-    """The position of each upset mask of `fr`, and the lattice of its
-    upsets, each named by `upset_name`."""
+def _upset_lattice(fr) -> tuple[tuple[int, ...], dict[int, int], FiniteLattice]:
+    """The upset masks of `fr` in `frames.frame_upsets` order, the position
+    of each, and the lattice of its upsets, each named by `upset_name`."""
     ups, pos, incl, meet, join = _upset_tables(fr.leq)
     names = tuple(upset_name(fr.worlds, _bits(s)) for s in ups)
-    return pos, FiniteLattice(names, incl, meet, join, 0, len(ups) - 1)
+    return ups, pos, FiniteLattice(names, incl, meet, join, 0, len(ups) - 1)
 
 
 def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
@@ -252,7 +240,7 @@ def complex_algebra_subnormal(fr: SubNormalFrame, *, name: str = "") -> Algebra:
     bad = next(_violations(fr, _SUBNORMAL_LAWS), None)
     if bad is not None:
         raise AlgebraError("not-a-subnormal-frame", None, f"condition ({bad[0]}) fails")
-    pos, lat = _upset_lattice(fr)
+    _, pos, lat = _upset_lattice(fr)
     t1 = pos[sum(1 << w for w in fr.y0)]
     alg = attach_negations(lat, t1, name=name or "complex")
     ccpba = ccpba_flags(alg)[1]
@@ -315,8 +303,9 @@ def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
     bad = next(_violations(fr, _COMPAT_LAWS + _SUBCOMPAT_LAWS), None)
     if bad is not None:
         raise AlgebraError("not-a-subcompat-frame", bad[0])
-    _, lat = _upset_lattice(fr)
-    neg, tilde = _upset_clause(fr.leq, fr.bang), _upset_clause(fr.leq, fr.tilde)
+    ups, pos, lat = _upset_lattice(fr)
+    neg, tilde = (tuple(pos[clause(s)] for s in ups)
+                  for clause in map(_no_successor_in, (fr.bang, fr.tilde)))
     kim = build_kim(lat, neg, tilde, name=name or "complex")
     if is_identity(fr) and _em(lat, tilde) is not None:
         raise VerificationError("complex-not-kim-vee", fr.worlds)
@@ -347,8 +336,7 @@ def canonical_frame_file(alg: AnyAlgebra, kind: str = "auto") -> str:
         fr = canonical_frame_kim(alg)
     else:
         raise AlgebraError("unknown-frame-kind", kind)
-    comments = [
-        f"# F{i} = {{{', '.join(alg.lattice.elements[e] for e in _bits(f))}}}"
-        for i, f in enumerate(_prime_filters(alg.lattice.leq))
-    ]
-    return "\n".join(comments) + "\n" + write_frame(fr, f"{alg.name}_canonical")
+    comments = "".join(
+        f"# F{i} = {{{', '.join(alg.lattice.elements[e] for e in _bits(f))}}}\n"
+        for i, f in enumerate(_prime_filters(alg.lattice.leq)))
+    return comments + write_frame(fr, f"{alg.name}_canonical")

@@ -15,8 +15,11 @@ passes `_SUBCOMPAT_LAWS`.  Builders close <= reflexively/transitively and
 raise the first failing row; the R/C relations are taken as given, never
 repaired.  `nhat_violations`, `subcompat_violation` and the complex algebras
 in `bridge` read the same tables.  Each law reads its relations as successor
-masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`;
-the former table scans are the oracles in `tests/oracles.py`.  Calling a
+masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`,
+which also gives the `!` and `~` of the complex compatibility algebra; the
+former table scans are the oracles in `tests/oracles.py`.  A frame's upsets
+are the masks of `lattice._upset_masks` (`_upsets`); the lattice they form
+is built in `lattice` (`_upset_tables`), never here.  Calling a
 frame class directly skips validation, which the canonicity tests use to
 probe frames that violate a condition.  A world name may not contain `,`,
 which joins an upset's worlds into its name.
@@ -376,15 +379,6 @@ def _upsets(leq: Table) -> tuple[int, ...]:
 def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
     """All upsets, ordered by cardinality then lexicographically."""
     return tuple(frozenset(_bits(s)) for s in _upsets(leq))
-
-
-def _upset_clause(leq: Table, rel: Table) -> tuple[int, ...]:
-    """Per upset of `leq`, in `frame_upsets` order, the position of the
-    worlds with no `rel`-successor in it, which must be an upset too."""
-    ups = _upsets(leq)
-    pos = {s: i for i, s in enumerate(ups)}
-    clause = _no_successor_in(rel)
-    return tuple(pos[clause(s)] for s in ups)
 
 
 def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,

@@ -2,11 +2,18 @@
 
 Everything is index-based: a lattice over n elements stores the full
 reflexive-transitive order as an n x n boolean table plus total meet/join
-tables.  The residuum (relative pseudo-complement) is always *derived* from
-the order, never taken as input, and cached by the order (`derive_heyting`).
-`algebra.ccpba_flags` decides whether a declared implication table is the
-residuum by comparing it with that cached table, and the record's meets
-with those of its order.
+tables.  This module is the only one that builds tables from an order; the
+others read them from two caches keyed by the order alone:
+
+* `_residuum`: the order's meets and its residuum (relative
+  pseudo-complement), which is always *derived* from the order, never taken
+  as input (`derive_heyting`).  `algebra.ccpba_flags` decides whether a
+  declared implication table is the residuum, and the record's meets those
+  of its order, by comparing them with these tables.
+* `_upset_tables`: the upset lattice of the order, by masks.  The catalogs
+  of `all_lattices` are these lattices for the converses of their posets of
+  join-irreducibles, and the bridge's complex algebras for the orders of
+  their frames.
 """
 
 from __future__ import annotations
@@ -18,9 +25,8 @@ from ._record import record
 from .errors import LatticeError, VerificationError
 
 __all__ = [
-    "FiniteLattice", "build_lattice", "lattice_from_upsets",
-    "derive_heyting",
-    "upsets_of", "downsets_of", "transitive_reduction",
+    "FiniteLattice", "build_lattice", "derive_heyting",
+    "upsets_of", "transitive_reduction",
     "canonical_form", "all_posets", "all_lattices",
 ]
 
@@ -48,9 +54,6 @@ class FiniteLattice:
             return self.elements.index(name)
         except ValueError:
             raise LatticeError("unknown-element", name) from None
-
-    def upset(self, a: int) -> frozenset[int]:
-        return frozenset(b for b in range(self.size) if self.leq[a][b])
 
 
 def _bits(mask: int):
@@ -238,36 +241,25 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     return lat
 
 
-def lattice_from_upsets(sets: list[frozenset[int]] | tuple[frozenset[int], ...],
-                        names: list[str]) -> FiniteLattice:
-    """Lattice of a family of sets closed under union/intersection, ordered by inclusion.
-
-    Meets/joins are set intersection/union, so distributivity holds by
-    construction and is not checked; used for the downset lattices of
-    `all_lattices` (the bridge reads upset algebras from masks,
-    `bridge._upset_tables`).
-    """
-    return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
-
-
 def derive_heyting(lat: FiniteLattice) -> OpTable:
     """Full residuum table: a -> b is the element whose down-set is
     {c : a /\\ c <= b}.  Raises residuum-missing at the first pair
     (row-major) whose set is no down-set of an element.  The order alone
     decides the table, so the cache (`_residuum`, whose `cache_info` and
     `cache_clear` this function carries) keeps the order of each lattice it
-    has seen, not its names, meets or joins."""
-    table, missing = _residuum(lat.leq)
+    has seen, not its names."""
+    _, table, missing = _residuum(lat.leq)
     if missing is not None:
         raise LatticeError("residuum-missing", tuple(lat.elements[k] for k in missing))
     return table
 
 
 @lru_cache(maxsize=4096)
-def _residuum(leq: Table) -> tuple[OpTable | None, tuple[int, int] | None]:
-    """`derive_heyting` of the order `leq` by indices: the table and None, or
-    None and the first pair with no residuum.  Meets are the elements whose
-    down-set masks are the intersections."""
+def _residuum(leq: Table) -> tuple[OpTable, OpTable | None, tuple[int, int] | None]:
+    """The meet table of the order `leq` and its `derive_heyting` by
+    indices: the meets, then the table and None, or None and the first pair
+    with no residuum.  Meets are the elements whose down-set masks are the
+    intersections; missing-glb is raised when some pair has none."""
     down = _up_masks(zip(*leq))
     at = {mask: k for k, mask in enumerate(down)}
     meet = _bound_table(down, range(len(leq)), "missing-glb")
@@ -275,9 +267,9 @@ def _residuum(leq: Table) -> tuple[OpTable | None, tuple[int, int] | None]:
     for a, below in enumerate(_below(leq, meet)):
         row = tuple(at.get(mask) for mask in below)
         if None in row:
-            return None, (a, row.index(None))
+            return meet, None, (a, row.index(None))
         table.append(row)
-    return tuple(table), None
+    return meet, tuple(table), None
 
 
 derive_heyting.cache_info = _residuum.cache_info  # type: ignore[attr-defined]
@@ -300,13 +292,29 @@ def _upset_masks(leq: Table) -> list[int]:
 
 
 def upsets_of(leq: Table) -> list[frozenset[int]]:
-    """All upward-closed subsets, ordered by cardinality then lexicographically."""
+    """All upward-closed subsets, ordered by cardinality then lexicographically.
+
+    The frozenset form of `_upset_masks`, for callers outside the package:
+    the tests, and `perfbench/spans.py`, which times it as a busy span."""
     return [frozenset(_bits(s)) for s in _upset_masks(leq)]
 
 
-def downsets_of(leq: Table) -> list[frozenset[int]]:
-    rev = tuple(tuple(leq[j][i] for j in range(len(leq))) for i in range(len(leq)))
-    return upsets_of(rev)
+@lru_cache(maxsize=256)
+def _upset_tables(leq: Table):
+    """The upset lattice of the order `leq` by masks: the upsets in
+    `_upset_masks` order, the position of each, and the inclusion
+    (`s & ~t == 0`), meet (`pos[s & t]`) and join (`pos[s | t]`) tables by
+    position.  The empty upset comes first and is the bottom, the full one
+    last and the top.  The order alone decides them, so the cache keeps no
+    names: a catalog lattice (the upsets of the converse of its poset of
+    join-irreducibles), the sub-normal and compatibility frames of one
+    order, and frames that only rename its worlds share one entry."""
+    ups = tuple(_upset_masks(leq))
+    pos = {s: i for i, s in enumerate(ups)}
+    incl = tuple(tuple(s & ~t == 0 for t in ups) for s in ups)
+    meet = tuple(tuple(pos[s & t] for t in ups) for s in ups)
+    join = tuple(tuple(pos[s | t] for t in ups) for s in ups)
+    return ups, pos, incl, meet, join
 
 
 def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
@@ -440,13 +448,13 @@ def _grow_posets(max_size: int, max_downsets: int | None = None) -> dict[int, tu
     for k in range(1, max_size + 1):
         seen: dict[tuple, Table] = {}
         for base in by_size[k - 1]:
-            downs = downsets_of(base)
+            downs = _upset_masks(zip(*base))
             for dset in downs:
                 # the new poset's downsets: those of base, plus each one above dset
                 if (max_downsets is not None
-                        and len(downs) + sum(dset <= d for d in downs) > max_downsets):
+                        and len(downs) + sum(dset & ~d == 0 for d in downs) > max_downsets):
                     continue
-                rows = [tuple(base[i]) + (i in dset,) for i in range(k - 1)]
+                rows = [tuple(base[i]) + (bool(dset >> i & 1),) for i in range(k - 1)]
                 rows.append(tuple(False for _ in range(k - 1)) + (True,))
                 cand = tuple(rows)
                 key, perm = canonical_form(cand)
@@ -470,14 +478,17 @@ def all_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
     Sizes ascend; within a size, lattices follow their join-irreducible posets
     (fewer join-irreducibles first, then the posets' canonical order).
     Elements are named e0, e1, ... along the downsets ordered by cardinality,
-    then lexicographically, so e0 is the bottom and the order is bottom-up.
+    then lexicographically, so e0 is the bottom, the top comes last and the
+    order is bottom-up.  The downsets of a poset are the upsets of its
+    converse, so the tables are `_upset_tables` of the converse.
     """
     if max_size < 1:
         return ()
     by_size: dict[int, list[FiniteLattice]] = {}
     for posets in _grow_posets(max_size - 1, max_size).values():
         for leq in posets:
-            downs = downsets_of(leq)
-            names = [f"e{i}" for i in range(len(downs))]
-            by_size.setdefault(len(downs), []).append(lattice_from_upsets(downs, names))
+            downs, _, incl, meet, join = _upset_tables(tuple(zip(*leq)))
+            names = tuple(f"e{i}" for i in range(len(downs)))
+            by_size.setdefault(len(downs), []).append(
+                FiniteLattice(names, incl, meet, join, 0, len(downs) - 1))
     return tuple(lat for size in sorted(by_size) for lat in by_size[size])

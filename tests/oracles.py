@@ -50,6 +50,15 @@ linear search of `frame_upsets` or `prime_filters`.  The bridge now maps
 masks through the position dicts of its order-keyed upset lattice
 (`tests/test_upset_lattice.py`).
 
+`downsets_of`, `lattice_from_upsets`, `grow_posets` and `all_lattices` are
+the former frozenset enumeration of `twoneg.lattice`: posets grown on
+frozenset downsets, and each catalog lattice built from its downsets by
+O(U^2) inclusion tests and two `_bound_table` passes.  The package now
+grows posets on downset masks and reads each catalog lattice from the
+order-keyed upset lattice of the converse, `lattice._upset_tables`, which
+the bridge's complex algebras read too (`tests/test_upset_lattice.py`).
+`lattice_from_upsets` also checks the bridge's upset lattices there.
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -63,7 +72,9 @@ from twoneg.bridge import prime_filters
 from twoneg.errors import FrameError, LatticeError
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation, frame_upsets)
-from twoneg.lattice import _encode, _lattice, _order, _signatures, _up_masks
+from twoneg.lattice import (_encode, _lattice, _order, _relabel, _signatures, _table,
+                            _up_masks, canonical_form as package_canonical_form,
+                            upsets_of)
 
 
 def residuum(lat, a, b):
@@ -367,3 +378,48 @@ M3 = _record(["0", "x", "y", "z", "1"],
              [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
 N5 = _record(["0", "a", "b", "c", "1"],
              [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+
+
+def downsets_of(leq):
+    rev = tuple(tuple(leq[j][i] for j in range(len(leq))) for i in range(len(leq)))
+    return upsets_of(rev)
+
+
+def lattice_from_upsets(sets, names):
+    """Lattice of a family of sets closed under union/intersection, ordered
+    by inclusion."""
+    return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
+
+
+def grow_posets(max_size, max_downsets=None):
+    """Canonical posets of each size 0..max_size, grown on frozenset downsets."""
+    by_size = {0: ((),)}
+    for k in range(1, max_size + 1):
+        seen = {}
+        for base in by_size[k - 1]:
+            downs = downsets_of(base)
+            for dset in downs:
+                if (max_downsets is not None
+                        and len(downs) + sum(dset <= d for d in downs) > max_downsets):
+                    continue
+                rows = [tuple(base[i]) + (i in dset,) for i in range(k - 1)]
+                rows.append(tuple(False for _ in range(k - 1)) + (True,))
+                cand = tuple(rows)
+                key, perm = package_canonical_form(cand)
+                if key not in seen:
+                    seen[key] = _table(_relabel(cand, perm))
+        by_size[k] = tuple(seen[key] for key in sorted(seen))
+    return by_size
+
+
+def all_lattices(max_size):
+    """The catalog of distributive lattices of at most `max_size` elements."""
+    if max_size < 1:
+        return ()
+    by_size = {}
+    for posets in grow_posets(max_size - 1, max_size).values():
+        for leq in posets:
+            downs = downsets_of(leq)
+            names = [f"e{i}" for i in range(len(downs))]
+            by_size.setdefault(len(downs), []).append(lattice_from_upsets(downs, names))
+    return tuple(lat for size in sorted(by_size) for lat in by_size[size])

@@ -227,7 +227,7 @@ def _join_loop_prime_filters(lat):
             if lat.leq[k][j] and k != j:
                 below = lat.join[below][k]
         if below != j:
-            out.append(lat.upset(j))
+            out.append(frozenset(k for k in range(lat.size) if lat.leq[j][k]))
     return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from twoneg import cli, frames, proofs
 from twoneg.algebra import read_algebra
+from twoneg.bridge import canonical_frame_ccpba
 from twoneg.cli import main
 from twoneg.errors import FileFormatError
 from twoneg.formula import MAX_DEPTH, MAX_NODES, parse, subformulas
@@ -261,6 +262,18 @@ def test_canonical(capsys, fixtures_dir):
     code, out = run(capsys, "canonical", str(fixtures_dir / "b_prime.alg"))
     assert code == 0
     assert "y0 F0 F1" in out
+
+
+def test_canonical_with_no_prime_filters_starts_with_the_frame(capsys, tmp_path):
+    """The one-element algebra has no prime filter, so no comment line: the
+    output is the frame itself, with no blank line before it."""
+    path = tmp_path / "one.alg"
+    path.write_text("algebra one\nelements 0\ntilde_one 0\nend\n")
+    code, out = run(capsys, "--porcelain", "canonical", str(path))
+    assert code == 0
+    assert out.startswith("out=frame subnormal one_canonical\n")
+    text = "".join(line.removeprefix("out=") + "\n" for line in out.splitlines())
+    assert frames.read_frame(text) == canonical_frame_ccpba(read_algebra(path.read_text()))
 
 
 def test_canonical_rejects_pba(capsys, fixtures_dir):

@@ -82,3 +82,22 @@ def test_residuation_walk_is_called_only_by_ccpba_flags():
                     or (isinstance(node, ast.alias) and node.name == "_residuation_witness")):
                 found.append((path.stem, inside.get(id(node))))
     assert found == [("algebra", "ccpba_flags")]
+
+
+def test_only_lattice_builds_tables_from_an_order():
+    """Meet, join and upset-lattice tables are built in `lattice.py` alone:
+    no other module of the package calls `_bound_table` or defines
+    `_upset_tables`; they read the order-keyed caches instead."""
+    calls, defs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_bound_table":
+                    calls.append(path.stem)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "_upset_tables"):
+                defs.append(path.stem)
+    assert set(calls) == {"lattice"}
+    assert defs == ["lattice"]

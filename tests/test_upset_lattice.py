@@ -1,13 +1,17 @@
-"""The bridge's upset lattice: one cache keyed by the order, masks end to end.
+"""One upset lattice per order, masks end to end, for the catalogs and the bridge.
 
-`bridge._upset_tables` holds an order's upset masks, their positions and the
-inclusion, meet and join tables; `bridge._upset_lattice` only names the
-upsets after the frame's worlds.  The lattice must equal the one
-`lattice_from_upsets` builds from the frozenset upsets (the oracle), and
-every embedding's mapping the frozenset search the bridge once ran
-(`oracles.algebra_embedding_image`, `oracles.frame_embedding_image`).  A
-mask with no position is a VerificationError naming the element or world,
-never a bare KeyError.
+`lattice._upset_tables` holds an order's upset masks, their positions and
+the inclusion, meet and join tables.  `all_lattices` reads each catalog
+lattice from it (the upsets of the converse of its poset of
+join-irreducibles), and `bridge._upset_lattice` only names the upsets after
+the frame's worlds, so a complex algebra on the converse of a catalog poset
+shares the catalog lattice's tables.  The catalogs must equal the former
+frozenset enumeration (`oracles.all_lattices`, `oracles.grow_posets`), each
+bridge lattice the one `oracles.lattice_from_upsets` builds from the
+frozenset upsets, and every embedding's mapping the frozenset search the
+bridge once ran (`oracles.algebra_embedding_image`,
+`oracles.frame_embedding_image`).  A mask with no position is a
+VerificationError naming the element or world, never a bare KeyError.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from twoneg import bridge
+from twoneg import bridge, lattice
 from twoneg.algebra import enumerate_algebras, read_algebra
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
                            complex_algebra_compat, complex_algebra_subnormal,
@@ -31,7 +35,7 @@ from twoneg.cli import main
 from twoneg.errors import VerificationError
 from twoneg.frames import (SubNormalFrame, build_subnormal, frame_upsets, read_frame,
                            write_frame)
-from twoneg.lattice import all_posets, lattice_from_upsets
+from twoneg.lattice import _grow_posets, all_lattices, all_posets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,9 +68,10 @@ def fork():
 
 def _matches_oracle(fr) -> bool:
     ups = frame_upsets(fr.leq)
-    pos, lat = bridge._upset_lattice(fr)
-    return (lat == lattice_from_upsets(ups, [upset_name(fr.worlds, s) for s in ups])
-            and pos == {sum(1 << w for w in s): i for i, s in enumerate(ups)})
+    masks, pos, lat = bridge._upset_lattice(fr)
+    return (lat == oracles.lattice_from_upsets(ups, [upset_name(fr.worlds, s) for s in ups])
+            and masks == tuple(sum(1 << w for w in s) for s in ups)
+            and pos == {mask: i for i, mask in enumerate(masks)})
 
 
 def test_upset_lattice_matches_lattice_from_upsets_on_every_small_poset():
@@ -79,6 +84,36 @@ def test_upset_lattice_matches_lattice_from_upsets_on_every_small_poset():
 def test_upset_lattice_matches_lattice_from_upsets_on_the_duality_pool():
     assert len(POOL_FRAMES) == 2 * len(POOL["frames"]) > 0
     assert all(_matches_oracle(fr) for fr in POOL_FRAMES)
+
+
+def test_all_lattices_match_the_frozenset_enumeration():
+    for n in range(13):
+        assert all_lattices(n) == oracles.all_lattices(n), n
+    assert len(all_lattices(12)) == 342
+
+
+def test_poset_growth_matches_the_frozenset_growth():
+    assert all_posets(7) == {k: v for k, v in oracles.grow_posets(7).items() if k}
+
+
+def test_catalog_and_complex_algebras_share_one_upset_lattice():
+    """A complex algebra on the converse of a catalog poset reads the catalog
+    lattice's own tables from the cache."""
+    all_lattices.cache_clear()
+    lattice._upset_tables.cache_clear()
+    info = lattice._upset_tables.cache_info
+    catalog = all_lattices(5)
+    assert info().misses == len(catalog) == 1 + 1 + 1 + 2 + 3
+    before = info()
+    posets = [leq for found in _grow_posets(4, 5).values() for leq in found]
+    assert len(posets) == len(catalog)
+    for leq in posets:
+        fr = SubNormalFrame(tuple(f"w{i}" for i in range(len(leq))), tuple(zip(*leq)),
+                            frozenset())
+        got = complex_algebra_subnormal(fr).lattice
+        cat = next(lat for lat in catalog if lat.leq == got.leq)
+        assert got.leq is cat.leq and got.meet is cat.meet and got.join is cat.join
+    assert (info().hits, info().misses) == (before.hits + len(posets), before.misses)
 
 
 def test_embedding_mappings_match_the_frozenset_search():
@@ -98,6 +133,7 @@ def test_embedding_mappings_match_the_frozenset_search():
 
 
 def test_one_upset_lattice_per_order(a_prime, fork):
+    assert bridge._upset_tables is lattice._upset_tables
     info = bridge._upset_tables.cache_info
     bridge._upset_tables.cache_clear()
     stone_embedding(a_prime)
