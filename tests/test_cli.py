@@ -160,6 +160,35 @@ def test_countermodel_none(capsys):
     assert "no countermodel up to size 4" in out
 
 
+@pytest.mark.parametrize("argv,code,lines", [
+    (["enumerate", "--class", "pba", "--size", "0"], 2,
+     ["error=bad-size", "detail=bad-size at 0"]),
+    (["enumerate", "--class", "pba", "--size", "9"], 3,
+     ["error=bound-guard", "detail=bound-guard at 'enumerate max_size': limit 8, requested 9"]),
+    (["enumerate", "--class", "kim", "--size", "1"], 0,
+     ["class=kim", "size=1", "count=0", "count_upto=0"]),
+    (["enumerate", "--class", "kim", "--size", "1", "--allow-trivial"], 0,
+     ["class=kim", "size=1", "count=1", "count_upto=1", "algebra=kim_1_0"]),
+    (["countermodel", "--system", "ILM", "--max-size", "0", "p | ~p"], 2,
+     ["formula=p | ~p", "error=bad-size", "detail=bad-size at 0"]),
+    (["countermodel", "--system", "ILM", "--max-size", "-3", "p | ~p"], 2,
+     ["formula=p | ~p", "error=bad-size", "detail=bad-size at -3"]),
+    (["countermodel", "--system", "ILM", "--max-size", "1", "p | ~p"], 0,
+     ["formula=p | ~p", "countermodel=none", "note=no countermodel up to size 1"]),
+    (["countermodel", "--system", "ILM", "--max-size", "9", "p | ~p"], 3,
+     ["formula=p | ~p", "error=bound-guard",
+      "detail=bound-guard at 'countermodel max_size': limit 8, requested 9"]),
+    (["countermodel", "--system", "Kim", "--max-size", "0", "p"], 2,
+     ["formula=p", "error=wrong-goal-kind",
+      "detail=wrong-goal-kind at 'Kim': expected a sequent"]),
+])
+def test_size_edge_cases(capsys, argv, code, lines):
+    """Sizes below 1, over the guard and at the trivial size, each with its
+    exit code and porcelain lines; the goal is checked before the size."""
+    got, out = run(capsys, "--porcelain", *argv)
+    assert (got, out.splitlines()) == (code, lines)
+
+
 def test_countermodel_sequent(capsys):
     code, out = run(capsys, "--porcelain", "countermodel", "--system", "Kim",
                     "--max-size", "3", "--sequent", "~~p |- p")
