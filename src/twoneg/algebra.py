@@ -20,8 +20,8 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeErro
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _below, _bits, _down, _lattice, _relabel,
-                      _residuum, _up_masks, all_lattices, build_lattice, canonical_form,
+from .lattice import (FiniteLattice, OpTable, _below, _bits, _decoded, _down, _lattice,
+                      _lattices, _residuum, _up_masks, build_lattice, canonical_form,
                       derive_heyting, transitive_reduction)
 
 __all__ = [
@@ -624,23 +624,27 @@ ATOM_GUARD = 3
 
 
 @lru_cache(maxsize=None)
-def _canonical_pass(family: str, max_size: int,
-                    include_trivial: bool) -> tuple[Algebra, ...]:
-    """One representative per isomorphism class, in canonical order (size,
-    then canonical key), elements renamed e0, e1, ...: every distributive
-    lattice with no ~1 (`pba`), or with every !!-fixed element as ~1
-    (`ccpba`)."""
-    found: dict[tuple, Algebra] = {}
-    for lat in all_lattices(max_size):
-        if lat.size == 1 and not include_trivial:
-            continue
-        for t1 in ([None] if family == "pba" else tilde_one_candidates(lat)):
-            key, perm = _canonical_data(attach_negations(lat, t1))
-            if key not in found:
-                relabelled = _lattice([f"e{i}" for i in range(lat.size)],
-                                      _relabel(lat.leq, perm))
-                found[key] = attach_negations(relabelled, None if t1 is None else perm[t1])
-    return tuple(found[k] for k in sorted(found, key=lambda k: (k[0], k)))
+def _section(cls: str, size: int) -> tuple[AnyAlgebra, ...]:
+    """The catalog members of `cls` with `size` elements in canonical order,
+    named `{cls}_{size}_0`, `{cls}_{size}_1`, ...  Only pba (no ~1) and
+    ccpba (every !!-fixed element as ~1) run a canonical pass: it keeps the
+    keys and decodes each entry from its key, the order from the bits and ~1
+    from the marks.  cvcpba is the sub-list of ccpba where excluded middle
+    holds.  The Kim classes are the implication-free reducts of ccpba and
+    cvcpba: in a Heyting algebra the Kim laws force ~a = a -> ~1 (the
+    theorem and its proof are in `_path_failure`'s docstring)."""
+    if cls in ("pba", "ccpba"):
+        keys = {_canonical_data(attach_negations(lat, t1))[0] for lat in _lattices(size)
+                for t1 in ([None] if cls == "pba" else tilde_one_candidates(lat))}
+        return tuple(attach_negations(_lattice([f"e{i}" for i in range(size)], _decoded(key)),
+                                      key[3][0] if key[3] else None, name=f"{cls}_{size}_{i}")
+                     for i, key in enumerate(sorted(keys)))
+    entries: tuple[AnyAlgebra, ...] = _section("ccpba", size)
+    if cls in ("cvcpba", "kim_vee"):
+        entries = tuple(a for a in entries if _em(a.lattice, a.tilde) is None)
+    if cls in ("kim", "kim_vee"):
+        entries = tuple(KimAlgebra("", a.lattice, a.neg, a.tilde) for a in entries)
+    return tuple(replace(alg, name=f"{cls}_{size}_{i}") for i, alg in enumerate(entries))
 
 
 @lru_cache(maxsize=None)
@@ -648,32 +652,17 @@ def enumerate_algebras(cls: str, max_size: int, include_trivial: bool = False,
                        guard: int | None = SIZE_GUARD) -> tuple[AnyAlgebra, ...]:
     """All non-isomorphic catalog members of `cls` with size <= max_size, in
     canonical order (size, then canonical key); elements renamed e0, e1, ...
-
-    Only pba and ccpba run a canonical pass.  cvcpba is the sub-list of
-    ccpba where excluded middle holds.  The Kim classes are the
-    implication-free reducts of ccpba and cvcpba: in a Heyting algebra the
-    Kim laws force ~a = a -> ~1 (the theorem and its proof are in
-    `_path_failure`'s docstring).
-    """
+    It joins the size sections (`_section`) from 2, or 1 with `include_trivial`:
+    a section does not depend on the bound, as keys start with the size and
+    names count within it, so each is built once per process."""
     if cls not in CATALOG_CLASSES:
         raise AlgebraError("unknown-class", cls)
     if max_size < 1:
         raise AlgebraError("bad-size", max_size)
     if guard is not None and max_size > guard:
         raise BoundGuardError("enumerate max_size", guard, max_size)
-    entries: tuple[AnyAlgebra, ...] = _canonical_pass(
-        "pba" if cls == "pba" else "ccpba", max_size, include_trivial)
-    if cls in ("cvcpba", "kim_vee"):
-        entries = tuple(a for a in entries if _em(a.lattice, a.tilde) is None)
-    if cls in ("kim", "kim_vee"):
-        entries = tuple(KimAlgebra("", a.lattice, a.neg, a.tilde) for a in entries)
-    counters: dict[int, int] = {}
-    out: list[AnyAlgebra] = []
-    for alg in entries:
-        i = counters.get(alg.size, 0)
-        counters[alg.size] = i + 1
-        out.append(replace(alg, name=f"{cls}_{alg.size}_{i}"))
-    return tuple(out)
+    return tuple(alg for size in range(1 if include_trivial else 2, max_size + 1)
+                 for alg in _section(cls, size))
 
 
 # ---------------------------------------------------------------------------

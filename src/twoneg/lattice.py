@@ -10,10 +10,13 @@ others read them from two caches keyed by the order alone:
   as input (`derive_heyting`).  `algebra.ccpba_flags` decides whether a
   declared implication table is the residuum, and the record's meets those
   of its order, by comparing them with these tables.
-* `_upset_tables`: the upset lattice of the order, by masks.  The catalogs
-  of `all_lattices` are these lattices for the converses of their posets of
-  join-irreducibles, and the bridge's complex algebras for the orders of
+* `_upset_tables`: the upset lattice of the order, by masks.  The catalog
+  lattices of each size are these lattices for the converses of their posets
+  of join-irreducibles, and the bridge's complex algebras for the orders of
   their frames.
+
+Enumeration is graded by downsets and each level is built once per process;
+`all_lattices` and `all_posets` are views over the levels.
 """
 
 from __future__ import annotations
@@ -133,14 +136,6 @@ def _lattice(names, up: list[int], down: list[int] | None = None) -> FiniteLatti
     full = (1 << len(up)) - 1
     return FiniteLattice(tuple(names), _table(up), meet, join,
                          up.index(full), down.index(full))
-
-
-def _relabel(leq: Table, perm: list[int]) -> list[int]:
-    """The up-set masks of `leq` with each element i moved to perm[i]."""
-    up = [0] * len(leq)
-    for i, row in enumerate(leq):
-        up[perm[i]] = sum(1 << perm[j] for j, b in enumerate(row) if b)
-    return up
 
 
 def _covers(masks: list[int]) -> list[int]:
@@ -434,40 +429,62 @@ def canonical_form(leq: Table,
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration at desk scale.  Posets are grown up to isomorphism by
-# attaching a fresh maximal element above a downward-closed subset.  A finite
-# distributive lattice is the downset lattice of its poset of join-irreducibles
-# (Birkhoff), so the lattices of size <= n come from the posets with <= n
-# downsets; attaching an element never removes a downset, so posets over that
-# bound are pruned as soon as they appear.
+# Exhaustive enumeration.  The lattices of size d are the downset lattices of
+# the posets with d downsets (Birkhoff).  A new maximal element above a downset
+# D adds the 1 .. d/2 downsets that contain D, so level d grows from d/2 .. d-1.
 
-def _grow_posets(max_size: int, max_downsets: int | None = None) -> dict[int, tuple[Table, ...]]:
-    """Canonical posets of each size 0..max_size (with at most `max_downsets`
-    downsets, if given), as leq tables in canonical-key order per size."""
-    by_size: dict[int, tuple[Table, ...]] = {0: ((),)}
-    for k in range(1, max_size + 1):
-        seen: dict[tuple, Table] = {}
-        for base in by_size[k - 1]:
-            downs = _upset_masks(zip(*base))
-            for dset in downs:
-                # the new poset's downsets: those of base, plus each one above dset
-                if (max_downsets is not None
-                        and len(downs) + sum(dset & ~d == 0 for d in downs) > max_downsets):
-                    continue
-                rows = [tuple(base[i]) + (bool(dset >> i & 1),) for i in range(k - 1)]
-                rows.append(tuple(False for _ in range(k - 1)) + (True,))
-                cand = tuple(rows)
-                key, perm = canonical_form(cand)
-                if key not in seen:
-                    seen[key] = _table(_relabel(cand, perm))
-        by_size[k] = tuple(seen[key] for key in sorted(seen))
-    return by_size
+def _decoded(key) -> list[int]:
+    """The up-set masks of the order whose `canonical_form` key is `key`."""
+    n, bits = key[0], key[1]
+    return [sum(b << j for j, b in enumerate(bits[i * n:(i + 1) * n])) for i in range(n)]
+
+
+def _children(base: Table, gain: int | None = None):
+    """Each poset grown from `base`; with `gain`, only those gaining that many downsets."""
+    downs = _upset_masks(zip(*base))
+    top = (False,) * len(base) + (True,)
+    for dset in downs:
+        if gain is None or sum(dset & ~d == 0 for d in downs) == gain:
+            yield tuple([row + (bool(dset >> i & 1),) for i, row in enumerate(base)] + [top])
+
+
+def _canonical_posets(candidates) -> tuple[Table, ...]:
+    """One leq table per isomorphism class of `candidates`, in key order."""
+    keys = {canonical_form(leq)[0] for leq in candidates}
+    return tuple(_table(_decoded(key)) for key in sorted(keys))
+
+
+@lru_cache(maxsize=None)
+def _posets_by_size(k: int) -> tuple[Table, ...]:
+    """The canonical posets of k elements."""
+    if k == 0:
+        return ((),)
+    return _canonical_posets(leq for base in _posets_by_size(k - 1) for leq in _children(base))
+
+
+@lru_cache(maxsize=None)
+def _posets_by_downsets(d: int) -> tuple[Table, ...]:
+    """The canonical posets with d >= 1 downsets, fewer elements first."""
+    if d == 1:
+        return ((),)
+    return _canonical_posets(leq for e in range((d + 1) // 2, d)
+                             for base in _posets_by_downsets(e)
+                             for leq in _children(base, d - e))
+
+
+@lru_cache(maxsize=None)
+def _lattices(size: int) -> tuple[FiniteLattice, ...]:
+    """The distributive lattices of `size` elements, in `all_lattices` order."""
+    names = tuple(f"e{i}" for i in range(size))
+    tables = [_upset_tables(tuple(zip(*leq))) for leq in _posets_by_downsets(size)]
+    return tuple(FiniteLattice(names, incl, meet, join, 0, size - 1)
+                 for _, _, incl, meet, join in tables)
 
 
 @lru_cache(maxsize=None)
 def all_posets(max_size: int) -> dict[int, tuple[Table, ...]]:
     """Canonical posets of each size 1..max_size, as leq tables."""
-    return {k: v for k, v in _grow_posets(max_size).items() if k}
+    return {k: _posets_by_size(k) for k in range(1, max_size + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -482,13 +499,4 @@ def all_lattices(max_size: int) -> tuple[FiniteLattice, ...]:
     order is bottom-up.  The downsets of a poset are the upsets of its
     converse, so the tables are `_upset_tables` of the converse.
     """
-    if max_size < 1:
-        return ()
-    by_size: dict[int, list[FiniteLattice]] = {}
-    for posets in _grow_posets(max_size - 1, max_size).values():
-        for leq in posets:
-            downs, _, incl, meet, join = _upset_tables(tuple(zip(*leq)))
-            names = tuple(f"e{i}" for i in range(len(downs)))
-            by_size.setdefault(len(downs), []).append(
-                FiniteLattice(names, incl, meet, join, 0, len(downs) - 1))
-    return tuple(lat for size in sorted(by_size) for lat in by_size[size])
+    return tuple(lat for size in range(1, max_size + 1) for lat in _lattices(size))

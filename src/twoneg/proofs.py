@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import record
-from .algebra import SIZE_GUARD, algebra_valid, enumerate_algebras, sequent_valid
+from .algebra import SIZE_GUARD, _section, algebra_valid, sequent_valid
 from .errors import (AlgebraError, BoundGuardError, FileFormatError, content_lines,
                      given_once)
 from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
@@ -301,8 +301,8 @@ def system_names() -> tuple[str, ...]:
 
 def countermodel_search(system: str, goal, max_size: int, *,
                         guard: int | None = SIZE_GUARD):
-    """Scan the system's catalog in canonical order, smallest size first, and
-    return (algebra, falsifying valuation) or None up to max_size.
+    """Scan the system's catalog by size sections, smallest first, and return
+    (algebra, falsifying valuation) from the first that fails, or None.
 
     `goal` is a Formula for the Hilbert systems, an (lhs, rhs) pair for the
     sequent systems.  `guard=None` lifts the bound on `max_size`.
@@ -327,10 +327,13 @@ def countermodel_search(system: str, goal, max_size: int, *,
                       lambda alg: sequent_valid(alg, lhs, rhs))
     else:
         raise AlgebraError("unknown-system", system)
-    for alg in enumerate_algebras(cls, max_size, guard=None):
-        verdict = check(alg)
-        if not verdict.valid:
-            return alg, verdict.valuation
+    if max_size < 1:
+        raise AlgebraError("bad-size", max_size)
+    for size in range(2, max_size + 1):
+        for alg in _section(cls, size):
+            verdict = check(alg)
+            if not verdict.valid:
+                return alg, verdict.valuation
     return None
 
 

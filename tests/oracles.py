@@ -58,6 +58,13 @@ grows posets on downset masks and reads each catalog lattice from the
 order-keyed upset lattice of the converse, `lattice._upset_tables`, which
 the bridge's complex algebras read too (`tests/test_upset_lattice.py`).
 `lattice_from_upsets` also checks the bridge's upset lattices there.
+`relabel` is the relabelling `grow_posets` reads; the package now decodes
+each canonical poset and catalog entry from its key's bits.
+
+`countermodel_scan` is the former body of `proofs.countermodel_search`,
+which built the whole catalog up to the bound before it scanned.  The
+package now walks the catalog one cached size section at a time and stops
+at the first size that fails (`tests/test_graded_catalogs.py`).
 
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
@@ -67,14 +74,16 @@ from __future__ import annotations
 
 import itertools
 
-from twoneg.algebra import _PATH, Flag, _flag
+from twoneg.algebra import _PATH, Flag, _flag, algebra_valid, enumerate_algebras, sequent_valid
 from twoneg.bridge import prime_filters
-from twoneg.errors import FrameError, LatticeError
+from twoneg.errors import AlgebraError, FrameError, LatticeError
+from twoneg.formula import Formula, Impl, contains, render
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation, frame_upsets)
-from twoneg.lattice import (_encode, _lattice, _order, _relabel, _signatures, _table,
+from twoneg.lattice import (_encode, _lattice, _order, _signatures, _table,
                             _up_masks, canonical_form as package_canonical_form,
                             upsets_of)
+from twoneg.proofs import HILBERT_SYSTEMS, SEQUENT_SYSTEMS, expand_neg
 
 
 def residuum(lat, a, b):
@@ -391,6 +400,14 @@ def lattice_from_upsets(sets, names):
     return _lattice(names, [sum(1 << j for j, t in enumerate(sets) if s <= t) for s in sets])
 
 
+def relabel(leq, perm):
+    """The up-set masks of `leq` with each element i moved to perm[i]."""
+    up = [0] * len(leq)
+    for i, row in enumerate(leq):
+        up[perm[i]] = sum(1 << perm[j] for j, b in enumerate(row) if b)
+    return up
+
+
 def grow_posets(max_size, max_downsets=None):
     """Canonical posets of each size 0..max_size, grown on frozenset downsets."""
     by_size = {0: ((),)}
@@ -407,7 +424,7 @@ def grow_posets(max_size, max_downsets=None):
                 cand = tuple(rows)
                 key, perm = package_canonical_form(cand)
                 if key not in seen:
-                    seen[key] = _table(_relabel(cand, perm))
+                    seen[key] = _table(relabel(cand, perm))
         by_size[k] = tuple(seen[key] for key in sorted(seen))
     return by_size
 
@@ -423,3 +440,31 @@ def all_lattices(max_size):
             names = [f"e{i}" for i in range(len(downs))]
             by_size.setdefault(len(downs), []).append(lattice_from_upsets(downs, names))
     return tuple(lat for size in sorted(by_size) for lat in by_size[size])
+
+
+def countermodel_scan(system, goal, max_size):
+    """The first falsifier in the whole catalog of the system's class up to
+    `max_size`, built before the scan; None when there is none."""
+    if system in HILBERT_SYSTEMS:
+        sys = HILBERT_SYSTEMS[system]
+        if not isinstance(goal, Formula):
+            raise AlgebraError("wrong-goal-kind", system, "expected a formula")
+        if sys.forbidden and contains(goal, sys.forbidden):
+            raise AlgebraError("wrong-language", render(goal))
+        f = expand_neg(goal) if sys.expand else goal
+        cls, check = sys.algebra_class, lambda alg: algebra_valid(alg, f)
+    elif system in SEQUENT_SYSTEMS:
+        if isinstance(goal, Formula):
+            raise AlgebraError("wrong-goal-kind", system, "expected a sequent")
+        lhs, rhs = goal
+        if contains(lhs, Impl) or contains(rhs, Impl):
+            raise AlgebraError("wrong-language", f"{render(lhs)} |- {render(rhs)}")
+        cls, check = (SEQUENT_SYSTEMS[system].algebra_class,
+                      lambda alg: sequent_valid(alg, lhs, rhs))
+    else:
+        raise AlgebraError("unknown-system", system)
+    for alg in enumerate_algebras(cls, max_size, guard=None):
+        verdict = check(alg)
+        if not verdict.valid:
+            return alg, verdict.valuation
+    return None

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, lattice
 from twoneg.algebra import attach_negations, iso_check, tilde_one_candidates
-from twoneg.lattice import (_relabel, _table, all_lattices, all_posets, build_lattice,
+from twoneg.lattice import (_table, all_lattices, all_posets, build_lattice,
                             canonical_form, transitive_reduction)
 
 import oracles
@@ -27,7 +27,7 @@ RANDOMS = st.randoms(use_true_random=False)
 def _relabelled_table(leq, rng):
     perm = list(range(len(leq)))
     rng.shuffle(perm)
-    return _table(_relabel(leq, perm))
+    return _table(oracles.relabel(leq, perm))
 
 
 def _relabelled(lat, rng):

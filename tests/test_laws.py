@@ -14,8 +14,10 @@ from twoneg.algebra import (CATALOG_CLASSES, KimAlgebra, _absorb,
                             enumerate_algebras, kim_violations, sequent_valid,
                             tilde_one_candidates)
 from twoneg.formula import parse
-from twoneg.lattice import (FiniteLattice, _lattice, _relabel, all_lattices,
+from twoneg.lattice import (FiniteLattice, _lattice, all_lattices,
                             canonical_form, derive_heyting)
+
+import oracles
 
 
 def _laws(alg):
@@ -207,7 +209,7 @@ def _per_class_catalog(cls, max_size, include_trivial):
             key, perm = _canonical_data(alg)
             if key not in found:
                 relabelled = _lattice([f"e{i}" for i in range(lat.size)],
-                                      _relabel(lat.leq, perm))
+                                      oracles.relabel(lat.leq, perm))
                 new = attach_negations(relabelled, None if t1 is None else perm[t1])
                 found[key] = KimAlgebra("", new.lattice, new.neg, new.tilde) if kim else new
     counters = {}

@@ -101,3 +101,26 @@ def test_only_lattice_builds_tables_from_an_order():
                 defs.append(path.stem)
     assert set(calls) == {"lattice"}
     assert defs == ["lattice"]
+
+
+def test_catalog_views_are_not_read_by_the_package():
+    """`all_lattices` and `all_posets` are views over the cached levels for
+    tests, tools and the benchmark harness: no code of the package calls
+    them.  The countermodel search walks the catalog's size sections and
+    never names `enumerate_algebras`, which would build the whole catalog
+    up to the bound first."""
+    calls, named = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("all_lattices", "all_posets"):
+                    calls.append(f"{path.stem}:{node.lineno}")
+            elif name == "enumerate_algebras" and path.stem == "proofs":
+                named.append(f"{path.stem}:{node.lineno}")
+    assert calls == []
+    assert named == []

@@ -35,7 +35,7 @@ from twoneg.cli import main
 from twoneg.errors import VerificationError
 from twoneg.frames import (SubNormalFrame, build_subnormal, frame_upsets, read_frame,
                            write_frame)
-from twoneg.lattice import _grow_posets, all_lattices, all_posets
+from twoneg.lattice import all_lattices, all_posets
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,12 +100,14 @@ def test_catalog_and_complex_algebras_share_one_upset_lattice():
     """A complex algebra on the converse of a catalog poset reads the catalog
     lattice's own tables from the cache."""
     all_lattices.cache_clear()
+    lattice._lattices.cache_clear()
+    lattice._posets_by_downsets.cache_clear()
     lattice._upset_tables.cache_clear()
     info = lattice._upset_tables.cache_info
     catalog = all_lattices(5)
     assert info().misses == len(catalog) == 1 + 1 + 1 + 2 + 3
     before = info()
-    posets = [leq for found in _grow_posets(4, 5).values() for leq in found]
+    posets = [leq for d in range(1, 6) for leq in lattice._posets_by_downsets(d)]
     assert len(posets) == len(catalog)
     for leq in posets:
         fr = SubNormalFrame(tuple(f"w{i}" for i in range(len(leq))), tuple(zip(*leq)),

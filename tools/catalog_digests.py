@@ -19,7 +19,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from twoneg.algebra import CATALOG_CLASSES, Algebra, enumerate_algebras
+from twoneg.algebra import CATALOG_CLASSES, Algebra, _section, enumerate_algebras
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "catalog_digests.json"
 MAX_SIZE = 8
@@ -49,14 +49,13 @@ def catalog_digests(max_size: int = MAX_SIZE) -> dict[str, list[list[str]]]:
 def section_digests(cls: str) -> list[list]:
     """[cls, size, entry count, digest] for each size in SECTION_SIZES; the
     digest hashes the [name, entry digest] pairs of that size in catalog
-    order."""
-    pairs: dict[int, list[list[str]]] = {size: [] for size in SECTION_SIZES}
-    for alg in enumerate_algebras(cls, SECTION_SIZES[-1], guard=None):
-        if alg.size in pairs:
-            pairs[alg.size].append([alg.name, entry_digest(alg)])
-    return [[cls, size, len(section),
-             hashlib.sha256(json.dumps(section).encode()).hexdigest()[:16]]
-            for size, section in pairs.items()]
+    order, read from the catalog's cached size section."""
+    rows = []
+    for size in SECTION_SIZES:
+        section = [[alg.name, entry_digest(alg)] for alg in _section(cls, size)]
+        rows.append([cls, size, len(section),
+                     hashlib.sha256(json.dumps(section).encode()).hexdigest()[:16]])
+    return rows
 
 
 def main() -> None:
