@@ -368,19 +368,26 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and validity.  Each goal is compiled once into a function over
-# the op tables (`_program`); a search calls it once per valuation.
+# Evaluation and validity.  Each goal is compiled once (`_program`): a search
+# over an algebra into one loop nest over the valuations that stops at the
+# first falsifier, an evaluation and a frame search into one function of the
+# atoms' values.
 
 # Goal plans kept (`_plan`), frame goals (compiled over upsets) among them.
 # One pass of the warm-validity benchmark workload cycles through 240
-# distinct goals, each in one language; 512 holds them twice over for about
-# 0.3 MB.
+# distinct goals, each in one language, whose plans take about 0.4 MB
+# (tracemalloc, Python 3.11); 512 holds them twice over.
 _PROGRAM_CACHE = 512
 
 # The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
 # world masks of a frame (`frames._bind`).
 _TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
 _UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
+
+# What an algebra's search of (lhs, rhs) stops at, by the number of goals it
+# keeps: lhs at top and rhs not, or lhs at top alone when only the rhs has a
+# node the language lacks, so that the search raises the rhs error there.
+_TESTS = {2: "{} == top and {} != top", 1: "{} == top"}
 
 # Per language of a search's target, the connective it lacks (None: none)
 # and the code its goals compile to: Kim, plain pseudo-Boolean and
@@ -389,22 +396,36 @@ _LANGUAGES = {"kim": (Impl, _TABLE_CODE), "pba": (Tilde, _TABLE_CODE),
               "ccpba": (None, _TABLE_CODE), "compat": (Impl, _UPSET_CODE),
               "frame": (None, _UPSET_CODE)}
 
+# The loops a search nests at most: CPython nests at most 20 blocks, so the
+# atoms from the 20th on share one innermost loop over `product` of their
+# values, which keeps the order.
+_NEST = 19
+
 
 def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
-             code: tuple[str, ...] = _TABLE_CODE):
+             code: tuple[str, ...] = _TABLE_CODE, test: str | None = None):
     """Compile `goals` over the atoms `names` into a factory
-    `make(meet, join, impl, neg, tilde, top, bottom)`; the function it
-    returns maps the values `v0, ..., vk` of `names` to the tuple of the
-    goals' values.
+    `make(meet, join, impl, neg, tilde, top, bottom)`.
+
+    With no `test`, `make` returns `value(v0, ..., vk)`, the tuple of the
+    goals' values at the values of `names`.  With a `test` over the goals'
+    values, `make` returns `search(dom)`: one loop per atom over `dom`, in
+    `itertools.product` order, that returns the values `(v0, ..., vk)` of
+    the first valuation passing the test, or None.
 
     Every distinct node gets one assignment, so a node that `<->` shares is
-    computed once.  The operations are closure cells, so one compiled
-    function serves every algebra of a catalog.  The source holds only fixed
-    identifiers, `v<i>` and `x<j>`: atom names never enter it.
+    computed once.  In a search it is assigned in the loop of its last atom,
+    or before every loop when it has none, so it is recomputed only when
+    one of its atoms changes.  The operations are closure cells, so one
+    compiled function serves every algebra of a catalog.  The source holds
+    only fixed identifiers, `v<i>` and `x<j>`: atom names never enter it.
     """
     ops = dict(zip((And, Or, Impl, Neg, Tilde), code))
     var = {name: f"v{i}" for i, name in enumerate(names)}
     slot: dict[str, str] = {}
+    # the loop a value is known in: 0 before every loop, i + 1 in the loop of v<i>
+    level = {"top": 0, "bottom": 0}
+    level.update((v, min(i, _NEST) + 1) for i, v in enumerate(var.values()))
 
     def node(g: Formula, kids: list[str]) -> str:
         t = type(g)
@@ -416,26 +437,48 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
             return "bottom"
         expr = ops[t].format(*kids)
         if expr not in slot:
-            slot[expr] = f"x{len(slot)}"
+            slot[expr] = x = f"x{len(slot)}"
+            level[x] = max(level[k] for k in kids)
         return slot[expr]
 
     results = [fold(g, node) for g in goals]
+    vs = list(var.values())
+    if test is None:
+        body = [f"def value({', '.join(vs)}):"]
+        body += [f" {x} = {expr}" for expr, x in slot.items()]
+        body.append(f" return ({', '.join(results)},)")
+    else:
+        heads = [f"for {v} in dom:" for v in vs[:_NEST]]
+        if len(vs) > _NEST:
+            rest = vs[_NEST:]
+            heads.append(f"for {', '.join(rest)}, in product(dom, repeat={len(rest)}):")
+        body = ["def search(dom):"]
+        for depth in range(len(heads) + 1):
+            if depth:
+                body.append(" " * depth + heads[depth - 1])
+            body += [" " * (depth + 1) + f"{x} = {expr}"
+                     for expr, x in slot.items() if level[x] == depth]
+        pad = " " * (len(heads) + 1)
+        body += [f"{pad}if {test.format(*results)}:",
+                 f"{pad} return ({''.join(v + ', ' for v in vs)})"]
     source = ("def make(meet, join, impl, neg, tilde, top, bottom):\n"
-              f" def value({', '.join(var.values())}):\n"
-              + "".join(f"  {x} = {expr}\n" for expr, x in slot.items())
-              + f"  return ({', '.join(results)},)\n"
-              " return value\n")
-    namespace: dict = {"__builtins__": {}}
+              + "".join(f" {line}\n" for line in body)
+              + f" return {'value' if test is None else 'search'}\n")
+    namespace: dict = {"__builtins__": {}, "product": itertools.product}
     exec(compile(source, "<twoneg goal>", "exec"), namespace)
     return namespace["make"]
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE)
 def _plan(goals: tuple[Formula, ...], language: str):
-    """What a search needs of `goals` in `language` that no algebra or frame
-    changes: the atom names of all goals in first-occurrence order, per goal
-    whether it has a node the language lacks, and the `_program` factory of
-    the goals before the first such one (None if that is the first goal).
+    """What a search or an evaluation needs of `goals` in `language` that no
+    algebra or frame changes: the atom names of all goals in
+    first-occurrence order, per goal whether it has a node the language
+    lacks, and the `_program` factory of the goals before the first such
+    one (None if that is the first goal).  Only the form the caller runs is
+    compiled: the two goals (lhs, rhs) of an algebra's search as a loop
+    nest with the test for the goals it keeps, anything else as a value
+    function.
 
     The key is compared by value, so an equal goal may be another object: a
     plan holds no node, and an error names the caller's own node, found by
@@ -445,7 +488,8 @@ def _plan(goals: tuple[Formula, ...], language: str):
     names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))
     offends = tuple(lacks is not None and contains(g, lacks) for g in goals)
     kept = goals[:offends.index(True)] if True in offends else goals
-    return names, offends, _program(kept, names, code) if kept else None
+    test = _TESTS[len(kept)] if code is _TABLE_CODE and len(goals) == 2 and kept else None
+    return names, offends, _program(kept, names, code, test) if kept else None
 
 
 def _language(alg: AnyAlgebra) -> str:
@@ -498,7 +542,7 @@ def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
 def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
     """v(lhs) = 1 implies v(rhs) = 1, for every valuation, tried in
     lexicographic order; the first falsifier is reported.  The atoms, the
-    language check and the compiled program come from one plan per goal and
+    language check and the compiled search come from one plan per goal and
     language (`_plan`), shared by every algebra of a sweep.  An error in
     `lhs` is raised first; one in `rhs` alone only once some valuation sends
     `lhs` to 1.  Its witness is the first offending node of the caller's own
@@ -506,19 +550,12 @@ def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
     names, offends, make = _plan((lhs, rhs), _language(alg))
     if offends[0]:
         raise _first_error(alg, lhs)
-    value = _bind(alg, make)
-    top = alg.lattice.top
-    valuations = itertools.product(range(alg.size), repeat=len(names))
-    if offends[1]:
-        for combo in valuations:
-            if value(*combo)[0] == top:
-                raise _first_error(alg, rhs)
+    found = _bind(alg, make)(range(alg.size))
+    if found is None:
         return VALID
-    for combo in valuations:
-        left, right = value(*combo)
-        if left == top and right != top:
-            return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
-    return VALID
+    if offends[1]:
+        raise _first_error(alg, rhs)
+    return Verdict(False, {k: alg.element(i) for k, i in zip(names, found)})
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +733,11 @@ def read_algebra(text: str) -> Algebra:
                 raise FileFormatError("bad-line", line)
     if not elements:
         raise FileFormatError("missing-elements", None)
+    if name is None:  # as a .frm or .prf file, an .alg file starts with its header
+        raise FileFormatError("missing-header", None, "expected 'algebra NAME'")
     lat = build_lattice(elements, pairs)
     t1 = lat.index(tilde_name) if tilde_name is not None else None
-    return attach_negations(lat, t1, name=name or "algebra")
+    return attach_negations(lat, t1, name=name)
 
 
 def write_algebra(alg: Algebra) -> str:

@@ -19,7 +19,7 @@ from .algebra import (ATOM_GUARD, SIZE_GUARD, Algebra, KimAlgebra,
                       classify_negation_pair, enumerate_algebras, evaluate,
                       read_algebra, write_algebra)
 from .errors import (AlgebraError, BoundGuardError, FileFormatError,
-                     LatticeError, WorkbenchError)
+                     FormulaSyntaxError, LatticeError, WorkbenchError)
 from .formula import Atom, Bot, Formula, Top
 from .formula import atoms as formula_atoms
 from .formula import fold
@@ -241,7 +241,13 @@ def cmd_countermodel(args, rep: Report) -> int:
         lhs_t, sep, rhs_t = args.sequent.partition("|-")
         if not sep:
             raise FileFormatError("bad-sequent", args.sequent, "missing |-")
-        goal = (parse_formula(lhs_t), parse_formula(rhs_t))
+        lhs = parse_formula(lhs_t)
+        try:
+            rhs = parse_formula(rhs_t)
+        except FormulaSyntaxError as e:  # an offset into the whole sequent
+            raise FormulaSyntaxError(e.offset + len(lhs_t) + len(sep), e.expected,
+                                     e.detail) from None
+        goal = (lhs, rhs)
         rep.kv("sequent", f"{render(goal[0])} |- {render(goal[1])}")
     else:
         if not args.formula:

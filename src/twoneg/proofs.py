@@ -120,7 +120,7 @@ def _is_instance(f: Formula, scheme_id: str) -> bool:
 
 def check_hilbert(system: str, proof: ProofScript) -> CheckResult:
     """Accept iff every line is a scheme instance or modus ponens from earlier
-    lines, and the last line is the goal."""
+    lines, the last line is the goal and every line is used to derive it."""
     sys = HILBERT_SYSTEMS.get(system)
     if sys is None:
         return CheckResult(False, "unknown-system", None, system)
@@ -158,7 +158,22 @@ def check_hilbert(system: str, proof: ProofScript) -> CheckResult:
         formulas[line.index] = f
     if formulas[proof.lines[-1].index] != goal:
         return CheckResult(False, "goal-mismatch", proof.lines[-1].index)
+    idx = _unreached({line.index: line.just[1:] if line.just[0] == "mp" else ()
+                      for line in proof.lines})
+    if idx is not None:
+        return CheckResult(False, "unused-line", idx, "not used to derive the last line")
     return ACCEPT
+
+
+def _unreached(cites: dict[int, tuple[int, ...]]) -> int | None:
+    """The first line, in order, that the last line does not reach through
+    the lines each line cites, or None.  `cites` maps each line number, in
+    proof order, to the earlier lines it cites."""
+    used = {next(reversed(cites))}
+    for idx, refs in reversed(cites.items()):
+        if idx in used:
+            used.update(refs)
+    return next((idx for idx in cites if idx not in used), None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +433,11 @@ def parse_proof(text: str):
     if mode == "sequent":
         if last is None:
             raise FileFormatError("empty-proof", None)
-        used = {last.label}  # a line cites only earlier lines
-        for node, _ in reversed(nodes.values()):
-            if node.label in used:
-                used.update(child.label for child in node.children)
-        for idx, (_, line) in nodes.items():
-            if idx not in used:
-                raise FileFormatError("unused-line", line,
-                                      f"line {idx} is not used to derive the last line")
+        idx = _unreached({idx: tuple(child.label for child in node.children)
+                          for idx, (node, _) in nodes.items()})
+        if idx is not None:  # never checked: `check_derivation` walks from the last line
+            raise FileFormatError("unused-line", nodes[idx][1],
+                                  f"line {idx} is not used to derive the last line")
         return ("sequent", system, last)
     raise FileFormatError("missing-header", None)
 

@@ -66,6 +66,12 @@ which built the whole catalog up to the bound before it scanned.  The
 package now walks the catalog one cached size section at a time and stops
 at the first size that fails (`tests/test_graded_catalogs.py`).
 
+`sequent_scan` is the former body of `algebra.sequent_valid`: one call of
+the straight-line program per valuation, over `itertools.product`, each
+side now through the value function of its own plan.  The package compiles
+an algebra's search into one staged loop nest
+(`tests/test_staged_search.py`).
+
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
 """
@@ -74,7 +80,9 @@ from __future__ import annotations
 
 import itertools
 
-from twoneg.algebra import _PATH, Flag, _flag, algebra_valid, enumerate_algebras, sequent_valid
+from twoneg import algebra
+from twoneg.algebra import (_PATH, VALID, Flag, Verdict, _flag, algebra_valid,
+                            enumerate_algebras, sequent_valid)
 from twoneg.bridge import prime_filters
 from twoneg.errors import AlgebraError, FrameError, LatticeError
 from twoneg.formula import Formula, Impl, contains, render
@@ -468,3 +476,28 @@ def countermodel_scan(system, goal, max_size):
         if not verdict.valid:
             return alg, verdict.valuation
     return None
+
+
+def sequent_scan(alg, lhs, rhs):
+    """v(lhs) = 1 implies v(rhs) = 1 on every valuation in
+    `itertools.product` order, each side through the value function of its
+    own plan; an error in lhs is raised first, one in rhs alone at the first
+    valuation that sends lhs to 1."""
+    sides = []
+    for side in (lhs, rhs):
+        side_names, offends, make = algebra._plan((side,), algebra._language(alg))
+        sides.append((side_names, None if offends[0] else algebra._bind(alg, make)))
+    (lnames, left), (rnames, right) = sides
+    if left is None:
+        raise algebra._first_error(alg, lhs)
+    names = tuple(dict.fromkeys(lnames + rnames))
+    top = alg.lattice.top
+    for combo in itertools.product(range(alg.size), repeat=len(names)):
+        at = dict(zip(names, combo))
+        if left(*[at[n] for n in lnames])[0] != top:
+            continue
+        if right is None:
+            raise algebra._first_error(alg, rhs)
+        if right(*[at[n] for n in rnames])[0] != top:
+            return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
+    return VALID

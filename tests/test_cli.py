@@ -196,6 +196,39 @@ def test_countermodel_sequent(capsys):
     assert "size=2" in out
 
 
+@pytest.mark.parametrize("sequent,offset", [
+    ("p & |- q", 4),   # end of the lhs
+    ("p |- q &", 8),   # end of the rhs, counted from the start of the sequent
+    ("p |-  )", 6),
+])
+def test_sequent_syntax_error_offset(capsys, sequent, offset):
+    """A syntax error in either side names its offset into the whole
+    `--sequent` text."""
+    code, out = run(capsys, "--porcelain", "countermodel", "--system", "Kim",
+                    "--max-size", "3", "--sequent", sequent)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "error=syntax-error"
+    assert lines[1].startswith(f"detail=syntax-error at {offset}: ")
+
+
+# A 25-atom goal that fails at the first valuation: a search nests at most
+# 19 loops, and `eval` compiles no loop at all.
+MANY = [f"p{i}" for i in range(25)]
+
+
+def test_goal_of_25_atoms(capsys, tmp_path):
+    path = tmp_path / "two.alg"
+    path.write_text("algebra two\nelements 0 1\nleq 0 1\nend\n")
+    goal = " | ".join(MANY)
+    code, out = run(capsys, "--porcelain", "eval", str(path), "--assign",
+                    ",".join(f"{p}=0" for p in MANY), "--", goal)
+    assert (code, out.splitlines()) == (0, ["value=0"])
+    code, out = run(capsys, "--porcelain", "valid", "--force", str(path), "--", goal)
+    assert (code, out.splitlines()) == (1, ["valid=false"] + [f"witness_{p}=0"
+                                                              for p in sorted(MANY)])
+
+
 @pytest.mark.parametrize("system,sequent", [("ILM", "p |- q"), ("Kim", "~~p |- p")])
 def test_countermodel_rejects_formula_and_sequent(capsys, system, sequent):
     code, out = run(capsys, "--porcelain", "countermodel", "--system", system,
@@ -587,6 +620,29 @@ def test_sequent_line_the_last_line_never_reaches_is_malformed(capsys, tmp_path)
     assert code == 2
     assert out == ("error=unused-line\ndetail=unused-line at '1 p |- q axiom NOPE': "
                    "line 1 is not used to derive the last line\n")
+
+
+def test_hilbert_line_the_last_line_never_reaches_fails_the_proof(capsys, tmp_path):
+    """Every line checks and the last is the goal, but line 1 is not used to
+    derive it: the proof is rejected at line 1."""
+    proof = tmp_path / "unused.prf"
+    proof.write_text("proof hilbert ILM\n1 q -> p -> q axiom A1\n2 p -> q -> p axiom A1\n"
+                     "qed p -> q -> p\nend\n")
+    code, out = run(capsys, "--porcelain", "check-proof", str(proof))
+    assert (code, out) == (1, "mode=hilbert\nsystem=ILM\ngoal=p -> q -> p\naccepted=false\n"
+                              "error=unused-line\nline=1\n"
+                              "detail=not used to derive the last line\n")
+
+
+def test_algebra_file_without_header_is_malformed(capsys, tmp_path):
+    """Like a `.frm` or `.prf` file, an `.alg` file starts with its header, so
+    deleting the `algebra NAME` line cannot pass unseen."""
+    path = tmp_path / "nameless.alg"
+    path.write_text("elements 0 a 1\nleq 0 a\nleq a 1\nend\n")
+    for command in ("check-algebra", "classify"):
+        code, out = run(capsys, "--porcelain", command, str(path))
+        assert (code, out) == (2, "error=missing-header\n"
+                                  "detail=missing-header: expected 'algebra NAME'\n")
 
 
 def test_decreasing_hilbert_line_number_fails_the_proof(capsys, tmp_path):

@@ -272,10 +272,58 @@ def test_atom_names_never_reach_the_source(b_prime):
             assert evaluate(b_prime, v0_first, v) == walk(b_prime, v0_first, v)
 
 
+def _code(make, name):
+    return next(c for c in make.__code__.co_consts
+                if hasattr(c, "co_varnames") and c.co_name == name)
+
+
 def test_shared_nodes_compile_once():
     # a 10-term `<->` chain has 3 067 occurrences but only 26 distinct
     # compound nodes (3 per `<->`, and the innermost `p -> p` twice)
     f = parse("<->".join(["p"] * 10))
     make = algebra._program((f,), ("p",))
-    value_code = next(c for c in make.__code__.co_consts if hasattr(c, "co_varnames"))
-    assert value_code.co_nlocals == 1 + 26
+    assert _code(make, "value").co_nlocals == 1 + 26
+    # the search form: `dom`, `v0` and the 26 nodes
+    make = algebra._program((TOP, f), ("p",), algebra._TABLE_CODE, algebra._TESTS[2])
+    assert _code(make, "search").co_nlocals == 1 + 1 + 26
+
+
+class Reads(tuple):
+    """A unary op table that counts its reads."""
+    reads = 0
+
+    def __getitem__(self, i):
+        Reads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_nodes_are_assigned_in_the_loop_of_their_last_atom(b_prime):
+    """`!p` reads only the first atom, so a search assigns it in the loop of
+    p, outside the loop of q: over n elements the valid goal `!p -> (q ->
+    !p)` reads `!` n times, where one call per valuation would read it n^2
+    times, and a node with no atom is read once, before every loop."""
+    n = b_prime.size
+    for text, reads in [("!p -> (q -> !p)", n), ("!p & ~q -> !p", n + n * n),
+                        ("!top -> (p -> !top)", 1)]:
+        _, _, make = algebra._plan((TOP, parse(text)), "ccpba")
+        lat = b_prime.lattice
+        Reads.reads = 0
+        search = make(lat.meet, lat.join, b_prime.impl, Reads(b_prime.neg), Reads(b_prime.tilde),
+                      lat.top, lat.bottom)
+        assert search(range(n)) is None
+        assert Reads.reads == reads, text
+
+
+def test_goals_of_many_atoms_compile():
+    """CPython nests at most 20 blocks: a search nests 19 loops, and the
+    atoms from the 20th on share one loop over `product` of their values, in
+    the same order."""
+    for k in (3, 19, 20, 21, 25):
+        names = tuple(f"p{i}" for i in range(k))
+        f = parse(" | ".join(names))
+        make = algebra._program((TOP, f), names, algebra._TABLE_CODE, algebra._TESTS[2])
+        assert ("product" in _code(make, "search").co_names) == (k >= 20), k
+        two = enumerate_algebras("pba", 2)[0]
+        assert algebra._bind(two, make)(range(2)) == (0,) * k
+        assert algebra_valid(two, f) == Verdict(False, dict.fromkeys(names, "e0"))
+        assert evaluate(two, f, dict.fromkeys(names, 1)) == 1

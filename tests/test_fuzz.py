@@ -2,7 +2,8 @@
 random or mutated input files must end in a documented exit code (0-3)
 with no exception escaping `cli.main`; and a structural fault (a repeated
 directive, header or line number) in any `.alg`, `.frm` or `.prf` file is
-malformed input, exit 2."""
+malformed input, exit 2; and deleting a content line of an accepted one
+shows in stdout or the exit code."""
 
 from __future__ import annotations
 
@@ -154,3 +155,40 @@ def test_repeated_structure_is_malformed_input(tmp_path):
                 if code != 2:
                     wrong.append((src.name, n, command, code))
     assert wrong == []
+
+
+def _output(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_deleting_a_content_line_shows(tmp_path):
+    """No line of an accepted file is dropped silently: deleting one content
+    line of an accepted `.alg`, `.frm` or `.prf` fixture changes stdout or
+    the exit code, or is rejected (exit 2).  Every content line is tried,
+    except that of a proof's numbered lines only a seeded sample of six is:
+    each deletion costs a parse and check of the whole proof."""
+    sources = sorted(p for p in FIXTURES.iterdir() if p.suffix in FILE_COMMANDS)
+    rng = random.Random(SEED)
+    silent, accepted = [], 0
+    for src in sources:
+        lines = src.read_text(encoding="utf-8").splitlines()
+        content = [i for i, line in enumerate(lines) if line.split("#", 1)[0].strip()]
+        numbered = [i for i in content if lines[i].split()[0].isdigit()]
+        picked = [i for i in content if i not in numbered]
+        picked += rng.sample(numbered, min(6, len(numbered)))
+        path = tmp_path / f"{src.stem}{src.suffix}"
+        for command in FILE_COMMANDS[src.suffix]:
+            before = _output(["--porcelain", command, str(src)])
+            if before[0] == 2:
+                continue
+            accepted += 1
+            for i in sorted(picked):
+                path.write_text("\n".join(lines[:i] + lines[i + 1:]) + "\n", encoding="utf-8")
+                after = _output(["--porcelain", command, str(path)])
+                if after[0] != 2 and after == before:
+                    silent.append((src.name, command, lines[i]))
+    assert accepted == 36
+    assert silent == []

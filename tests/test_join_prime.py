@@ -143,7 +143,7 @@ def test_triple_scan_runs_only_on_rejection(monkeypatch):
                 if not isinstance(expected(*case), lattice.FiniteLattice)]
     assert len(rejected) == 2 * 14
     for names, pairs in rejected:
-        text = "".join([f"elements {' '.join(names)}\n",
+        text = "".join(["algebra glued\n", f"elements {' '.join(names)}\n",
                         *(f"leq {a} {b}\n" for a, b in pairs), "end\n"])
         before = len(calls)
         with pytest.raises(LatticeError) as e:

@@ -65,6 +65,24 @@ def test_code_is_built_only_from_the_goal_source():
                              ("algebra", "_program", "exec")]
 
 
+def test_no_valuation_product_in_the_algebra_searches():
+    """An algebra's search runs as one compiled loop nest per goal: no
+    function of `algebra.py` loops over `itertools.product` of valuations.
+    `_program` alone names it, for the generated source of a goal of 20 or
+    more atoms, whose atoms from the 20th on share the innermost loop
+    (`tests/test_evaluator.py`)."""
+    path = PACKAGE / "algebra.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
+    found = [inside.get(id(node)) for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "product")
+             or (isinstance(node, ast.Name) and node.id == "product")
+             or (isinstance(node, ast.alias) and node.name == "product")]
+    assert found == ["_program"]
+
+
 def test_residuation_walk_is_called_only_by_ccpba_flags():
     """`algebra._residuation_witness` walks every (a, b) of an implication;
     `ccpba_flags` decides `is_pba` from the cached residuum and walks only

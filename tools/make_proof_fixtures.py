@@ -168,7 +168,17 @@ class Hilbert:
         return self.syl(l2, l5)
 
     def script(self, goal_line: int) -> ProofScript:
-        return ProofScript(tuple(self.lines), self.formula(goal_line))
+        """The lines `goal_line` is derived from, numbers kept: a proof file
+        may hold no line the last line does not use."""
+        used, todo = set(), [goal_line]
+        while todo:
+            n = todo.pop()
+            if n not in used:
+                used.add(n)
+                just = self.lines[n - 1].just
+                todo.extend(just[1:] if just[0] == "mp" else ())
+        return ProofScript(tuple(ln for ln in self.lines if ln.index in used),
+                           self.formula(goal_line))
 
 
 class Ctx:
