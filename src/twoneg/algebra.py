@@ -368,15 +368,15 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and validity.  Each goal is compiled once (`_program`): a search
-# over an algebra into one loop nest over the valuations that stops at the
-# first falsifier, an evaluation and a frame search into one function of the
-# atoms' values.
+# Evaluation and validity.  Each goal is compiled once (`_program`) into one
+# loop nest over the valuations that stops at the first valuation passing a
+# test: algebra and frame searches run it over every element or upset, an
+# evaluation and a truth set over the one value of each atom.
 
 # Goal plans kept (`_plan`), frame goals (compiled over upsets) among them.
 # One pass of the warm-validity benchmark workload cycles through 240
-# distinct goals, each in one language, whose plans take about 0.4 MB
-# (tracemalloc, Python 3.11); 512 holds them twice over.
+# distinct goals, each in one language, whose plans keep about 0.7 MB
+# (tracemalloc, Python 3.11, freed by clearing the cache); 512 holds them twice over.
 _PROGRAM_CACHE = 512
 
 # The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
@@ -384,10 +384,12 @@ _PROGRAM_CACHE = 512
 _TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
 _UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
 
-# What an algebra's search of (lhs, rhs) stops at, by the number of goals it
-# keeps: lhs at top and rhs not, or lhs at top alone when only the rhs has a
-# node the language lacks, so that the search raises the rhs error there.
-_TESTS = {2: "{} == top and {} != top", 1: "{} == top"}
+# What a search of (lhs, rhs) stops at, by its code and the number of goals
+# it keeps.  Over an algebra: lhs at top and rhs not, or lhs at top alone
+# when only the rhs has a node the language lacks, so that the search raises
+# the rhs error there.  Over a frame: some world in lhs and not in rhs.
+_TESTS = {(_TABLE_CODE, 2): "{} == top and {} != top", (_TABLE_CODE, 1): "{} == top",
+          (_UPSET_CODE, 2): "{} & ~{}"}
 
 # Per language of a search's target, the connective it lacks (None: none)
 # and the code its goals compile to: Kim, plain pseudo-Boolean and
@@ -398,27 +400,25 @@ _LANGUAGES = {"kim": (Impl, _TABLE_CODE), "pba": (Tilde, _TABLE_CODE),
 
 # The loops a search nests at most: CPython nests at most 20 blocks, so the
 # atoms from the 20th on share one innermost loop over `product` of their
-# values, which keeps the order.
+# domains, which keeps the order.
 _NEST = 19
 
 
 def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
              code: tuple[str, ...] = _TABLE_CODE, test: str | None = None):
     """Compile `goals` over the atoms `names` into a factory
-    `make(meet, join, impl, neg, tilde, top, bottom)`.
-
-    With no `test`, `make` returns `value(v0, ..., vk)`, the tuple of the
-    goals' values at the values of `names`.  With a `test` over the goals'
-    values, `make` returns `search(dom)`: one loop per atom over `dom`, in
-    `itertools.product` order, that returns the values `(v0, ..., vk)` of
-    the first valuation passing the test, or None.
+    `make(meet, join, impl, neg, tilde, top, bottom)` of `search(d0, ...,
+    dk)`: one loop per atom over that atom's domain, in `itertools.product`
+    order, that returns the atoms' values and then the goals' values at the
+    first valuation passing `test` (a format over the goals' values), or at
+    the first valuation when `test` is None; None when no valuation passes.
 
     Every distinct node gets one assignment, so a node that `<->` shares is
-    computed once.  In a search it is assigned in the loop of its last atom,
-    or before every loop when it has none, so it is recomputed only when
-    one of its atoms changes.  The operations are closure cells, so one
-    compiled function serves every algebra of a catalog.  The source holds
-    only fixed identifiers, `v<i>` and `x<j>`: atom names never enter it.
+    computed once.  It is assigned in the loop of its last atom, or before
+    every loop when it has none, so it is recomputed only when one of its
+    atoms changes.  The operations are closure cells, so one compiled
+    function serves every algebra of a catalog.  The source holds only
+    fixed identifiers, `d<i>`, `v<i>` and `x<j>`: atom names never enter it.
     """
     ops = dict(zip((And, Or, Impl, Neg, Tilde), code))
     var = {name: f"v{i}" for i, name in enumerate(names)}
@@ -443,27 +443,22 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
 
     results = [fold(g, node) for g in goals]
     vs = list(var.values())
-    if test is None:
-        body = [f"def value({', '.join(vs)}):"]
-        body += [f" {x} = {expr}" for expr, x in slot.items()]
-        body.append(f" return ({', '.join(results)},)")
-    else:
-        heads = [f"for {v} in dom:" for v in vs[:_NEST]]
-        if len(vs) > _NEST:
-            rest = vs[_NEST:]
-            heads.append(f"for {', '.join(rest)}, in product(dom, repeat={len(rest)}):")
-        body = ["def search(dom):"]
-        for depth in range(len(heads) + 1):
-            if depth:
-                body.append(" " * depth + heads[depth - 1])
-            body += [" " * (depth + 1) + f"{x} = {expr}"
-                     for expr, x in slot.items() if level[x] == depth]
-        pad = " " * (len(heads) + 1)
-        body += [f"{pad}if {test.format(*results)}:",
-                 f"{pad} return ({''.join(v + ', ' for v in vs)})"]
+    doms = [f"d{i}" for i in range(len(vs))]
+    heads = [f"for {v} in {d}:" for v, d in zip(vs[:_NEST], doms)]
+    if len(vs) > _NEST:
+        heads.append(f"for {', '.join(vs[_NEST:])}, in product({', '.join(doms[_NEST:])}):")
+    body = [f"def search({', '.join(doms)}):"]
+    for depth in range(len(heads) + 1):
+        if depth:
+            body.append(" " * depth + heads[depth - 1])
+        body += [" " * (depth + 1) + f"{x} = {expr}"
+                 for expr, x in slot.items() if level[x] == depth]
+    pad = " " * (len(heads) + 1)
+    found = f"return ({''.join(v + ', ' for v in vs + results)})"
+    body += [pad + found] if test is None else [f"{pad}if {test.format(*results)}:",
+                                                 f"{pad} {found}"]
     source = ("def make(meet, join, impl, neg, tilde, top, bottom):\n"
-              + "".join(f" {line}\n" for line in body)
-              + f" return {'value' if test is None else 'search'}\n")
+              + "".join(f" {line}\n" for line in body) + " return search\n")
     namespace: dict = {"__builtins__": {}, "product": itertools.product}
     exec(compile(source, "<twoneg goal>", "exec"), namespace)
     return namespace["make"]
@@ -475,10 +470,8 @@ def _plan(goals: tuple[Formula, ...], language: str):
     algebra or frame changes: the atom names of all goals in
     first-occurrence order, per goal whether it has a node the language
     lacks, and the `_program` factory of the goals before the first such
-    one (None if that is the first goal).  Only the form the caller runs is
-    compiled: the two goals (lhs, rhs) of an algebra's search as a loop
-    nest with the test for the goals it keeps, anything else as a value
-    function.
+    one (None if that is the first goal).  A search of (lhs, rhs) tests the
+    goals it keeps (`_TESTS`); a one-goal plan has no test.
 
     The key is compared by value, so an equal goal may be another object: a
     plan holds no node, and an error names the caller's own node, found by
@@ -488,7 +481,7 @@ def _plan(goals: tuple[Formula, ...], language: str):
     names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))
     offends = tuple(lacks is not None and contains(g, lacks) for g in goals)
     kept = goals[:offends.index(True)] if True in offends else goals
-    test = _TESTS[len(kept)] if code is _TABLE_CODE and len(goals) == 2 and kept else None
+    test = _TESTS.get((code, len(kept))) if len(goals) > 1 else None
     return names, offends, _program(kept, names, code, test) if kept else None
 
 
@@ -499,7 +492,7 @@ def _language(alg: AnyAlgebra) -> str:
 
 
 def _bind(alg: AnyAlgebra, make):
-    """The value function of the factory `make` over the tables of `alg`."""
+    """The search of the factory `make` over the tables of `alg`."""
     lat = alg.lattice
     impl = alg.impl if isinstance(alg, Algebra) else None
     return make(lat.meet, lat.join, impl, alg.neg, alg.tilde, lat.top, lat.bottom)
@@ -530,7 +523,7 @@ def evaluate(alg: AnyAlgebra, f: Formula, valuation: Mapping[str, int]) -> int:
     if error is not None:
         raise error
     names, _, make = _plan((f,), _language(alg))
-    return _bind(alg, make)(*[valuation[n] for n in names])[0]
+    return _bind(alg, make)(*[(valuation[n],) for n in names])[-1]
 
 
 def algebra_valid(alg: AnyAlgebra, f: Formula) -> Verdict:
@@ -550,7 +543,7 @@ def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
     names, offends, make = _plan((lhs, rhs), _language(alg))
     if offends[0]:
         raise _first_error(alg, lhs)
-    found = _bind(alg, make)(range(alg.size))
+    found = _bind(alg, make)(*(range(alg.size),) * len(names))
     if found is None:
         return VALID
     if offends[1]:

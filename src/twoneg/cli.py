@@ -105,9 +105,14 @@ def _parse_assignment(alg: Algebra | KimAlgebra, text: str) -> dict[str, int]:
         if "=" not in part:
             raise FileFormatError("bad-assignment", part)
         name, _, value = part.partition("=")
-        if name.strip() in out:
-            raise FileFormatError("duplicate-assignment", name.strip())
-        out[name.strip()] = alg.lattice.index(value.strip())
+        name = name.strip()
+        try:
+            Atom(name)  # the atom grammar, keywords excluded
+        except FormulaSyntaxError:
+            raise FileFormatError("bad-assignment", part) from None
+        if name in out:
+            raise FileFormatError("duplicate-assignment", name)
+        out[name] = alg.lattice.index(value.strip())
     return out
 
 

@@ -17,17 +17,18 @@ repaired.  `nhat_violations`, `subcompat_violation` and the complex algebras
 in `bridge` read the same tables.  Each law reads its relations as successor
 masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`,
 which also gives the `!` and `~` of the complex compatibility algebra; the
-former table scans are the oracles in `tests/oracles.py`.  A frame's upsets
+former table scans are the oracles in `tests/oracles.py`.  Truth sets and
+validity searches run a goal's compiled loop nest (`algebra._program`) over
+world masks, the one value or every upset of each atom.  A frame's upsets
 are the masks of `lattice._upset_masks` (`_upsets`); the lattice they form
-is built in `lattice` (`_upset_tables`), never here.  Calling a
-frame class directly skips validation, which the canonicity tests use to
-probe frames that violate a condition.  A world name may not contain `,`,
-which joins an upset's worlds into its name.
+is built in `lattice` (`_upset_tables`), never here.  Calling a frame class
+directly skips validation, which the canonicity tests use to probe frames
+that violate a condition.  A world name may not contain `,`, which joins an
+upset's worlds into its name.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import ClassVar, Union
 
@@ -339,9 +340,9 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 # appear only where `truth_set` takes and returns them and in witnesses.
 
 def _bind(fr: Frame, make):
-    """The truth-mask function of the factory `make` on `fr`.  Every clause
-    is "no successor in": `a -> b` holds where no order-successor lies in
-    `a & ~b`; `bot` holds nowhere."""
+    """The search of the factory `make` over the world masks of `fr`.  Every
+    clause is "no successor in": `a -> b` holds where no order-successor
+    lies in `a & ~b`; `bot` holds nowhere."""
     order = _no_successor_in(fr.leq)
     bang = order if fr.bang is fr.leq else _no_successor_in(fr.bang)
     return make(None, None, order, bang, _no_successor_in(fr.tilde), (1 << fr.size) - 1, 0)
@@ -366,7 +367,7 @@ def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> fr
     for name, s in zip(names, masks):
         if not _closed_upward(up, s):
             raise FrameError("valuation-not-upset", name)
-    return frozenset(_bits(_bind(fr, make)(*masks)[0]))
+    return frozenset(_bits(_bind(fr, make)(*[(s,) for s in masks])[-1]))
 
 
 @lru_cache(maxsize=256)
@@ -383,14 +384,15 @@ def frame_upsets(leq: Table) -> tuple[frozenset[int], ...]:
 
 def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
                      max_atoms) -> Verdict:
-    """Exhaust all assignments of the atoms of `goals` = (left, right) to
-    upsets, in (cardinality, lexicographic) order, for the first valuation
-    with some world in the truth set of left but not of right; it is
-    reported with the least such world.  A bound of None is not checked.  On
-    a compatibility frame the first `->` in pre-order, left before right, is
-    rejected as wrong-language.  The atoms, the language check and the
-    compiled program come from one plan per goal and language
-    (`algebra._plan`); the rejected `->` is the caller's own node."""
+    """The first assignment of the atoms of `goals` = (left, right) to
+    upsets, in (cardinality, lexicographic) order, with some world in the
+    truth set of left but not of right; it is reported with the least such
+    world.  A bound of None is not checked.  On a compatibility frame the
+    first `->` in pre-order, left before right, is rejected as
+    wrong-language.  The atoms, the language check and the compiled search,
+    one loop per atom over the upsets with the test `left & ~right`, come
+    from one plan per goal and language (`algebra._plan`); the rejected `->`
+    is the caller's own node."""
     names, offends, make = _plan(goals, _language(fr))
     if True in offends:
         raise FrameError("wrong-language", next(g for goal in goals for g in subformulas(goal)
@@ -399,15 +401,12 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
         raise BoundGuardError("frame worlds", max_worlds, fr.size)
     if max_atoms is not None and len(names) > max_atoms:
         raise BoundGuardError("valuation atoms", max_atoms, len(names))
-    value = _bind(fr, make)
-    for combo in itertools.product(_upsets(fr.leq), repeat=len(names)):
-        left, right = value(*combo)
-        bad = left & ~right
-        if bad:
-            witness = {name: tuple(fr.worlds[i] for i in _bits(s))
-                       for name, s in zip(names, combo)}
-            return Verdict(False, witness, fr.worlds[(bad & -bad).bit_length() - 1])
-    return VALID
+    found = _bind(fr, make)(*(_upsets(fr.leq),) * len(names))
+    if found is None:
+        return VALID
+    bad = found[-2] & ~found[-1]  # left & ~right
+    witness = {name: tuple(fr.worlds[i] for i in _bits(s)) for name, s in zip(names, found)}
+    return Verdict(False, witness, fr.worlds[(bad & -bad).bit_length() - 1])
 
 
 # Default bound on the worlds a frame search scans; `max_worlds=None` lifts it.

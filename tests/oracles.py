@@ -66,11 +66,15 @@ which built the whole catalog up to the bound before it scanned.  The
 package now walks the catalog one cached size section at a time and stops
 at the first size that fails (`tests/test_graded_catalogs.py`).
 
-`sequent_scan` is the former body of `algebra.sequent_valid`: one call of
-the straight-line program per valuation, over `itertools.product`, each
-side now through the value function of its own plan.  The package compiles
-an algebra's search into one staged loop nest
-(`tests/test_staged_search.py`).
+`walk` is the former recursive body of `algebra.evaluate`, and
+`frame_walk` that of `frames.truth_set` over frozensets, the sub-normal `~`
+read from the order and Y0.  `sequent_scan` is the former body of
+`algebra.sequent_valid` and `frame_scan` that of `frames._first_falsifier`:
+one loop over `itertools.product` of the valuations, each side evaluated
+by the walk.  The package compiles each goal into one staged loop nest,
+`algebra._program`, which these share no code with
+(`tests/test_evaluator.py`, `tests/test_frame_evaluator.py` and
+`tests/test_staged_search.py`).
 
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
@@ -80,13 +84,13 @@ from __future__ import annotations
 
 import itertools
 
-from twoneg import algebra
-from twoneg.algebra import (_PATH, VALID, Flag, Verdict, _flag, algebra_valid,
-                            enumerate_algebras, sequent_valid)
+from twoneg.algebra import (_PATH, ATOM_GUARD, VALID, Algebra, Flag, KimAlgebra, Verdict,
+                            _flag, algebra_valid, enumerate_algebras, sequent_valid)
 from twoneg.bridge import prime_filters
-from twoneg.errors import AlgebraError, FrameError, LatticeError
-from twoneg.formula import Formula, Impl, contains, render
-from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _close_order,
+from twoneg.errors import AlgebraError, BoundGuardError, FrameError, LatticeError
+from twoneg.formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
+                            contains, render, subformulas)
+from twoneg.frames import (WORLD_GUARD, CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation, frame_upsets)
 from twoneg.lattice import (_encode, _lattice, _order, _signatures, _table,
                             _up_masks, canonical_form as package_canonical_form,
@@ -478,26 +482,115 @@ def countermodel_scan(system, goal, max_size):
     return None
 
 
+def walk(alg, f, valuation):
+    """The value of `f` in `alg`; an error is raised at the first offending
+    node a left-to-right walk meets."""
+    lat = alg.lattice
+    match f:
+        case Top():
+            return lat.top
+        case Bot():
+            return lat.bottom
+        case Atom(name):
+            v = valuation.get(name)
+            if v is None:
+                raise AlgebraError("unbound-atom", name)
+            return v
+        case And(l, r):
+            return lat.meet[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Or(l, r):
+            return lat.join[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Impl(l, r):
+            if isinstance(alg, KimAlgebra):
+                raise AlgebraError("implication-in-kim-language", f)
+            return alg.impl[walk(alg, l, valuation)][walk(alg, r, valuation)]
+        case Neg(c):
+            return alg.neg[walk(alg, c, valuation)]
+        case Tilde(c):
+            if isinstance(alg, Algebra) and alg.tilde is None:
+                raise AlgebraError("tilde-undefined", f)
+            return alg.tilde[walk(alg, c, valuation)]
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def sequent_scan(alg, lhs, rhs):
     """v(lhs) = 1 implies v(rhs) = 1 on every valuation in
-    `itertools.product` order, each side through the value function of its
-    own plan; an error in lhs is raised first, one in rhs alone at the first
-    valuation that sends lhs to 1."""
-    sides = []
-    for side in (lhs, rhs):
-        side_names, offends, make = algebra._plan((side,), algebra._language(alg))
-        sides.append((side_names, None if offends[0] else algebra._bind(alg, make)))
-    (lnames, left), (rnames, right) = sides
-    if left is None:
-        raise algebra._first_error(alg, lhs)
-    names = tuple(dict.fromkeys(lnames + rnames))
+    `itertools.product` order, each side through `walk`: an error in lhs is
+    raised at the first valuation, one in rhs alone at the first valuation
+    that sends lhs to 1."""
+    names = atoms(And(lhs, rhs))
     top = alg.lattice.top
     for combo in itertools.product(range(alg.size), repeat=len(names)):
         at = dict(zip(names, combo))
-        if left(*[at[n] for n in lnames])[0] != top:
-            continue
-        if right is None:
-            raise algebra._first_error(alg, rhs)
-        if right(*[at[n] for n in rnames])[0] != top:
-            return Verdict(False, {k: alg.element(i) for k, i in zip(names, combo)})
+        if walk(alg, lhs, at) == top and walk(alg, rhs, at) != top:
+            return Verdict(False, {k: alg.element(i) for k, i in at.items()})
+    return VALID
+
+
+def frame_walk(fr, valuation, f):
+    """The worlds of `fr` where `f` holds, as a frozenset; an error is raised
+    at the first offending node a left-to-right walk meets."""
+    n = fr.size
+    every = frozenset(range(n))
+    bang, tilde = fr.bang, fr.tilde
+
+    def rec(g):
+        match g:
+            case Top():
+                return every
+            case Bot():
+                return frozenset()
+            case Atom(name):
+                if name not in valuation:
+                    raise FrameError("unbound-atom", name)
+                return valuation[name]
+            case And(l, r):
+                return rec(l) & rec(r)
+            case Or(l, r):
+                return rec(l) | rec(r)
+            case Impl(l, r):
+                if isinstance(fr, CompatFrame):
+                    raise FrameError("wrong-language", g)
+                left, right = rec(l), rec(r)
+                return frozenset(
+                    w for w in range(n)
+                    if all(v in right for v in range(n)
+                           if fr.leq[w][v] and v in left))
+            case Neg(c):
+                return no_successor_in(bang, rec(c))
+            case Tilde(c):
+                body = rec(c)
+                # the sub-normal clause from the order and Y0, not from the
+                # frame's `~` relation
+                if isinstance(fr, SubNormalFrame):
+                    return frozenset(
+                        w for w in range(n)
+                        if all(v in fr.y0 for v in range(n)
+                               if fr.leq[w][v] and v in body))
+                return no_successor_in(tilde, body)
+        raise TypeError(f"not a formula: {g!r}")
+
+    return rec(f)
+
+
+def frame_scan(fr, lhs, rhs, max_worlds=WORLD_GUARD, max_atoms=ATOM_GUARD):
+    """The first upset valuation in `itertools.product` order with some
+    world in the truth set of lhs but not of rhs, reported with the least
+    such world.  On a compatibility frame the first `->` in pre-order, lhs
+    before rhs, is rejected first; then the bounds, unless None."""
+    if isinstance(fr, CompatFrame):
+        for g in itertools.chain(subformulas(lhs), subformulas(rhs)):
+            if isinstance(g, Impl):
+                raise FrameError("wrong-language", g)
+    names = atoms(And(lhs, rhs))
+    if max_worlds is not None and fr.size > max_worlds:
+        raise BoundGuardError("frame worlds", max_worlds, fr.size)
+    if max_atoms is not None and len(names) > max_atoms:
+        raise BoundGuardError("valuation atoms", max_atoms, len(names))
+    for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
+        at = dict(zip(names, combo))
+        bad = frame_walk(fr, at, lhs) - frame_walk(fr, at, rhs)
+        if bad:
+            witness = {name: tuple(fr.worlds[i] for i in sorted(s)) for name, s in at.items()}
+            return Verdict(False, witness, fr.worlds[min(bad)])
     return VALID

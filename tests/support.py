@@ -1,17 +1,18 @@
 """Test-only helpers over the package API: products of chains, the
-implication-free reduct of a two-negation algebra, and a frame model with
-pointwise truth."""
+implication-free reduct of a two-negation algebra, a frame model with
+pointwise truth, and N-hat frames whose `!` relation is off the order."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from twoneg._record import record
 from twoneg.algebra import build_kim
 from twoneg.errors import FrameError
 from twoneg.formula import Formula
-from twoneg.frames import Frame, truth_set
-from twoneg.lattice import build_lattice
+from twoneg.frames import Frame, NhatFrame, truth_set
+from twoneg.lattice import all_posets, build_lattice
 
 from oracles import is_upset
 
@@ -50,3 +51,19 @@ class FrameModel:
 
     def truth(self, world: str, f: Formula) -> bool:
         return truth_at(self.frame, self.valuation, world, f)
+
+
+_SMALL_POSETS = [leq for size, posets in all_posets(4).items() if size > 1 for leq in posets]
+
+
+def off_order(seed: int) -> NhatFrame:
+    """An N-hat frame, never validated, with random R1 and R2: `!` reads R1,
+    which need not contain or be the order."""
+    rnd = random.Random(seed)
+    leq = rnd.choice(_SMALL_POSETS)
+    n = len(leq)
+
+    def relation():
+        return tuple(tuple(rnd.random() < 0.3 for _ in range(n)) for _ in range(n))
+
+    return NhatFrame(tuple(f"w{i}" for i in range(n)), leq, relation(), relation())

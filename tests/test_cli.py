@@ -94,6 +94,16 @@ def test_eval_duplicate_assignment_rejected(capsys, fixtures_dir):
     assert "error=duplicate-assignment" in out and "'p'" in out
 
 
+@pytest.mark.parametrize("assign", ["=a", "P=a", "1x=a", "top=a", "p=a,Q=b"])
+def test_eval_assignment_to_no_atom_rejected(capsys, fixtures_dir, assign):
+    """A name outside the atom grammar, or a keyword, binds nothing: it is
+    rejected, never dropped."""
+    code, out = run(capsys, "--porcelain", "eval", str(fixtures_dir / "h5.alg"), "top",
+                    "--assign", assign)
+    bad = assign.rpartition(",")[2]
+    assert (code, out) == (2, f"error=bad-assignment\ndetail=bad-assignment at {bad!r}\n")
+
+
 def test_classify(capsys, fixtures_dir):
     code, out = run(capsys, "--porcelain", "classify", str(fixtures_dir / "a_prime.alg"))
     assert code == 0

@@ -1,8 +1,8 @@
 """The compiled evaluator against the recursive tree walk it replaced.
 
-`walk` is the former body of `algebra.evaluate`, kept here as the oracle:
-values, falsifying valuations, error kinds and offending nodes must agree on
-every catalog algebra up to size 5 of all five classes."""
+`oracles.walk` is the former body of `algebra.evaluate`: values, falsifying
+valuations, error kinds and offending nodes must agree on every catalog
+algebra up to size 5 of all five classes."""
 
 from __future__ import annotations
 
@@ -12,49 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, frames
-from twoneg.algebra import (Algebra, KimAlgebra, VALID, Verdict, algebra_valid,
-                            enumerate_algebras, evaluate, sequent_valid)
+from twoneg.algebra import (VALID, Verdict, algebra_valid, enumerate_algebras, evaluate,
+                            sequent_valid)
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import AlgebraError, FrameError
-from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
-                            atoms, parse, subformulas)
+from twoneg.formula import (BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse,
+                            subformulas)
 from twoneg.frames import frame_sequent_valid, frame_valid
 
+from oracles import walk
 from support import kim_reduct
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
 
 # Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "make", "value"]
-
-
-def walk(alg, f, valuation):
-    lat = alg.lattice
-    match f:
-        case Top():
-            return lat.top
-        case Bot():
-            return lat.bottom
-        case Atom(name):
-            v = valuation.get(name)
-            if v is None:
-                raise AlgebraError("unbound-atom", name)
-            return v
-        case And(l, r):
-            return lat.meet[walk(alg, l, valuation)][walk(alg, r, valuation)]
-        case Or(l, r):
-            return lat.join[walk(alg, l, valuation)][walk(alg, r, valuation)]
-        case Impl(l, r):
-            if isinstance(alg, KimAlgebra):
-                raise AlgebraError("implication-in-kim-language", f)
-            return alg.impl[walk(alg, l, valuation)][walk(alg, r, valuation)]
-        case Neg(c):
-            return alg.neg[walk(alg, c, valuation)]
-        case Tilde(c):
-            if isinstance(alg, Algebra) and alg.tilde is None:
-                raise AlgebraError("tilde-undefined", f)
-            return alg.tilde[walk(alg, c, valuation)]
-    raise TypeError(f"not a formula: {f!r}")
+NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "d0", "make", "search"]
 
 
 def valuations(alg, names):
@@ -114,6 +86,8 @@ goals = st.tuples(names3, st.booleans()).flatmap(lambda t: formulas(*t))
 @settings(max_examples=60, deadline=None)
 @given(goals)
 def test_values_agree_on_every_valuation(f):
+    """`evaluate` runs the goal's search over one-element domains; over the
+    full domains with no test it stops at the first valuation."""
     names = tuple(atoms(f))
     for alg in CATALOG:
         expected = outcome(walk, alg, f, dict.fromkeys(names, 0))
@@ -123,9 +97,11 @@ def test_values_agree_on_every_valuation(f):
             continue
         plan_names, offends, make = algebra._plan((f,), algebra._language(alg))
         assert plan_names == names and offends == (False,)
-        value = algebra._bind(alg, make)
+        search = algebra._bind(alg, make)
+        assert search(*(range(alg.size),) * len(names)) == (0,) * len(names) + (expected,)
         for combo in itertools.product(range(alg.size), repeat=len(names)):
-            assert value(*combo) == (walk(alg, f, dict(zip(names, combo))),)
+            value = walk(alg, f, dict(zip(names, combo)))
+            assert search(*[(v,) for v in combo]) == combo + (value,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,11 +257,10 @@ def test_shared_nodes_compile_once():
     # a 10-term `<->` chain has 3 067 occurrences but only 26 distinct
     # compound nodes (3 per `<->`, and the innermost `p -> p` twice)
     f = parse("<->".join(["p"] * 10))
-    make = algebra._program((f,), ("p",))
-    assert _code(make, "value").co_nlocals == 1 + 26
-    # the search form: `dom`, `v0` and the 26 nodes
-    make = algebra._program((TOP, f), ("p",), algebra._TABLE_CODE, algebra._TESTS[2])
-    assert _code(make, "search").co_nlocals == 1 + 1 + 26
+    # with and without a test: `d0`, `v0` and the 26 nodes
+    for goals, test in [((f,), None), ((TOP, f), algebra._TESTS[algebra._TABLE_CODE, 2])]:
+        make = algebra._program(goals, ("p",), algebra._TABLE_CODE, test)
+        assert _code(make, "search").co_nlocals == 1 + 1 + 26
 
 
 class Reads(tuple):
@@ -305,12 +280,12 @@ def test_nodes_are_assigned_in_the_loop_of_their_last_atom(b_prime):
     n = b_prime.size
     for text, reads in [("!p -> (q -> !p)", n), ("!p & ~q -> !p", n + n * n),
                         ("!top -> (p -> !top)", 1)]:
-        _, _, make = algebra._plan((TOP, parse(text)), "ccpba")
+        names, _, make = algebra._plan((TOP, parse(text)), "ccpba")
         lat = b_prime.lattice
         Reads.reads = 0
         search = make(lat.meet, lat.join, b_prime.impl, Reads(b_prime.neg), Reads(b_prime.tilde),
                       lat.top, lat.bottom)
-        assert search(range(n)) is None
+        assert search(*(range(n),) * len(names)) is None
         assert Reads.reads == reads, text
 
 
@@ -321,9 +296,11 @@ def test_goals_of_many_atoms_compile():
     for k in (3, 19, 20, 21, 25):
         names = tuple(f"p{i}" for i in range(k))
         f = parse(" | ".join(names))
-        make = algebra._program((TOP, f), names, algebra._TABLE_CODE, algebra._TESTS[2])
+        make = algebra._program((TOP, f), names, algebra._TABLE_CODE,
+                                algebra._TESTS[algebra._TABLE_CODE, 2])
         assert ("product" in _code(make, "search").co_names) == (k >= 20), k
         two = enumerate_algebras("pba", 2)[0]
-        assert algebra._bind(two, make)(range(2)) == (0,) * k
+        top, bottom = two.lattice.top, two.lattice.bottom
+        assert algebra._bind(two, make)(*(range(2),) * k) == (0,) * k + (top, bottom)
         assert algebra_valid(two, f) == Verdict(False, dict.fromkeys(names, "e0"))
         assert evaluate(two, f, dict.fromkeys(names, 1)) == 1

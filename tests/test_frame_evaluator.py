@@ -1,9 +1,9 @@
 """Frame truth sets through the compiled goal program over world masks,
 against the recursive frozenset walk it replaced.
 
-`walk` is the former body of `frames.truth_set`, and `walk_falsifier` the
-former valuation search behind `frame_valid`/`frame_sequent_valid`; both are
-kept here as the oracle.  Truth sets, raised errors (kind and witness),
+`oracles.frame_walk` is the former body of `frames.truth_set`, and
+`oracles.frame_scan` the former valuation search behind `frame_valid` and
+`frame_sequent_valid`.  Truth sets, raised errors (kind and witness),
 verdicts, falsifying valuations and least worlds must agree on sub-normal,
 N-hat and compatibility frames: the canonical frames of small catalogs,
 hand-built frames of 9 and 10 worlds, and N-hat frames whose R1 is not the
@@ -13,26 +13,24 @@ a compatibility frame are checked against the frozenset clause
 
 from __future__ import annotations
 
-import itertools
-import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoneg.algebra import VALID, Verdict, enumerate_algebras
+from twoneg.algebra import VALID, enumerate_algebras
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
                            complex_algebra_compat)
 from twoneg.errors import FrameError
-from twoneg.formula import (BOT, TOP, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
-                            atoms, parse)
-from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame, _no_successor_in,
+from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse
+from twoneg.frames import (NhatFrame, SubNormalFrame, _no_successor_in,
                            build_compat, build_subnormal, frame_sequent_valid,
                            frame_upsets, frame_valid, read_frame, truth_set)
-from twoneg.lattice import _bits, all_posets
+from twoneg.lattice import _bits
 from twoneg.translate import phi
 
-from oracles import no_successor_in
+from oracles import frame_scan, frame_walk as walk, no_successor_in
+from support import off_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBNORMAL = ([read_frame((FIXTURES / "three_world.frm").read_text())]
@@ -58,94 +56,12 @@ LARGE = [
                             for x in block for y in block]),
 ]
 
-_SMALL_POSETS = [leq for size, posets in all_posets(4).items() if size > 1 for leq in posets]
-
-
-def off_order(seed: int) -> NhatFrame:
-    """An N-hat frame, never validated, with random R1 and R2: `!` reads R1,
-    which need not contain or be the order."""
-    rnd = random.Random(seed)
-    leq = rnd.choice(_SMALL_POSETS)
-    n = len(leq)
-
-    def relation():
-        return tuple(tuple(rnd.random() < 0.3 for _ in range(n)) for _ in range(n))
-
-    return NhatFrame(tuple(f"w{i}" for i in range(n)), leq, relation(), relation())
-
-
 # Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "impl", "neg", "tilde", "bottom", "x0", "v0", "value"]
-
-
-def walk(fr, valuation, f):
-    n = fr.size
-    every = frozenset(range(n))
-    bang, tilde = fr.bang, fr.tilde
-
-    def rec(g):
-        match g:
-            case Top():
-                return every
-            case Bot():
-                return frozenset()
-            case Atom(name):
-                if name not in valuation:
-                    raise FrameError("unbound-atom", name)
-                return valuation[name]
-            case And(l, r):
-                return rec(l) & rec(r)
-            case Or(l, r):
-                return rec(l) | rec(r)
-            case Impl(l, r):
-                if isinstance(fr, CompatFrame):
-                    raise FrameError("wrong-language", g)
-                left, right = rec(l), rec(r)
-                return frozenset(
-                    w for w in range(n)
-                    if all(v in right for v in range(n)
-                           if fr.leq[w][v] and v in left))
-            case Neg(c):
-                return no_successor_in(bang, rec(c))
-            case Tilde(c):
-                body = rec(c)
-                # the sub-normal clause from the order and Y0, not from the
-                # frame's `~` relation
-                if isinstance(fr, SubNormalFrame):
-                    return frozenset(
-                        w for w in range(n)
-                        if all(v in fr.y0 for v in range(n)
-                               if fr.leq[w][v] and v in body))
-                return no_successor_in(tilde, body)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
+NAMES = ["p", "q", "impl", "neg", "tilde", "bottom", "x0", "v0", "d0", "search"]
 
 
 def mask(s) -> int:
     return sum(1 << w for w in s)
-
-
-def walk_falsifier(fr, names, sides):
-    for combo in itertools.product(frame_upsets(fr.leq), repeat=len(names)):
-        left, right = sides(dict(zip(names, combo)))
-        if not left <= right:
-            witness = {name: tuple(fr.worlds[i] for i in sorted(s))
-                       for name, s in zip(names, combo)}
-            return Verdict(False, witness, fr.worlds[min(left - right)])
-    return VALID
-
-
-# The walk raises at the first `->` of a compatibility frame's goal in
-# pre-order, left side before right, on the first valuation tried.
-def walk_valid(fr, f):
-    every = frozenset(range(fr.size))
-    return walk_falsifier(fr, atoms(f), lambda val: (every, walk(fr, val, f)))
-
-
-def walk_sequent(fr, lhs, rhs):
-    return walk_falsifier(fr, atoms(And(lhs, rhs)),
-                          lambda val: (walk(fr, val, lhs), walk(fr, val, rhs)))
 
 
 def outcome(fn, *args):
@@ -201,7 +117,7 @@ def test_truth_sets_agree(fr, f, bound, rnd):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(FRAMES), goals)
 def test_validity_verdicts_agree(fr, f):
-    assert same(outcome(frame_valid, fr, f), outcome(walk_valid, fr, f)), (fr, f)
+    assert same(outcome(frame_valid, fr, f), outcome(frame_scan, fr, TOP, f)), (fr, f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -209,7 +125,7 @@ def test_validity_verdicts_agree(fr, f):
 def test_sequent_verdicts_agree(fr, goal):
     lhs, rhs = goal
     assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
-                outcome(walk_sequent, fr, lhs, rhs)), (fr, goal)
+                outcome(frame_scan, fr, lhs, rhs)), (fr, goal)
 
 
 @pytest.mark.parametrize("text,kind,witness", [
@@ -259,10 +175,10 @@ def test_validity_names_first_implication(lhs, rhs, witness):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(LARGE), goals2, sequents2)
 def test_large_frame_verdicts_agree(fr, f, goal):
-    assert same(outcome(frame_valid, fr, f), outcome(walk_valid, fr, f)), (fr, f)
+    assert same(outcome(frame_valid, fr, f), outcome(frame_scan, fr, TOP, f)), (fr, f)
     lhs, rhs = goal
     assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
-                outcome(walk_sequent, fr, lhs, rhs)), (fr, goal)
+                outcome(frame_scan, fr, lhs, rhs)), (fr, goal)
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,10 +189,10 @@ def test_nhat_frame_off_the_order_agrees(fr, f, goal, rnd):
     ups = frame_upsets(fr.leq)
     valuation = {name: rnd.choice(ups) for name in atoms(f)}
     assert same(outcome(truth_set, fr, valuation, f), outcome(walk, fr, valuation, f))
-    assert same(outcome(frame_valid, fr, f), outcome(walk_valid, fr, f)), (fr, f)
+    assert same(outcome(frame_valid, fr, f), outcome(frame_scan, fr, TOP, f)), (fr, f)
     lhs, rhs = goal
     assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
-                outcome(walk_sequent, fr, lhs, rhs)), (fr, goal)
+                outcome(frame_scan, fr, lhs, rhs)), (fr, goal)
 
 
 def test_bang_reads_r1():

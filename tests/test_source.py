@@ -5,6 +5,10 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+from types import CodeType
+
+from twoneg import algebra
+from twoneg.formula import TOP, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twoneg"
@@ -65,22 +69,48 @@ def test_code_is_built_only_from_the_goal_source():
                              ("algebra", "_program", "exec")]
 
 
+def _product_names(path: Path) -> list[str | None]:
+    """The function around each name of `product` in the module at `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
+    return [inside.get(id(node)) for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "product")
+            or (isinstance(node, ast.Name) and node.id == "product")
+            or (isinstance(node, ast.alias) and node.name == "product")]
+
+
 def test_no_valuation_product_in_the_algebra_searches():
     """An algebra's search runs as one compiled loop nest per goal: no
     function of `algebra.py` loops over `itertools.product` of valuations.
     `_program` alone names it, for the generated source of a goal of 20 or
     more atoms, whose atoms from the 20th on share the innermost loop
-    (`tests/test_evaluator.py`)."""
-    path = PACKAGE / "algebra.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    functions = [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
-    found = [inside.get(id(node)) for node in ast.walk(tree)
-             if (isinstance(node, ast.Attribute) and node.attr == "product")
-             or (isinstance(node, ast.Name) and node.id == "product")
-             or (isinstance(node, ast.alias) and node.name == "product")]
-    assert found == ["_program"]
+    (`tests/test_staged_search.py`)."""
+    assert _product_names(PACKAGE / "algebra.py") == ["_program"]
+
+
+def test_frames_name_no_product():
+    """Frame truth sets and searches run the same loop nest as the algebra
+    searches: `frames.py` names no `product` at all."""
+    assert _product_names(PACKAGE / "frames.py") == []
+
+
+def test_goal_source_defines_only_search():
+    """`_program` compiles one form: the factory `make` defines `search`
+    and nothing else, for either code, with no test, with each test and
+    past 20 atoms."""
+    many = parse(" | ".join(f"p{i}" for i in range(21)))
+    cases = [((goal,), code, None) for goal in (TOP, parse("p & !q"), many)
+             for code in (algebra._TABLE_CODE, algebra._UPSET_CODE)]
+    cases += [((TOP, parse("p -> q"))[:k], code, test)
+              for (code, k), test in algebra._TESTS.items()]
+    for goals, code, test in cases:
+        names = tuple(dict.fromkeys(n for g in goals for n in algebra.atoms(g)))
+        make = algebra._program(goals, names, code, test)
+        inner = [c for c in make.__code__.co_consts if isinstance(c, CodeType)]
+        assert [c.co_name for c in inner] == ["search"], goals
+        assert not any(isinstance(c, CodeType) for c in inner[0].co_consts), goals
 
 
 def test_residuation_walk_is_called_only_by_ccpba_flags():

@@ -1,35 +1,49 @@
-"""Staged algebra searches against the straight-line scan they replaced.
+"""Staged searches against the scans they replaced.
 
-`algebra.sequent_valid` runs one compiled loop nest per goal
-(`algebra._program`).  `oracles.sequent_scan` calls each side's
-straight-line program once per valuation, in `itertools.product` order.
-Both must give the same `Verdict`, or raise the same error naming the same
-node, on every catalog algebra up to size 5 of all five classes, with 0-3
-atoms and goals whose lhs, rhs or both have a node the language lacks."""
+`algebra.sequent_valid`, `frames.frame_valid` and `frames.frame_sequent_valid`
+run one compiled loop nest per goal (`algebra._program`).
+`oracles.sequent_scan` and `oracles.frame_scan` loop over
+`itertools.product` of the valuations and evaluate each side by a tree
+walk, sharing no code with the compiler.  Both must give the same
+`Verdict`, world included, or raise the same error naming the same node:
+on every catalog algebra up to size 5 of all five classes, and on
+sub-normal, N-hat (R1 off the order too) and compatibility frames, with 0-3
+atoms and goals whose lhs, rhs or both have a node the language lacks.
+Goals of 21 and 25 atoms reach the innermost loop over `product`."""
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra
-from twoneg.algebra import enumerate_algebras, sequent_valid
-from twoneg.errors import AlgebraError
-from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde
+from twoneg.algebra import ATOM_GUARD, enumerate_algebras, evaluate, sequent_valid
+from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
+from twoneg.errors import AlgebraError, BoundGuardError, FrameError
+from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
+from twoneg.frames import (WORLD_GUARD, build_subnormal, frame_sequent_valid, frame_upsets,
+                           frame_valid, truth_set)
+from twoneg.translate import phi
 
-from oracles import sequent_scan
+from oracles import frame_scan, frame_walk, sequent_scan, walk
+from support import off_order
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
+SUBNORMAL = [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 5)]
+FRAMES = (SUBNORMAL + [phi(fr) for fr in SUBNORMAL]
+          + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 5)])
 
 # Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "dom", "bottom", "product", "x0", "v0"]
+NAMES = ["p", "q", "dom", "d0", "bottom", "product", "x0", "v0"]
 
 
-def outcome(fn, *args):
-    """The verdict, or the kind of the error raised and its witness."""
+def outcome(fn, *args, **kwargs):
+    """The verdict, or the kind of the error raised, its witness and detail."""
     try:
-        return fn(*args)
-    except AlgebraError as e:
-        return ("raised", e.kind, e.witness)
+        return fn(*args, **kwargs)
+    except (AlgebraError, FrameError, BoundGuardError) as e:
+        return ("raised", e.kind, e.witness, e.detail)
 
 
 def same(a, b) -> bool:
@@ -86,3 +100,73 @@ def test_every_error_case_is_reached():
     assert kinds == ["implication-in-kim-language", "implication-in-kim-language", True,
                      "implication-in-kim-language", "tilde-undefined", "tilde-undefined",
                      True, False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(FRAMES), st.integers(0, 2**32).map(off_order)), sequents,
+       st.sampled_from([None, 2, WORLD_GUARD]), st.sampled_from([None, 1, ATOM_GUARD]))
+def test_frame_searches_agree(fr, goal, max_worlds, max_atoms):
+    """A `->` on a compatibility frame, on either side, is rejected before
+    the bounds are checked, the worlds before the atoms."""
+    lhs, rhs = goal
+    bounds = {"max_worlds": max_worlds, "max_atoms": max_atoms}
+    assert same(outcome(frame_sequent_valid, fr, lhs, rhs, **bounds),
+                outcome(frame_scan, fr, lhs, rhs, **bounds)), (fr, goal)
+    assert same(outcome(frame_valid, fr, rhs, **bounds),
+                outcome(frame_scan, fr, TOP, rhs, **bounds)), (fr, rhs)
+
+
+def test_every_frame_case_is_reached():
+    """On a compatibility frame of 4 worlds: `->` in the lhs, in the rhs
+    alone and in both, `->` against a bound, each bound alone, both bounds,
+    and a valid and a falsified goal."""
+    fr = next(f for f in FRAMES if f.kind == "compat" and f.size == 4)
+    p, q = Atom("p"), Atom("q")
+    cases = [(Impl(p, q), q, {}), (p, Impl(p, q), {}), (Impl(p, p), Impl(q, q), {}),
+             (p, Impl(p, q), {"max_worlds": 3, "max_atoms": 1}),
+             (p, q, {"max_worlds": 3}), (p, q, {"max_atoms": 1}),
+             (p, q, {"max_worlds": 3, "max_atoms": 1}), (Neg(p), Neg(p), {}), (p, q, {})]
+    kinds = []
+    for lhs, rhs, bounds in cases:
+        got = outcome(frame_sequent_valid, fr, lhs, rhs, **bounds)
+        assert same(got, outcome(frame_scan, fr, lhs, rhs, **bounds)), (lhs, rhs, bounds)
+        kinds.append(got[1:3] if isinstance(got, tuple) else got.valid)
+    assert kinds[:3] == [("wrong-language", cases[0][0]), ("wrong-language", cases[1][1]),
+                         ("wrong-language", cases[2][0])]
+    assert kinds[3:] == [("wrong-language", cases[3][1]), ("bound-guard", "frame worlds"),
+                         ("bound-guard", "valuation atoms"), ("bound-guard", "frame worlds"),
+                         True, False]
+
+
+def test_goals_of_many_atoms_reach_the_product_loop():
+    """21 atoms over the upsets of a 2-world chain, whose first falsifier
+    moves the last two, which share the innermost loop; 25-atom
+    evaluations and truth sets, one of them reading each atom alone."""
+    fr = build_subnormal(["a", "b"], [("a", "b")], [])
+    names = [f"p{i}" for i in range(21)]
+    lhs = parse(f"({' | '.join(names[:19])} | top) & p19 & p20")
+    got = frame_sequent_valid(fr, lhs, BOT, max_atoms=None)
+    assert got == frame_scan(fr, lhs, BOT, max_atoms=None)
+    assert (got.valuation["p19"], got.valuation["p20"], got.world) == (("b",), ("b",), "b")
+    assert frame_valid(fr, parse(" | ".join(names)), max_atoms=None).valuation["p20"] == ()
+
+    names = [f"p{i}" for i in range(25)]
+    f = parse(" | ".join(f"({a} -> ~{b}) & !{c}"
+                         for a, b, c in zip(names, names[1:], names[2:])))
+    rnd = random.Random(25)
+    for alg in CATALOG[::4]:
+        for _ in range(3):
+            valuation = {n: rnd.randrange(alg.size) for n in names}
+            assert same(outcome(evaluate, alg, f, valuation), outcome(walk, alg, f, valuation))
+    ups = frame_upsets(fr.leq)
+    for _ in range(5):
+        valuation = {n: rnd.choice(ups) for n in names}
+        assert truth_set(fr, valuation, f) == frame_walk(fr, valuation, f)
+    # each atom's own value, with all 25 atoms in order
+    every = f"({' | '.join(names)} | top)"
+    alg = CATALOG[-1]
+    valuation = {n: rnd.randrange(alg.size) for n in names}
+    upsets = {n: rnd.choice(ups) for n in names}
+    for n in names:
+        assert evaluate(alg, parse(f"{every} & {n}"), valuation) == valuation[n]
+        assert truth_set(fr, upsets, parse(f"{every} & {n}")) == upsets[n]
