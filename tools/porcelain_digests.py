@@ -45,6 +45,15 @@ def _words(path: Path, directive: str) -> list[str]:
     return []
 
 
+def _evals(names: list[str]) -> tuple[tuple[str, str], ...]:
+    """The `eval` goals over an algebra with elements `names`, each with the
+    element its one `--assign p=...` binds: a `~` (an error on a pBa), an
+    unbound `q` after a `~` (which error comes first), an unbound `q` alone,
+    and p on the first element (index 0, which is bound) and on the last."""
+    return (("~p -> !p", names[1]), ("p -> ~q", names[0]), ("(p -> q) | !p", names[0]),
+            ("p & !!p", names[0]), ("p & !!p", names[-1]))
+
+
 def matrix() -> list[list[str]]:
     """The argv of every command, in a fixed order."""
     fixtures = ROOT / FIXTURES
@@ -57,6 +66,7 @@ def matrix() -> list[list[str]]:
         for u in ((names[0], names[-1]), (names[1], names[-1]), (names[-1], names[0])):
             runs.append(["build-au", alg, "--u", ",".join(u)])
         runs += [["valid", alg, goal] for goal in GOALS]
+        runs += [["eval", alg, goal, "--assign", f"p={e}"] for goal, e in _evals(names)]
     frame = f"{FIXTURES}/three_world.frm"
     runs += [["translate", frame], ["complex", frame], ["duality", frame]]
     runs += [[REJECTS[_words(path, "frame")[0]], f"{FIXTURES}/{path.name}"]
