@@ -391,12 +391,13 @@ _UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
 _TESTS = {(_TABLE_CODE, 2): "{} == top and {} != top", (_TABLE_CODE, 1): "{} == top",
           (_UPSET_CODE, 2): "{} & ~{}"}
 
-# Per language of a search's target, the connective it lacks (None: none)
-# and the code its goals compile to: Kim, plain pseudo-Boolean and
-# two-negation algebras, compatibility frames and the other frames.
-_LANGUAGES = {"kim": (Impl, _TABLE_CODE), "pba": (Tilde, _TABLE_CODE),
-              "ccpba": (None, _TABLE_CODE), "compat": (Impl, _UPSET_CODE),
-              "frame": (None, _UPSET_CODE)}
+# Per language of a search's target, the connective it lacks and the error
+# kind a node of it raises (None: none), and the code its goals compile to:
+# Kim, plain pseudo-Boolean and two-negation algebras, compatibility frames
+# and the other frames.  No other evaluation code names either.
+_LANGUAGES = {"kim": (Impl, "implication-in-kim-language", _TABLE_CODE),
+              "pba": (Tilde, "tilde-undefined", _TABLE_CODE), "ccpba": (None, None, _TABLE_CODE),
+              "compat": (Impl, "wrong-language", _UPSET_CODE), "frame": (None, None, _UPSET_CODE)}
 
 # The loops a search nests at most: CPython nests at most 20 blocks, so the
 # atoms from the 20th on share one innermost loop over `product` of their
@@ -475,9 +476,9 @@ def _plan(goals: tuple[Formula, ...], language: str):
 
     The key is compared by value, so an equal goal may be another object: a
     plan holds no node, and an error names the caller's own node, found by
-    walking the caller's goal.
+    `_raise_first_error` on the caller's goals.
     """
-    lacks, code = _LANGUAGES[language]
+    lacks, _, code = _LANGUAGES[language]
     names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))
     offends = tuple(lacks is not None and contains(g, lacks) for g in goals)
     kept = goals[:offends.index(True)] if True in offends else goals
@@ -498,31 +499,27 @@ def _bind(alg: AnyAlgebra, make):
     return make(lat.meet, lat.join, impl, alg.neg, alg.tilde, lat.top, lat.bottom)
 
 
-def _first_error(alg: AnyAlgebra, f: Formula,
-                 valuation: Mapping[str, int] | None = None) -> AlgebraError | None:
-    """The error evaluating `f` in `alg` raises, or None: that of the first
-    offending node in pre-order, the order a left-to-right walk meets them.
-    Atoms are checked against `valuation` unless it is None."""
-    kim = isinstance(alg, KimAlgebra)
-    if not kim and alg.tilde is not None and valuation is None:
-        return None
-    for g in subformulas(f):
-        t = type(g)
-        if t is Impl and kim:
-            return AlgebraError("implication-in-kim-language", g)
-        if t is Tilde and alg.tilde is None:
-            return AlgebraError("tilde-undefined", g)
-        if t is Atom and valuation is not None and valuation.get(g.name) is None:
-            return AlgebraError("unbound-atom", g.name)
-    return None
+def _raise_first_error(goals: tuple[Formula, ...], language: str, error: type,
+                       valuation: Mapping | None = None) -> None:
+    """Raise `error` at the first node of `goals` in pre-order, goals left
+    to right, that `language` lacks (`_LANGUAGES`), or that is an atom a
+    given `valuation` leaves unbound (absent or None); else return."""
+    lacks, kind, _ = _LANGUAGES[language]
+    for g in itertools.chain(*map(subformulas, goals)):
+        if type(g) is lacks:
+            raise error(kind, g)
+        if type(g) is Atom and valuation is not None and valuation.get(g.name) is None:
+            raise error("unbound-atom", g.name)
 
 
 def evaluate(alg: AnyAlgebra, f: Formula, valuation: Mapping[str, int]) -> int:
-    """Value of `f` in `alg` with each atom sent to its element index."""
-    error = _first_error(alg, f, valuation)
-    if error is not None:
-        raise error
+    """Value of `f` in `alg` with each atom sent to its element index; after
+    the errors of `f`, a value that is no index is valuation-not-element."""
+    _raise_first_error((f,), _language(alg), AlgebraError, valuation)
     names, _, make = _plan((f,), _language(alg))
+    for name in names:
+        if not isinstance(valuation[name], int) or valuation[name] not in range(alg.size):
+            raise AlgebraError("valuation-not-element", name)
     return _bind(alg, make)(*[(valuation[n],) for n in names])[-1]
 
 
@@ -542,12 +539,12 @@ def sequent_valid(alg: AnyAlgebra, lhs: Formula, rhs: Formula) -> Verdict:
     `lhs` or `rhs` in pre-order."""
     names, offends, make = _plan((lhs, rhs), _language(alg))
     if offends[0]:
-        raise _first_error(alg, lhs)
+        _raise_first_error((lhs, rhs), _language(alg), AlgebraError)
     found = _bind(alg, make)(*(range(alg.size),) * len(names))
     if found is None:
         return VALID
     if offends[1]:
-        raise _first_error(alg, rhs)
+        _raise_first_error((lhs, rhs), _language(alg), AlgebraError)
     return Verdict(False, {k: alg.element(i) for k, i in zip(names, found)})
 
 

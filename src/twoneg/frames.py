@@ -19,7 +19,8 @@ masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`,
 which also gives the `!` and `~` of the complex compatibility algebra; the
 former table scans are the oracles in `tests/oracles.py`.  Truth sets and
 validity searches run a goal's compiled loop nest (`algebra._program`) over
-world masks, the one value or every upset of each atom.  A frame's upsets
+world masks, the one value or every upset of each atom, and raise their
+language errors through the algebra's walk.  A frame's upsets
 are the masks of `lattice._upset_masks` (`_upsets`); the lattice they form
 is built in `lattice` (`_upset_tables`), never here.  Calling a frame class
 directly skips validation, which the canonicity tests use to probe frames
@@ -33,10 +34,10 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 from ._record import record
-from .algebra import ATOM_GUARD, Verdict, VALID, _plan
+from .algebra import ATOM_GUARD, Verdict, VALID, _plan, _raise_first_error
 from .errors import (BoundGuardError, FileFormatError, FrameError, content_lines,
                      given_once)
-from .formula import TOP, Atom, Formula, Impl, subformulas
+from .formula import TOP, Formula
 from .lattice import (Table, _bits, _order, _table, _up_masks, _upset_masks,
                       transitive_reduction)
 
@@ -354,15 +355,13 @@ def _language(fr: Frame) -> str:
 
 def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> frozenset[int]:
     """Worlds where f holds; an error is that of the first offending node in
-    pre-order, then the first atom whose value is no upset of `fr`."""
-    compat = isinstance(fr, CompatFrame)
-    for g in subformulas(f):
-        if type(g) is Impl and compat:
-            raise FrameError("wrong-language", g)
-        if type(g) is Atom and g.name not in valuation:
-            raise FrameError("unbound-atom", g.name)
+    pre-order (`algebra._raise_first_error`), then the first atom whose
+    value is no upset of `fr`."""
+    _raise_first_error((f,), _language(fr), FrameError, valuation)
     names, _, make = _plan((f,), _language(fr))
-    masks = [sum(1 << w for w in valuation[n]) for n in names]
+    # a negative world makes the mask -1, which `_closed_upward` rejects
+    masks = [sum(1 << w for w in valuation[n]) if min(valuation[n], default=0) >= 0 else -1
+             for n in names]
     up = _up_masks(fr.leq)
     for name, s in zip(names, masks):
         if not _closed_upward(up, s):
@@ -392,11 +391,10 @@ def _first_falsifier(fr: Frame, goals: tuple[Formula, Formula], max_worlds,
     wrong-language.  The atoms, the language check and the compiled search,
     one loop per atom over the upsets with the test `left & ~right`, come
     from one plan per goal and language (`algebra._plan`); the rejected `->`
-    is the caller's own node."""
+    is the caller's own node (`algebra._raise_first_error`)."""
     names, offends, make = _plan(goals, _language(fr))
     if True in offends:
-        raise FrameError("wrong-language", next(g for goal in goals for g in subformulas(goal)
-                                                if type(g) is Impl))
+        _raise_first_error(goals, _language(fr), FrameError)
     if max_worlds is not None and fr.size > max_worlds:
         raise BoundGuardError("frame worlds", max_worlds, fr.size)
     if max_atoms is not None and len(names) > max_atoms:

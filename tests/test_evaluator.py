@@ -18,7 +18,7 @@ from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import AlgebraError, FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse,
                             subformulas)
-from twoneg.frames import frame_sequent_valid, frame_valid
+from twoneg.frames import frame_sequent_valid, frame_valid, truth_set
 
 from oracles import walk
 from support import kim_reduct
@@ -213,8 +213,8 @@ def test_planned_search_walks_no_goal(monkeypatch, b_prime):
     def walked(*args):
         raise AssertionError("the goal was walked again")
     for module, name in [(algebra, "atoms"), (algebra, "subformulas"), (algebra, "contains"),
-                         (algebra, "_first_error"), (algebra, "_program"),
-                         (frames, "subformulas")]:
+                         (algebra, "_raise_first_error"), (algebra, "_program"),
+                         (frames, "_raise_first_error")]:
         monkeypatch.setattr(module, name, walked)
     swept = [(alg, sequent_valid) for cls in ("ccpba", "kim") for alg in enumerate_algebras(cls, 4)]
     for target, search in swept + targets:
@@ -235,6 +235,53 @@ def test_error_node_is_the_first_in_preorder(b_prime):
     with pytest.raises(AlgebraError) as e:
         evaluate(pba, parse("q & ~p"), {"p": 0})
     assert e.value.kind == "unbound-atom" and e.value.witness == "q"
+
+
+def test_atom_bound_to_none_is_unbound(b_prime):
+    """A value of None leaves an atom unbound in `evaluate` and `truth_set`
+    alike; element 0 and the empty upset, though falsy, bind it."""
+    f = parse("p & q")
+    fr = canonical_frame_ccpba(b_prime)
+    with pytest.raises(AlgebraError) as e:
+        evaluate(b_prime, f, {"p": 0, "q": None})
+    assert (e.value.kind, e.value.witness) == ("unbound-atom", "q")
+    with pytest.raises(FrameError) as e:
+        truth_set(fr, {"p": frozenset(), "q": None}, f)
+    assert (e.value.kind, e.value.witness) == ("unbound-atom", "q")
+    assert evaluate(b_prime, f, {"p": 0, "q": 0}) == 0
+    assert truth_set(fr, {"p": frozenset(), "q": frozenset()}, f) == frozenset()
+
+
+@pytest.mark.parametrize("value", [-1, 3, 1.0, "a", None])
+def test_value_outside_the_algebra_is_no_element(b_prime, value):
+    """Each atom's value is an element index of the algebra: any other is
+    `valuation-not-element` (None stays `unbound-atom`), named by the first
+    such atom in first-occurrence order, after the formula's own errors."""
+    with pytest.raises(AlgebraError) as e:
+        evaluate(b_prime, parse("q | p & !q"), {"p": value, "q": 1})
+    kind = "unbound-atom" if value is None else "valuation-not-element"
+    assert (e.value.kind, e.value.witness) == (kind, "p")
+    with pytest.raises(AlgebraError) as e:
+        evaluate(b_prime, parse("q | p"), {"p": 3, "q": value})
+    assert (e.value.kind, e.value.witness) == (kind, "q")
+    pba = enumerate_algebras("pba", 3)[0]
+    with pytest.raises(AlgebraError) as e:
+        evaluate(pba, parse("~p & p"), {"p": value})
+    assert e.value.kind == "tilde-undefined"
+
+
+def test_negative_world_is_no_upset(b_prime):
+    """A negative world in an atom's value is `valuation-not-upset`, named
+    by the first offending atom in first-occurrence order."""
+    fr = canonical_frame_ccpba(b_prime)
+    full = frozenset(range(fr.size))
+    for text, valuation, name in [
+            ("p", {"p": frozenset({-1})}, "p"),
+            ("p | q", {"p": full, "q": full | {-1}}, "q"),
+            ("q | p", {"p": frozenset({-1}), "q": frozenset({fr.size})}, "q")]:
+        with pytest.raises(FrameError) as e:
+            truth_set(fr, valuation, parse(text))
+        assert (e.value.kind, e.value.witness) == ("valuation-not-upset", name)
 
 
 def test_atom_names_never_reach_the_source(b_prime):

@@ -172,3 +172,36 @@ def test_catalog_views_are_not_read_by_the_package():
                 named.append(f"{path.stem}:{node.lineno}")
     assert calls == []
     assert named == []
+
+
+def test_one_language_table():
+    """What each target's language lacks, and the error kind a node of it
+    raises, is stated once, in `algebra._LANGUAGES`, and read by the one
+    walk `algebra._raise_first_error`.  No other code of the package spells
+    those kinds, except the proof checker's own `wrong-language` for a goal
+    outside a proof system; `frames.py` imports neither `subformulas` nor
+    `Impl`; and the former algebra walk `_first_error` is gone."""
+    kinds = {"implication-in-kim-language", "tilde-undefined", "wrong-language"}
+    inside, outside, first_error = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        table = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                 and any(getattr(t, "id", None) == "_LANGUAGES" for t in top.targets)
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in kinds:
+                (inside if id(node) in table else outside).append((path.stem, node.value))
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if name == "_first_error":
+                first_error.append(f"{path.stem}:{node.lineno}")
+    assert sorted(inside) == [("algebra", k) for k in sorted(kinds)]
+    assert {stem for stem, kind in outside} <= {"proofs"}
+    assert {kind for stem, kind in outside} <= {"wrong-language"}
+    assert first_error == []
+    frames_tree = ast.parse((PACKAGE / "frames.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(frames_tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"subformulas", "Impl", "Atom"})
+    assert "_raise_first_error" in imported
