@@ -32,7 +32,14 @@ GOALS = ("p | ~p", "~~p -> p", "!p | !!p", "(p -> q) | (q -> p)", "~p -> !p")
 HILBERT_GOALS = ("p | ~p", "~~p -> p")
 SEQUENT_GOALS = ("~~p |- p", "~p |- !p")
 CLASSES = ("pba", "ccpba", "cvcpba", "kim", "kim_vee")
-PARSES = ("(p -> q) | !!p & ~(q -> p)", "~~p <-> p", "p & (q", "!top -> bot")
+# Past the first four, an input for each parser error: a stray character, a
+# bad identifier, an unclosed parenthesis, a missing operator, empty input,
+# 101 levels of each nesting form, a 3 000-term `&` chain (too deep a tree)
+# and a 12-term `<->` chain (too many nodes).
+PARSES = ("(p -> q) | !!p & ~(q -> p)", "~~p <-> p", "p & (q", "!top -> bot",
+          "p @ q", "p & Q", "(p", "p q", "",
+          "(" * 101 + "p" + ")" * 101, "!" * 101 + "p", "p -> " * 101 + "p",
+          "p <-> " * 101 + "p", " & ".join(["p"] * 3000), " <-> ".join(["p"] * 12))
 # The command each `bad_*.frm` fixture runs through, by its frame kind.
 REJECTS = {"subnormal": "complex", "nhat": "translate", "compat": "duality"}
 
