@@ -201,149 +201,114 @@ class Tilde(_Unary):
 TOP = Top()
 BOT = Bot()
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<iff><->)|(?P<arrow>->)|(?P<amp>&)|(?P<bar>\|)|(?P<bang>!)"
-    r"|(?P<tilde>~)|(?P<lp>\()|(?P<rp>\))|(?P<word>[a-zA-Z][a-zA-Z0-9_]*))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
-            # skip over trailing whitespace before declaring failure
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise FormulaSyntaxError(bad, frozenset({"token"}),
-                                     f"unexpected character {text[bad]!r}")
-        kind = m.lastgroup
-        value = m.group(kind)
-        start = m.end() - len(value)
-        if kind == "word":
-            if value in _KEYWORDS:
-                kind = value
-            elif not _ATOM_RE.match(value):
-                raise FormulaSyntaxError(start, frozenset({"identifier"}),
-                                         f"bad identifier {value!r}")
-        tokens.append((kind, value, start))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
+# One match per token: `<->`, `->`, a word, or any other single character.
+# A word led by an uppercase letter and a character that is no operator are
+# errors wherever they stand (`_syntax_error`).
+_TOKEN_RE = re.compile(r"<->|->|[a-zA-Z][a-zA-Z0-9_]*|\S")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_OPERATORS = frozenset({"<->", "->", "&", "|", "!", "~", "(", ")"})
+_CONSTANTS = {"top": TOP, "bot": BOT}
+_UNARIES = {"!": Neg, "~": Tilde}
+_BINDING = {"<->": 0, "->": 1, "|": 2, "&": 3}  # how tightly each infix binds
 _START_EXPECT = frozenset({"top", "bot", "identifier", "(", "!", "~"})
+_END_EXPECT = frozenset({"end of input", "->", "<->", "&", "|"})
+_NESTED = f"nested deeper than {MAX_DEPTH} levels"
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0
-        self.shared = False
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: frozenset[str]):
-        kind, value, offset = self.peek()
-        raise FormulaSyntaxError(offset, expected,
-                                 f"found {value!r}" if value else "found end of input")
-
-    def nested(self, parse_fn) -> Formula:
-        """`parse_fn()` one nesting level deeper, rejected past MAX_DEPTH."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise FormulaSyntaxError(self.peek()[2], frozenset(),
-                                     f"nested deeper than {MAX_DEPTH} levels")
-        node = parse_fn()
-        self.depth -= 1
-        return node
-
-    def formula(self) -> Formula:
-        left = self.impl()
-        if self.peek()[0] == "iff":
-            self.take()
-            self.shared = True
-            right = self.nested(self.formula)
-            return And(Impl(left, right), Impl(right, left))
-        return left
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Impl(left, self.nested(self.impl))
-        return left
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek()[0] == "bar":
-            self.take()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "amp":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "bang":
-            self.take()
-            return Neg(self.nested(self.unary))
-        if kind == "tilde":
-            self.take()
-            return Tilde(self.nested(self.unary))
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, _ = self.peek()
-        if kind == "top":
-            self.take()
-            return TOP
-        if kind == "bot":
-            self.take()
-            return BOT
-        if kind == "word":
-            self.take()
-            return Atom(value)
-        if kind == "lp":
-            self.take()
-            node = self.nested(self.formula)
-            if self.peek()[0] != "rp":
-                self.fail(frozenset({")"}))
-            self.take()
-            return node
-        self.fail(_START_EXPECT)
-        raise AssertionError("unreachable")
+def _syntax_error(text: str, tokens: list[str], i: int, expected: frozenset[str],
+                  detail: str | None = None) -> FormulaSyntaxError:
+    """The error of the first stray character or bad identifier in `text`,
+    wherever it stands, else the parser's error at token `i`: `detail`, or
+    the token found there.  Offsets are worked out here, on the way out."""
+    for j, tok in enumerate(tokens):
+        if tok[:1] in _UPPER:
+            i, expected, detail = j, frozenset({"identifier"}), f"bad identifier {tok!r}"
+            break
+        if tok and tok[:1] not in _LOWER and tok not in _OPERATORS:
+            i, expected, detail = j, frozenset({"token"}), f"unexpected character {tok!r}"
+            break
+    else:
+        if detail is None:
+            detail = f"found {tokens[i]!r}" if tokens[i] else "found end of input"
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    return FormulaSyntaxError(starts[i], expected, detail)
 
 
 def parse(text: str) -> Formula:
-    """Parse `text` into a Formula; raises FormulaSyntaxError with the offset on failure."""
-    p = _Parser(text)
-    node = p.formula()
-    if p.peek()[0] != "eof":
-        p.fail(frozenset({"end of input", "->", "<->", "&", "|"}))
-    # a token adds at most two levels (`<->`: an And over Impls), so short
-    # input needs no walk
-    if len(p.tokens) > MAX_DEPTH // 2 and _depth(node) > MAX_DEPTH:
+    """Parse `text` into a Formula; raises FormulaSyntaxError with the offset on failure.
+
+    One regex scan splits the text into token strings, and a precedence
+    descent reads them: `expr(depth, floor)` reads operands joined by the
+    infix operators that bind at least as tightly as `floor` (`_BINDING`),
+    which gives the grammar's trees.  `depth` counts the enclosing
+    parentheses, unaries and right sides of `->` and `<->`, up to MAX_DEPTH;
+    `height` is the tree depth of the last node read, so that no walk of the
+    tree checks MAX_DEPTH afterwards.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    pos = height = 0
+
+    def operand(depth: int) -> Formula:
+        nonlocal pos, height
+        tok = tokens[pos]
+        pos += 1
+        if tok[:1] in _LOWER:
+            height = 0
+            return _CONSTANTS.get(tok) or Atom(tok)
+        if tok == "(":
+            if depth == MAX_DEPTH:
+                raise _syntax_error(text, tokens, pos, frozenset(), _NESTED)
+            node = expr(depth + 1, 0)
+            if tokens[pos] != ")":
+                raise _syntax_error(text, tokens, pos, frozenset({")"}))
+            pos += 1
+            return node
+        if tok in _UNARIES:
+            if depth == MAX_DEPTH:
+                raise _syntax_error(text, tokens, pos, frozenset(), _NESTED)
+            node = _UNARIES[tok](operand(depth + 1))
+            height += 1
+            return node
+        raise _syntax_error(text, tokens, pos - 1, _START_EXPECT)
+
+    def expr(depth: int, floor: int) -> Formula:
+        nonlocal pos, height
+        node = operand(depth)
+        h = height
+        while True:
+            binding = _BINDING.get(tokens[pos], -1)
+            if binding < floor:
+                height = h
+                return node
+            pos += 1
+            if binding == 3:
+                node = And(node, operand(depth))
+            elif binding == 2:
+                node = Or(node, expr(depth, 3))
+            else:  # `->` and `<->` group to the right, one nesting level deeper
+                if depth == MAX_DEPTH:
+                    raise _syntax_error(text, tokens, pos, frozenset(), _NESTED)
+                right = expr(depth + 1, binding)
+                if binding:
+                    node = Impl(node, right)
+                else:  # an And over Impls: one level more on either side
+                    node = And(Impl(node, right), Impl(right, node))
+                    h, height = h + 1, height + 1
+            h = (h if h > height else height) + 1
+
+    try:
+        node = expr(0, 0)
+        if tokens[pos]:
+            raise _syntax_error(text, tokens, pos, _END_EXPECT)
+    finally:
+        del operand, expr  # they refer to each other: no cycle for the collector
+    if height > MAX_DEPTH:
         raise FormulaSyntaxError(0, frozenset(), f"formula deeper than {MAX_DEPTH} levels")
     # without `<->` every node has a token of its own; with it, count the
     # occurrences over the shared nodes, each node once
-    if ((p.shared or len(p.tokens) > MAX_NODES)
+    if (("<->" in tokens or len(tokens) > MAX_NODES)
             and fold(node, lambda g, kids: 1 + sum(kids)) > MAX_NODES):
         raise FormulaSyntaxError(0, frozenset(), f"formula has more than {MAX_NODES} nodes")
     return node
@@ -431,18 +396,6 @@ def fold(f: Formula, combine):
             stack.append((g, True))
             stack.extend([(c, False) for c in reversed(kids)])
     return value[id(f)]
-
-
-def _depth(f: Formula) -> int:
-    """Levels below the root on the longest path, walked level by level so
-    that a node shared by several parents (`<->` shares both sides) is seen
-    once per level."""
-    depth, level = 0, {id(f): f}
-    while True:
-        below = {id(c): c for g in level.values() for c in _children(g)}
-        if not below:
-            return depth
-        depth, level = depth + 1, below
 
 
 def atoms(f: Formula) -> list[str]:

@@ -353,15 +353,24 @@ def _language(fr: Frame) -> str:
     return "compat" if isinstance(fr, CompatFrame) else "frame"
 
 
+def _world_mask(worlds, size: int) -> int:
+    """The mask of a set of world indices, a world given twice counted once;
+    -1, which `_closed_upward` rejects, if some world is no index below `size`."""
+    mask = 0
+    for w in worlds:
+        if not isinstance(w, int) or not 0 <= w < size:
+            return -1
+        mask |= 1 << w
+    return mask
+
+
 def truth_set(fr: Frame, valuation: dict[str, frozenset[int]], f: Formula) -> frozenset[int]:
     """Worlds where f holds; an error is that of the first offending node in
     pre-order (`algebra._raise_first_error`), then the first atom whose
     value is no upset of `fr`."""
     _raise_first_error((f,), _language(fr), FrameError, valuation)
     names, _, make = _plan((f,), _language(fr))
-    # a negative world makes the mask -1, which `_closed_upward` rejects
-    masks = [sum(1 << w for w in valuation[n]) if min(valuation[n], default=0) >= 0 else -1
-             for n in names]
+    masks = [_world_mask(valuation[n], fr.size) for n in names]
     up = _up_masks(fr.leq)
     for name, s in zip(names, masks):
         if not _closed_upward(up, s):

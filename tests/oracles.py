@@ -78,18 +78,27 @@ by the walk.  The package compiles each goal into one staged loop nest,
 
 M3 and N5 are lattice records that `build_lattice` rejects as not
 distributive; they reach the `residuum-missing` error.
+
+`parse` is the former two-stage parser of `twoneg.formula`: a tokenizer
+that matched one regex per token into (kind, value, offset) triples, then a
+method per grammar level over them, with `depth` the walk for the tree-depth
+check.  The package now scans each text with one `findall` and works out
+offsets only when it raises (`tests/test_formula.py`).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from twoneg.algebra import (_PATH, ATOM_GUARD, VALID, Algebra, Flag, KimAlgebra, Verdict,
                             _flag, algebra_valid, enumerate_algebras, sequent_valid)
 from twoneg.bridge import prime_filters
-from twoneg.errors import AlgebraError, BoundGuardError, FrameError, LatticeError
-from twoneg.formula import (And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, atoms,
-                            contains, render, subformulas)
+from twoneg.errors import (AlgebraError, BoundGuardError, FormulaSyntaxError, FrameError,
+                           LatticeError)
+from twoneg.formula import (_ATOM_RE, _KEYWORDS, BOT, MAX_DEPTH, MAX_NODES, TOP, And, Atom, Bot,
+                            Formula, Impl, Neg, Or, Tilde, Top, _children, atoms, contains,
+                            fold, render, subformulas)
 from twoneg.frames import (WORLD_GUARD, CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation, frame_upsets)
 from twoneg.lattice import (_encode, _lattice, _order, _signatures, _table,
@@ -594,3 +603,163 @@ def frame_scan(fr, lhs, rhs, max_worlds=WORLD_GUARD, max_atoms=ATOM_GUARD):
             witness = {name: tuple(fr.worlds[i] for i in sorted(s)) for name, s in at.items()}
             return Verdict(False, witness, fr.worlds[min(bad)])
     return VALID
+
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<iff><->)|(?P<arrow>->)|(?P<amp>&)|(?P<bar>\|)|(?P<bang>!)"
+    r"|(?P<tilde>~)|(?P<lp>\()|(?P<rp>\))|(?P<word>[a-zA-Z][a-zA-Z0-9_]*))"
+)
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == m.start():
+            # skip over trailing whitespace before declaring failure
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + len(rest) - len(rest.lstrip())
+            raise FormulaSyntaxError(bad, frozenset({"token"}),
+                                     f"unexpected character {text[bad]!r}")
+        kind = m.lastgroup
+        value = m.group(kind)
+        start = m.end() - len(value)
+        if kind == "word":
+            if value in _KEYWORDS:
+                kind = value
+            elif not _ATOM_RE.match(value):
+                raise FormulaSyntaxError(start, frozenset({"identifier"}),
+                                         f"bad identifier {value!r}")
+        tokens.append((kind, value, start))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+_START_EXPECT = frozenset({"top", "bot", "identifier", "(", "!", "~"})
+
+
+class Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.i = 0
+        self.depth = 0
+        self.shared = False
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, expected: frozenset[str]):
+        kind, value, offset = self.peek()
+        raise FormulaSyntaxError(offset, expected,
+                                 f"found {value!r}" if value else "found end of input")
+
+    def nested(self, parse_fn) -> Formula:
+        """`parse_fn()` one nesting level deeper, rejected past MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(self.peek()[2], frozenset(),
+                                     f"nested deeper than {MAX_DEPTH} levels")
+        node = parse_fn()
+        self.depth -= 1
+        return node
+
+    def formula(self) -> Formula:
+        left = self.impl()
+        if self.peek()[0] == "iff":
+            self.take()
+            self.shared = True
+            right = self.nested(self.formula)
+            return And(Impl(left, right), Impl(right, left))
+        return left
+
+    def impl(self) -> Formula:
+        left = self.disj()
+        if self.peek()[0] == "arrow":
+            self.take()
+            return Impl(left, self.nested(self.impl))
+        return left
+
+    def disj(self) -> Formula:
+        node = self.conj()
+        while self.peek()[0] == "bar":
+            self.take()
+            node = Or(node, self.conj())
+        return node
+
+    def conj(self) -> Formula:
+        node = self.unary()
+        while self.peek()[0] == "amp":
+            self.take()
+            node = And(node, self.unary())
+        return node
+
+    def unary(self) -> Formula:
+        kind, _, _ = self.peek()
+        if kind == "bang":
+            self.take()
+            return Neg(self.nested(self.unary))
+        if kind == "tilde":
+            self.take()
+            return Tilde(self.nested(self.unary))
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, value, _ = self.peek()
+        if kind == "top":
+            self.take()
+            return TOP
+        if kind == "bot":
+            self.take()
+            return BOT
+        if kind == "word":
+            self.take()
+            return Atom(value)
+        if kind == "lp":
+            self.take()
+            node = self.nested(self.formula)
+            if self.peek()[0] != "rp":
+                self.fail(frozenset({")"}))
+            self.take()
+            return node
+        self.fail(_START_EXPECT)
+        raise AssertionError("unreachable")
+
+
+def parse(text: str) -> Formula:
+    """Parse `text` into a Formula; raises FormulaSyntaxError with the offset on failure."""
+    p = Parser(text)
+    node = p.formula()
+    if p.peek()[0] != "eof":
+        p.fail(frozenset({"end of input", "->", "<->", "&", "|"}))
+    # a token adds at most two levels (`<->`: an And over Impls), so short
+    # input needs no walk
+    if len(p.tokens) > MAX_DEPTH // 2 and depth(node) > MAX_DEPTH:
+        raise FormulaSyntaxError(0, frozenset(), f"formula deeper than {MAX_DEPTH} levels")
+    # without `<->` every node has a token of its own; with it, count the
+    # occurrences over the shared nodes, each node once
+    if ((p.shared or len(p.tokens) > MAX_NODES)
+            and fold(node, lambda g, kids: 1 + sum(kids)) > MAX_NODES):
+        raise FormulaSyntaxError(0, frozenset(), f"formula has more than {MAX_NODES} nodes")
+    return node
+
+
+def depth(f: Formula) -> int:
+    """Levels below the root on the longest path, walked level by level so
+    that a node shared by several parents (`<->` shares both sides) is seen
+    once per level."""
+    height, level = 0, {id(f): f}
+    while True:
+        below = {id(c): c for g in level.values() for c in _children(g)}
+        if not below:
+            return height
+        height, level = height + 1, below

@@ -11,16 +11,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoneg import algebra, frames
+from twoneg import algebra, formula, frames
 from twoneg.algebra import (VALID, Verdict, algebra_valid, enumerate_algebras, evaluate,
                             sequent_valid)
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import AlgebraError, FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse,
                             subformulas)
-from twoneg.frames import frame_sequent_valid, frame_valid, truth_set
+from twoneg.frames import frame_sequent_valid, frame_upsets, frame_valid, truth_set
 
-from oracles import walk
+from oracles import sequent_scan, walk
 from support import kim_reduct
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
@@ -221,6 +221,37 @@ def test_planned_search_walks_no_goal(monkeypatch, b_prime):
         search(target, *map(parse, texts))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6 waits for item 3: a one-entry plan "
+                   "memo matched by identity pushed warm-validity peak_rss_mb past its bound")
+def test_sweep_compares_a_reparsed_goal_once(monkeypatch):
+    """A sweep over the ccpba catalog up to size 7 with a freshly parsed
+    goal, equal to one whose plan is cached, should compare goals node by
+    node at most once.  `algebra._plan` is an LRU cache compared by value,
+    so it compares them once per algebra (49 times).  The verdicts are
+    those of the oracle either way."""
+    text = "(p -> ~q) & !r | (q <-> ~~p)"
+    catalog = enumerate_algebras("ccpba", 7)
+    for alg in catalog:
+        algebra_valid(alg, parse(text))
+    algebra_valid(catalog[0], parse("p"))  # another goal is the last lookup
+    deep, nested = [], [0]
+    for cls in (formula._Binary, formula._Unary):
+        def counted(self, other, eq=cls.__eq__):
+            if not nested[0]:
+                deep.append(self)
+            nested[0] += 1
+            try:
+                return eq(self, other)
+            finally:
+                nested[0] -= 1
+        monkeypatch.setattr(cls, "__eq__", counted)
+    goal = parse(text)
+    verdicts = [algebra_valid(alg, goal) for alg in catalog]
+    monkeypatch.undo()
+    assert verdicts == [sequent_scan(alg, TOP, goal) for alg in catalog]
+    assert len(deep) <= 1 < len(catalog)
+
+
 def test_error_node_is_the_first_in_preorder(b_prime):
     kim = kim_reduct(b_prime)
     f = parse("(p -> q) | (p -> q)")
@@ -271,17 +302,32 @@ def test_value_outside_the_algebra_is_no_element(b_prime, value):
 
 
 def test_negative_world_is_no_upset(b_prime):
-    """A negative world in an atom's value is `valuation-not-upset`, named
-    by the first offending atom in first-occurrence order."""
+    """A negative world, one past the frame, or one that is no int (a world
+    name, a float) in an atom's value is `valuation-not-upset`, named by the
+    first offending atom in first-occurrence order."""
     fr = canonical_frame_ccpba(b_prime)
     full = frozenset(range(fr.size))
     for text, valuation, name in [
             ("p", {"p": frozenset({-1})}, "p"),
             ("p | q", {"p": full, "q": full | {-1}}, "q"),
-            ("q | p", {"p": frozenset({-1}), "q": frozenset({fr.size})}, "q")]:
+            ("q | p", {"p": frozenset({-1}), "q": frozenset({fr.size})}, "q"),
+            ("p", {"p": full | {fr.worlds[1]}}, "p"),
+            ("q & p", {"p": full, "q": full - {1} | {1.0}}, "q")]:
         with pytest.raises(FrameError) as e:
             truth_set(fr, valuation, parse(text))
         assert (e.value.kind, e.value.witness) == ("valuation-not-upset", name)
+
+
+def test_value_is_read_as_a_set_of_worlds(b_prime):
+    """A value given as a list or tuple is the set of its worlds: a world
+    given twice counts once."""
+    fr = canonical_frame_ccpba(b_prime)
+    f = parse("p & !q")
+    for p_worlds in frame_upsets(fr.leq):
+        twice = sorted(p_worlds) * 2
+        for value in (twice, tuple(twice)):
+            want = truth_set(fr, {"p": p_worlds, "q": frozenset()}, f)
+            assert truth_set(fr, {"p": value, "q": frozenset()}, f) == want
 
 
 def test_atom_names_never_reach_the_source(b_prime):

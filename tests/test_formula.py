@@ -1,12 +1,20 @@
+"""The formula syntax, and the one-scan parser against the former
+tokenizer and parser (`oracles.parse`): equal nodes, or the same error
+offset, expected set and detail."""
+
 from __future__ import annotations
 
+import gc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twoneg.errors import FormulaSyntaxError
 from twoneg.formula import (MAX_NODES, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
                             atoms, match_scheme, parse, render, subformulas,
                             substitute)
+
+import oracles
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -133,3 +141,78 @@ def test_substitution_atoms_subset(body):
     got = set(atoms(substitute(scheme, sigma)))
     allowed = set(atoms(sigma["a"])) | set(atoms(sigma["b"]))
     assert got <= allowed
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except FormulaSyntaxError as e:
+        return (e.offset, e.expected, e.detail)
+
+
+# Token soups: atoms, keywords, every operator, words no atom may be
+# (uppercase- and digit-led), stray characters, and runs of spaces and tabs
+# between them and after them.
+SOUP_TOKENS = st.sampled_from(["p", "q", "x_1", "top", "bot", "topx", "&", "|", "->", "<->",
+                               "!", "~", "(", ")", "P", "Qx", "1p", "9", "@", "-", "<", ">",
+                               "_", "\u00e9", "-->", "<-"])
+GAPS = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(GAPS, SOUP_TOKENS), max_size=14), GAPS)
+def test_token_soup_matches_the_oracle(pairs, tail):
+    text = "".join(gap + tok for gap, tok in pairs) + tail
+    assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), st.integers(min_value=0), SOUP_TOKENS, st.booleans())
+def test_spliced_formula_matches_the_oracle(f, at, tok, splice):
+    """A rendered formula, whole or with one soup token spliced in."""
+    text = render(f)
+    if splice:
+        at %= len(text) + 1
+        text = f"{text[:at]} {tok} {text[at:]}"
+    assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+# Each nesting form at depth n, the chains whose tree is deep with no
+# nesting at all, and `<->` chains about the node cap.
+NESTINGS = {
+    "parens": lambda n: "(" * n + "p" + ")" * n,
+    "bang": lambda n: "!" * n + "p",
+    "tilde": lambda n: "~!" * (n // 2) + "~" * (n % 2) + "p",
+    "arrow": lambda n: "p -> " * n + "p",
+    "iff": lambda n: "p <-> " * n + "q",
+    "iff-terms": lambda n: " <-> ".join(["p"] * (n - 88)),  # 11-14 terms: the node cap
+    "mixed": lambda n: "(!" * (n // 2) + "p" + ")" * (n // 2) + " -> q" * (n % 2),
+    "and-chain": lambda n: " & ".join(["p"] * (n + 1)),
+    "or-chain": lambda n: " | ".join(["p"] * (n + 1)),
+    "unclosed": lambda n: "(" * n + "p" + ")" * (n - 1),
+    "stray-after": lambda n: "!" * n + "p @",
+}
+
+
+@pytest.mark.parametrize("n", range(99, 103))
+@pytest.mark.parametrize("form", NESTINGS)
+def test_depth_edges_match_the_oracle(form, n):
+    text = NESTINGS[form](n)
+    assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+def test_parse_leaves_no_garbage_cycle():
+    """The parser's two closures refer to each other; `parse` unlinks them
+    before it returns or raises, so that no parse leaves work for the cycle
+    collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("p -> q & !r", "p <-> q", "p @ q", "(p", "!" * 101 + "p"):
+            try:
+                parse(text)
+            except FormulaSyntaxError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

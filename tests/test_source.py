@@ -205,3 +205,17 @@ def test_one_language_table():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported.isdisjoint({"subformulas", "Impl", "Atom"})
     assert "_raise_first_error" in imported
+
+
+def test_one_formula_parser():
+    """`formula.parse` scans each text once and reads the token strings:
+    the former tokenizer and its parser class survive only as the oracle
+    in tests/ (`oracles.parse`), and no module of the package defines
+    either, nor a second `parse` to fall back on."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in ("_Parser", "_tokenize", "parse")):
+                found.append((path.stem, node.name))
+    assert found == [("formula", "parse")]
