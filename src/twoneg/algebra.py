@@ -20,8 +20,8 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeErro
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _below, _bits, _decoded, _down, _lattice,
-                      _lattices, _residuum, _up_masks, build_lattice, canonical_form,
+from .lattice import (FiniteLattice, OpTable, _below, _bits, _decoded, _lattice, _lattices,
+                      _residuum, _transpose, _up_masks, build_lattice, canonical_form,
                       derive_heyting, transitive_reduction)
 
 __all__ = [
@@ -285,7 +285,7 @@ class ClassReport:
 
 def _residuation_witness(lat: FiniteLattice, impl: OpTable):
     """The first (a, b, c) where a /\\ c <= b and c <= a -> b disagree."""
-    down = _down(_up_masks(lat.leq))
+    down = _transpose(_up_masks(lat.leq), lat.size)
     for a, below in enumerate(_below(lat.leq, lat.meet)):
         for b, mask in enumerate(below):
             bad = mask ^ down[impl[a][b]]
@@ -560,7 +560,6 @@ def build_au(h: Algebra, u1: int, u2: int, *, name: str = "") -> Algebra:
     if not lat.leq[u1][u2]:
         raise AlgebraError("u-not-ordered", (lat.elements[u1], lat.elements[u2]))
     members = [(lat.meet[a2][u1], a2) for a2 in range(lat.size) if lat.leq[a2][u2]]
-    members.sort(key=lambda p: p[1])
     names = [f"({lat.elements[p[0]]},{lat.elements[p[1]]})" for p in members]
     pos = {p: i for i, p in enumerate(members)}
     pairs = [(names[i], names[j]) for i, p in enumerate(members)

@@ -30,8 +30,8 @@ from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
                      SubNormalFrame, _no_successor_in, _violations, build_compat,
                      build_subnormal, is_identity, write_frame)
-from .lattice import (FiniteLattice, _bits, _down, _join_irreducibles, _up_masks,
-                      _upset_tables)
+from .lattice import (FiniteLattice, _bits, _join_irreducibles, _set_order, _transpose,
+                      _up_masks, _upset_tables)
 
 __all__ = [
     "prime_filters", "Embedding",
@@ -59,8 +59,8 @@ def _prime_filters(leq) -> tuple[int, ...]:
     alone decides: the cache keeps only the order of each lattice it has
     seen."""
     up = _up_masks(leq)
-    out = [up[j] for j in _bits(_join_irreducibles(_down(up)))]
-    return tuple(sorted(out, key=lambda s: (s.bit_count(), list(_bits(s)))))
+    out = [up[j] for j in _bits(_join_irreducibles(_transpose(up, len(up))))]
+    return tuple(sorted(out, key=_set_order))
 
 
 def sigma(lat: FiniteLattice, filters, a: int) -> frozenset[int]:
@@ -110,15 +110,6 @@ def _canonical_frame(alg: AnyAlgebra, build, own_relation):
     return fr
 
 
-def _holders(masks, n: int) -> list[int]:
-    """For each x in range(n), the mask of the positions i with x in masks[i]."""
-    out = [0] * n
-    for i, mask in enumerate(masks):
-        for x in _bits(mask):
-            out[x] |= 1 << i
-    return out
-
-
 def _positions(pos: dict[int, int], masks: list[int], names, kind: str) -> list[int]:
     """The position in `pos` of each mask; `kind` is raised naming the
     first of `names` whose mask has none."""
@@ -130,10 +121,10 @@ def _positions(pos: dict[int, int], masks: list[int], names, kind: str) -> list[
 
 def _algebra_embedding(alg: AnyAlgebra, fr, complex_algebra) -> Embedding:
     """a -> sigma(a), into the upset algebra of the canonical frame `fr`:
-    sigma(a) is the mask of the prime filters holding a, mapped to its
-    position among the upsets of `fr`."""
+    the sigma masks are the transpose of the prime-filter masks, each
+    mapped to its position among the upsets of `fr`."""
     target = complex_algebra(fr, name=f"{alg.name}_dual")
-    sigmas = _holders(_prime_filters(alg.lattice.leq), alg.size)
+    sigmas = _transpose(_prime_filters(alg.lattice.leq), alg.size)
     image = _positions(_upset_tables(fr.leq)[1], sigmas, alg.lattice.elements,
                        "sigma-not-an-upset")
     checks = _hom_checks(alg, target, image)
@@ -146,11 +137,11 @@ def _frame_embedding(fr, complex_algebra, canonical_frame, own_tag, own_check) -
     """w -> {upsets containing w}, into the canonical frame of the upset
     algebra; the order and the kind's own structure (`own_check`) are
     preserved and reflected.  `complex_algebra` has already validated the
-    algebra, so `canonical_frame` does not check it again.  The upsets
-    containing w are found as a mask over upset positions, mapped to its
-    position among the prime filters of the upset algebra."""
+    algebra, so `canonical_frame` does not check it again.  The masks of
+    the upsets containing each w are the transpose of the upset masks, each
+    mapped to its position among the prime filters of the upset algebra."""
     alg = complex_algebra(fr)
-    members = _holders(_upset_tables(fr.leq)[0], fr.size)
+    members = _transpose(_upset_tables(fr.leq)[0], fr.size)
     filters = _prime_filters(alg.lattice.leq)
     image = _positions({f: i for i, f in enumerate(filters)}, members, fr.worlds,
                        "world-not-a-prime-filter")

@@ -187,13 +187,11 @@ def cmd_classify(args, rep: Report) -> int:
     except (LatticeError, AlgebraError) as e:
         return _rejected(rep, e)
     report = classify_algebra(alg)
-    for field in ("is_pba", "is_ccpba", "is_cvcpba", "is_jp_algebra",
-                  "is_kim", "is_kim_vee", "tilde_involutive"):
+    for field in report.__match_args__:
         _flag_report(rep, field, getattr(report, field))
     if alg.tilde is not None:
         kite = classify_negation_pair(alg.lattice, alg.neg, alg.tilde)
-        for field in ("preminimal", "quasi_minimal", "minimal", "intuitionistic",
-                      "de_morgan", "ortho", "em", "dne_tilde_one"):
+        for field in kite.__match_args__:
             _flag_report(rep, "kite_" + field, getattr(kite, field))
     return 0
 

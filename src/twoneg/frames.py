@@ -354,8 +354,10 @@ def _language(fr: Frame) -> str:
 
 
 def _world_mask(worlds, size: int) -> int:
-    """The mask of a set of world indices, a world given twice counted once;
-    -1, which `_closed_upward` rejects, if some world is no index below `size`."""
+    """The mask of a collection of world indices below `size`, a world given
+    twice counted once; -1, which `_closed_upward` rejects, for anything else."""
+    if not hasattr(worlds, "__iter__"):
+        return -1
     mask = 0
     for w in worlds:
         if not isinstance(w, int) or not 0 <= w < size:

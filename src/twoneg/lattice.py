@@ -70,7 +70,7 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 # The order kernel.  Every order fact (closure, cycles, meets and joins,
 # bounds, covers, upsets, residua) is read off per-element int masks: bit j
-# of up[i] is set iff i <= j, and down is its transpose.
+# of up[i] is set iff i <= j, and down is its `_transpose`.
 
 def _order(n: int, pairs) -> tuple[list[int], tuple[int, int] | None]:
     """The reflexive-transitive closure of `pairs` over range(n) as up-set
@@ -99,10 +99,20 @@ def _up_masks(leq) -> list[int]:
     return [sum(itertools.compress(powers, row)) for row in rows]
 
 
-def _down(up: list[int]) -> list[int]:
-    """The down-set masks of the order whose up-set masks are `up`."""
-    n = len(up)
-    return [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+def _transpose(masks, n: int) -> list[int]:
+    """Bit i of out[x] is set iff bit x of masks[i] is set, for x in range(n):
+    down-set masks transpose up-set masks, and `sigma` and a world's upsets
+    transpose the prime-filter and upset masks."""
+    out = [0] * n
+    for i, mask in enumerate(masks):
+        for x in _bits(mask):
+            out[x] |= 1 << i
+    return out
+
+
+def _set_order(mask: int) -> tuple[int, list[int]]:
+    """The set order of masks: cardinality, then the elements ascending."""
+    return mask.bit_count(), list(_bits(mask))
 
 
 def _table(up: list[int]) -> Table:
@@ -126,11 +136,10 @@ def _bound_table(masks: list[int], names, kind: str) -> OpTable:
 
 def _lattice(names, up: list[int], down: list[int] | None = None) -> FiniteLattice:
     """The lattice of the partial order `up` over `names`: meets from the
-    down-set masks (`_down(up)` unless given), joins from the up-set masks
-    (missing-glb, then missing-lub), bottom and top the elements below and
-    above everything."""
+    down-set masks (`up` transposed unless given), joins from the up-set
+    masks (missing-glb, then missing-lub), bottom and top below and above all."""
     if down is None:
-        down = _down(up)
+        down = _transpose(up, len(up))
     meet = _bound_table(down, names, "missing-glb")
     join = _bound_table(up, names, "missing-lub")
     full = (1 << len(up)) - 1
@@ -228,7 +237,7 @@ def build_lattice(elements: list[str] | tuple[str, ...],
     up, cycle = _order(n, pairs)
     if cycle is not None:
         raise LatticeError("not-a-poset", (names[cycle[0]], names[cycle[1]]), "order cycle")
-    down = _down(up)
+    down = _transpose(up, n)
     lat = _lattice(names, up, down)
     if not _join_prime(down, lat.join):
         witness = _distributivity_witness(n, lat.meet, lat.join)
@@ -272,8 +281,7 @@ derive_heyting.cache_clear = _residuum.cache_clear  # type: ignore[attr-defined]
 
 
 def _upset_masks(leq: Table) -> list[int]:
-    """The masks of all upward-closed subsets, ordered by cardinality then
-    lexicographically."""
+    """The masks of all upward-closed subsets in `_set_order`."""
     up = _up_masks(leq)
     found = [0]
     # Maximal-first, so everything above x is decided before x: x extends
@@ -282,7 +290,7 @@ def _upset_masks(leq: Table) -> list[int]:
         bit = 1 << x
         above = up[x] & ~bit
         found += [s | bit for s in found if s & above == above]
-    found.sort(key=lambda s: (s.bit_count(), list(_bits(s))))
+    found.sort(key=_set_order)
     return found
 
 

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from twoneg.algebra import (Algebra, algebra_valid, attach_negations, build_au,
-                            classify_algebra, classify_negation_pair,
+from twoneg.algebra import (Algebra, _is_residuum, algebra_valid, attach_negations,
+                            build_au, build_kim, ccpba_flags, classify_algebra,
+                            classify_negation_pair,
                             enumerate_algebras, evaluate, iso_check,
                             read_algebra, sequent_valid,
                             tilde_one_candidates, write_algebra)
 from twoneg import algebra
-from twoneg.errors import AlgebraError, BoundGuardError, VerificationError
+from twoneg.errors import AlgebraError, BoundGuardError, LatticeError, VerificationError
 from twoneg.formula import parse
-from twoneg.lattice import build_lattice
+from twoneg.lattice import FiniteLattice, _residuum, build_lattice
 
 from support import kim_reduct
 
@@ -192,3 +193,29 @@ def test_algebra_file_round_trip(fixtures_dir):
 def test_reduct_of_every_ccpba_is_kim():
     for alg in enumerate_algebras("ccpba", 4):
         kim_reduct(alg)  # raises if the negation laws fail
+
+
+def test_pba_flag_on_an_order_with_no_meets():
+    """On a record over an order whose minimal elements 0 and a lie below b
+    and have no meet, the cached residuum cannot be built, so `_is_residuum`
+    is False and the residuation walk names the witness."""
+    t, f = True, False
+    leq = ((t, f, t), (f, t, t), (f, f, t))
+    meet = ((0, 2, 0), (2, 1, 1), (0, 1, 2))
+    lat = FiniteLattice(("0", "a", "b"), leq, meet, meet, 0, 2)
+    impl = ((0, 0, 0),) * 3
+    with pytest.raises(LatticeError) as e:
+        _residuum(leq)
+    assert e.value.kind == "missing-glb"
+    assert not _is_residuum(lat, impl)
+    pba, ccpba = ccpba_flags(Algebra("v", lat, impl, (0, 0, 0), None, None))
+    assert (pba.holds, pba.witness) == (False, ("0", "0", "b"))
+    assert (ccpba.holds, ccpba.witness) == (False, ())
+
+
+def test_build_kim_names_the_first_failed_law():
+    lat3 = build_lattice(["e0", "e1", "e2"], [("e0", "e1"), ("e1", "e2")])
+    with pytest.raises(AlgebraError) as e:
+        build_kim(lat3, (2, 0, 0), (0, 0, 0))
+    assert (e.value.kind, e.value.witness, e.value.detail) == (
+        "not-a-kim-algebra", ("e0",), "tilde-nor")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, bridge
+from twoneg._record import replace
 from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
                             enumerate_algebras, iso_check, sequent_valid)
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
@@ -366,3 +367,16 @@ def test_sequent_consequence_on_a_frame_and_its_complex_algebra():
     kim = kim_reduct(complex_algebra_subnormal(fork))
     lhs, rhs = parse("~top"), parse("bot")
     assert frame_sequent_valid(fork, lhs, rhs).valid == sequent_valid(kim, lhs, rhs).valid
+
+
+def test_canonical_compat_frame_needs_kim_negations(chain3):
+    """A plain pBa has no `~`; a `~` that is the identity is not antitone."""
+    with pytest.raises(AlgebraError) as e:
+        canonical_frame_kim(attach_negations(chain3, None, name="plain"))
+    assert (e.value.kind, e.value.witness, e.value.detail) == (
+        "not-a-kim-algebra", "plain", "no ~ attached")
+    alg = attach_negations(chain3, chain3.bottom, name="ident")
+    with pytest.raises(AlgebraError) as e:
+        canonical_frame_kim(replace(alg, tilde=tuple(range(alg.size))))
+    assert (e.value.kind, e.value.witness, e.value.detail) == (
+        "not-a-kim-algebra", "ident", "tilde-antitone")

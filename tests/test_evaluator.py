@@ -303,8 +303,9 @@ def test_value_outside_the_algebra_is_no_element(b_prime, value):
 
 def test_negative_world_is_no_upset(b_prime):
     """A negative world, one past the frame, or one that is no int (a world
-    name, a float) in an atom's value is `valuation-not-upset`, named by the
-    first offending atom in first-occurrence order."""
+    name, a float) in an atom's value, or a value that is no collection of
+    worlds (an int, a float), is `valuation-not-upset`, named by the first
+    offending atom in first-occurrence order."""
     fr = canonical_frame_ccpba(b_prime)
     full = frozenset(range(fr.size))
     for text, valuation, name in [
@@ -312,7 +313,9 @@ def test_negative_world_is_no_upset(b_prime):
             ("p | q", {"p": full, "q": full | {-1}}, "q"),
             ("q | p", {"p": frozenset({-1}), "q": frozenset({fr.size})}, "q"),
             ("p", {"p": full | {fr.worlds[1]}}, "p"),
-            ("q & p", {"p": full, "q": full - {1} | {1.0}}, "q")]:
+            ("q & p", {"p": full, "q": full - {1} | {1.0}}, "q"),
+            ("p", {"p": 3}, "p"),
+            ("p", {"p": 3.5}, "p")]:
         with pytest.raises(FrameError) as e:
             truth_set(fr, valuation, parse(text))
         assert (e.value.kind, e.value.witness) == ("valuation-not-upset", name)

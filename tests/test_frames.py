@@ -39,6 +39,9 @@ def test_unknown_world_rejection():
     with pytest.raises(FrameError) as e:
         build_subnormal(["w0"], [("w0", "zz")], [])
     assert e.value.kind == "relation-out-of-range"
+    with pytest.raises(FrameError) as e:
+        build_subnormal(["x", "y"], [("x", "y")], ["z"])
+    assert (e.value.kind, e.value.witness) == ("relation-out-of-range", ("y0", "z"))
 
 
 def test_truth_examples(fork):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from twoneg.algebra import algebra_valid, enumerate_algebras, iso_check, sequent_valid
-from twoneg.errors import AlgebraError, BoundGuardError
+from twoneg.errors import AlgebraError, BoundGuardError, FileFormatError
 from twoneg.formula import parse, render, substitute, Atom
 from twoneg.proofs import (HILBERT_SYSTEMS, SCHEMES, SEQUENT_RULES,
                            SEQUENT_SYSTEMS, CheckResult, DerivationNode,
@@ -85,6 +85,9 @@ def test_jp_language_rejects_bot_and_neg():
     script = ProofScript((ProofLine(1, f, ("axiom", "A8")),), f)
     res = check_hilbert("JP'", script)
     assert res.error == "wrong-language"
+    neg = ProofLine(1, parse("!p -> (q -> !p)"), ("axiom", "A1"))
+    assert check_hilbert("JP'", ProofScript((neg,), parse("p -> (q -> p)"))) == \
+        CheckResult(False, "wrong-language", 1)
     g = parse("~~(~top -> q)")
     ok = ProofScript((ProofLine(1, g, ("axiom", "Pprime")),), g)
     assert check_hilbert("JP'", ok).ok
@@ -176,12 +179,15 @@ def test_countermodel_guard():
 
 
 def test_countermodel_language_checks():
-    with pytest.raises(AlgebraError):
-        countermodel_search("JP'", parse("bot"), 3)
-    with pytest.raises(AlgebraError):
-        countermodel_search("Kim", (parse("p -> q"), parse("q")), 3)
-    with pytest.raises(AlgebraError):
-        countermodel_search("Kim", parse("p"), 3)
+    for system, goal, error in [
+            ("JP'", parse("bot"), ("wrong-language", "bot", "")),
+            ("Kim", (parse("p -> q"), parse("q")), ("wrong-language", "p -> q |- q", "")),
+            ("Kim", parse("p"), ("wrong-goal-kind", "Kim", "expected a sequent")),
+            ("ILM", (parse("p"), parse("p")), ("wrong-goal-kind", "ILM", "expected a formula")),
+            ("nope", parse("p"), ("unknown-system", "nope", ""))]:
+        with pytest.raises(AlgebraError) as e:
+            countermodel_search(system, goal, 3)
+        assert (e.value.kind, e.value.witness, e.value.detail) == error
 
 
 def test_proof_text_round_trip(fixtures_dir):
@@ -234,3 +240,29 @@ def test_proof_fixture_tool_stops_on_a_bad_construction():
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 1
     assert run.stderr.strip() == "make_proof_fixtures: p is not an instance of A1"
+
+
+def test_checker_rejections():
+    """A justification that is neither an axiom nor modus ponens, a sequent
+    with `->` and an unknown system."""
+    goal = parse("p -> (q -> p)")
+    rule = ProofScript((ProofLine(1, goal, ("rule", "A1")),), goal)
+    assert check_hilbert("ILM", rule) == CheckResult(False, "bad-justification", 1)
+    assert check_hilbert("nope", rule) == CheckResult(False, "unknown-system", None, "nope")
+    impl = DerivationNode(parse("p -> q"), parse("p -> q"), "A1")
+    assert check_derivation("Kim", impl) == \
+        CheckResult(False, "wrong-language", None, "p -> q")
+    leaf = DerivationNode(parse("p"), parse("p"), "A1")
+    assert check_derivation("nope", leaf) == CheckResult(False, "unknown-system", None, "nope")
+
+
+@pytest.mark.parametrize("text, kind, witness", [
+    ("proof sequent Kim\nend\n", "empty-proof", None),
+    ("proof hilbert ILM\n1 p mp 1\nqed p\nend\n", "bad-line", "1 p mp 1"),
+    ("proof sequent Kim\n1 p |- p axiom A1\n2 p |- p rule A2 1\nend\n",
+     "bad-line", "2 p |- p rule A2 1"),
+    ("end\n", "missing-header", None)])
+def test_proof_file_errors(text, kind, witness):
+    with pytest.raises(FileFormatError) as e:
+        parse_proof(text)
+    assert (e.value.kind, e.value.witness) == (kind, witness)

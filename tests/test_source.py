@@ -219,3 +219,17 @@ def test_one_formula_parser():
                     and node.name in ("_Parser", "_tokenize", "parse")):
                 found.append((path.stem, node.name))
     assert found == [("formula", "parse")]
+
+
+def test_one_transpose_and_one_set_order():
+    """The mask transpose (down-sets from up-sets, `sigma` from prime
+    filters, a world's upsets from upset masks) and the set order
+    (cardinality, then elements) are each defined once, in `lattice.py`;
+    the former `_down` and `bridge._holders` are gone."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in ("_down", "_holders", "_transpose", "_set_order")):
+                found.append((path.stem, node.name))
+    assert sorted(found) == [("lattice", "_set_order"), ("lattice", "_transpose")]
