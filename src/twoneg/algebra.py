@@ -64,10 +64,12 @@ class Algebra(_Carrier):
 @record
 class KimAlgebra(_Carrier):
     """Implication-free algebra with negation tables `neg` (intuitionistic)
-    and `tilde` (minimal) linked by !!~1 = ~1."""
+    and `tilde` (minimal) linked by !!~1 = ~1: the reduct of a ccpBa, so it
+    reads `impl` and `tilde_one` (not fields) as None."""
 
     neg: Unary
     tilde: Unary
+    impl = tilde_one = None
 
 
 AnyAlgebra = Union[Algebra, KimAlgebra]
@@ -487,7 +489,7 @@ def _plan(goals: tuple[Formula, ...], language: str):
 
 
 def _language(alg: AnyAlgebra) -> str:
-    if isinstance(alg, KimAlgebra):
+    if alg.impl is None:
         return "kim"
     return "pba" if alg.tilde is None else "ccpba"
 
@@ -495,8 +497,7 @@ def _language(alg: AnyAlgebra) -> str:
 def _bind(alg: AnyAlgebra, make):
     """The search of the factory `make` over the tables of `alg`."""
     lat = alg.lattice
-    impl = alg.impl if isinstance(alg, Algebra) else None
-    return make(lat.meet, lat.join, impl, alg.neg, alg.tilde, lat.top, lat.bottom)
+    return make(lat.meet, lat.join, alg.impl, alg.neg, alg.tilde, lat.top, lat.bottom)
 
 
 def _raise_first_error(goals: tuple[Formula, ...], language: str, error: type,
@@ -605,12 +606,8 @@ def build_au(h: Algebra, u1: int, u2: int, *, name: str = "") -> Algebra:
 # Isomorphism and catalogs.
 
 def _canonical_data(alg: AnyAlgebra):
-    if isinstance(alg, Algebra):
-        unaries: tuple[Unary, ...] = (alg.neg,) if alg.tilde is None else (alg.neg, alg.tilde)
-        marks = () if alg.tilde_one is None else (alg.tilde_one,)
-    else:
-        unaries = (alg.neg, alg.tilde)
-        marks = ()
+    unaries = (alg.neg,) if alg.tilde is None else (alg.neg, alg.tilde)
+    marks = () if alg.tilde_one is None else (alg.tilde_one,)
     return canonical_form(alg.lattice.leq, unaries, marks)
 
 
@@ -618,7 +615,7 @@ def iso_check(a: AnyAlgebra, b: AnyAlgebra) -> dict[str, str] | None:
     """A structure-preserving bijection between the carriers, or None."""
     if type(a) is not type(b) or a.size != b.size:
         return None
-    if isinstance(a, Algebra) and (a.tilde is None) != (b.tilde is None):  # type: ignore[union-attr]
+    if (a.tilde is None) != (b.tilde is None):
         return None
     key_a, perm_a = _canonical_data(a)
     key_b, perm_b = _canonical_data(b)
@@ -632,7 +629,7 @@ def iso_check(a: AnyAlgebra, b: AnyAlgebra) -> dict[str, str] | None:
     for i in range(a.size):
         for j in range(a.size):
             if la.leq[i][j] != lb.leq[f[i]][f[j]] or (
-                    isinstance(a, Algebra) and f[a.impl[i][j]] != b.impl[f[i]][f[j]]):
+                    a.impl is not None and f[a.impl[i][j]] != b.impl[f[i]][f[j]]):
                 raise VerificationError("iso-binary-mismatch", (a.element(i), a.element(j)))
         if f[a.neg[i]] != b.neg[f[i]] or (
                 a.tilde is not None and f[a.tilde[i]] != b.tilde[f[i]]):

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from ._record import record
 from .algebra import (Algebra, AnyAlgebra, KimAlgebra, _em, _flag, attach_negations,
-                      build_kim, ccpba_flags, kim_violations)
+                      build_kim, ccpba_flags)
 from .errors import AlgebraError, VerificationError
 from .frames import (_COMPAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS, CompatFrame,
                      SubNormalFrame, _no_successor_in, _violations, build_compat,
@@ -178,7 +178,7 @@ def _hom_checks(alg: AnyAlgebra, target: AnyAlgebra, image: list[int]) -> dict[s
                                 for a in range(n) for b in range(n)
                                 if lb.leq[image[a]][image[b]]),
     }
-    if isinstance(alg, Algebra) and isinstance(target, Algebra):
+    if alg.impl is not None and target.impl is not None:
         checks["impl"] = all(image[alg.impl[a][b]] == target.impl[image[a]][image[b]]
                              for a in range(n) for b in range(n))
     if alg.tilde is not None and target.tilde is not None:
@@ -190,7 +190,7 @@ def _hom_checks(alg: AnyAlgebra, target: AnyAlgebra, image: list[int]) -> dict[s
 # -- residuated side ----------------------------------------------------------
 
 def _require_ccpba(alg: AnyAlgebra) -> Algebra:
-    if not isinstance(alg, Algebra):
+    if alg.impl is None:
         raise AlgebraError("not-a-ccpba", alg.name, "no implication")
     if alg.tilde is None:
         raise AlgebraError("not-a-ccpba", alg.name, "no tilde_one attached")
@@ -261,16 +261,6 @@ def frame_embedding(fr: SubNormalFrame) -> Embedding:
 
 # -- implication-free side ----------------------------------------------------
 
-def _require_kim(alg: AnyAlgebra) -> AnyAlgebra:
-    """`alg` as it is, once its two negations pass the Kim laws."""
-    if alg.tilde is None:
-        raise AlgebraError("not-a-kim-algebra", alg.name, "no ~ attached")
-    bad = kim_violations(alg.lattice, alg.neg, alg.tilde)
-    if bad is not None:
-        raise AlgebraError("not-a-kim-algebra", alg.name, bad[0])
-    return alg
-
-
 def _compat_frame(kim: AnyAlgebra) -> CompatFrame:
     def compatible(filters, names):
         # tilded[i]: the a with ~a in filter i, none of which may lie in a C-successor
@@ -284,8 +274,11 @@ def _compat_frame(kim: AnyAlgebra) -> CompatFrame:
 
 def canonical_frame_kim(alg: AnyAlgebra) -> CompatFrame:
     """Prime filters with P C Q iff no ~a in P has a in Q; re-validated as a
-    sub-compatibility frame, an identity one when the algebra satisfies EM."""
-    return _compat_frame(_require_kim(alg))
+    sub-compatibility frame, an identity one when the algebra satisfies EM.
+    The Kim laws are `build_kim`'s, checked on the implication-free reduct."""
+    if alg.tilde is None:
+        raise AlgebraError("not-a-kim-algebra", alg.name, "no ~ attached")
+    return _compat_frame(build_kim(alg.lattice, alg.neg, alg.tilde, name=alg.name))
 
 
 def complex_algebra_compat(fr: CompatFrame, *, name: str = "") -> KimAlgebra:
@@ -320,7 +313,7 @@ def canonical_frame_file(alg: AnyAlgebra, kind: str = "auto") -> str:
     """Emit the canonical frame as a .frm file with a sidecar comment per
     world listing the prime filter's elements."""
     if kind == "auto":
-        kind = "subnormal" if isinstance(alg, Algebra) else "compat"
+        kind = "compat" if alg.impl is None else "subnormal"
     if kind == "subnormal":
         fr: SubNormalFrame | CompatFrame = canonical_frame_ccpba(alg)
     elif kind == "compat":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
+from ._record import _frozen_delattr, _frozen_setattr
 from .errors import FormulaSyntaxError
 
 __all__ = [
@@ -51,11 +52,7 @@ class Formula:
 
     __slots__ = ("_hash",)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __setattr__, __delattr__ = _frozen_setattr, _frozen_delattr
 
     def __hash__(self) -> int:
         return self._hash

@@ -17,10 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import record
-from .algebra import SIZE_GUARD, _section, algebra_valid, sequent_valid
+from .algebra import SIZE_GUARD, _section, sequent_valid
 from .errors import (AlgebraError, BoundGuardError, FileFormatError, content_lines,
                      given_once)
-from .formula import (BOT, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
+from .formula import (BOT, TOP, Bot, Formula, Impl, Neg, _rebuild, contains, fold,
                       match_into, parse, render)
 
 __all__ = [
@@ -237,6 +237,7 @@ class SequentSystem:
     name: str
     rules: tuple[str, ...]
     algebra_class: str
+    forbidden = (Impl,)  # every sequent system is implication-free
 
 
 SEQUENT_SYSTEMS: dict[str, SequentSystem] = {
@@ -265,7 +266,7 @@ def check_derivation(system: str, root: DerivationNode) -> CheckResult:
 
     def visit(node: DerivationNode) -> CheckResult:
         for f in (node.lhs, node.rhs):
-            if contains(f, Impl):
+            if contains(f, sys.forbidden):
                 return CheckResult(False, "wrong-language", node.label, render(f))
         if node.rule not in sys.rules:
             return CheckResult(False, "bad-axiom" if not node.children
@@ -320,33 +321,29 @@ def countermodel_search(system: str, goal, max_size: int, *,
     (algebra, falsifying valuation) from the first that fails, or None.
 
     `goal` is a Formula for the Hilbert systems, an (lhs, rhs) pair for the
-    sequent systems.  `guard=None` lifts the bound on `max_size`.
+    sequent systems; a Hilbert goal f is searched as the sequent `top |- f`.
+    `guard=None` lifts the bound on `max_size`.
     """
     if guard is not None and max_size > guard:
         raise BoundGuardError("countermodel max_size", guard, max_size)
-    if system in HILBERT_SYSTEMS:
-        sys = HILBERT_SYSTEMS[system]
-        if not isinstance(goal, Formula):
-            raise AlgebraError("wrong-goal-kind", system, "expected a formula")
-        if sys.forbidden and contains(goal, sys.forbidden):
-            raise AlgebraError("wrong-language", render(goal))
-        f = expand_neg(goal) if sys.expand else goal
-        cls, check = sys.algebra_class, lambda alg: algebra_valid(alg, f)
-    elif system in SEQUENT_SYSTEMS:
-        if isinstance(goal, Formula):
-            raise AlgebraError("wrong-goal-kind", system, "expected a sequent")
-        lhs, rhs = goal
-        if contains(lhs, Impl) or contains(rhs, Impl):
-            raise AlgebraError("wrong-language", f"{render(lhs)} |- {render(rhs)}")
-        cls, check = (SEQUENT_SYSTEMS[system].algebra_class,
-                      lambda alg: sequent_valid(alg, lhs, rhs))
-    else:
+    sys = HILBERT_SYSTEMS.get(system) or SEQUENT_SYSTEMS.get(system)
+    if sys is None:
         raise AlgebraError("unknown-system", system)
+    hilbert = isinstance(sys, HilbertSystem)
+    if isinstance(goal, Formula) != hilbert:
+        raise AlgebraError("wrong-goal-kind", system,
+                           "expected a formula" if hilbert else "expected a sequent")
+    lhs, rhs = (TOP, goal) if hilbert else goal
+    if contains(lhs, sys.forbidden) or contains(rhs, sys.forbidden):
+        raise AlgebraError("wrong-language",
+                           render(rhs) if hilbert else f"{render(lhs)} |- {render(rhs)}")
+    if hilbert and sys.expand:
+        rhs = expand_neg(rhs)
     if max_size < 1:
         raise AlgebraError("bad-size", max_size)
     for size in range(2, max_size + 1):
-        for alg in _section(cls, size):
-            verdict = check(alg)
+        for alg in _section(sys.algebra_class, size):
+            verdict = sequent_valid(alg, lhs, rhs)
             if not verdict.valid:
                 return alg, verdict.valuation
     return None

@@ -51,14 +51,21 @@ def outcome(fn, *args):
     try:
         return fn(*args)
     except WorkbenchError as e:
-        return ("raised", e.kind, e.witness)
+        return ("raised", type(e), e.kind, e.witness, e.detail)
+
+
+def sides():
+    return st.one_of(formulas(False), formulas())
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(SYSTEMS), st.integers(-1, 7), formulas(),
-       st.tuples(formulas(False), formulas(False)))
-def test_search_agrees_with_the_full_scan(system, max_size, formula, sequent):
-    goal = formula if system in HILBERT_SYSTEMS else sequent
+@given(st.sampled_from(SYSTEMS + ["ILM3"]), st.integers(-1, 7),
+       st.one_of(formulas(), st.tuples(sides(), sides())))
+def test_search_agrees_with_the_full_scan(system, max_size, goal):
+    """Either goal kind for every system and for an unknown one, with `->`
+    allowed on both sides of a sequent, so that every error of the merged
+    dispatch (`wrong-goal-kind` both ways, `wrong-language`,
+    `unknown-system`, `bad-size`) is compared, detail included."""
     assert (outcome(countermodel_search, system, goal, max_size)
             == outcome(oracles.countermodel_scan, system, goal, max_size))
 

@@ -233,3 +233,30 @@ def test_one_transpose_and_one_set_order():
                     and node.name in ("_down", "_holders", "_transpose", "_set_order")):
                 found.append((path.stem, node.name))
     assert sorted(found) == [("lattice", "_set_order"), ("lattice", "_transpose")]
+
+
+def test_no_kind_switches():
+    """A K_im-algebra is the implication-free reduct of a ccpBa and reads
+    `impl` and `tilde_one` as None, so `algebra.py` and `bridge.py` test
+    `alg.impl is None` instead of asking `isinstance` for `Algebra` or
+    `KimAlgebra`.  The Kim laws have one gate, `algebra.build_kim`: `bridge`
+    names neither `kim_violations` nor the former `_require_kim`.  A
+    Hilbert goal f is searched as `top |- f`, so `proofs` no longer names
+    `algebra_valid`."""
+    trees = {stem: ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("algebra", "bridge", "proofs")}
+
+    def names(stem):
+        return {node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name for node in ast.walk(trees[stem])
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))}
+
+    switches = [f"{stem}:{node.lineno}" for stem in ("algebra", "bridge")
+                for node in ast.walk(trees[stem])
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+                & {"Algebra", "KimAlgebra"}]
+    assert switches == []
+    assert names("bridge").isdisjoint({"kim_violations", "_require_kim"})
+    assert "algebra_valid" not in names("proofs")
