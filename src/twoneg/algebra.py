@@ -12,6 +12,7 @@ derived by residuation; declared tables can only be cross-checked.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Mapping, Union
 
@@ -375,10 +376,12 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 # test: algebra and frame searches run it over every element or upset, an
 # evaluation and a truth set over the one value of each atom.
 
-# Goal plans kept (`_plan`), frame goals (compiled over upsets) among them.
-# One pass of the warm-validity benchmark workload cycles through 240
-# distinct goals, each in one language, whose plans keep about 0.7 MB
-# (tracemalloc, Python 3.11, freed by clearing the cache); 512 holds them twice over.
+# Goal plans kept by value (the LRU behind `_plan`), frame goals (compiled
+# over upsets) among them.  One pass of the warm-validity benchmark workload
+# cycles through 240 distinct goals, each in one language, whose plans keep
+# about 0.7 MB (tracemalloc, Python 3.11, freed by clearing the cache); 512
+# holds them twice over.  In front of it `_plan` keeps one more entry, the
+# last goals looked up, matched by identity.
 _PROGRAM_CACHE = 512
 
 # The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
@@ -467,6 +470,34 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     return namespace["make"]
 
 
+def _last_lookup(planned):
+    """`planned` behind a one-entry memo of its last lookup, matched when the
+    language is equal and each goal is the same object, so that a sweep,
+    which looks its goal up once per algebra, compares it node by node at
+    most once.  The memo holds one goal tuple and its plan, never more.
+    `cache_clear` empties the memo and `planned`; `cache_info` is `planned`'s."""
+    last = (None, (), None)  # language, goals, plan: one tuple, swapped whole
+
+    def plan(goals: tuple[Formula, ...], language: str):
+        nonlocal last
+        seen, kept, found = last
+        if language == seen and len(goals) == len(kept) and all(map(operator.is_, goals, kept)):
+            return found
+        found = planned(goals, language)
+        last = language, goals, found
+        return found
+
+    def cache_clear() -> None:
+        nonlocal last
+        last = (None, (), None)
+        planned.cache_clear()
+
+    plan.__doc__ = planned.__doc__
+    plan.cache_info, plan.cache_clear = planned.cache_info, cache_clear
+    return plan
+
+
+@_last_lookup
 @lru_cache(maxsize=_PROGRAM_CACHE)
 def _plan(goals: tuple[Formula, ...], language: str):
     """What a search or an evaluation needs of `goals` in `language` that no
@@ -476,9 +507,10 @@ def _plan(goals: tuple[Formula, ...], language: str):
     one (None if that is the first goal).  A search of (lhs, rhs) tests the
     goals it keeps (`_TESTS`); a one-goal plan has no test.
 
-    The key is compared by value, so an equal goal may be another object: a
-    plan holds no node, and an error names the caller's own node, found by
-    `_raise_first_error` on the caller's goals.
+    The last lookup is matched by identity (`_last_lookup`), any other by
+    value in an LRU of `_PROGRAM_CACHE` entries, so an equal goal may be
+    another object: a plan holds no node, and an error names the caller's
+    own node, found by `_raise_first_error` on the caller's goals.
     """
     lacks, _, code = _LANGUAGES[language]
     names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))

@@ -5,11 +5,18 @@ report), 2 malformed input, 3 bound guard tripped (override with --force),
 4 internal error (an unexpected exception, reported without a traceback).
 `--porcelain` switches to line-oriented key=value records with byte-stable
 ordering.
+
+An answer that cannot be written to stdout is also exit 4, never a verdict:
+a failed write (a full device, or a pipe whose reader has gone, even after
+the whole answer) or a closed stdout prints `error=output-failed` and the
+detail to stderr, and stdout is pointed at the null device so that the
+interpreter's final flush stays quiet.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -449,7 +456,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    rep = Report(args.porcelain)
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        code = _answer(args, Report(args.porcelain))
+        sys.stdout.flush()
+        return code
+    except OSError as e:  # only a write to stdout gets here: the answer is lost
+        print("error=output-failed", f"detail={type(e).__name__}: {e}",
+              sep="\n", file=sys.stderr)
+        if sys.stdout is not None:  # so that the interpreter's last flush is quiet
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return 4
+
+
+def _answer(args, rep: Report) -> int:
     try:
         return args.func(args, rep)
     except BoundGuardError as e:

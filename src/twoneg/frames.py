@@ -162,17 +162,27 @@ def _no_successor_in(rel: Table):
     """The "no successor in" clause of `rel` over world masks: a mask `s`
     goes to the worlds with no `rel`-successor in `s`, that is all worlds
     less the `rel`-predecessors of each world of `s`.  `!s` reads the `!`
-    relation, `~s` the `~` relation and `a -> b` the order at `a & ~b`."""
+    relation, `~s` the `~` relation and `a -> b` the order at `a & ~b`.
+
+    Each clause keeps the masks it has answered, upsets or not (`a & ~b`
+    and the N-hat relations leave the upsets), since a search applies it to
+    the same few masks once per valuation.  `_bind` makes its clauses per
+    search, so the memo holds at most one entry per call of that search
+    and is freed with it."""
     pred = _up_masks(zip(*rel))  # the successor masks of the converse
     full = (1 << len(rel)) - 1
+    seen: dict[int, int] = {}
 
     def clause(s: int) -> int:
-        hit = 0
-        while s:
-            low = s & -s
-            hit |= pred[low.bit_length() - 1]
-            s ^= low
-        return full & ~hit
+        value = seen.get(s)
+        if value is None:
+            hit, rest = 0, s
+            while rest:
+                low = rest & -rest
+                hit |= pred[low.bit_length() - 1]
+                rest ^= low
+            seen[s] = value = full & ~hit
+        return value
     return clause
 
 

@@ -320,8 +320,9 @@ def countermodel_search(system: str, goal, max_size: int, *,
     """Scan the system's catalog by size sections, smallest first, and return
     (algebra, falsifying valuation) from the first that fails, or None.
 
-    `goal` is a Formula for the Hilbert systems, an (lhs, rhs) pair for the
-    sequent systems; a Hilbert goal f is searched as the sequent `top |- f`.
+    `goal` is a Formula for the Hilbert systems, an (lhs, rhs) tuple of
+    formulas for the sequent systems, and wrong-goal-kind otherwise; a
+    Hilbert goal f is searched as the sequent `top |- f`.
     `guard=None` lifts the bound on `max_size`.
     """
     if guard is not None and max_size > guard:
@@ -330,7 +331,8 @@ def countermodel_search(system: str, goal, max_size: int, *,
     if sys is None:
         raise AlgebraError("unknown-system", system)
     hilbert = isinstance(sys, HilbertSystem)
-    if isinstance(goal, Formula) != hilbert:
+    if not (isinstance(goal, Formula) if hilbert else type(goal) is tuple and len(goal) == 2
+            and all(isinstance(g, Formula) for g in goal)):
         raise AlgebraError("wrong-goal-kind", system,
                            "expected a formula" if hilbert else "expected a sequent")
     lhs, rhs = (TOP, goal) if hilbert else goal

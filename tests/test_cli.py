@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -678,14 +679,51 @@ def test_unwritable_output_is_malformed_input(capsys, tmp_path, fixtures_dir, ar
 
 
 def test_internal_error_exit_code(capsys, monkeypatch, fixtures_dir):
-    def broken(args, rep):
-        raise RuntimeError("table out of step")
+    for error in (RuntimeError, OSError):  # an OSError off stdout is a defect too
+        def broken(args, rep):
+            raise error("table out of step")
 
-    monkeypatch.setattr(cli, "cmd_check_algebra", broken)
-    code, out = run(capsys, "--porcelain", "check-algebra", str(fixtures_dir / "h6.alg"))
-    assert code == 4
-    assert out == "error=internal-error\ndetail=RuntimeError: table out of step\n"
-    assert "Traceback" not in capsys.readouterr().err
+        monkeypatch.setattr(cli, "cmd_check_algebra", broken)
+        code, out = run(capsys, "--porcelain", "check-algebra", str(fixtures_dir / "h6.alg"))
+        assert code == 4
+        assert out == f"error=internal-error\ndetail={error.__name__}: table out of step\n"
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _parse_p_into(stdout: str, buffered: bool) -> subprocess.CompletedProcess:
+    """A fresh `parse p` whose stdout is /dev/full, closed, or a pipe whose
+    read end was closed before the process started (EPIPE on every write).
+    Buffered, the write fails when `main` flushes; unbuffered, in the
+    command's first `print`."""
+    argv = [sys.executable, "-m", "twoneg.cli", "--porcelain", "parse", "p"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    run = functools.partial(subprocess.run, argv, stderr=subprocess.PIPE, text=True,
+                            env=env, timeout=60)
+    if stdout == "full":
+        with open("/dev/full", "w") as full:
+            return run(stdout=full)
+    if stdout == "closed":
+        return run(preexec_fn=lambda: os.close(1))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return run(stdout=write)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["full", "closed", "no-reader"])
+def test_unwritable_stdout_is_a_crash(stdout, buffered):
+    """An answer that cannot be written is exit 4 with the reason on stderr:
+    never a traceback, never exit 0 with the answer lost, never the exit 1
+    of a negative verdict."""
+    done = _parse_p_into(stdout, buffered)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error=output-failed\ndetail=")
 
 
 def _a2_chain(lines: int, second: str) -> str:

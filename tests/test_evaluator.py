@@ -221,14 +221,12 @@ def test_planned_search_walks_no_goal(monkeypatch, b_prime):
         search(target, *map(parse, texts))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6 waits for item 3: a one-entry plan "
-                   "memo matched by identity pushed warm-validity peak_rss_mb past its bound")
 def test_sweep_compares_a_reparsed_goal_once(monkeypatch):
     """A sweep over the ccpba catalog up to size 7 with a freshly parsed
-    goal, equal to one whose plan is cached, should compare goals node by
-    node at most once.  `algebra._plan` is an LRU cache compared by value,
-    so it compares them once per algebra (49 times).  The verdicts are
-    those of the oracle either way."""
+    goal, equal to one whose plan is cached, compares goals node by node at
+    most once: the LRU behind `algebra._plan` compares by value, and the
+    one-entry memo in front of it answers the other 48 lookups by identity.
+    The verdicts are the oracle's."""
     text = "(p -> ~q) & !r | (q <-> ~~p)"
     catalog = enumerate_algebras("ccpba", 7)
     for alg in catalog:
@@ -250,6 +248,24 @@ def test_sweep_compares_a_reparsed_goal_once(monkeypatch):
     monkeypatch.undo()
     assert verdicts == [sequent_scan(alg, TOP, goal) for alg in catalog]
     assert len(deep) <= 1 < len(catalog)
+
+
+def test_plan_memo_keys_on_language(b_prime):
+    """The same goal objects searched over a pba, then a ccpba, then a Kim
+    algebra, back to back: the plan memo matches the goals by identity, so
+    only the language tells the three lookups apart.  Verdicts, error kinds
+    and offending nodes are the oracle's (`~p` is tilde-undefined on the
+    pba, `p -> q` implication-in-kim-language on the Kim algebra)."""
+    targets = (enumerate_algebras("pba", 3)[-1], b_prime, kim_reduct(b_prime))
+    answers = []
+    for lhs, rhs in [(TOP, parse("~p")), (TOP, parse("p -> q")), (parse("~p | q"), parse("!q")),
+                     (parse("p & q"), parse("~~p")), (parse("!!p"), parse("p | ~q"))]:
+        for alg in targets:
+            got = outcome(sequent_valid, alg, lhs, rhs)
+            assert same(got, outcome(sequent_scan, alg, lhs, rhs)), (alg.name, lhs, rhs)
+            answers.append(got[1] if isinstance(got, tuple) else got.valid)
+    assert answers[:6] == ["tilde-undefined", True, True,  # b_prime's ~1 is its top
+                           False, False, "implication-in-kim-language"]
 
 
 def test_error_node_is_the_first_in_preorder(b_prime):

@@ -23,7 +23,7 @@ from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
                            complex_algebra_compat)
 from twoneg.errors import FrameError
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse
-from twoneg.frames import (NhatFrame, SubNormalFrame, _no_successor_in,
+from twoneg.frames import (NhatFrame, SubNormalFrame, _no_successor_in, _upsets,
                            build_compat, build_subnormal, frame_sequent_valid,
                            frame_upsets, frame_valid, read_frame, truth_set)
 from twoneg.lattice import _bits
@@ -215,6 +215,38 @@ def test_kernel_is_the_frozenset_clause(case):
     """On any relation and any set of worlds, upset or not."""
     rel, s = case
     assert _no_successor_in(rel)(s) == mask(no_successor_in(rel, frozenset(_bits(s))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32).map(off_order), st.randoms(use_true_random=False))
+def test_one_clause_answers_repeated_masks(fr, rnd):
+    """One clause, which remembers the masks it has answered, applied to
+    masks that repeat and interleave: the upsets of the order and the
+    masks the clauses of R1 and R2 give them, most no upsets.  Every call,
+    first or repeated, is the frozenset clause's."""
+    ups = list(_upsets(fr.leq))
+    for rel in (fr.leq, fr.rn1, fr.rn2):
+        masks = ups + [_no_successor_in(r)(s) for r in (fr.rn1, fr.rn2) for s in ups]
+        clause = _no_successor_in(rel)
+        for s in rnd.choices(masks, k=4 * len(masks)):
+            assert clause(s) == mask(no_successor_in(rel, frozenset(_bits(s)))), (fr, rel, s)
+
+
+@pytest.mark.parametrize("goal", ["!p | !!p", "!(p & q) -> !p | !q", "~(p -> q) | ~~p"])
+def test_no_clause_memo_outlives_its_search(goal):
+    """Frames over the same worlds with other orders, searched back to back
+    with the same goal objects: each verdict is the oracle's, so no search
+    reads a clause answer an earlier frame's search remembered."""
+    worlds = ("a", "b", "c", "d")
+    orders = ([], [("a", "b"), ("b", "c"), ("c", "d")], [("a", "b"), ("a", "c")],
+              [("b", "d"), ("c", "d")])
+    line = [build_subnormal(worlds, pairs, []) for pairs in orders]
+    line += [SubNormalFrame(worlds, fr.leq, frozenset({3})) for fr in line[1:]]  # ~ reads Y0
+    f = parse(goal)
+    for fr in line + line[::-1]:
+        assert outcome(frame_valid, fr, f) == outcome(frame_scan, fr, TOP, f), fr
+        assert (outcome(frame_sequent_valid, fr, f.left, f.right)
+                == outcome(frame_scan, fr, f.left, f.right)), fr
 
 
 @pytest.mark.parametrize("alg", enumerate_algebras("kim", 6), ids=lambda a: a.name)

@@ -184,6 +184,11 @@ def test_countermodel_language_checks():
             ("Kim", (parse("p -> q"), parse("q")), ("wrong-language", "p -> q |- q", "")),
             ("Kim", parse("p"), ("wrong-goal-kind", "Kim", "expected a sequent")),
             ("ILM", (parse("p"), parse("p")), ("wrong-goal-kind", "ILM", "expected a formula")),
+            # a sequent goal is a 2-tuple of formulas, checked before it is unpacked
+            ("Kim", "p", ("wrong-goal-kind", "Kim", "expected a sequent")),
+            ("Kim", (parse("p"),), ("wrong-goal-kind", "Kim", "expected a sequent")),
+            ("Kim", (parse("p"),) * 3, ("wrong-goal-kind", "Kim", "expected a sequent")),
+            ("Kim", ("p", "q"), ("wrong-goal-kind", "Kim", "expected a sequent")),
             ("nope", parse("p"), ("unknown-system", "nope", ""))]:
         with pytest.raises(AlgebraError) as e:
             countermodel_search(system, goal, 3)

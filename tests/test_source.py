@@ -260,3 +260,58 @@ def test_no_kind_switches():
     assert switches == []
     assert names("bridge").isdisjoint({"kim_violations", "_require_kim"})
     assert "algebra_valid" not in names("proofs")
+
+
+def _cache_bounds() -> str:
+    """The README "Cache bounds" note, up to the next note."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("* **Cache bounds.**")
+    return text[start:text.index("\n* **", start)]
+
+
+_WRITES = {"__setitem__", "add", "append", "extend", "insert", "setdefault", "update"}
+
+
+def _module_memos(path: Path) -> set[str]:
+    """The module-level names bound to a dict, list or set that a top-level
+    function, or a closure inside one, writes into."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, (ast.Dict, ast.List, ast.Set))
+                or isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) in ("dict", "list", "set")):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            containers.update(t.id for t in targets if isinstance(t, ast.Name))
+    written = set()
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                written.add(node.value)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _WRITES):
+                written.add(node.func.value)
+    return {node.id for node in written if isinstance(node, ast.Name)} & containers
+
+
+def test_every_cache_is_documented():
+    """Every cache the package keeps past a call is named in README "Cache
+    bounds" as `module.name`: each module-level function with a
+    `cache_clear` (an `lru_cache`, or `algebra._plan` with its memo), save
+    one that only carries another's, and each module-level memo
+    (`_module_memos`)."""
+    named = _cache_bounds()
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"twoneg.{path.stem}")
+        values = list(vars(module).values())
+        for name, obj in vars(module).items():
+            owner = getattr(getattr(obj, "cache_info", None), "__self__", obj)
+            if (getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_clear")
+                    and (owner is obj or not any(owner is v for v in values))):
+                found.append(f"{path.stem}.{name}")
+        found += [f"{path.stem}.{name}" for name in _module_memos(path)]
+    assert sorted(name for name in found if f"`{name}`" not in named) == []
