@@ -387,7 +387,7 @@ _PROGRAM_CACHE = 512
 # The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
 # world masks of a frame (`frames._bind`).
 _TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
-_UPSET_CODE = ("{} & {}", "{} | {}", "impl({} & ~{})", "neg({})", "tilde({})")
+_UPSET_CODE = ("{} & {}", "{} | {}", "impl[{} & ~{}]", "neg[{}]", "tilde[{}]")
 
 # What a search of (lhs, rhs) stops at, by its code and the number of goals
 # it keeps.  Over an algebra: lhs at top and rhs not, or lhs at top alone

@@ -6,11 +6,11 @@ report), 2 malformed input, 3 bound guard tripped (override with --force),
 `--porcelain` switches to line-oriented key=value records with byte-stable
 ordering.
 
-An answer that cannot be written to stdout is also exit 4, never a verdict:
-a failed write (a full device, or a pipe whose reader has gone, even after
-the whole answer) or a closed stdout prints `error=output-failed` and the
-detail to stderr, and stdout is pointed at the null device so that the
-interpreter's final flush stays quiet.
+An answer that cannot be written to stdout, `--help` included, is also exit
+4, never a verdict: a failed write (a full device, or a pipe whose reader
+has gone, even after the whole answer) or a closed stdout prints
+`error=output-failed` and the detail to stderr, and stdout is pointed at
+the null device so that the interpreter's final flush stays quiet.
 """
 
 from __future__ import annotations
@@ -398,8 +398,18 @@ def cmd_check_proof(args, rep: Report) -> int:
     return 0
 
 
+class _CliParser(argparse.ArgumentParser):
+    """Help written and flushed here, so that a lost help reaches the output
+    guard of `main`: argparse's own print drops a failed write."""
+
+    def print_help(self, file=None) -> None:
+        if (file or sys.stdout) is None:
+            raise OSError("stdout is closed")
+        print(self.format_help(), end="", file=file, flush=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _CliParser(
         prog="twoneg",
         description="Workbench for finite two-negation algebras, their frames, "
                     "translations, dualities, and proof checking.")
@@ -455,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if sys.stdout is None:
             raise OSError("stdout is closed")
         code = _answer(args, Report(args.porcelain))

@@ -27,7 +27,7 @@ from .errors import FormulaSyntaxError
 __all__ = [
     "Formula", "Top", "Bot", "Atom", "And", "Or", "Impl", "Neg", "Tilde",
     "TOP", "BOT", "MAX_DEPTH", "MAX_NODES", "parse", "render", "subformulas", "fold",
-    "atoms", "contains", "match_scheme", "substitute",
+    "atoms", "contains", "substitute",
 ]
 
 _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
@@ -422,14 +422,6 @@ def match_into(scheme: Formula, target: Formula, subst: dict[str, Formula]) -> b
         else:
             stack.extend(zip(reversed(_children(s)), reversed(_children(t))))
     return True
-
-
-def match_scheme(scheme: Formula, target: Formula) -> dict[str, Formula] | None:
-    """The unique substitution sending `scheme` to `target`, or None."""
-    subst: dict[str, Formula] = {}
-    if match_into(scheme, target, subst):
-        return subst
-    return None
 
 
 def substitute(scheme: Formula, subst: dict[str, Formula]) -> Formula:

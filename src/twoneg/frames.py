@@ -19,13 +19,13 @@ masks, and `~top` and (D)/(3) read the truth-set kernel `_no_successor_in`,
 which also gives the `!` and `~` of the complex compatibility algebra; the
 former table scans are the oracles in `tests/oracles.py`.  Truth sets and
 validity searches run a goal's compiled loop nest (`algebra._program`) over
-world masks, the one value or every upset of each atom, and raise their
-language errors through the algebra's walk.  A frame's upsets
-are the masks of `lattice._upset_masks` (`_upsets`); the lattice they form
-is built in `lattice` (`_upset_tables`), never here.  Calling a frame class
-directly skips validation, which the canonicity tests use to probe frames
-that violate a condition.  A world name may not contain `,`, which joins an
-upset's worlds into its name.
+world masks, the one value or every upset of each atom, each with its own
+clause memo (`_bind`), and raise their language errors through the
+algebra's walk.  A frame's upsets are the masks of `lattice._upset_masks`
+(`_upsets`); the lattice they form is built in `lattice` (`_upset_tables`),
+never here.  Calling a frame class directly skips validation, which the
+canonicity tests use to probe frames that violate a condition.  A world
+name may not contain `,`, which joins an upset's worlds into its name.
 """
 
 from __future__ import annotations
@@ -163,27 +163,32 @@ def _no_successor_in(rel: Table):
     goes to the worlds with no `rel`-successor in `s`, that is all worlds
     less the `rel`-predecessors of each world of `s`.  `!s` reads the `!`
     relation, `~s` the `~` relation and `a -> b` the order at `a & ~b`.
-
-    Each clause keeps the masks it has answered, upsets or not (`a & ~b`
-    and the N-hat relations leave the upsets), since a search applies it to
-    the same few masks once per valuation.  `_bind` makes its clauses per
-    search, so the memo holds at most one entry per call of that search
-    and is freed with it."""
+    A clause keeps nothing; only a search memoizes it (`_bind`)."""
     pred = _up_masks(zip(*rel))  # the successor masks of the converse
     full = (1 << len(rel)) - 1
-    seen: dict[int, int] = {}
 
     def clause(s: int) -> int:
-        value = seen.get(s)
-        if value is None:
-            hit, rest = 0, s
-            while rest:
-                low = rest & -rest
-                hit |= pred[low.bit_length() - 1]
-                rest ^= low
-            seen[s] = value = full & ~hit
-        return value
+        hit = 0
+        while s:
+            low = s & -s
+            hit |= pred[low.bit_length() - 1]
+            s ^= low
+        return full & ~hit
     return clause
+
+
+class _Answers(dict):
+    """`clause` by mask within one search, which puts the same few masks,
+    upsets or not, to it once per valuation: a new mask is computed once."""
+
+    __slots__ = ("clause",)
+
+    def __init__(self, clause):
+        self.clause = clause
+
+    def __missing__(self, s: int) -> int:
+        self[s] = value = self.clause(s)
+        return value
 
 
 # -- conditions shared by the three kinds ------------------------------------
@@ -351,12 +356,12 @@ def build_compat(worlds, leq_pairs, c_pairs, *, require_subcompat: bool = False)
 # appear only where `truth_set` takes and returns them and in witnesses.
 
 def _bind(fr: Frame, make):
-    """The search of the factory `make` over the world masks of `fr`.  Every
-    clause is "no successor in": `a -> b` holds where no order-successor
-    lies in `a & ~b`; `bot` holds nowhere."""
-    order = _no_successor_in(fr.leq)
-    bang = order if fr.bang is fr.leq else _no_successor_in(fr.bang)
-    return make(None, None, order, bang, _no_successor_in(fr.tilde), (1 << fr.size) - 1, 0)
+    """The search of the factory `make` over the world masks of `fr`, which
+    reads each "no successor in" clause (`a -> b` is the order's at `a & ~b`)
+    by subscript from an `_Answers` of this search alone."""
+    order, tilde = (_Answers(_no_successor_in(rel)) for rel in (fr.leq, fr.tilde))
+    bang = order if fr.bang is fr.leq else _Answers(_no_successor_in(fr.bang))
+    return make(None, None, order, bang, tilde, (1 << fr.size) - 1, 0)
 
 
 def _language(fr: Frame) -> str:

@@ -29,7 +29,7 @@ from .errors import LatticeError, VerificationError
 
 __all__ = [
     "FiniteLattice", "build_lattice", "derive_heyting",
-    "upsets_of", "transitive_reduction",
+    "transitive_reduction",
     "canonical_form", "all_posets", "all_lattices",
 ]
 
@@ -295,10 +295,8 @@ def _upset_masks(leq: Table) -> list[int]:
 
 
 def upsets_of(leq: Table) -> list[frozenset[int]]:
-    """All upward-closed subsets, ordered by cardinality then lexicographically.
-
-    The frozenset form of `_upset_masks`, for callers outside the package:
-    the tests, and `perfbench/spans.py`, which times it as a busy span."""
+    """`frames.frame_upsets` as a list, kept only because the span table of
+    `perfbench/spans.py` names it: the package never calls it."""
     return [frozenset(_bits(s)) for s in _upset_masks(leq)]
 
 

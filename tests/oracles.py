@@ -102,8 +102,7 @@ from twoneg.formula import (_ATOM_RE, _KEYWORDS, BOT, MAX_DEPTH, MAX_NODES, TOP,
 from twoneg.frames import (WORLD_GUARD, CompatFrame, NhatFrame, SubNormalFrame, _close_order,
                            _relation, frame_upsets)
 from twoneg.lattice import (_encode, _lattice, _order, _signatures, _table,
-                            _up_masks, canonical_form as package_canonical_form,
-                            upsets_of)
+                            _up_masks, canonical_form as package_canonical_form)
 from twoneg.proofs import HILBERT_SYSTEMS, SEQUENT_SYSTEMS, expand_neg
 
 
@@ -412,7 +411,7 @@ N5 = _record(["0", "a", "b", "c", "1"],
 
 def downsets_of(leq):
     rev = tuple(tuple(leq[j][i] for j in range(len(leq))) for i in range(len(leq)))
-    return upsets_of(rev)
+    return list(frame_upsets(rev))
 
 
 def lattice_from_upsets(sets, names):

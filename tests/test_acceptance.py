@@ -22,9 +22,9 @@ from twoneg.formula import parse, substitute, Atom
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            build_compat, dne_tilde_top_witness,
                            frame_sequent_valid, frame_valid, is_identity,
-                           nhat_violations, truth_set)
+                           frame_upsets, nhat_violations, truth_set)
 from twoneg.lattice import (all_lattices, all_posets, build_lattice,
-                            derive_heyting, upsets_of)
+                            derive_heyting)
 from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
                            check_hilbert, countermodel_search, parse_proof)
 from twoneg.translate import phi, psi
@@ -198,7 +198,7 @@ def _random_subnormal_frames(count: int, max_worlds: int):
                         if rows[k][j]:
                             rows[i][j] = True
         leq = tuple(tuple(r) for r in rows)
-        ups = upsets_of(leq)
+        ups = frame_upsets(leq)
         y0 = rng.choice(ups)
         fr = SubNormalFrame(tuple(names), leq, y0)
         if dne_tilde_top_witness(fr) is not None:
@@ -229,7 +229,7 @@ def test_criterion_6_translation_suite():
             if is_identity(fr):
                 identity_count += 1
             assert is_identity(fr) == is_identity(nh)
-            ups = upsets_of(fr.leq)
+            ups = frame_upsets(fr.leq)
             for _ in range(3):
                 v = {"p": rng.choice(ups), "q": rng.choice(ups)}
                 for f in BATTERY:
@@ -244,7 +244,7 @@ def _all_subnormal(max_worlds, require_d=True):
     for size in range(1, max_worlds + 1):
         for leq in posets[size]:
             names = tuple(f"w{i}" for i in range(size))
-            for y0 in upsets_of(leq):
+            for y0 in frame_upsets(leq):
                 fr = SubNormalFrame(names, leq, y0)
                 if not require_d or dne_tilde_top_witness(fr) is None:
                     out.append(fr)

@@ -21,8 +21,8 @@ from twoneg.errors import AlgebraError
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_valid, frame_sequent_valid, is_identity,
-                           read_frame)
-from twoneg.lattice import all_lattices, build_lattice, transitive_reduction, upsets_of
+                           frame_upsets, read_frame)
+from twoneg.lattice import all_lattices, build_lattice, transitive_reduction
 
 from support import chain_product, kim_reduct
 
@@ -162,7 +162,7 @@ def test_kim_embeddings(b_prime):
 
 def test_frame_validity_matches_complex_algebra(fork):
     from twoneg.frames import SubNormalFrame, dne_tilde_top_witness
-    from twoneg.lattice import all_posets, upsets_of
+    from twoneg.lattice import all_posets
     suite = [parse(t) for t in
              ["p | ~p", "!p -> ~p", "~~p", "!!~top <-> ~top",
               "~(p | q) <-> (~p & ~q)", "p -> ~!q"]]
@@ -171,7 +171,7 @@ def test_frame_validity_matches_complex_algebra(fork):
     for size in range(1, 5):
         for leq in posets[size]:
             names = tuple(f"w{i}" for i in range(size))
-            for y0 in upsets_of(leq):
+            for y0 in frame_upsets(leq):
                 fr = SubNormalFrame(names, leq, y0)
                 if dne_tilde_top_witness(fr) is None:
                     frames.append(fr)
@@ -206,7 +206,7 @@ def _upset_scan_prime_filters(lat):
     """Oracle: scan every upset and keep the nonempty, proper, meet-closed,
     join-prime ones (the definition, at exponential cost)."""
     out = []
-    for s in upsets_of(lat.leq):
+    for s in frame_upsets(lat.leq):
         if not s or lat.bottom in s:
             continue
         if any(lat.meet[a][b] not in s for a in s for b in s):

@@ -690,12 +690,12 @@ def test_internal_error_exit_code(capsys, monkeypatch, fixtures_dir):
         assert "Traceback" not in capsys.readouterr().err
 
 
-def _parse_p_into(stdout: str, buffered: bool) -> subprocess.CompletedProcess:
-    """A fresh `parse p` whose stdout is /dev/full, closed, or a pipe whose
-    read end was closed before the process started (EPIPE on every write).
-    Buffered, the write fails when `main` flushes; unbuffered, in the
-    command's first `print`."""
-    argv = [sys.executable, "-m", "twoneg.cli", "--porcelain", "parse", "p"]
+def _cli_into(stdout: str, buffered: bool, *args: str) -> subprocess.CompletedProcess:
+    """A fresh CLI run of `args` whose stdout is /dev/full, closed, or a
+    pipe whose read end was closed before the process started (EPIPE on
+    every write).  Buffered, the write of an answer fails when `main`
+    flushes; unbuffered, in the command's first `print`."""
+    argv = [sys.executable, "-m", "twoneg.cli", *args]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(SRC), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
     run = functools.partial(subprocess.run, argv, stderr=subprocess.PIPE, text=True,
@@ -720,10 +720,41 @@ def test_unwritable_stdout_is_a_crash(stdout, buffered):
     """An answer that cannot be written is exit 4 with the reason on stderr:
     never a traceback, never exit 0 with the answer lost, never the exit 1
     of a negative verdict."""
-    done = _parse_p_into(stdout, buffered)
+    done = _cli_into(stdout, buffered, "--porcelain", "parse", "p")
     assert done.returncode == 4
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error=output-failed\ndetail=")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [("--help",), ("parse", "--help")], ids=["top", "parse"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["full", "closed", "no-reader"])
+def test_help_into_an_unwritable_stdout_is_a_crash(stdout, buffered, args):
+    """Help is an answer too: argparse prints it before `main` reaches its
+    output guard, and its own print drops a failed write, yet the lost help
+    is exit 4 with the reason on stderr, not exit 0."""
+    done = _cli_into(stdout, buffered, *args)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error=output-failed\ndetail=")
+
+
+@pytest.mark.parametrize("args", [("--help",), ("parse", "--help")], ids=["top", "parse"])
+def test_help_into_a_writable_stdout(capsys, args):
+    """Help written is exit 0 with argparse's own text, and a usage error
+    stays exit 2 with the usage on stderr."""
+    with pytest.raises(SystemExit) as done:
+        main(list(args))
+    assert done.value.code == 0
+    parser = cli.build_parser()
+    if args[0] == "parse":
+        parser = parser._subparsers._group_actions[0].choices["parse"]
+    assert capsys.readouterr().out == parser.format_help()
+    with pytest.raises(SystemExit) as done:
+        main([*args[:-1], "--no-such-flag"])
+    assert done.value.code == 2
+    assert "usage: twoneg" in capsys.readouterr().err
 
 
 def _a2_chain(lines: int, second: str) -> str:

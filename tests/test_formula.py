@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg.errors import FormulaSyntaxError
 from twoneg.formula import (MAX_NODES, And, Atom, Bot, Impl, Neg, Or, Tilde, Top,
-                            atoms, match_scheme, parse, render, subformulas,
+                            atoms, match_into, parse, render, subformulas,
                             substitute)
 
 import oracles
@@ -68,11 +68,13 @@ def test_atoms_examples(text, names):
 
 def test_match_scheme_examples():
     s = parse("a -> (b -> a)")
-    assert match_scheme(s, parse("p -> (q -> p)")) == {"a": P, "b": Q}
-    assert match_scheme(s, parse("p -> (q -> r)")) is None
+    subst = {}
+    assert match_into(s, parse("p -> (q -> p)"), subst) and subst == {"a": P, "b": Q}
+    assert not match_into(s, parse("p -> (q -> r)"), {})
     a11 = parse("~a <-> (a -> !!~top)")
     inst = substitute(a11, {"a": Tilde(P)})
-    assert match_scheme(a11, inst) == {"a": Tilde(P)}
+    subst = {}
+    assert match_into(a11, inst, subst) and subst == {"a": Tilde(P)}
 
 
 def test_syntax_error_offset_and_expected():
@@ -131,7 +133,8 @@ def test_match_recovers_substitution(body):
     scheme = parse("a -> (b -> a)")
     sigma = {"a": body, "b": Tilde(body)}
     inst = substitute(scheme, sigma)
-    assert match_scheme(scheme, inst) == sigma
+    subst = {}
+    assert match_into(scheme, inst, subst) and subst == sigma
 
 
 @given(formulas())

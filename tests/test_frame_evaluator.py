@@ -7,9 +7,9 @@ against the recursive frozenset walk it replaced.
 verdicts, falsifying valuations and least worlds must agree on sub-normal,
 N-hat and compatibility frames: the canonical frames of small catalogs,
 hand-built frames of 9 and 10 worlds, and N-hat frames whose R1 is not the
-order.  The mask kernel `frames._no_successor_in` and the complex algebra of
-a compatibility frame are checked against the frozenset clause
-`oracles.no_successor_in`."""
+order.  The mask kernel `frames._no_successor_in`, the per-search mappings
+`frames._bind` reads it through, and the complex algebra of a compatibility
+frame are checked against the frozenset clause `oracles.no_successor_in`."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
                            complex_algebra_compat)
 from twoneg.errors import FrameError
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse
-from twoneg.frames import (NhatFrame, SubNormalFrame, _no_successor_in, _upsets,
+from twoneg import frames
+from twoneg.frames import (NhatFrame, SubNormalFrame, _bind, _no_successor_in, _upsets,
                            build_compat, build_subnormal, frame_sequent_valid,
                            frame_upsets, frame_valid, read_frame, truth_set)
 from twoneg.lattice import _bits
@@ -220,16 +221,47 @@ def test_kernel_is_the_frozenset_clause(case):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32).map(off_order), st.randoms(use_true_random=False))
 def test_one_clause_answers_repeated_masks(fr, rnd):
-    """One clause, which remembers the masks it has answered, applied to
-    masks that repeat and interleave: the upsets of the order and the
-    masks the clauses of R1 and R2 give them, most no upsets.  Every call,
-    first or repeated, is the frozenset clause's."""
+    """The mappings `_bind` hands one search, read by subscript with masks
+    that repeat and interleave: the upsets of the order and the masks the
+    clauses of R1 and R2 give them, most no upsets.  Every read, first or
+    repeated, is the frozenset clause's, and a mapping keeps exactly the
+    masks read from it."""
+    _, _, order, bang, tilde, full, bottom = _bind(fr, lambda *ops: ops)
+    assert (full, bottom) == ((1 << fr.size) - 1, 0)
     ups = list(_upsets(fr.leq))
-    for rel in (fr.leq, fr.rn1, fr.rn2):
-        masks = ups + [_no_successor_in(r)(s) for r in (fr.rn1, fr.rn2) for s in ups]
-        clause = _no_successor_in(rel)
-        for s in rnd.choices(masks, k=4 * len(masks)):
-            assert clause(s) == mask(no_successor_in(rel, frozenset(_bits(s)))), (fr, rel, s)
+    masks = ups + [_no_successor_in(r)(s) for r in (fr.rn1, fr.rn2) for s in ups]
+    for rel, answers in ((fr.leq, order), (fr.rn1, bang), (fr.rn2, tilde)):
+        assert not answers
+        asked = rnd.choices(masks, k=4 * len(masks))
+        for s in asked:
+            assert answers[s] == mask(no_successor_in(rel, frozenset(_bits(s)))), (fr, rel, s)
+        assert set(answers) == set(asked)
+
+
+def test_a_subnormal_search_shares_the_order_clause():
+    """`!` reads the order on a sub-normal or compatibility frame, so its
+    search asks one mapping for both; an N-hat search gets three."""
+    for fr in FRAMES:
+        _, _, order, bang, tilde, _, _ = _bind(fr, lambda *ops: ops)
+        assert (bang is order) == (fr.bang is fr.leq) and tilde is not order, fr
+    _, _, order, bang, tilde, _, _ = _bind(off_order(7), lambda *ops: ops)
+    assert len({id(order), id(bang), id(tilde)}) == 3
+
+
+def test_the_duality_path_builds_no_memo(monkeypatch):
+    """Condition (D)/(3), the complex compatibility algebra and the
+    canonical Kim frame call the plain clause: none of them makes a search's
+    mapping."""
+    def refuse(clause):
+        raise AssertionError("a clause memo outside a search")
+
+    monkeypatch.setattr(frames, "_Answers", refuse)
+    for alg in enumerate_algebras("kim", 6):
+        fr = canonical_frame_kim(alg)
+        assert frames.dne_tilde_top_witness(fr) is None
+        assert complex_algebra_compat(fr).size == len(frame_upsets(fr.leq))
+    with pytest.raises(AssertionError, match="outside a search"):
+        frame_valid(fr, parse("~p | ~~p"))
 
 
 @pytest.mark.parametrize("goal", ["!p | !!p", "!(p & q) -> !p | !q", "~(p -> q) | ~~p"])

@@ -8,7 +8,8 @@ from twoneg.algebra import attach_negations, tilde_one_candidates
 from twoneg.errors import LatticeError
 from twoneg.lattice import (FiniteLattice, _signatures, _up_masks, all_lattices,
                             all_posets, build_lattice, canonical_form, derive_heyting,
-                            transitive_reduction, upsets_of)
+                            transitive_reduction)
+from twoneg.frames import frame_upsets
 
 from oracles import residuation_mismatch, residuum
 
@@ -135,7 +136,7 @@ def test_all_lattices_are_downset_lattices_bottom_up():
 
 
 def test_upsets_sorted_by_cardinality(chain3):
-    ups = upsets_of(chain3.leq)
+    ups = list(frame_upsets(chain3.leq))
     assert ups == [frozenset(), frozenset({2}), frozenset({1, 2}),
                    frozenset({0, 1, 2})]
 

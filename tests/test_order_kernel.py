@@ -5,8 +5,8 @@ scans it replaced.
 `closure`, `glb_table`, `scan_build_lattice`, `scan_close_order` and
 `recursive_upsets` are the former bodies of `lattice._closure`,
 `lattice._glb_table`, `lattice.build_lattice`, `frames._close_order` and
-`lattice.upsets_of`, kept here as the oracle, and `generator_masks` is the
-former body of `lattice._up_masks`.  On random relations (cycles,
+the upset enumeration behind `frames.frame_upsets`, kept here as the
+oracle, and `generator_masks` is the former body of `lattice._up_masks`.  On random relations (cycles,
 unknown names, unbounded posets, non-lattices, non-distributive lattices)
 the builders must return the same value or raise the same (kind, witness,
 detail)."""
@@ -230,8 +230,9 @@ def test_upsets_match_recursive_enumeration():
         for leq in posets:
             n = len(leq)
             dual = tuple(tuple(leq[j][i] for j in range(n)) for i in range(n))
+            assert list(frames.frame_upsets(leq)) == recursive_upsets(leq)
+            assert list(frames.frame_upsets(dual)) == recursive_upsets(dual)
             assert upsets_of(leq) == recursive_upsets(leq)
-            assert upsets_of(dual) == recursive_upsets(dual)
 
 
 def test_up_masks_match_generator_form():

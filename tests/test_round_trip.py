@@ -18,8 +18,8 @@ import pytest
 from twoneg.algebra import enumerate_algebras, read_algebra, write_algebra
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_file, canonical_frame_kim
 from twoneg.errors import FrameError
-from twoneg.frames import build_compat, build_subnormal, read_frame, write_frame
-from twoneg.lattice import all_posets, upsets_of
+from twoneg.frames import build_compat, build_subnormal, frame_upsets, read_frame, write_frame
+from twoneg.lattice import all_posets
 from twoneg.proofs import hilbert_proof_text, parse_proof, sequent_proof_text
 from twoneg.translate import phi
 
@@ -39,7 +39,7 @@ def _accepted_frames():
         names = [f"w{i}" for i in range(size)]
         for leq in posets:
             order = _pairs(names, lambda x, y: leq[x][y] and x != y)
-            for up in upsets_of(leq):
+            for up in frame_upsets(leq):
                 try:
                     subnormal.append(build_subnormal(names, order,
                                                      [names[i] for i in sorted(up)]))

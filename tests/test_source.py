@@ -315,3 +315,28 @@ def test_every_cache_is_documented():
                 found.append(f"{path.stem}.{name}")
         found += [f"{path.stem}.{name}" for name in _module_memos(path)]
     assert sorted(name for name in found if f"`{name}`" not in named) == []
+
+
+def test_only_the_frame_search_memoizes_clauses():
+    """`frames._no_successor_in` is a plain clause: it holds no dict or set
+    and has no cache, so `bridge`'s complex algebra and (D)/(3) keep
+    nothing.  The memo a search reads its clauses through, `_Answers`, is
+    made inside `frames._bind` alone, per search, never at module level."""
+    kept, made = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_no_successor_in":
+                kept += [f"{path.stem}:{n.lineno}" for n in ast.walk(node)
+                         if isinstance(n, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+                         or isinstance(n, ast.Call)
+                         and getattr(n.func, "id", None) in ("dict", "set")]
+                kept += [f"{path.stem}:{d.lineno}" for d in node.decorator_list]
+            elif isinstance(node, ast.Call) and "_Answers" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                made.append((path.stem, inside.get(id(node))))
+    assert kept == []
+    assert made and set(made) == {("frames", "_bind")}

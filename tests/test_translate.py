@@ -8,8 +8,8 @@ from twoneg.errors import FrameError, WorkbenchError
 from twoneg.formula import parse
 from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
                            dne_tilde_top_witness, frame_valid, is_identity,
-                           tilde_top_worlds, truth_set)
-from twoneg.lattice import all_posets, upsets_of
+                           frame_upsets, tilde_top_worlds, truth_set)
+from twoneg.lattice import all_posets
 from twoneg.translate import phi, psi
 
 import oracles
@@ -28,7 +28,7 @@ def all_subnormal_frames(max_worlds: int):
     for size in range(1, max_worlds + 1):
         for leq in posets[size]:
             names = [f"w{i}" for i in range(size)]
-            for y0 in upsets_of(leq):
+            for y0 in frame_upsets(leq):
                 fr = SubNormalFrame(tuple(names), leq, y0)
                 if dne_tilde_top_witness(fr) is None:
                     out.append(fr)
@@ -85,7 +85,7 @@ def test_subnormal_tilde_relation_matches_former_code():
     for size in range(1, 6):
         for leq in posets[size]:
             names = tuple(f"w{i}" for i in range(size))
-            for y0 in upsets_of(leq):
+            for y0 in frame_upsets(leq):
                 fr = SubNormalFrame(names, leq, y0)
                 assert fr.tilde == tuple(tuple(leq[x][y] and y not in y0
                                                for y in range(size))
@@ -129,7 +129,7 @@ def test_truth_preservation_battery():
     rng = random.Random(92541)
     frames = all_subnormal_frames(4)
     for fr in frames:
-        ups = upsets_of(fr.leq)
+        ups = frame_upsets(fr.leq)
         for _ in range(3):
             v = {"p": rng.choice(ups), "q": rng.choice(ups)}
             nh = phi(fr)
