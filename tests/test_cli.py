@@ -714,26 +714,17 @@ def _cli_into(stdout: str, buffered: bool, *args: str) -> subprocess.CompletedPr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stdout", ["full", "closed", "no-reader"])
-def test_unwritable_stdout_is_a_crash(stdout, buffered):
+@pytest.mark.parametrize("stdout,buffered,args", [
+    pytest.param(stdout, buffered, args,
+                 id="-".join([stdout, "buffered" if buffered else "unbuffered", *name]))
+    for name, args in [((), ("--porcelain", "parse", "p")), (("help",), ("--help",)),
+                       (("parse-help",), ("parse", "--help"))]
+    for buffered in (True, False) for stdout in ("full", "closed", "no-reader")])
+def test_unwritable_stdout_is_a_crash(stdout, buffered, args):
     """An answer that cannot be written is exit 4 with the reason on stderr:
     never a traceback, never exit 0 with the answer lost, never the exit 1
-    of a negative verdict."""
-    done = _cli_into(stdout, buffered, "--porcelain", "parse", "p")
-    assert done.returncode == 4
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error=output-failed\ndetail=")
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("args", [("--help",), ("parse", "--help")], ids=["top", "parse"])
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("stdout", ["full", "closed", "no-reader"])
-def test_help_into_an_unwritable_stdout_is_a_crash(stdout, buffered, args):
-    """Help is an answer too: argparse prints it before `main` reaches its
-    output guard, and its own print drops a failed write, yet the lost help
-    is exit 4 with the reason on stderr, not exit 0."""
+    of a negative verdict.  Help is an answer too: argparse prints it before
+    `main` reaches its output guard, and its own print drops a failed write."""
     done = _cli_into(stdout, buffered, *args)
     assert done.returncode == 4
     assert "Traceback" not in done.stderr

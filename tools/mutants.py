@@ -17,18 +17,20 @@ file, and runs `python -m pytest` on the listed tests with that copy's
 `src/` first on the import path.  It never writes to the tree it reads.
 Each entry is reported on one line as
 
-* `caught`: the tests failed, or could not import the mutated code;
+* `caught`: pytest exited non-zero: a test failed, the mutated code did not
+  import (pytest exits 4 when `conftest.py` cannot import it), or the run
+  took longer than TIMEOUT seconds;
 * `survived`: the tests passed with the mutation in place;
-* `stale`: `old` does not occur exactly once, or pytest found none of the
-  listed tests, so the entry no longer describes the code.
+* `stale`: `old` does not occur exactly once, or pytest collected no test
+  (exit 5), so the entry no longer describes the code.
 
 Before the mutations, the union of all listed tests runs once on an
-unmutated copy; if that fails, nothing is reported as caught and the exit
-code is 2.  Otherwise the exit code is 1 when any entry survived or is
-stale, else 0.  Standard library and pytest only:
+unmutated copy, so every listed test exists and passes; if that run fails,
+nothing is reported as caught and the exit code is 2.  Otherwise the exit
+code is 1 when any entry survived or is stale, else 0.  Standard library
+and pytest only:
 
     python tools/mutants.py                    # the whole catalogue
-    python tools/mutants.py memo-wrong-key     # named entries only
     python tools/mutants.py --catalogue other.json --root path/to/repo
 """
 
@@ -47,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools")
 FIELDS = ("name", "file", "old", "new", "tests")
+TIMEOUT = 600.0  # seconds allowed to one pytest run
 
 
 def load(path: Path) -> list[dict]:
@@ -71,7 +74,7 @@ def copy_tree(root: Path, into: Path) -> None:
         shutil.copy(root / "pyproject.toml", into / "pyproject.toml")
 
 
-def run_tests(where: Path, tests: list[str], timeout: float) -> int | None:
+def run_tests(where: Path, tests: list[str]) -> int | None:
     """pytest's exit code on `tests` in the copy at `where`, None on timeout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(where / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -79,12 +82,12 @@ def run_tests(where: Path, tests: list[str], timeout: float) -> int | None:
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         return subprocess.run(argv, cwd=where, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout).returncode
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
     except subprocess.TimeoutExpired:
         return None
 
 
-def verdict(entry: dict, root: Path, timeout: float) -> tuple[str, str]:
+def verdict(entry: dict, root: Path) -> tuple[str, str]:
     """(outcome, detail) of one entry, run in its own temporary copy."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         where = Path(tmp)
@@ -97,37 +100,29 @@ def verdict(entry: dict, root: Path, timeout: float) -> tuple[str, str]:
         if found != 1:
             return "stale", f"old text found {found} times in {entry['file']}"
         target.write_text(text.replace(entry["old"], entry["new"]), encoding="utf-8")
-        code = run_tests(where, entry["tests"], timeout)
+        code = run_tests(where, entry["tests"])
     if code is None:
-        return "caught", f"timed out after {timeout:.0f} s"
+        return "caught", f"timed out after {TIMEOUT:.0f} s"
     if code == 0:
         return "survived", "the tests passed"
-    if code in (1, 2):  # failures, or the mutated code does not import
-        return "caught", f"pytest exit {code}"
-    return "stale", f"pytest exit {code}: the listed tests were not found"
+    if code == 5:
+        return "stale", "pytest exit 5: no test collected"
+    return "caught", f"pytest exit {code}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="entries to run (default: all)")
     parser.add_argument("--catalogue", type=Path, default=ROOT / "tools" / "mutants.json")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the tree whose src/, tests/ and tools/ are copied")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed to one pytest run")
     args = parser.parse_args(argv)
     entries = load(args.catalogue)
-    unknown = set(args.names) - {e["name"] for e in entries}
-    if unknown:
-        parser.error(f"no entries named {sorted(unknown)}")
-    if args.names:
-        entries = [e for e in entries if e["name"] in args.names]
     root = args.root.resolve()
 
     tests = list(dict.fromkeys(t for e in entries for t in e["tests"]))
     with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
         copy_tree(root, Path(tmp))
-        base = run_tests(Path(tmp), tests, args.timeout)
+        base = run_tests(Path(tmp), tests)
     if base != 0:
         print(f"baseline: the listed tests fail without any mutation (pytest exit {base})")
         return 2
@@ -135,7 +130,7 @@ def main(argv=None) -> int:
     outcomes = []
     for entry in entries:
         start = time.perf_counter()
-        outcome, detail = verdict(entry, root, args.timeout)
+        outcome, detail = verdict(entry, root)
         outcomes.append(outcome)
         print(f"{outcome:8} {entry['name']}: {detail} "
               f"({time.perf_counter() - start:.1f} s)", flush=True)
