@@ -379,9 +379,10 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 # Goal plans kept by value (the LRU behind `_plan`), frame goals (compiled
 # over upsets) among them.  One pass of the warm-validity benchmark workload
 # cycles through 240 distinct goals, each in one language, whose plans keep
-# about 0.7 MB (tracemalloc, Python 3.11, freed by clearing the cache); 512
-# holds them twice over.  In front of it `_plan` keeps one more entry, the
-# last goals looked up, matched by identity.
+# about 0.76 MB with their guards (tracemalloc, Python 3.11, freed by
+# clearing the cache; 0.72 MB without them); 512 holds them twice over.  In
+# front of it `_plan` keeps one more entry, the last goals looked up,
+# matched by identity.
 _PROGRAM_CACHE = 512
 
 # The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
@@ -395,6 +396,30 @@ _UPSET_CODE = ("{} & {}", "{} | {}", "impl[{} & ~{}]", "neg[{}]", "tilde[{}]")
 # the rhs error there.  Over a frame: some world in lhs and not in rhs.
 _TESTS = {(_TABLE_CODE, 2): "{} == top and {} != top", (_TABLE_CODE, 1): "{} == top",
           (_UPSET_CODE, 2): "{} & ~{}"}
+
+# The absorbing laws a search's guards may rest on (`_program`), law i read
+# as `l<i>`: a node of the connective is top once its kids have the values
+# given (None: any value).  That is top | b, a | top, bottom -> b, a -> top
+# and top & top.  `!bottom` and `~bottom` would add nothing: a node of one
+# kid is known in the loop its kid is, and is then tested by its value.
+_ABSORBING = ((Or, ("top", None)), (Or, (None, "top")), (Impl, ("bottom", None)),
+              (Impl, (None, "top")), (And, ("top", "top")))
+
+# Per code, what rules a search's test out before its innermost loop: a
+# known lhs failing this format, or a rhs forced to top; and per absorbing
+# law, the lines of `make` that set `l<i>` to whether the bound tables obey
+# it.  Over a frame `|` and `&` are int operators, so top | b, a | top and
+# top & top hold of every mask within top, and bottom -> b and a -> top both
+# read the order's clause at the empty mask.
+_GUARDS = {_TABLE_CODE: ("{} != top", (
+               ("l0 = {*join[top]} == {top}",),
+               ("l1 = True", "for row in join: l1 &= row[top] == top"),
+               ("l2 = {*impl[bottom]} == {top}",),
+               ("l3 = True", "for row in impl: l3 &= row[top] == top"),
+               ("l4 = meet[top][top] == top",))),
+           _UPSET_CODE: ("not {}", (
+               ("l0 = True",), ("l1 = True",), ("l2 = impl[bottom] == top",),
+               ("l3 = impl[bottom] == top",), ("l4 = True",)))}
 
 # Per language of a search's target, the connective it lacks and the error
 # kind a node of it raises (None: none), and the code its goals compile to:
@@ -422,13 +447,19 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     Every distinct node gets one assignment, so a node that `<->` shares is
     computed once.  It is assigned in the loop of its last atom, or before
     every loop when it has none, so it is recomputed only when one of its
-    atoms changes.  The operations are closure cells, so one compiled
-    function serves every algebra of a catalog.  The source holds only
-    fixed identifiers, `d<i>`, `v<i>` and `x<j>`: atom names never enter it.
+    atoms changes.  After the assignments of each loop above the innermost,
+    a search with a test skips to the loop's next value (before every loop:
+    returns None) once the values known there rule the test out
+    (`_guards`), so it passes the same first valuation.  The operations are
+    closure cells, so one compiled function serves every algebra of a
+    catalog; each law a guard reads is checked on them once per `make`
+    call.  The source holds only fixed identifiers, `d<i>`, `v<i>`, `x<j>`,
+    `l<i>` and `row`: atom names never enter it.
     """
     ops = dict(zip((And, Or, Impl, Neg, Tilde), code))
     var = {name: f"v{i}" for i, name in enumerate(names)}
     slot: dict[str, str] = {}
+    shape: dict[str, tuple] = {}  # each node's connective and kids
     # the loop a value is known in: 0 before every loop, i + 1 in the loop of v<i>
     level = {"top": 0, "bottom": 0}
     level.update((v, min(i, _NEST) + 1) for i, v in enumerate(var.values()))
@@ -445,6 +476,7 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
         if expr not in slot:
             slot[expr] = x = f"x{len(slot)}"
             level[x] = max(level[k] for k in kids)
+            shape[x] = t, kids
         return slot[expr]
 
     results = [fold(g, node) for g in goals]
@@ -453,21 +485,76 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     heads = [f"for {v} in {d}:" for v, d in zip(vs[:_NEST], doms)]
     if len(vs) > _NEST:
         heads.append(f"for {', '.join(vs[_NEST:])}, in product({', '.join(doms[_NEST:])}):")
+    fails, checks = _GUARDS[code]
+    guards, read = _guards(results, level, shape, len(heads), fails) if test else ([], ())
     body = [f"def search({', '.join(doms)}):"]
     for depth in range(len(heads) + 1):
         if depth:
             body.append(" " * depth + heads[depth - 1])
         body += [" " * (depth + 1) + f"{x} = {expr}"
                  for expr, x in slot.items() if level[x] == depth]
+        if depth < len(guards) and guards[depth]:
+            body += [" " * (depth + 1) + f"if {' or '.join(guards[depth])}:",
+                     " " * (depth + 2) + ("continue" if depth else "return None")]
     pad = " " * (len(heads) + 1)
     found = f"return ({''.join(v + ', ' for v in vs + results)})"
     body += [pad + found] if test is None else [f"{pad}if {test.format(*results)}:",
                                                  f"{pad} {found}"]
+    laws = [line for i in read for line in checks[i]]
     source = ("def make(meet, join, impl, neg, tilde, top, bottom):\n"
-              + "".join(f" {line}\n" for line in body) + " return search\n")
+              + "".join(f" {line}\n" for line in laws + body) + " return search\n")
     namespace: dict = {"__builtins__": {}, "product": itertools.product}
     exec(compile(source, "<twoneg goal>", "exec"), namespace)
     return namespace["make"]
+
+
+def _conjunction(parts: tuple[str, ...]) -> str:
+    return " and ".join(parts) or "True"
+
+
+def _guards(results: list[str], level: dict[str, int], shape: dict[str, tuple],
+            depths: int, fails: str) -> tuple[list[list[str]], list[int]]:
+    """Per loop depth below `depths`, the conditions on the values known
+    there that rule out the test of a search over (lhs, rhs), or over lhs
+    alone: the lhs, once known, `fails` (a format over it), or the rhs is
+    forced to top through the absorbing laws (`_ABSORBING`), a law read as
+    `l<i>`.  A condition an outer depth already tested is left out, since
+    that depth went on only where it was false.  Also the laws they read."""
+
+    def top_at(x: str, depth: int) -> list[tuple[str, ...]]:
+        # the conjunctions, any one of which forces `x` to top (() always)
+        if level[x] <= depth:
+            return [()] if x == "top" else [(f"{x} == top",)]
+        t, kids = shape.get(x, (None, ()))
+        found = []
+        for i, (law, needs) in enumerate(_ABSORBING):
+            if law is not t:
+                continue
+            parts = [f"l{i}"]
+            for kid, need in zip(kids, needs):
+                if need is None:
+                    continue
+                if need == "top":
+                    sub = top_at(kid, depth)
+                else:
+                    sub = [] if level[kid] > depth else [
+                        () if kid == "bottom" else (f"{kid} == bottom",)]
+                if not sub:
+                    break
+                parts += sub[0] if len(sub) == 1 else [f"({' or '.join(map(_conjunction, sub))})"]
+            else:
+                found.append(tuple(dict.fromkeys(parts)))
+        return found
+
+    lhs, tested, guards = results[0], set(), []
+    for depth in range(depths):
+        conds = [fails.format(lhs)] if level[lhs] == depth and lhs != "top" else []
+        if len(results) == 2:
+            conds += [c for c in map(_conjunction, top_at(results[1], depth)) if c not in tested]
+        tested.update(conds)
+        guards.append(conds)
+    words = " ".join(map(" ".join, guards)).replace("(", " ").replace(")", " ").split()
+    return guards, sorted({int(w[1:]) for w in words if w[0] == "l"})
 
 
 def _last_lookup(planned):

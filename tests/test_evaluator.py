@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, formula, frames
-from twoneg.algebra import (VALID, Verdict, algebra_valid, enumerate_algebras, evaluate,
-                            sequent_valid)
+from twoneg.algebra import (VALID, Algebra, Verdict, algebra_valid, enumerate_algebras,
+                            evaluate, sequent_valid)
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import AlgebraError, FrameError
 from twoneg.formula import (BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse,
@@ -388,9 +388,14 @@ def test_nodes_are_assigned_in_the_loop_of_their_last_atom(b_prime):
     """`!p` reads only the first atom, so a search assigns it in the loop of
     p, outside the loop of q: over n elements the valid goal `!p -> (q ->
     !p)` reads `!` n times, where one call per valuation would read it n^2
-    times, and a node with no atom is read once, before every loop."""
+    times, and a node with no atom is read once, before every loop.  In
+    `!p & ~q -> !p` the loop of q reads `~` once a value, but runs only
+    under the n - 1 values of p where `!p` is not top: at p = 0, `!p` is
+    top and so is the goal (`a -> top`), so the search skips to the next
+    p.  That is n reads of `!` and n (n - 1) of `~`."""
     n = b_prime.size
-    for text, reads in [("!p -> (q -> !p)", n), ("!p & ~q -> !p", n + n * n),
+    assert [p for p in range(n) if b_prime.neg[p] == b_prime.lattice.top] == [0]
+    for text, reads in [("!p -> (q -> !p)", n), ("!p & ~q -> !p", n + n * (n - 1)),
                         ("!top -> (p -> !top)", 1)]:
         names, _, make = algebra._plan((TOP, parse(text)), "ccpba")
         lat = b_prime.lattice
@@ -399,6 +404,78 @@ def test_nodes_are_assigned_in_the_loop_of_their_last_atom(b_prime):
                       lat.top, lat.bottom)
         assert search(*(range(n),) * len(names)) is None
         assert Reads.reads == reads, text
+
+
+def _search(alg, lhs, rhs, join=None, impl=None):
+    """The staged search of the sequent `lhs |- rhs` over `alg`'s tables,
+    `!` and `~` counting their reads (`Reads`), and `join` or `impl` given
+    in place of the algebra's; and its atom names."""
+    names, _, make = algebra._plan((parse(lhs), parse(rhs)), "ccpba")
+    lat = alg.lattice
+    Reads.reads = 0
+    return make(lat.meet, join or lat.join, impl or alg.impl, Reads(alg.neg), Reads(alg.tilde),
+                lat.top, lat.bottom), names
+
+
+def test_a_known_lhs_that_is_not_top_skips_the_inner_loop(b_prime):
+    """`!p |- ~q`: `!p` is known in the loop of p and is top only at p = 0,
+    so the loop of q, which reads `~` once a value, runs under that value
+    alone: n reads of `!` and n of `~`, where the whole nest reads `~` n^2
+    times."""
+    n = b_prime.size
+    search, names = _search(b_prime, "!p", "~q")
+    assert search(*(range(n),) * len(names)) is None
+    assert Reads.reads == n + n
+
+
+def test_a_rhs_forced_to_top_skips_the_inner_loop(b_prime):
+    """`top |- (q -> q) | p`: `q -> q` is known in the loop of q and is top,
+    and so the goal is by `top | b`: the loop of p, which reads the join
+    table once a value, never runs.  The join table is read once, when the
+    law is checked on it."""
+    n = b_prime.size
+    join = Reads(b_prime.lattice.join)
+    search, names = _search(b_prime, "top", "(q -> q) | p", join=join)
+    assert names == ("q", "p")
+    assert search(*(range(n),) * len(names)) is None
+    assert Reads.reads == 1
+
+
+def test_a_broken_law_runs_the_whole_nest(b_prime):
+    """`!p & ~q -> !p` rests on `a -> top` at p = 0 (see above).  With
+    `a -> top` broken at `a`, a value that no valuation gives `!p & ~q`, the
+    goal stays valid, but the search no longer skips: n reads of `!` and
+    n^2 of `~`, and the same verdict as the scan of that record."""
+    n, top = b_prime.size, b_prime.lattice.top
+    rows = [list(row) for row in b_prime.impl]
+    rows[1][top] = 1
+    impl = tuple(map(tuple, rows))
+    search, names = _search(b_prime, "top", "!p & ~q -> !p", impl=impl)
+    assert search(*(range(n),) * len(names)) is None
+    assert Reads.reads == n + n * n
+    alg = Algebra(b_prime.name, b_prime.lattice, impl, b_prime.neg, b_prime.tilde_one,
+                  b_prime.tilde)
+    f = parse("!p & ~q -> !p")
+    assert algebra_valid(alg, f) == sequent_scan(alg, TOP, f) == VALID
+
+
+def test_a_frame_lhs_with_no_world_skips_the_inner_loop():
+    """Over the 2-world chain frame whose every world is queer, so that `~q`
+    holds everywhere, `!p |- ~q`: `!p` holds at some world only for p the
+    empty upset, so the loop of q, which reads the `~` clause once a value,
+    runs under that value alone."""
+    fr = frames.build_subnormal(["a", "b"], [("a", "b")], ["a", "b"])
+    ups = frame_upsets(fr.leq)
+    names, _, make = algebra._plan((parse("!p"), parse("~q")), "frame")
+    # each clause as a tuple over every world mask
+    order, tilde = (tuple(frames._no_successor_in(rel)(s) for s in range(1 << fr.size))
+                    for rel in (fr.leq, fr.tilde))
+    Reads.reads = 0
+    search = make(None, None, order, Reads(order), Reads(tilde), (1 << fr.size) - 1, 0)
+    masks = [sum(1 << w for w in u) for u in ups]
+    assert search(*(masks,) * len(names)) is None
+    assert [order[s] != 0 for s in masks] == [True, False, False]
+    assert Reads.reads == len(ups) + len(ups)
 
 
 def test_goals_of_many_atoms_compile():
