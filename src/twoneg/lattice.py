@@ -16,7 +16,9 @@ others read them from two caches keyed by the order alone:
   their frames.
 
 Enumeration is graded by downsets and each level is built once per process;
-`all_lattices` and `all_posets` are views over the levels.
+`all_lattices` is a view over the levels.  `all_posets` is not: it joins
+`_posets_by_size`, graded by element count, and no module of the package
+calls it, only the tests and the perfbench tracer.
 """
 
 from __future__ import annotations

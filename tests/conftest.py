@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from twoneg.algebra import Algebra, attach_negations
+from twoneg.frames import build_subnormal
 from twoneg.lattice import build_lattice, derive_heyting
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,6 +64,11 @@ def h6():
         ["0", "y", "z", "w", "x", "1"],
         [("0", "y"), ("0", "z"), ("y", "w"), ("z", "w"), ("z", "x"),
          ("w", "1"), ("x", "1")])
+
+
+@pytest.fixture
+def fork():
+    return build_subnormal(["w0", "w1", "w2"], [("w0", "w1"), ("w0", "w2")], ["w2"])
 
 
 @pytest.fixture(scope="session")

@@ -1,20 +1,58 @@
-"""Test-only helpers over the package API: products of chains, the
+"""Test-only helpers over the package API: the formula strategy, the
+outcome of a call and its comparison, products of chains, the
 implication-free reduct of a two-negation algebra, a frame model with
 pointwise truth, and N-hat frames whose `!` relation is off the order."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from twoneg._record import record
 from twoneg.algebra import build_kim
-from twoneg.errors import FrameError
-from twoneg.formula import Formula
+from twoneg.errors import FrameError, WorkbenchError
+from twoneg.formula import BOT, TOP, And, Atom, Formula, Impl, Neg, Or, Tilde
 from twoneg.frames import Frame, NhatFrame, truth_set
 from twoneg.lattice import all_posets, build_lattice
 
 from oracles import is_upset
+
+
+@functools.cache
+def formulas(names: tuple[str, ...], with_impl: bool = True, max_leaves: int = 8):
+    """Formulas over the atoms `names`, with `->` and `<->` as the parser
+    builds it (sharing both sides) when `with_impl` is set.  One strategy
+    per argument tuple: building it is most of the cost of drawing from it."""
+    leaves = st.sampled_from([TOP, BOT] + [Atom(n) for n in names])
+
+    def grow(kids):
+        nodes = [st.builds(And, kids, kids), st.builds(Or, kids, kids),
+                 st.builds(Neg, kids), st.builds(Tilde, kids)]
+        if with_impl:
+            nodes += [st.builds(Impl, kids, kids),
+                      st.builds(lambda a, b: And(Impl(a, b), Impl(b, a)), kids, kids)]
+        return st.one_of(nodes)
+
+    return st.recursive(leaves, grow, max_leaves=max_leaves)
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the class, kind, witness and detail of the error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except WorkbenchError as e:
+        return (type(e).__name__, e.kind, e.witness, e.detail)
+
+
+def same(a, b) -> bool:
+    """Equal outcomes; an offending `Formula` witness must be the same object."""
+    if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b) == 4 \
+            and isinstance(a[2], Formula):
+        return a[:2] == b[:2] and a[2] is b[2] and a[3] == b[3]
+    return a == b
 
 
 def chain_product(dims):

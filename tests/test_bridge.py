@@ -10,28 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, bridge
 from twoneg._record import replace
-from twoneg.algebra import (algebra_valid, attach_negations, classify_algebra,
-                            enumerate_algebras, iso_check, sequent_valid)
+from twoneg.algebra import algebra_valid, attach_negations, enumerate_algebras, sequent_valid
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
                            canonical_frame_kim, complex_algebra_compat,
                            complex_algebra_subnormal, frame_embedding,
                            kim_algebra_embedding, kim_frame_embedding,
                            prime_filters, sigma, stone_embedding)
 from twoneg.errors import AlgebraError
-from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
+from twoneg.formula import parse
 from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_valid, frame_sequent_valid, is_identity,
                            frame_upsets, read_frame)
 from twoneg.lattice import all_lattices, build_lattice, transitive_reduction
 
-from support import chain_product, kim_reduct
+from support import chain_product, formulas, kim_reduct
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-@pytest.fixture
-def fork():
-    return build_subnormal(["w0", "w1", "w2"], [("w0", "w1"), ("w0", "w2")], ["w2"])
 
 
 def test_prime_filters_examples(chain3):
@@ -320,23 +314,9 @@ FRAMES = ([read_frame((SRC.parent / "tests" / "fixtures" / "three_world.frm").re
           + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 6)])
 
 
-def _formulas(implication):
-    leaves = st.one_of(st.sampled_from(["p", "q", "r"]).map(Atom),
-                       st.just(TOP), st.just(BOT))
-
-    def grow(kids):
-        nodes = [st.builds(And, kids, kids), st.builds(Or, kids, kids),
-                 st.builds(Neg, kids), st.builds(Tilde, kids)]
-        if implication:
-            nodes.append(st.builds(Impl, kids, kids))
-        return st.one_of(nodes)
-
-    return st.recursive(leaves, grow, max_leaves=6)
-
-
 def _frame_and_goal():
     return st.sampled_from(FRAMES).flatmap(lambda fr: st.tuples(
-        st.just(fr), _formulas(isinstance(fr, SubNormalFrame))))
+        st.just(fr), formulas(("p", "q", "r"), isinstance(fr, SubNormalFrame), max_leaves=6)))
 
 
 @settings(max_examples=200, deadline=None)

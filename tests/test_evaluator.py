@@ -16,70 +16,17 @@ from twoneg.algebra import (VALID, Algebra, Verdict, algebra_valid, enumerate_al
                             evaluate, sequent_valid)
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.errors import AlgebraError, FrameError
-from twoneg.formula import (BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse,
-                            subformulas)
+from twoneg.formula import TOP, Impl, Tilde, atoms, parse, subformulas
 from twoneg.frames import frame_sequent_valid, frame_upsets, frame_valid, truth_set
 
 from oracles import sequent_scan, walk
-from support import kim_reduct
+from support import formulas, kim_reduct, outcome, same
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
 
 # Names a careless code generator would confuse with its own identifiers.
 NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "d0", "make", "search"]
-
-
-def valuations(alg, names):
-    for combo in itertools.product(range(alg.size), repeat=len(names)):
-        yield dict(zip(names, combo))
-
-
-def walk_valid(alg, f):
-    for v in valuations(alg, atoms(f)):
-        if walk(alg, f, v) != alg.lattice.top:
-            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
-    return VALID
-
-
-def walk_sequent(alg, lhs, rhs):
-    top = alg.lattice.top
-    for v in valuations(alg, atoms(And(lhs, rhs))):
-        if walk(alg, lhs, v) == top and walk(alg, rhs, v) != top:
-            return Verdict(False, {k: alg.element(i) for k, i in v.items()})
-    return VALID
-
-
-def outcome(fn, *args):
-    """The result, or the kind and witness of the AlgebraError raised."""
-    try:
-        return fn(*args)
-    except AlgebraError as e:
-        return ("raised", e.kind, e.witness)
-
-
-def same(a, b) -> bool:
-    """Equal outcomes; an offending node must be the same object."""
-    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(a[2], Impl | Tilde):
-        return a[:2] == b[:2] and a[2] is b[2]
-    return a == b
-
-
-def formulas(names, with_impl=True):
-    leaves = st.one_of(st.sampled_from(names).map(Atom), st.just(TOP), st.just(BOT))
-
-    def grow(kids):
-        nodes = [st.builds(And, kids, kids), st.builds(Or, kids, kids),
-                 st.builds(Neg, kids), st.builds(Tilde, kids)]
-        if with_impl:
-            # `<->` as the parser builds it, sharing both sides
-            nodes += [st.builds(Impl, kids, kids),
-                      st.builds(lambda a, b: And(Impl(a, b), Impl(b, a)), kids, kids)]
-        return st.one_of(nodes)
-
-    return st.recursive(leaves, grow, max_leaves=8)
-
-
-names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
+names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True).map(tuple)
 goals = st.tuples(names3, st.booleans()).flatmap(lambda t: formulas(*t))
 
 
@@ -108,7 +55,8 @@ def test_values_agree_on_every_valuation(f):
 @given(goals)
 def test_validity_verdicts_agree(f):
     for alg in CATALOG:
-        assert same(outcome(algebra_valid, alg, f), outcome(walk_valid, alg, f)), alg.name
+        assert same(outcome(algebra_valid, alg, f),
+                    outcome(sequent_scan, alg, TOP, f)), alg.name
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +67,7 @@ def test_sequent_verdicts_agree(goal):
     lhs, rhs = goal
     for alg in CATALOG:
         assert same(outcome(sequent_valid, alg, lhs, rhs),
-                    outcome(walk_sequent, alg, lhs, rhs)), alg.name
+                    outcome(sequent_scan, alg, lhs, rhs)), alg.name
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from twoneg.algebra import VALID, enumerate_algebras
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
                            complex_algebra_compat)
 from twoneg.errors import FrameError
-from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, atoms, parse
+from twoneg.formula import TOP, And, Atom, Impl, Neg, atoms, parse
 from twoneg import frames
 from twoneg.frames import (NhatFrame, SubNormalFrame, _bind, _no_successor_in, _upsets,
                            build_compat, build_subnormal, frame_sequent_valid,
@@ -31,7 +31,7 @@ from twoneg.lattice import _bits
 from twoneg.translate import phi
 
 from oracles import frame_scan, frame_walk as walk, no_successor_in
-from support import off_order
+from support import formulas, off_order, outcome, same
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBNORMAL = ([read_frame((FIXTURES / "three_world.frm").read_text())]
@@ -65,37 +65,9 @@ def mask(s) -> int:
     return sum(1 << w for w in s)
 
 
-def outcome(fn, *args):
-    """The result, or the kind and witness of the FrameError raised."""
-    try:
-        return fn(*args)
-    except FrameError as e:
-        return ("raised", e.kind, e.witness)
-
-
-def same(a, b) -> bool:
-    """Equal outcomes; an offending node must be the same object."""
-    if isinstance(a, tuple) and isinstance(b, tuple) and a[1] == "wrong-language":
-        return a[:2] == b[:2] and a[2] is b[2]
-    return a == b
-
-
-def formulas(names):
-    leaves = st.one_of(st.sampled_from(names).map(Atom), st.just(TOP), st.just(BOT))
-
-    def grow(kids):
-        return st.one_of(
-            st.builds(And, kids, kids), st.builds(Or, kids, kids),
-            st.builds(Neg, kids), st.builds(Tilde, kids), st.builds(Impl, kids, kids),
-            # `<->` as the parser builds it, sharing both sides
-            st.builds(lambda a, b: And(Impl(a, b), Impl(b, a)), kids, kids))
-
-    return st.recursive(leaves, grow, max_leaves=8)
-
-
-names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
+names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True).map(tuple)
 goals = names3.flatmap(formulas)
-names2 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True)
+names2 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=2, unique=True).map(tuple)
 goals2 = names2.flatmap(formulas)
 sequents2 = names2.flatmap(lambda ns: st.tuples(formulas(ns), formulas(ns)))
 

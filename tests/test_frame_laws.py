@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg.bridge import complex_algebra_compat, complex_algebra_subnormal
-from twoneg.errors import AlgebraError, FrameError
+from twoneg.errors import AlgebraError
 from twoneg.frames import (_COMPAT_LAWS, _NHAT_LAWS, _SUBCOMPAT_LAWS, _SUBNORMAL_LAWS,
                            CompatFrame, NhatFrame, SubNormalFrame, build_compat,
                            build_nhat, build_subnormal, dne_tilde_top_witness,
@@ -27,15 +27,9 @@ from twoneg.lattice import all_posets
 from twoneg.translate import phi
 
 import oracles
+from support import outcome
 
 POSETS = [leq for _, found in sorted(all_posets(5).items()) for leq in found]
-
-
-def _outcome(build, *args, **kwargs):
-    try:
-        return build(*args, **kwargs)
-    except FrameError as e:
-        return ("raises", e.kind, e.witness, e.detail)
 
 
 def _relations(leq):
@@ -70,16 +64,16 @@ def test_table_builders_match_the_hand_written_sequences(case):
     names = tuple(f"w{i}" for i in range(len(leq)))
     order = _pairs(names, leq)
     y0_names = [names[i] for i in sorted(y0)]
-    assert (_outcome(build_subnormal, names, order, y0_names)
-            == _outcome(oracles.build_subnormal, names, order, y0_names))
+    assert (outcome(build_subnormal, names, order, y0_names)
+            == outcome(oracles.build_subnormal, names, order, y0_names))
     rn1_pairs, rn2_pairs, c_pairs = (_pairs(names, r) for r in (rn1, rn2, c))
-    assert (_outcome(build_nhat, names, order, rn1_pairs, rn2_pairs)
-            == _outcome(oracles.build_nhat, names, order, rn1_pairs, rn2_pairs))
+    assert (outcome(build_nhat, names, order, rn1_pairs, rn2_pairs)
+            == outcome(oracles.build_nhat, names, order, rn1_pairs, rn2_pairs))
     nh = NhatFrame(names, leq, rn1, rn2)
     assert nhat_violations(nh) == oracles.nhat_violations(nh)
     for strict in (False, True):
-        assert (_outcome(build_compat, names, order, c_pairs, require_subcompat=strict)
-                == _outcome(oracles.build_compat, names, order, c_pairs,
+        assert (outcome(build_compat, names, order, c_pairs, require_subcompat=strict)
+                == outcome(oracles.build_compat, names, order, c_pairs,
                             require_subcompat=strict))
     cf = CompatFrame(names, leq, c)
     assert subcompat_violation(cf) == oracles.subcompat_violation(cf)
@@ -88,7 +82,7 @@ def test_table_builders_match_the_hand_written_sequences(case):
         assert tilde_top_worlds(fr) == oracles.tilde_top_worlds(fr)
         assert dne_tilde_top_witness(fr) == oracles.dne_tilde_top_witness(fr)
         assert is_identity(fr) == oracles.is_identity(fr)
-    assert _outcome(phi, sn) == _outcome(oracles.phi, sn)
+    assert outcome(phi, sn) == outcome(oracles.phi, sn)
 
 
 def test_each_kind_lists_its_laws_in_checking_order():

@@ -4,18 +4,12 @@ import pytest
 
 from twoneg.errors import BoundGuardError, FrameError
 from twoneg.formula import parse
-from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
-                           build_compat, build_nhat, build_subnormal,
-                           dne_tilde_top_witness, frame_valid,
-                           frame_sequent_valid, is_identity, subcompat_violation,
-                           read_frame, truth_set, write_frame)
+from twoneg.frames import (CompatFrame, build_compat, build_nhat, build_subnormal,
+                           dne_tilde_top_witness, frame_valid, frame_sequent_valid,
+                           is_identity, subcompat_violation, read_frame, truth_set,
+                           write_frame)
 
 from support import FrameModel, truth_at
-
-
-@pytest.fixture
-def fork():
-    return build_subnormal(["w0", "w1", "w2"], [("w0", "w1"), ("w0", "w2")], ["w2"])
 
 
 def test_build_fork_valid(fork):

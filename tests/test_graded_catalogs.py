@@ -20,12 +20,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from twoneg import algebra, lattice
 from twoneg.algebra import enumerate_algebras
-from twoneg.errors import WorkbenchError
-from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
+from twoneg.formula import parse
 from twoneg.lattice import all_lattices
 from twoneg.proofs import HILBERT_SYSTEMS, SEQUENT_SYSTEMS, countermodel_search
 
+from support import formulas, outcome
+
 SYSTEMS = sorted(HILBERT_SYSTEMS) + sorted(SEQUENT_SYSTEMS)
+PQR = ("p", "q", "r")
 
 
 def _clear_catalog_caches():
@@ -34,33 +36,13 @@ def _clear_catalog_caches():
         fn.cache_clear()
 
 
-def formulas(with_impl=True):
-    leaves = st.one_of(st.sampled_from("pqr").map(Atom), st.just(TOP), st.just(BOT))
-
-    def grow(kids):
-        nodes = [st.builds(And, kids, kids), st.builds(Or, kids, kids),
-                 st.builds(Neg, kids), st.builds(Tilde, kids)]
-        if with_impl:
-            nodes.append(st.builds(Impl, kids, kids))
-        return st.one_of(nodes)
-
-    return st.recursive(leaves, grow, max_leaves=6)
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except WorkbenchError as e:
-        return ("raised", type(e), e.kind, e.witness, e.detail)
-
-
 def sides():
-    return st.one_of(formulas(False), formulas())
+    return st.one_of(formulas(PQR, False, max_leaves=6), formulas(PQR, max_leaves=6))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(SYSTEMS + ["ILM3"]), st.integers(-1, 7),
-       st.one_of(formulas(), st.tuples(sides(), sides())))
+       st.one_of(formulas(PQR, max_leaves=6), st.tuples(sides(), sides())))
 def test_search_agrees_with_the_full_scan(system, max_size, goal):
     """Either goal kind for every system and for an unknown one, with `->`
     allowed on both sides of a sequent, so that every error of the merged

@@ -24,9 +24,11 @@ from twoneg.algebra import (ClassReport, Flag, KiteReport, _absorb, _antitone, _
                             _residuation_witness, build_au, classify_algebra,
                             classify_negation_pair, enumerate_algebras, kim_violations)
 from twoneg.bridge import _require_ccpba, canonical_frame_ccpba, complex_algebra_subnormal
-from twoneg.errors import AlgebraError, WorkbenchError
+from twoneg.errors import AlgebraError
 from twoneg.frames import is_identity
 from twoneg.lattice import all_lattices, derive_heyting
+
+from support import outcome
 
 LATTICES = all_lattices(6)
 
@@ -123,21 +125,14 @@ def old_ccpba_flags(alg):
 
 # -- helpers -----------------------------------------------------------------
 
-def _outcome(fn, *args, **kwargs):
-    try:
-        return ("ok", fn(*args, **kwargs))
-    except WorkbenchError as e:
-        return (type(e).__name__, e.kind, e.witness, e.detail)
-
-
 def _pseudo_complement(lat):
     return tuple(row[lat.bottom] for row in derive_heyting(lat))
 
 
 def _assert_same_laws(lat, neg, tilde):
     assert kim_violations(lat, neg, tilde) == old_kim_violations(lat, neg, tilde)
-    assert (_outcome(classify_negation_pair, lat, neg, tilde)
-            == _outcome(old_classify_negation_pair, lat, neg, tilde))
+    assert (outcome(classify_negation_pair, lat, neg, tilde)
+            == outcome(old_classify_negation_pair, lat, neg, tilde))
 
 
 def _assert_same_classes(alg):
@@ -147,10 +142,10 @@ def _assert_same_classes(alg):
     if alg.tilde is None:
         want = ("AlgebraError", "not-a-ccpba", alg.name, "no tilde_one attached")
     elif ccpba.holds:
-        want = ("ok", alg)
+        want = alg
     else:
         want = ("AlgebraError", "not-a-ccpba", alg.name, str(ccpba.witness))
-    assert _outcome(_require_ccpba, alg) == want
+    assert outcome(_require_ccpba, alg) == want
 
 
 def _unary(n):
@@ -266,7 +261,7 @@ def test_complex_algebra_check_matches_former_route(fr, data):
     real = bridge.attach_negations
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bridge, "attach_negations", lambda *a, **k: corrupt(real(*a, **k)))
-        got = _outcome(complex_algebra_subnormal, fr)
+        got = outcome(complex_algebra_subnormal, fr)
     alg = corrupt(complex_algebra_subnormal(fr))
     report = old_classify_algebra(alg)
     if not report.is_ccpba.holds:
@@ -274,7 +269,7 @@ def test_complex_algebra_check_matches_former_route(fr, data):
     elif is_identity(fr) and not report.is_cvcpba.holds:
         want = ("VerificationError", "complex-not-cvcpba", report.is_cvcpba.witness, "")
     else:
-        want = ("ok", alg)
+        want = alg
     assert got == want
 
 
@@ -296,12 +291,12 @@ def test_build_au_check_matches_former_route(case, data):
     real = algebra.attach_negations
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "attach_negations", lambda *a, **k: corrupt(real(*a, **k)))
-        got = _outcome(build_au, h, u1, u2)
+        got = outcome(build_au, h, u1, u2)
         # every check before the ccpba one, then that one by the former route
         mp.setattr(algebra, "ccpba_flags", lambda alg: (Flag(True), Flag(True)))
-        want = _outcome(build_au, h, u1, u2)
-    if want[0] == "ok":
-        ccpba = old_ccpba_flags(want[1])[1]
+        want = outcome(build_au, h, u1, u2)
+    if not isinstance(want, tuple):
+        ccpba = old_ccpba_flags(want)[1]
         if not ccpba.holds:
             want = ("VerificationError", "au-not-ccpba", ccpba.witness, "")
     assert got == want

@@ -19,11 +19,12 @@ from collections import Counter
 import pytest
 
 from twoneg import frames
-from twoneg.errors import FrameError, LatticeError, WorkbenchError
+from twoneg.errors import FrameError, LatticeError
 from twoneg.lattice import (_up_masks, all_lattices, all_posets, build_lattice,
                             transitive_reduction, upsets_of, FiniteLattice)
 
 from oracles import distributivity_witness
+from support import outcome
 
 
 def closure(n, pairs):
@@ -140,14 +141,6 @@ def recursive_upsets(leq):
     rec(0, set())
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
-
-
-def outcome(fn, *args, **kwargs):
-    """The result, or the class, kind, witness and detail of the error raised."""
-    try:
-        return fn(*args, **kwargs)
-    except WorkbenchError as e:
-        return (type(e).__name__, e.kind, e.witness, e.detail)
 
 
 def relabel(leq, perm):

@@ -20,8 +20,10 @@ from twoneg import algebra
 from twoneg.algebra import (_PATH, _path_failure, classify_algebra, classify_negation_pair,
                             enumerate_algebras, kim_violations)
 from twoneg.bridge import canonical_frame_kim, complex_algebra_compat
-from twoneg.errors import LatticeError, WorkbenchError
+from twoneg.errors import LatticeError
 from twoneg.lattice import all_lattices, derive_heyting
+
+from support import outcome
 
 SEED = 20181
 PERTURBATIONS = 20
@@ -57,13 +59,6 @@ def _pseudo_complement(lat):
         return None
 
 
-def _outcome(fn, *args):
-    try:
-        return ("ok", fn(*args))
-    except WorkbenchError as e:
-        return (type(e).__name__, e.kind, e.witness, e.detail)
-
-
 def _law_results():
     """`kim_violations` and `classify_negation_pair` on every case, with `t`
     as the minimal negation against the pseudo-complement (where the lattice
@@ -76,7 +71,7 @@ def _law_results():
             pairs.append((neg, t))
         for neg, tilde in pairs:
             out.append((kim_violations(lat, neg, tilde),
-                        _outcome(classify_negation_pair, lat, neg, tilde)))
+                        outcome(classify_negation_pair, lat, neg, tilde)))
     return out
 
 

@@ -340,3 +340,23 @@ def test_only_the_frame_search_memoizes_clauses():
                 made.append((path.stem, inside.get(id(node))))
     assert kept == []
     assert made and set(made) == {("frames", "_bind")}
+
+
+def test_test_helpers_are_defined_once():
+    """The formula strategy, the outcome of a call and its comparison live
+    in `tests/support.py` and the `fork` frame fixture in
+    `tests/conftest.py`; no test module defines its own, save the parser
+    tests' deeper round-trip strategy and their `_outcome`, which also
+    reads the expected token set."""
+    helpers = {"formulas", "_formulas", "outcome", "_outcome", "same", "_same", "fork"}
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        defined = [node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        defined += [t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)]
+        found += [(path.stem, name) for name in defined if name in helpers]
+    assert sorted(found) == [("conftest", "fork"), ("support", "formulas"),
+                             ("support", "outcome"), ("support", "same"),
+                             ("test_formula", "_outcome"), ("test_formula", "formulas")]

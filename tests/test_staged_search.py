@@ -26,14 +26,13 @@ from twoneg import algebra
 from twoneg._record import replace
 from twoneg.algebra import ATOM_GUARD, enumerate_algebras, evaluate, sequent_valid
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
-from twoneg.errors import AlgebraError, BoundGuardError, FrameError
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (WORLD_GUARD, build_subnormal, frame_sequent_valid, frame_upsets,
                            frame_valid, truth_set)
 from twoneg.translate import phi
 
 from oracles import frame_scan, frame_walk, sequent_scan, walk
-from support import off_order
+from support import formulas, off_order, outcome, same
 
 CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
 SUBNORMAL = [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 5)]
@@ -42,37 +41,6 @@ FRAMES = (SUBNORMAL + [phi(fr) for fr in SUBNORMAL]
 
 # Names a careless code generator would confuse with its own identifiers.
 NAMES = ["p", "q", "dom", "d0", "bottom", "product", "x0", "v0"]
-
-
-def outcome(fn, *args, **kwargs):
-    """The verdict, or the kind of the error raised, its witness and detail."""
-    try:
-        return fn(*args, **kwargs)
-    except (AlgebraError, FrameError, BoundGuardError) as e:
-        return ("raised", e.kind, e.witness, e.detail)
-
-
-def same(a, b) -> bool:
-    """Equal outcomes; an offending node must be the same object."""
-    if isinstance(a, tuple) and isinstance(b, tuple) and isinstance(a[2], Impl | Tilde):
-        return a[:2] == b[:2] and a[2] is b[2]
-    return a == b
-
-
-@functools.cache
-def formulas(names: tuple[str, ...]):
-    """Formulas over the atoms `names`, one strategy per tuple of names:
-    building it is most of the cost of drawing from it."""
-    leaves = st.sampled_from([TOP, BOT] + [Atom(n) for n in names])
-
-    def grow(kids):
-        return st.one_of(
-            st.builds(And, kids, kids), st.builds(Or, kids, kids),
-            st.builds(Neg, kids), st.builds(Tilde, kids), st.builds(Impl, kids, kids),
-            # `<->` as the parser builds it, sharing both sides
-            st.builds(lambda a, b: And(Impl(a, b), Impl(b, a)), kids, kids))
-
-    return st.recursive(leaves, grow, max_leaves=8)
 
 
 @functools.cache

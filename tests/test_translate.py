@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from twoneg.errors import FrameError, WorkbenchError
+from twoneg.errors import FrameError
 from twoneg.formula import parse
 from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
                            dne_tilde_top_witness, frame_valid, is_identity,
@@ -13,6 +11,7 @@ from twoneg.lattice import all_posets
 from twoneg.translate import phi, psi
 
 import oracles
+from support import outcome
 
 BATTERY = [parse(t) for t in [
     "p | ~p", "!p -> ~p", "~~p", "~top", "!!~top <-> ~top",
@@ -65,14 +64,6 @@ def former_phi(fr):
     if former_is_identity(fr) and not is_identity(out):
         raise FrameError("translation-broke-identity", None)
     return out
-
-
-def outcome(fn, *args):
-    """The result, or the class, kind, witness and detail of the error raised."""
-    try:
-        return fn(*args)
-    except WorkbenchError as e:
-        return (type(e).__name__, e.kind, e.witness, e.detail)
 
 
 def test_subnormal_tilde_relation_matches_former_code():

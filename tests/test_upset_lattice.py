@@ -61,11 +61,6 @@ def _pool_algebras():
         yield read_algebra(GEN.algebra_text(key, names, pairs, spec["tilde_one"]))
 
 
-@pytest.fixture
-def fork():
-    return build_subnormal(["w0", "w1", "w2"], [("w0", "w1"), ("w0", "w2")], ["w2"])
-
-
 def _matches_oracle(fr) -> bool:
     ups = frame_upsets(fr.leq)
     masks, pos, lat = bridge._upset_lattice(fr)
