@@ -21,9 +21,9 @@ from .errors import (AlgebraError, BoundGuardError, FileFormatError, LatticeErro
                      VerificationError, content_lines, given_once)
 from .formula import (TOP, And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top,
                       atoms, contains, fold, subformulas)
-from .lattice import (FiniteLattice, OpTable, _below, _bits, _decoded, _lattice, _lattices,
-                      _residuum, _transpose, _up_masks, build_lattice, canonical_form,
-                      derive_heyting, transitive_reduction)
+from .lattice import (FiniteLattice, OpTable, Unary, _below, _bits, _decoded, _lattice,
+                      _lattices, _residuum, _transpose, _up_masks, build_lattice,
+                      canonical_form, derive_heyting, transitive_reduction)
 
 __all__ = [
     "Algebra", "KimAlgebra", "AnyAlgebra", "Verdict", "Flag", "KiteReport",
@@ -32,8 +32,6 @@ __all__ = [
     "tilde_one_candidates", "build_au", "iso_check", "enumerate_algebras",
     "read_algebra", "write_algebra", "CATALOG_CLASSES", "SIZE_GUARD", "ATOM_GUARD",
 ]
-
-Unary = tuple[int, ...]
 
 
 @record
@@ -385,18 +383,6 @@ def build_kim(lat: FiniteLattice, neg: Unary, tilde: Unary, *, name: str = "") -
 # matched by identity.
 _PROGRAM_CACHE = 512
 
-# The code of And, Or, Impl, Neg and Tilde over the op tables, and over the
-# world masks of a frame (`frames._bind`).
-_TABLE_CODE = ("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]")
-_UPSET_CODE = ("{} & {}", "{} | {}", "impl[{} & ~{}]", "neg[{}]", "tilde[{}]")
-
-# What a search of (lhs, rhs) stops at, by its code and the number of goals
-# it keeps.  Over an algebra: lhs at top and rhs not, or lhs at top alone
-# when only the rhs has a node the language lacks, so that the search raises
-# the rhs error there.  Over a frame: some world in lhs and not in rhs.
-_TESTS = {(_TABLE_CODE, 2): "{} == top and {} != top", (_TABLE_CODE, 1): "{} == top",
-          (_UPSET_CODE, 2): "{} & ~{}"}
-
 # The absorbing laws a search's guards may rest on (`_program`), law i read
 # as `l<i>`: a node of the connective is top once its kids have the values
 # given (None: any value).  That is top | b, a | top, bottom -> b, a -> top
@@ -405,29 +391,37 @@ _TESTS = {(_TABLE_CODE, 2): "{} == top and {} != top", (_TABLE_CODE, 1): "{} == 
 _ABSORBING = ((Or, ("top", None)), (Or, (None, "top")), (Impl, ("bottom", None)),
               (Impl, (None, "top")), (And, ("top", "top")))
 
-# Per code, what rules a search's test out before its innermost loop: a
-# known lhs failing this format, or a rhs forced to top; and per absorbing
-# law, the lines of `make` that set `l<i>` to whether the bound tables obey
-# it.  Over a frame `|` and `&` are int operators, so top | b, a | top and
-# top & top hold of every mask within top, and bottom -> b and a -> top both
-# read the order's clause at the empty mask.
-_GUARDS = {_TABLE_CODE: ("{} != top", (
+# Per kind of search target, one row: the code of And, Or, Impl, Neg and
+# Tilde; the test a search of (lhs, rhs) stops at, by the number of goals it
+# keeps; the format a known lhs fails where no stop test can hold, which
+# like a rhs forced to top rules the test out before the innermost loop; and
+# per absorbing law, the lines of `make` that set `l<i>` to whether the
+# bound tables obey it.  Over the op tables a search stops at lhs at top and
+# rhs not, or at lhs at top alone when only the rhs has a node the language
+# lacks, so that it raises the rhs error there.  Over the world masks of a
+# frame (`frames._bind`) it stops at some world in lhs and not in rhs; `|`
+# and `&` are int operators, so top | b, a | top and top & top hold of every
+# mask within top, and bottom -> b and a -> top both read the order's clause
+# at the empty mask.
+_TABLES = (("meet[{}][{}]", "join[{}][{}]", "impl[{}][{}]", "neg[{}]", "tilde[{}]"),
+           {2: "{} == top and {} != top", 1: "{} == top"}, "{} != top", (
                ("l0 = {*join[top]} == {top}",),
                ("l1 = True", "for row in join: l1 &= row[top] == top"),
                ("l2 = {*impl[bottom]} == {top}",),
                ("l3 = True", "for row in impl: l3 &= row[top] == top"),
-               ("l4 = meet[top][top] == top",))),
-           _UPSET_CODE: ("not {}", (
+               ("l4 = meet[top][top] == top",)))
+_UPSETS = (("{} & {}", "{} | {}", "impl[{} & ~{}]", "neg[{}]", "tilde[{}]"),
+           {2: "{} & ~{}"}, "not {}", (
                ("l0 = True",), ("l1 = True",), ("l2 = impl[bottom] == top",),
-               ("l3 = impl[bottom] == top",), ("l4 = True",)))}
+               ("l3 = impl[bottom] == top",), ("l4 = True",)))
 
 # Per language of a search's target, the connective it lacks and the error
-# kind a node of it raises (None: none), and the code its goals compile to:
+# kind a node of it raises (None: none), and the row its goals compile by:
 # Kim, plain pseudo-Boolean and two-negation algebras, compatibility frames
 # and the other frames.  No other evaluation code names either.
-_LANGUAGES = {"kim": (Impl, "implication-in-kim-language", _TABLE_CODE),
-              "pba": (Tilde, "tilde-undefined", _TABLE_CODE), "ccpba": (None, None, _TABLE_CODE),
-              "compat": (Impl, "wrong-language", _UPSET_CODE), "frame": (None, None, _UPSET_CODE)}
+_LANGUAGES = {"kim": (Impl, "implication-in-kim-language", _TABLES),
+              "pba": (Tilde, "tilde-undefined", _TABLES), "ccpba": (None, None, _TABLES),
+              "compat": (Impl, "wrong-language", _UPSETS), "frame": (None, None, _UPSETS)}
 
 # The loops a search nests at most: CPython nests at most 20 blocks, so the
 # atoms from the 20th on share one innermost loop over `product` of their
@@ -435,14 +429,14 @@ _LANGUAGES = {"kim": (Impl, "implication-in-kim-language", _TABLE_CODE),
 _NEST = 19
 
 
-def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
-             code: tuple[str, ...] = _TABLE_CODE, test: str | None = None):
-    """Compile `goals` over the atoms `names` into a factory
-    `make(meet, join, impl, neg, tilde, top, bottom)` of `search(d0, ...,
-    dk)`: one loop per atom over that atom's domain, in `itertools.product`
-    order, that returns the atoms' values and then the goals' values at the
-    first valuation passing `test` (a format over the goals' values), or at
-    the first valuation when `test` is None; None when no valuation passes.
+def _program(goals: tuple[Formula, ...], names: tuple[str, ...], row: tuple, test: str | None):
+    """Compile `goals` over the atoms `names` by the code of `row`
+    (`_TABLES`, `_UPSETS`) into a factory `make(meet, join, impl, neg,
+    tilde, top, bottom)` of `search(d0, ..., dk)`: one loop per atom over
+    that atom's domain, in `itertools.product` order, that returns the
+    atoms' values and then the goals' values at the first valuation passing
+    `test` (a format over the goals' values), or at the first valuation
+    when `test` is None; None when no valuation passes.
 
     Every distinct node gets one assignment, so a node that `<->` shares is
     computed once.  It is assigned in the loop of its last atom, or before
@@ -456,6 +450,7 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     call.  The source holds only fixed identifiers, `d<i>`, `v<i>`, `x<j>`,
     `l<i>` and `row`: atom names never enter it.
     """
+    code, _, fails, checks = row
     ops = dict(zip((And, Or, Impl, Neg, Tilde), code))
     var = {name: f"v{i}" for i, name in enumerate(names)}
     slot: dict[str, str] = {}
@@ -485,7 +480,6 @@ def _program(goals: tuple[Formula, ...], names: tuple[str, ...],
     heads = [f"for {v} in {d}:" for v, d in zip(vs[:_NEST], doms)]
     if len(vs) > _NEST:
         heads.append(f"for {', '.join(vs[_NEST:])}, in product({', '.join(doms[_NEST:])}):")
-    fails, checks = _GUARDS[code]
     guards, read = _guards(results, level, shape, len(heads), fails) if test else ([], ())
     body = [f"def search({', '.join(doms)}):"]
     for depth in range(len(heads) + 1):
@@ -592,19 +586,19 @@ def _plan(goals: tuple[Formula, ...], language: str):
     first-occurrence order, per goal whether it has a node the language
     lacks, and the `_program` factory of the goals before the first such
     one (None if that is the first goal).  A search of (lhs, rhs) tests the
-    goals it keeps (`_TESTS`); a one-goal plan has no test.
+    goals it keeps by its row's stop test; a one-goal plan has no test.
 
     The last lookup is matched by identity (`_last_lookup`), any other by
     value in an LRU of `_PROGRAM_CACHE` entries, so an equal goal may be
     another object: a plan holds no node, and an error names the caller's
     own node, found by `_raise_first_error` on the caller's goals.
     """
-    lacks, _, code = _LANGUAGES[language]
+    lacks, _, row = _LANGUAGES[language]
     names = tuple(dict.fromkeys(name for g in goals for name in atoms(g)))
     offends = tuple(lacks is not None and contains(g, lacks) for g in goals)
     kept = goals[:offends.index(True)] if True in offends else goals
-    test = _TESTS.get((code, len(kept))) if len(goals) > 1 else None
-    return names, offends, _program(kept, names, code, test) if kept else None
+    test = row[1].get(len(kept)) if len(goals) > 1 else None
+    return names, offends, _program(kept, names, row, test) if kept else None
 
 
 def _language(alg: AnyAlgebra) -> str:

@@ -57,6 +57,9 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__match_args__)
+
 
 # The node methods name their fields instead of looping over a field list,
 # and the constructors store them through the slot descriptors: every parse
@@ -82,9 +85,6 @@ class _Constant(Formula):
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}()"
-
-    def __reduce__(self):
-        return self.__class__, ()
 
 
 class Top(_Constant):
@@ -116,9 +116,6 @@ class Atom(Formula):
     def __repr__(self) -> str:
         return f"Atom(name={self.name!r})"
 
-    def __reduce__(self):
-        return Atom, (self.name,)
-
 
 _set_name = Atom.name.__set__
 
@@ -142,9 +139,6 @@ class _Binary(Formula):
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(left={self.left!r}, right={self.right!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.left, self.right)
 
 
 _set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
@@ -179,9 +173,6 @@ class _Unary(Formula):
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(child={self.child!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.child,)
 
 
 _set_child = _Unary.child.__set__

@@ -37,6 +37,7 @@ __all__ = [
 
 Table = tuple[tuple[bool, ...], ...]
 OpTable = tuple[tuple[int, ...], ...]
+Unary = tuple[int, ...]
 
 
 @record
@@ -332,7 +333,7 @@ def transitive_reduction(leq: Table) -> list[tuple[int, int]]:
 # by refinement rather than tried one by one.
 
 def _signatures(up: list[int], down: list[int],
-                unaries: tuple[OpTableRow, ...], marks: tuple[int, ...]):
+                unaries: tuple[Unary, ...], marks: tuple[int, ...]):
     """Isomorphism-invariant signature of each element, read off the up-set
     and down-set masks: its height (longest chain below it), the numbers of
     elements below and above it (itself included) and of its lower and upper
@@ -358,9 +359,6 @@ def _signatures(up: list[int], down: list[int],
     return sigs
 
 
-OpTableRow = tuple[int, ...]
-
-
 def _encode(leq: Table, unaries, marks, perm: list[int]):
     n = len(leq)
     inv = [0] * n
@@ -374,7 +372,7 @@ def _encode(leq: Table, unaries, marks, perm: list[int]):
 
 
 def canonical_form(leq: Table,
-                   unaries: tuple[OpTableRow, ...] = (),
+                   unaries: tuple[Unary, ...] = (),
                    marks: tuple[int, ...] = ()):
     """Return (key, perm): the minimal encoding over signature-respecting
     relabellings, and the permutation old-index -> new-index achieving it.

@@ -10,21 +10,17 @@ import json
 import random
 from contextlib import contextmanager
 
-import pytest
-
 from twoneg.algebra import (Algebra, algebra_valid, attach_negations,
                             ccpba_flags, classify_algebra, enumerate_algebras,
                             iso_check, sequent_valid)
 from twoneg.bridge import (frame_embedding, kim_algebra_embedding,
                            kim_frame_embedding, stone_embedding)
-from twoneg.errors import LatticeError
 from twoneg.formula import parse, substitute, Atom
 from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            build_compat, dne_tilde_top_witness,
                            frame_sequent_valid, frame_valid, is_identity,
                            frame_upsets, nhat_violations, truth_set)
-from twoneg.lattice import (all_lattices, all_posets, build_lattice,
-                            derive_heyting)
+from twoneg.lattice import all_lattices, all_posets, derive_heyting
 from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
                            check_hilbert, countermodel_search, parse_proof)
 from twoneg.translate import phi, psi

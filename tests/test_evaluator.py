@@ -318,8 +318,8 @@ def test_shared_nodes_compile_once():
     # compound nodes (3 per `<->`, and the innermost `p -> p` twice)
     f = parse("<->".join(["p"] * 10))
     # with and without a test: `d0`, `v0` and the 26 nodes
-    for goals, test in [((f,), None), ((TOP, f), algebra._TESTS[algebra._TABLE_CODE, 2])]:
-        make = algebra._program(goals, ("p",), algebra._TABLE_CODE, test)
+    for goals, test in [((f,), None), ((TOP, f), algebra._TABLES[1][2])]:
+        make = algebra._program(goals, ("p",), algebra._TABLES, test)
         assert _code(make, "search").co_nlocals == 1 + 1 + 26
 
 
@@ -433,8 +433,7 @@ def test_goals_of_many_atoms_compile():
     for k in (3, 19, 20, 21, 25):
         names = tuple(f"p{i}" for i in range(k))
         f = parse(" | ".join(names))
-        make = algebra._program((TOP, f), names, algebra._TABLE_CODE,
-                                algebra._TESTS[algebra._TABLE_CODE, 2])
+        make = algebra._program((TOP, f), names, algebra._TABLES, algebra._TABLES[1][2])
         assert ("product" in _code(make, "search").co_names) == (k >= 20), k
         two = enumerate_algebras("pba", 2)[0]
         top, bottom = two.lattice.top, two.lattice.bottom

@@ -9,7 +9,7 @@ import pytest
 
 from twoneg.algebra import algebra_valid, enumerate_algebras, iso_check, sequent_valid
 from twoneg.errors import AlgebraError, BoundGuardError, FileFormatError
-from twoneg.formula import parse, render, substitute, Atom
+from twoneg.formula import parse, substitute, Atom
 from twoneg.proofs import (HILBERT_SYSTEMS, SCHEMES, SEQUENT_RULES,
                            SEQUENT_SYSTEMS, CheckResult, DerivationNode,
                            ProofLine, ProofScript, check_derivation,

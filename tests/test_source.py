@@ -98,16 +98,16 @@ def test_frames_name_no_product():
 
 def test_goal_source_defines_only_search():
     """`_program` compiles one form: the factory `make` defines `search`
-    and nothing else, for either code, with no test, with each test and
+    and nothing else, for either row, with no test, with each test and
     past 20 atoms."""
     many = parse(" | ".join(f"p{i}" for i in range(21)))
-    cases = [((goal,), code, None) for goal in (TOP, parse("p & !q"), many)
-             for code in (algebra._TABLE_CODE, algebra._UPSET_CODE)]
-    cases += [((TOP, parse("p -> q"))[:k], code, test)
-              for (code, k), test in algebra._TESTS.items()]
-    for goals, code, test in cases:
+    rows = (algebra._TABLES, algebra._UPSETS)
+    cases = [((goal,), row, None) for goal in (TOP, parse("p & !q"), many) for row in rows]
+    cases += [((TOP, parse("p -> q"))[:k], row, test)
+              for row in rows for k, test in row[1].items()]
+    for goals, row, test in cases:
         names = tuple(dict.fromkeys(n for g in goals for n in algebra.atoms(g)))
-        make = algebra._program(goals, names, code, test)
+        make = algebra._program(goals, names, row, test)
         inner = [c for c in make.__code__.co_consts if isinstance(c, CodeType)]
         assert [c.co_name for c in inner] == ["search"], goals
         assert not any(isinstance(c, CodeType) for c in inner[0].co_consts), goals
@@ -360,3 +360,27 @@ def test_test_helpers_are_defined_once():
     assert sorted(found) == [("conftest", "fork"), ("support", "formulas"),
                              ("support", "outcome"), ("support", "same"),
                              ("test_formula", "_outcome"), ("test_formula", "formulas")]
+
+
+def test_every_import_is_used():
+    """No module of the package, the tests or the tools imports a name it
+    never reads, save the names it exports in `__all__` and the `from
+    __future__` switches."""
+    paths = [path for where in (PACKAGE, ROOT / "tests", ROOT / "tools")
+             for path in sorted(where.glob("*.py"))]
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                found += [f"{path.relative_to(ROOT)}:{name}" for name in bound
+                          if name not in read and name not in exported]
+    assert found == []

@@ -17,18 +17,19 @@ whose tables break one such law must still get the scan's answer."""
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twoneg import algebra
+from twoneg import algebra, frames
 from twoneg._record import replace
 from twoneg.algebra import ATOM_GUARD, enumerate_algebras, evaluate, sequent_valid
 from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (WORLD_GUARD, build_subnormal, frame_sequent_valid, frame_upsets,
-                           frame_valid, truth_set)
+                           frame_valid, read_frame, truth_set)
 from twoneg.translate import phi
 
 from oracles import frame_scan, frame_walk, sequent_scan, walk
@@ -198,6 +199,33 @@ def test_each_law_a_guard_reads_is_checked():
         alg = broken(base, law, bottom, bottom)
         got = sequent_valid(alg, lhs, rhs)
         assert got == sequent_scan(alg, lhs, rhs) and not got.valid, law
+
+
+def test_each_row_rules_out_only_what_its_stop_tests_never_pass(fork, fixtures_dir):
+    """Per row of `algebra._program`, its formats read as Python over the
+    values a search sees: the tables of every ccpba and Kim catalog entry up
+    to size 5, and the upset masks of two sub-normal frames.  Wherever a
+    known lhs fails the row's lhs format, no stop test holds for any rhs;
+    and no stop test of (lhs, rhs) holds with the rhs at top.  Those are the
+    two ways `algebra._guards` rules a test out before the innermost loop."""
+    spaces = [(algebra._TABLES, dict(
+        meet=alg.lattice.meet, join=alg.lattice.join, impl=alg.impl, neg=alg.neg,
+        tilde=alg.tilde, top=alg.lattice.top, bottom=alg.lattice.bottom), range(alg.size))
+        for cls in ("ccpba", "kim") for alg in enumerate_algebras(cls, 5)]
+    for fr in (fork, read_frame((fixtures_dir / "three_world.frm").read_text())):
+        spaces.append((algebra._UPSETS, dict(top=(1 << fr.size) - 1, bottom=0),
+                       frames._upsets(fr.leq)))
+    assert ({id(row) for row, _, _ in spaces}
+            == {id(row) for _, _, row in algebra._LANGUAGES.values()})
+    for (_, stops, fails, _), tables, values in spaces:
+        for lhs, rhs in itertools.product(values, repeat=2):
+            scope = dict(tables, lhs=lhs, rhs=rhs)
+            passed = [k for k, test in stops.items()
+                      if eval(test.format("lhs", "rhs"), {}, scope)]
+            if eval(fails.format("lhs"), {}, scope):
+                assert passed == [], (fails, lhs, rhs)
+            if rhs == tables["top"]:
+                assert 2 not in passed, (stops[2], lhs)
 
 
 def test_goals_of_many_atoms_reach_the_product_loop():
