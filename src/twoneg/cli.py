@@ -11,6 +11,10 @@ An answer that cannot be written to stdout, `--help` included, is also exit
 has gone, even after the whole answer) or a closed stdout prints
 `error=output-failed` and the detail to stderr, and stdout is pointed at
 the null device so that the interpreter's final flush stays quiet.
+
+An interrupt (SIGINT, Ctrl-C) is exit 130, the shell's code for it, outside
+0-4 and so never a verdict: `error=interrupted` goes to stderr, with no
+traceback.
 """
 
 from __future__ import annotations
@@ -71,7 +75,10 @@ def ast_string(f: Formula) -> str:
     return fold(f, _ast_node)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, ext: str) -> str:
+    """The text of the file at `path`, whose name must end in `ext`."""
+    if not path.endswith(ext):
+        raise FileFormatError("wrong-extension", path, f"expected {ext}")
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -80,9 +87,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_algebra(path: str) -> Algebra:
-    if not path.endswith(".alg"):
-        raise FileFormatError("wrong-extension", path, "expected .alg")
-    return read_algebra(_read_text(path))
+    return read_algebra(_read_text(path, ".alg"))
 
 
 def _load_filter_carrier(args) -> Algebra:
@@ -95,10 +100,8 @@ def _load_filter_carrier(args) -> Algebra:
 
 def _load_frame(path: str, detail: str, *kinds: str):
     """The frame of `path`, which must be of one of `kinds`."""
-    if not path.endswith(".frm"):
-        raise FileFormatError("wrong-extension", path, "expected .frm")
     from . import frames
-    fr = frames.read_frame(_read_text(path))
+    fr = frames.read_frame(_read_text(path, ".frm"))
     if fr.kind not in kinds:
         raise FileFormatError("unsupported-kind", fr.kind, detail)
     return fr
@@ -376,9 +379,7 @@ def cmd_build_au(args, rep: Report) -> int:
 
 def cmd_check_proof(args, rep: Report) -> int:
     from . import proofs
-    if not args.file.endswith(".prf"):
-        raise FileFormatError("wrong-extension", args.file, "expected .prf")
-    mode, system, obj = proofs.parse_proof(_read_text(args.file))
+    mode, system, obj = proofs.parse_proof(_read_text(args.file, ".prf"))
     rep.kv("mode", mode)
     rep.kv("system", system)
     if mode == "hilbert":
@@ -480,6 +481,9 @@ def main(argv=None) -> int:
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
         return 4
+    except KeyboardInterrupt:  # no answer and no verdict: the shell's code for SIGINT
+        print("error=interrupted", file=sys.stderr)
+        return 130
 
 
 def _answer(args, rep: Report) -> int:

@@ -696,20 +696,20 @@ class Parser:
         return node
 
     def conj(self) -> Formula:
-        node = self.unary()
+        node = self.prefixed()
         while self.peek()[0] == "amp":
             self.take()
-            node = And(node, self.unary())
+            node = And(node, self.prefixed())
         return node
 
-    def unary(self) -> Formula:
+    def prefixed(self) -> Formula:
         kind, _, _ = self.peek()
         if kind == "bang":
             self.take()
-            return Neg(self.nested(self.unary))
+            return Neg(self.nested(self.prefixed))
         if kind == "tilde":
             self.take()
-            return Tilde(self.nested(self.unary))
+            return Tilde(self.nested(self.prefixed))
         return self.atom()
 
     def atom(self) -> Formula:

@@ -1,11 +1,13 @@
-"""Test-only helpers over the package API: the formula strategy, the
-outcome of a call and its comparison, products of chains, the
-implication-free reduct of a two-negation algebra, a frame model with
-pointwise truth, and N-hat frames whose `!` relation is off the order."""
+"""Test-only helpers over the package API: the formula and unary-map
+strategies, the outcome of a call and its comparison, products of chains,
+the implication-free reduct of a two-negation algebra, every sub-normal
+frame up to a size, a frame model with pointwise truth, N-hat frames whose
+`!` relation is off the order, and a module loaded from its file."""
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import random
 
@@ -15,7 +17,8 @@ from twoneg._record import record
 from twoneg.algebra import build_kim
 from twoneg.errors import FrameError, WorkbenchError
 from twoneg.formula import BOT, TOP, And, Atom, Formula, Impl, Neg, Or, Tilde
-from twoneg.frames import Frame, NhatFrame, truth_set
+from twoneg.frames import (Frame, NhatFrame, SubNormalFrame, dne_tilde_top_witness,
+                           frame_upsets, truth_set)
 from twoneg.lattice import all_posets, build_lattice
 
 from oracles import is_upset
@@ -37,6 +40,11 @@ def formulas(names: tuple[str, ...], with_impl: bool = True, max_leaves: int = 8
         return st.one_of(nodes)
 
     return st.recursive(leaves, grow, max_leaves=max_leaves)
+
+
+def unary(n: int):
+    """Maps of an n-element carrier into itself, as tuples."""
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
 
 
 def outcome(fn, *args, **kwargs):
@@ -69,6 +77,17 @@ def chain_product(dims):
 def kim_reduct(alg):
     """Drop the implication of a two-negation algebra."""
     return build_kim(alg.lattice, alg.neg, alg.tilde, name=alg.name)
+
+
+def subnormal_frames(max_worlds: int, require_d: bool = True) -> list[SubNormalFrame]:
+    """Every sub-normal frame with every upset as Y0, on the canonical posets
+    of 1 to `max_worlds` worlds named w0, w1, ...; only those meeting
+    condition (D) when `require_d` is set."""
+    posets = all_posets(max_worlds)
+    return [fr for size in range(1, max_worlds + 1) for leq in posets[size]
+            for y0 in frame_upsets(leq)
+            for fr in [SubNormalFrame(tuple(f"w{i}" for i in range(size)), leq, y0)]
+            if not require_d or dne_tilde_top_witness(fr) is None]
 
 
 def truth_at(fr: Frame, valuation: dict[str, frozenset[int]], world: str, f: Formula) -> bool:
@@ -105,3 +124,11 @@ def off_order(seed: int) -> NhatFrame:
         return tuple(tuple(rnd.random() < 0.3 for _ in range(n)) for _ in range(n))
 
     return NhatFrame(tuple(f"w{i}" for i in range(n)), leq, relation(), relation())
+
+
+def load_module(path, name: str):
+    """The module at `path`, loaded from its file under `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

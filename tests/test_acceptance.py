@@ -20,13 +20,13 @@ from twoneg.frames import (CompatFrame, NhatFrame, SubNormalFrame,
                            build_compat, dne_tilde_top_witness,
                            frame_sequent_valid, frame_valid, is_identity,
                            frame_upsets, nhat_violations, truth_set)
-from twoneg.lattice import all_lattices, all_posets, derive_heyting
+from twoneg.lattice import all_lattices, derive_heyting
 from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
                            check_hilbert, countermodel_search, parse_proof)
 from twoneg.translate import phi, psi
 
 from oracles import residuation_mismatch
-from support import kim_reduct
+from support import kim_reduct, subnormal_frames
 
 
 @contextmanager
@@ -234,31 +234,18 @@ def test_criterion_6_translation_suite():
         assert identity_count >= 10
 
 
-def _all_subnormal(max_worlds, require_d=True):
-    out = []
-    posets = all_posets(max_worlds)
-    for size in range(1, max_worlds + 1):
-        for leq in posets[size]:
-            names = tuple(f"w{i}" for i in range(size))
-            for y0 in frame_upsets(leq):
-                fr = SubNormalFrame(names, leq, y0)
-                if not require_d or dne_tilde_top_witness(fr) is None:
-                    out.append(fr)
-    return out
-
-
 def test_criterion_7_duality_suite():
     with criterion(7, "embeddings are isomorphisms at finite scale"):
         for alg in enumerate_algebras("ccpba", 6):
             emb = stone_embedding(alg)
             assert emb.injective and emb.onto, alg.name
-        for fr in _all_subnormal(5):
+        for fr in subnormal_frames(5):
             emb = frame_embedding(fr)
             assert emb.injective and emb.onto
         for alg in enumerate_algebras("kim", 5):
             emb = kim_algebra_embedding(alg)
             assert emb.injective and emb.onto, alg.name
-        for fr in _all_subnormal(5):
+        for fr in subnormal_frames(5):
             n = fr.size
             c_pairs = [(fr.worlds[i], fr.worlds[j])
                        for i in range(n) for j in range(n)
@@ -277,7 +264,7 @@ DNE_FORMULA = parse("!!~top <-> ~top")
 
 def test_criterion_8_canonicity():
     with criterion(8, "frame-condition checks agree with validity search"):
-        sub_candidates = _all_subnormal(5, require_d=False)
+        sub_candidates = subnormal_frames(5, require_d=False)
         for fr in sub_candidates:
             holds = dne_tilde_top_witness(fr) is None
             assert frame_valid(fr, DNE_FORMULA).valid == holds

@@ -23,7 +23,7 @@ from twoneg.frames import (SubNormalFrame, build_compat, build_subnormal,
                            frame_upsets, read_frame)
 from twoneg.lattice import all_lattices, build_lattice, transitive_reduction
 
-from support import chain_product, formulas, kim_reduct
+from support import chain_product, formulas, kim_reduct, subnormal_frames
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -155,21 +155,10 @@ def test_kim_embeddings(b_prime):
 
 
 def test_frame_validity_matches_complex_algebra(fork):
-    from twoneg.frames import SubNormalFrame, dne_tilde_top_witness
-    from twoneg.lattice import all_posets
     suite = [parse(t) for t in
              ["p | ~p", "!p -> ~p", "~~p", "!!~top <-> ~top",
               "~(p | q) <-> (~p & ~q)", "p -> ~!q"]]
-    frames = [fork]
-    posets = all_posets(4)
-    for size in range(1, 5):
-        for leq in posets[size]:
-            names = tuple(f"w{i}" for i in range(size))
-            for y0 in frame_upsets(leq):
-                fr = SubNormalFrame(names, leq, y0)
-                if dne_tilde_top_witness(fr) is None:
-                    frames.append(fr)
-    for fr in frames:
+    for fr in [fork, *subnormal_frames(4)]:
         alg = complex_algebra_subnormal(fr)
         for f in suite:
             assert frame_valid(fr, f).valid == algebra_valid(alg, f).valid

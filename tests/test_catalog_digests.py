@@ -8,7 +8,6 @@ from the posets alone, without the catalog's canonical pass."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -16,19 +15,14 @@ import pytest
 
 from twoneg.algebra import CATALOG_CLASSES, _section, enumerate_algebras
 
+from support import load_module
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "catalog_digests.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("catalog_digests", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 @pytest.mark.parametrize("cls", ["pba", "ccpba", "cvcpba", "kim", "kim_vee"])
 def test_catalog_matches_frozen_digests(fixtures_dir, cls):
-    tool = _tool()
+    tool = load_module(TOOL, "catalog_digests")
     frozen = json.loads((fixtures_dir / "catalog_digests.json").read_text())
     got = [[alg.name, tool.entry_digest(alg)]
            for alg in enumerate_algebras(cls, tool.MAX_SIZE)]
@@ -40,7 +34,7 @@ def test_catalog_sections_match_frozen_digests(fixtures_dir, cls):
     frozen = json.loads((fixtures_dir / "catalog_digests.json").read_text())
     rows = [row for row in frozen["sections"] if row[0] == cls]
     assert [row[1] for row in rows] == list(range(9, 15))
-    assert _tool().section_digests(cls) == rows
+    assert load_module(TOOL, "catalog_digests").section_digests(cls) == rows
 
 
 @pytest.mark.parametrize("cls", CATALOG_CLASSES)

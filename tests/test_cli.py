@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -417,6 +418,18 @@ def test_malformed_input(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,ext", [
+    (["classify", "x.txt"], ".alg"), (["translate", "x.txt"], ".frm"),
+    (["duality", "x.txt"], ".frm"), (["check-proof", "x.txt"], ".prf"),
+    (["eval", "x.frm", "p"], ".alg")], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_wrong_extension_is_malformed(capsys, argv, ext):
+    """An input file whose name lacks its command's extension is malformed
+    input, rejected before the file is opened."""
+    code, out = run(capsys, "--porcelain", *argv)
+    assert code == 2
+    assert out == f"error=wrong-extension\ndetail=wrong-extension at '{argv[1]}': expected {ext}\n"
+
+
 def test_porcelain_is_deterministic(capsys, fixtures_dir):
     _, out1 = run(capsys, "--porcelain", "classify", str(fixtures_dir / "h6_x.alg"))
     _, out2 = run(capsys, "--porcelain", "classify", str(fixtures_dir / "h6_x.alg"))
@@ -729,6 +742,44 @@ def test_unwritable_stdout_is_a_crash(stdout, buffered, args):
     assert done.returncode == 4
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error=output-failed\ndetail=")
+
+
+def test_interrupt_is_exit_130():
+    """SIGINT during a search is exit 130, the shell's code for it, with one
+    stderr line and no traceback.  The child's SIGINT is reset to the default
+    first: Python leaves an inherited ignored SIGINT (a background job) as it
+    is, and would then never see the signal."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    argv = [sys.executable, "-m", "twoneg.cli", "--porcelain", "countermodel",
+            "--system", "ILM", "--max-size", "16", "--force", "p -> p"]
+    reset = functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env, preexec_fn=reset) as child:
+        first = child.stdout.readline()
+        child.send_signal(signal.SIGINT)
+        _, err = child.communicate(timeout=60)
+    assert first == "formula=p -> p\n"
+    assert child.returncode == 130
+    assert err == "error=interrupted\n"
+    assert "Traceback" not in err
+
+
+def test_reader_gone_after_one_line_is_a_crash(tmp_path):
+    """A reader that takes one line of an answer larger than a pipe buffer
+    and then closes (`... | head -1`) leaves the rest unwritable: exit 4
+    with the broken pipe on stderr."""
+    path = tmp_path / "anti9.frm"
+    path.write_text("frame subnormal anti9\nworlds a b c d e f g h i\nend\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "twoneg.cli", "--porcelain", "complex", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env) as child:
+        child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.wait(timeout=60)
+    assert child.returncode == 4
+    assert err == "error=output-failed\ndetail=BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("args", [("--help",), ("parse", "--help")], ids=["top", "parse"])

@@ -28,7 +28,7 @@ from twoneg.errors import AlgebraError
 from twoneg.frames import is_identity
 from twoneg.lattice import all_lattices, derive_heyting
 
-from support import outcome
+from support import outcome, unary
 
 LATTICES = all_lattices(6)
 
@@ -148,10 +148,6 @@ def _assert_same_classes(alg):
     assert outcome(_require_ccpba, alg) == want
 
 
-def _unary(n):
-    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
-
-
 @st.composite
 def _negation(draw, lat):
     """A random map, a random antitone one (a random map met over each
@@ -162,9 +158,9 @@ def _negation(draw, lat):
     lawful = tuple(row[draw(st.integers(0, n - 1))] for row in impl)
     kind = draw(st.sampled_from(["random", "antitone", "lawful", "perturbed"]))
     if kind == "random":
-        t = list(draw(_unary(n)))
+        t = list(draw(unary(n)))
     elif kind == "antitone":
-        r = draw(_unary(n))
+        r = draw(unary(n))
         t = [reduce(lambda x, b: lat.meet[x][r[b]], (b for b in range(n) if lat.leq[b][a]),
                     lat.top) for a in range(n)]
     else:

@@ -6,7 +6,6 @@ matrix reads change neither."""
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
 from pathlib import Path
@@ -15,19 +14,14 @@ import pytest
 
 from twoneg import cli
 
+from support import load_module
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "porcelain_digests.py"
 INPUTS = (".alg", ".frm", ".prf")
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("porcelain_digests", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def test_porcelain_matches_frozen_digests(fixtures_dir):
-    tool = _tool()
+    tool = load_module(TOOL, "porcelain_digests")
     frozen = json.loads((fixtures_dir / "porcelain_digests.json").read_text())
     assert [r["argv"] for r in frozen] == tool.matrix()
     for want in frozen:
@@ -54,7 +48,7 @@ def test_porcelain_ignores_file_layout(layout, tmp_path):
     """Every matrix command that reads an input file, run on a copy with
     comments and blank lines, or with tabs and extra spaces, inserted: same
     exit code and stdout.  The copy sits at the same relative path."""
-    tool = _tool()
+    tool = load_module(TOOL, "porcelain_digests")
     runs = [argv for argv in tool.matrix() if any(a.endswith(INPUTS) for a in argv)]
     assert {argv[1] for argv in runs} >= {"classify", "check-algebra", "canonical",
                                           "complex", "duality", "translate", "check-proof"}

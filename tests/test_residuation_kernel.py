@@ -18,7 +18,7 @@ from twoneg.lattice import _below, all_lattices, build_lattice, derive_heyting
 
 import oracles
 from oracles import M3, N5
-from support import outcome
+from support import outcome, unary
 
 LATTICES = all_lattices(8) + (M3, N5)
 
@@ -69,16 +69,12 @@ def test_catalog_negations_match_oracle():
                     assert _absorb(lat, t) == oracles.absorb(lat, t)
 
 
-def _unary(n):
-    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
-
-
 def _table(draw, lat):
     """A random table, or a genuine implication table with one cell changed
     (M3 and N5 have none, so they get a random one)."""
     n = lat.size
     if lat in (M3, N5) or draw(st.booleans()):
-        return tuple(draw(_unary(n)) for _ in range(n))
+        return tuple(draw(unary(n)) for _ in range(n))
     rows = [list(row) for row in derive_heyting(lat)]
     a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     rows[a][b] = draw(st.integers(0, n - 1))
@@ -88,7 +84,7 @@ def _table(draw, lat):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(LATTICES), st.data())
 def test_below_is_the_set_below(lat, data):
-    rows = data.draw(st.lists(_unary(lat.size), max_size=3))
+    rows = data.draw(st.lists(unary(lat.size), max_size=3))
     want = [[sum(1 << c for c, x in enumerate(v) if lat.leq[x][z]) for z in range(lat.size)]
             for v in rows]
     assert _below(lat.leq, rows) == want
@@ -120,5 +116,5 @@ def test_random_and_corrupted_algebras_flag_as_before(lat, data):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(LATTICES), st.data())
 def test_random_maps_absorb_as_before(lat, data):
-    t = data.draw(_unary(lat.size))
+    t = data.draw(unary(lat.size))
     assert _absorb(lat, t) == oracles.absorb(lat, t)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
+from collections import deque
 from pathlib import Path
 from types import CodeType
 
@@ -12,15 +14,59 @@ from twoneg.formula import TOP, parse
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twoneg"
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _modules(*dirs: Path) -> list[Path]:
+    """The Python modules directly in `dirs`, in path order."""
+    return [path for where in dirs for path in sorted(where.glob("*.py"))]
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """The module at `path`, parsed once for every check; read, never changed."""
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+@functools.cache
+def _index(path: Path) -> tuple[tuple[str, str | None, ast.AST], ...]:
+    """(module stem, innermost enclosing function or None, node) for every
+    node of `_tree(path)`, in `ast.walk` order; a definition is enclosed by
+    the function it is defined in."""
+    found, queue = [], deque([(_tree(path), None)])
+    while queue:
+        node, fn = queue.popleft()
+        found.append((path.stem, fn, node))
+        inner = node.name if isinstance(node, _DEFS) else fn
+        queue.extend((child, inner) for child in ast.iter_child_nodes(node))
+    return tuple(found)
+
+
+def _nodes(*dirs: Path) -> list[tuple[str, str | None, ast.AST]]:
+    """`_index` of every module in `dirs`, module by module."""
+    return [entry for path in _modules(*dirs) for entry in _index(path)]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The identifier a name, attribute, import alias or definition spells."""
+    match node:
+        case ast.Name(id=name) | ast.Attribute(attr=name) | ast.alias(name=name):
+            return name
+        case ast.FunctionDef() | ast.AsyncFunctionDef() | ast.ClassDef():
+            return node.name
+    return None
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name of the callee when `node` is a call."""
+    return _name(node.func) if isinstance(node, ast.Call) else None
 
 
 def test_no_assert_in_package():
     """`python -O` strips `assert`, so no check in the package, nor in the
     fixture generators under tools/, may be one."""
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
-    assert sources
-    found = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in sources
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert _modules(ROOT / "tools")
+    found = [f"{stem}:{node.lineno}" for stem, _, node in _nodes(PACKAGE, ROOT / "tools")
              if isinstance(node, ast.Assert)]
     assert found == []
 
@@ -28,21 +74,18 @@ def test_no_assert_in_package():
 def test_no_permutation_search_in_package():
     """Canonical forms are found by refinement; the factorial search over
     `itertools.permutations` survives only as the oracle in tests/."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if ((isinstance(node, ast.Attribute) and node.attr == "permutations"
-                 and isinstance(node.value, ast.Name) and node.value.id == "itertools")
-                    or (isinstance(node, ast.ImportFrom) and node.module == "itertools"
-                        and any(alias.name == "permutations" for alias in node.names))):
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    found = [f"{stem}:{node.lineno}" for stem, _, node in _nodes(PACKAGE)
+             if (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                 and _name(node.value) == "itertools")
+             or (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                 and any(alias.name == "permutations" for alias in node.names))]
     assert found == []
 
 
 def test_every_exported_name_resolves():
     """Each module's `__all__` names only what it defines, so `import *`
     cannot break when a function leaves the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _modules(PACKAGE):
         name = "twoneg" if path.stem == "__init__" else f"twoneg.{path.stem}"
         module = importlib.import_module(name)
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
@@ -55,30 +98,16 @@ def test_code_is_built_only_from_the_goal_source():
     the package builds at run time: the builtins `exec`, `eval` and
     `compile` are called nowhere else (`re.compile` is an attribute call
     and does not count)."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        functions = [node for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        inside = {id(call): fn.name for fn in functions for call in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("exec", "eval", "compile")):
-                found.append((path.stem, inside.get(id(node)), node.func.id))
+    found = [(stem, fn, node.func.id) for stem, fn, node in _nodes(PACKAGE)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
     assert sorted(found) == [("algebra", "_program", "compile"),
                              ("algebra", "_program", "exec")]
 
 
 def _product_names(path: Path) -> list[str | None]:
     """The function around each name of `product` in the module at `path`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    functions = [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
-    return [inside.get(id(node)) for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "product")
-            or (isinstance(node, ast.Name) and node.id == "product")
-            or (isinstance(node, ast.alias) and node.name == "product")]
+    return [fn for _, fn, node in _index(path) if _name(node) == "product"]
 
 
 def test_no_valuation_product_in_the_algebra_searches():
@@ -118,17 +147,8 @@ def test_residuation_walk_is_called_only_by_ccpba_flags():
     `ccpba_flags` decides `is_pba` from the cached residuum and walks only
     to name a witness.  No other code of the package may name it: no call,
     import or alias elsewhere."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        functions = [node for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if ((isinstance(node, ast.Name) and node.id == "_residuation_witness")
-                    or (isinstance(node, ast.Attribute) and node.attr == "_residuation_witness")
-                    or (isinstance(node, ast.alias) and node.name == "_residuation_witness")):
-                found.append((path.stem, inside.get(id(node))))
+    found = [(stem, fn) for stem, fn, node in _nodes(PACKAGE)
+             if _name(node) == "_residuation_witness" and not isinstance(node, _DEFS)]
     assert found == [("algebra", "ccpba_flags")]
 
 
@@ -136,17 +156,9 @@ def test_only_lattice_builds_tables_from_an_order():
     """Meet, join and upset-lattice tables are built in `lattice.py` alone:
     no other module of the package calls `_bound_table` or defines
     `_upset_tables`; they read the order-keyed caches instead."""
-    calls, defs = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_bound_table":
-                    calls.append(path.stem)
-            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == "_upset_tables"):
-                defs.append(path.stem)
+    calls = [stem for stem, _, node in _nodes(PACKAGE) if _called(node) == "_bound_table"]
+    defs = [stem for stem, _, node in _nodes(PACKAGE)
+            if isinstance(node, _DEFS) and node.name == "_upset_tables"]
     assert set(calls) == {"lattice"}
     assert defs == ["lattice"]
 
@@ -157,19 +169,10 @@ def test_catalog_views_are_not_read_by_the_package():
     them.  The countermodel search walks the catalog's size sections and
     never names `enumerate_algebras`, which would build the whole catalog
     up to the bound first."""
-    calls, named = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called in ("all_lattices", "all_posets"):
-                    calls.append(f"{path.stem}:{node.lineno}")
-            elif name == "enumerate_algebras" and path.stem == "proofs":
-                named.append(f"{path.stem}:{node.lineno}")
+    calls = [f"{stem}:{node.lineno}" for stem, _, node in _nodes(PACKAGE)
+             if _called(node) in ("all_lattices", "all_posets")]
+    named = [f"{stem}:{node.lineno}" for stem, _, node in _nodes(PACKAGE)
+             if stem == "proofs" and _name(node) == "enumerate_algebras"]
     assert calls == []
     assert named == []
 
@@ -182,26 +185,21 @@ def test_one_language_table():
     outside a proof system; `frames.py` imports neither `subformulas` nor
     `Impl`; and the former algebra walk `_first_error` is gone."""
     kinds = {"implication-in-kim-language", "tilde-undefined", "wrong-language"}
-    inside, outside, first_error = [], [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        table = {id(node) for top in tree.body if isinstance(top, ast.Assign)
-                 and any(getattr(t, "id", None) == "_LANGUAGES" for t in top.targets)
-                 for node in ast.walk(top)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and node.value in kinds:
-                (inside if id(node) in table else outside).append((path.stem, node.value))
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
-            if name == "_first_error":
-                first_error.append(f"{path.stem}:{node.lineno}")
+    table = {id(node) for path in _modules(PACKAGE) for top in _tree(path).body
+             if isinstance(top, ast.Assign)
+             and any(_name(t) == "_LANGUAGES" for t in top.targets)
+             for node in ast.walk(top)}
+    inside, outside = [], []
+    for stem, _, node in _nodes(PACKAGE):
+        if isinstance(node, ast.Constant) and node.value in kinds:
+            (inside if id(node) in table else outside).append((stem, node.value))
+    first_error = [f"{stem}:{node.lineno}" for stem, _, node in _nodes(PACKAGE)
+                   if _name(node) == "_first_error"]
     assert sorted(inside) == [("algebra", k) for k in sorted(kinds)]
     assert {stem for stem, kind in outside} <= {"proofs"}
     assert {kind for stem, kind in outside} <= {"wrong-language"}
     assert first_error == []
-    frames_tree = ast.parse((PACKAGE / "frames.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(frames_tree)
+    imported = {alias.name for _, _, node in _index(PACKAGE / "frames.py")
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported.isdisjoint({"subformulas", "Impl", "Atom"})
     assert "_raise_first_error" in imported
@@ -212,12 +210,9 @@ def test_one_formula_parser():
     the former tokenizer and its parser class survive only as the oracle
     in tests/ (`oracles.parse`), and no module of the package defines
     either, nor a second `parse` to fall back on."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name in ("_Parser", "_tokenize", "parse")):
-                found.append((path.stem, node.name))
+    found = [(stem, node.name) for stem, _, node in _nodes(PACKAGE)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in ("_Parser", "_tokenize", "parse")]
     assert found == [("formula", "parse")]
 
 
@@ -226,12 +221,9 @@ def test_one_transpose_and_one_set_order():
     filters, a world's upsets from upset masks) and the set order
     (cardinality, then elements) are each defined once, in `lattice.py`;
     the former `_down` and `bridge._holders` are gone."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in ("_down", "_holders", "_transpose", "_set_order")):
-                found.append((path.stem, node.name))
+    found = [(stem, node.name) for stem, _, node in _nodes(PACKAGE)
+             if isinstance(node, _DEFS)
+             and node.name in ("_down", "_holders", "_transpose", "_set_order")]
     assert sorted(found) == [("lattice", "_set_order"), ("lattice", "_transpose")]
 
 
@@ -243,20 +235,13 @@ def test_no_kind_switches():
     names neither `kim_violations` nor the former `_require_kim`.  A
     Hilbert goal f is searched as `top |- f`, so `proofs` no longer names
     `algebra_valid`."""
-    trees = {stem: ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
-             for stem in ("algebra", "bridge", "proofs")}
-
     def names(stem):
-        return {node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name for node in ast.walk(trees[stem])
-                if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))}
+        return {_name(node) for _, _, node in _index(PACKAGE / f"{stem}.py")}
 
     switches = [f"{stem}:{node.lineno}" for stem in ("algebra", "bridge")
-                for node in ast.walk(trees[stem])
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-                and {getattr(n, "id", None) for n in ast.walk(node.args[1])}
-                & {"Algebra", "KimAlgebra"}]
+                for _, _, node in _index(PACKAGE / f"{stem}.py")
+                if _called(node) == "isinstance"
+                and {_name(n) for n in ast.walk(node.args[1])} & {"Algebra", "KimAlgebra"}]
     assert switches == []
     assert names("bridge").isdisjoint({"kim_violations", "_require_kim"})
     assert "algebra_valid" not in names("proofs")
@@ -273,25 +258,21 @@ _WRITES = {"__setitem__", "add", "append", "extend", "insert", "setdefault", "up
 
 
 def _module_memos(path: Path) -> set[str]:
-    """The module-level names bound to a dict, list or set that a top-level
-    function, or a closure inside one, writes into."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    """The module-level names bound to a dict, list or set that a function
+    of the module, or a closure inside one, writes into."""
     containers = set()
-    for node in tree.body:
+    for node in _tree(path).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
                 isinstance(node.value, (ast.Dict, ast.List, ast.Set))
-                or isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "id", None) in ("dict", "list", "set")):
+                or _called(node.value) in ("dict", "list", "set")):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             containers.update(t.id for t in targets if isinstance(t, ast.Name))
     written = set()
-    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-                written.add(node.value)
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in _WRITES):
-                written.add(node.func.value)
+    for _, fn, node in _index(path):
+        if fn is not None and isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            written.add(node.value)
+        elif fn is not None and _called(node) in _WRITES and isinstance(node.func, ast.Attribute):
+            written.add(node.func.value)
     return {node.id for node in written if isinstance(node, ast.Name)} & containers
 
 
@@ -303,7 +284,7 @@ def test_every_cache_is_documented():
     (`_module_memos`)."""
     named = _cache_bounds()
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in _modules(PACKAGE):
         if path.stem == "__init__":
             continue
         module = importlib.import_module(f"twoneg.{path.stem}")
@@ -322,43 +303,36 @@ def test_only_the_frame_search_memoizes_clauses():
     and has no cache, so `bridge`'s complex algebra and (D)/(3) keep
     nothing.  The memo a search reads its clauses through, `_Answers`, is
     made inside `frames._bind` alone, per search, never at module level."""
-    kept, made = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        functions = [node for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        inside = {id(node): fn.name for fn in functions for node in ast.walk(fn)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_no_successor_in":
-                kept += [f"{path.stem}:{n.lineno}" for n in ast.walk(node)
-                         if isinstance(n, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
-                         or isinstance(n, ast.Call)
-                         and getattr(n.func, "id", None) in ("dict", "set")]
-                kept += [f"{path.stem}:{d.lineno}" for d in node.decorator_list]
-            elif isinstance(node, ast.Call) and "_Answers" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                made.append((path.stem, inside.get(id(node))))
+    clauses = [(stem, node) for stem, _, node in _nodes(PACKAGE)
+               if isinstance(node, ast.FunctionDef) and node.name == "_no_successor_in"]
+    kept = [f"{stem}:{n.lineno}" for stem, node in clauses for n in ast.walk(node)
+            if isinstance(n, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp))
+            or _called(n) in ("dict", "set")]
+    kept += [f"{stem}:{d.lineno}" for stem, node in clauses for d in node.decorator_list]
+    made = [(stem, fn) for stem, fn, node in _nodes(PACKAGE) if _called(node) == "_Answers"]
     assert kept == []
     assert made and set(made) == {("frames", "_bind")}
 
 
 def test_test_helpers_are_defined_once():
-    """The formula strategy, the outcome of a call and its comparison live
-    in `tests/support.py` and the `fork` frame fixture in
+    """The formula strategy, the outcome of a call and its comparison, the
+    sub-normal frames of a size, the unary-map strategy and the module
+    loader live in `tests/support.py` and the `fork` frame fixture in
     `tests/conftest.py`; no test module defines its own, save the parser
     tests' deeper round-trip strategy and their `_outcome`, which also
     reads the expected token set."""
-    helpers = {"formulas", "_formulas", "outcome", "_outcome", "same", "_same", "fork"}
-    found = []
-    for path in sorted((ROOT / "tests").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        defined = [node.name for node in ast.walk(tree)
-                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        defined += [t.id for node in tree.body if isinstance(node, ast.Assign)
-                    for t in node.targets if isinstance(t, ast.Name)]
-        found += [(path.stem, name) for name in defined if name in helpers]
+    helpers = {"formulas", "_formulas", "outcome", "_outcome", "same", "_same", "fork",
+               "subnormal_frames", "_all_subnormal", "all_subnormal_frames", "unary",
+               "_unary", "load_module"}
+    found = [(stem, node.name) for stem, _, node in _nodes(ROOT / "tests")
+             if isinstance(node, _DEFS) and node.name in helpers]
+    found += [(path.stem, t.id) for path in _modules(ROOT / "tests")
+              for node in _tree(path).body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name) and t.id in helpers]
     assert sorted(found) == [("conftest", "fork"), ("support", "formulas"),
-                             ("support", "outcome"), ("support", "same"),
+                             ("support", "load_module"), ("support", "outcome"),
+                             ("support", "same"), ("support", "subnormal_frames"),
+                             ("support", "unary"),
                              ("test_formula", "_outcome"), ("test_formula", "formulas")]
 
 
@@ -366,18 +340,16 @@ def test_every_import_is_used():
     """No module of the package, the tests or the tools imports a name it
     never reads, save the names it exports in `__all__` and the `from
     __future__` switches."""
-    paths = [path for where in (PACKAGE, ROOT / "tests", ROOT / "tools")
-             for path in sorted(where.glob("*.py"))]
+    paths = _modules(PACKAGE, ROOT / "tests", ROOT / "tools")
     assert paths
     found = []
     for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        read = {node.id for node in ast.walk(tree)
+        read = {node.id for _, _, node in _index(path)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        exported = {elt.value for node in _tree(path).body if isinstance(node, ast.Assign)
+                    and any(_name(t) == "__all__" for t in node.targets)
                     for elt in node.value.elts}
-        for node in ast.walk(tree):
+        for _, _, node in _index(path):
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
                                                 and node.module != "__future__"):
                 bound = [a.asname or a.name.split(".")[0] for a in node.names]

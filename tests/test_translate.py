@@ -4,34 +4,19 @@ import random
 
 from twoneg.errors import FrameError
 from twoneg.formula import parse
-from twoneg.frames import (SubNormalFrame, build_nhat, build_subnormal,
-                           dne_tilde_top_witness, frame_valid, is_identity,
-                           frame_upsets, tilde_top_worlds, truth_set)
-from twoneg.lattice import all_posets
+from twoneg.frames import (build_nhat, build_subnormal, dne_tilde_top_witness,
+                           frame_valid, is_identity, frame_upsets, tilde_top_worlds,
+                           truth_set)
 from twoneg.translate import phi, psi
 
 import oracles
-from support import outcome
+from support import outcome, subnormal_frames
 
 BATTERY = [parse(t) for t in [
     "p | ~p", "!p -> ~p", "~~p", "~top", "!!~top <-> ~top",
     "~(p | q) <-> (~p & ~q)", "p -> ~!p", "!~p -> ~!p",
     "~p <-> (p -> ~top)", "bot -> p", "(p -> q) -> (~q -> ~p)", "~p | !!p",
 ]]
-
-
-def all_subnormal_frames(max_worlds: int):
-    """Every sub-normal frame on the canonical posets up to max_worlds."""
-    out = []
-    posets = all_posets(max_worlds)
-    for size in range(1, max_worlds + 1):
-        for leq in posets[size]:
-            names = [f"w{i}" for i in range(size)]
-            for y0 in frame_upsets(leq):
-                fr = SubNormalFrame(tuple(names), leq, y0)
-                if dne_tilde_top_witness(fr) is None:
-                    out.append(fr)
-    return out
 
 
 # The former sub-normal code, from when a sub-normal frame had no `~`
@@ -71,24 +56,18 @@ def test_subnormal_tilde_relation_matches_former_code():
     or not: the `~` relation is the order into the non-queer worlds, and
     `tilde_top_worlds`, `is_identity` and `phi` agree with the former code
     and, with `dne_tilde_top_witness`, with the table scans in `oracles`."""
-    count = 0
-    posets = all_posets(5)
-    for size in range(1, 6):
-        for leq in posets[size]:
-            names = tuple(f"w{i}" for i in range(size))
-            for y0 in frame_upsets(leq):
-                fr = SubNormalFrame(names, leq, y0)
-                assert fr.tilde == tuple(tuple(leq[x][y] and y not in y0
-                                               for y in range(size))
-                                         for x in range(size))
-                assert (tilde_top_worlds(fr) == former_tilde_top_worlds(fr)
-                        == oracles.tilde_top_worlds(fr))
-                assert is_identity(fr) == former_is_identity(fr) == oracles.is_identity(fr)
-                assert dne_tilde_top_witness(fr) == oracles.dne_tilde_top_witness(fr)
-                assert (outcome(phi, fr) == outcome(former_phi, fr)
-                        == outcome(oracles.phi, fr))
-                count += 1
-    assert count == 938
+    frames = subnormal_frames(5, require_d=False)
+    for fr in frames:
+        n = fr.size
+        assert fr.tilde == tuple(tuple(fr.leq[x][y] and y not in fr.y0 for y in range(n))
+                                 for x in range(n))
+        assert (tilde_top_worlds(fr) == former_tilde_top_worlds(fr)
+                == oracles.tilde_top_worlds(fr))
+        assert is_identity(fr) == former_is_identity(fr) == oracles.is_identity(fr)
+        assert dne_tilde_top_witness(fr) == oracles.dne_tilde_top_witness(fr)
+        assert (outcome(phi, fr) == outcome(former_phi, fr)
+                == outcome(oracles.phi, fr))
+    assert len(frames) == 938
 
 
 def test_fork_translation_tables(chain3):
@@ -109,7 +88,7 @@ def test_empty_y0_collapses_relations():
 
 
 def test_round_trips_exhaustive_small():
-    for fr in all_subnormal_frames(4):
+    for fr in subnormal_frames(4):
         nh = phi(fr)
         assert psi(nh) == fr
         assert phi(psi(nh)) == nh
@@ -118,7 +97,7 @@ def test_round_trips_exhaustive_small():
 
 def test_truth_preservation_battery():
     rng = random.Random(92541)
-    frames = all_subnormal_frames(4)
+    frames = subnormal_frames(4)
     for fr in frames:
         ups = frame_upsets(fr.leq)
         for _ in range(3):
@@ -129,7 +108,7 @@ def test_truth_preservation_battery():
 
 
 def test_validity_transfer_sample():
-    for fr in all_subnormal_frames(3):
+    for fr in subnormal_frames(3):
         nh = phi(fr)
         for f in (parse("p | ~p"), parse("!!~top <-> ~top"), parse("~~p | ~p")):
             assert frame_valid(fr, f).valid == frame_valid(nh, f).valid

@@ -16,7 +16,6 @@ VerificationError naming the element or world, never a bare KeyError.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -37,19 +36,10 @@ from twoneg.frames import (SubNormalFrame, build_subnormal, frame_upsets, read_f
                            write_frame)
 from twoneg.lattice import all_lattices, all_posets
 
+from support import load_module
+
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _perfbench_gen():
-    """perfbench/gen.py, loaded from its file and only read."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen",
-                                                  ROOT / "perfbench" / "gen.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-GEN = _perfbench_gen()
+GEN = load_module(ROOT / "perfbench" / "gen.py", "perfbench_gen")  # only read
 POOL = GEN.duality_pool()
 POOL_FRAMES = [read_frame(f[kind]) for f in POOL["frames"] for kind in ("subnormal", "compat")]
 
