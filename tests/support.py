@@ -1,8 +1,12 @@
 """Test-only helpers over the package API: the formula and unary-map
 strategies, the outcome of a call and its comparison, products of chains,
-the implication-free reduct of a two-negation algebra, every sub-normal
+the implication-free reduct of a two-negation algebra, an algebra record
+read off any implication table, the pseudo-complement, every sub-normal
 frame up to a size, a frame model with pointwise truth, N-hat frames whose
-`!` relation is off the order, and a module loaded from its file."""
+`!` relation is off the order, and a module loaded from its file; and the
+inputs several test modules share: the five-class catalog, the frame
+corpus, the adversarial atom names, the bundled proofs by mode and the
+phi/psi formula battery."""
 
 from __future__ import annotations
 
@@ -10,18 +14,48 @@ import functools
 import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from twoneg._record import record
-from twoneg.algebra import build_kim
-from twoneg.errors import FrameError, WorkbenchError
-from twoneg.formula import BOT, TOP, And, Atom, Formula, Impl, Neg, Or, Tilde
+from twoneg.algebra import CATALOG_CLASSES, Algebra, build_kim, enumerate_algebras
+from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
+from twoneg.errors import FrameError, LatticeError, WorkbenchError
+from twoneg.formula import BOT, TOP, And, Atom, Formula, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (Frame, NhatFrame, SubNormalFrame, dne_tilde_top_witness,
-                           frame_upsets, truth_set)
-from twoneg.lattice import all_posets, build_lattice
+                           frame_upsets, read_frame, truth_set)
+from twoneg.lattice import all_posets, build_lattice, derive_heyting
+from twoneg.translate import phi
 
 from oracles import is_upset
+
+# Every catalog algebra up to size 5, of all five classes.
+CATALOG = [alg for cls in CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
+
+# The bundled three-world frame and the canonical frames of the ccpba catalog
+# to size 6, their phi images, and the canonical frames of the Kim catalog to
+# size 6.
+_SUBNORMAL = ([read_frame((Path(__file__).parent / "fixtures" / "three_world.frm").read_text())]
+              + [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 6)])
+FRAMES = (_SUBNORMAL + [phi(fr) for fr in _SUBNORMAL]
+          + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 6)])
+
+# Atom names a careless code generator would confuse with its own identifiers.
+NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "d0", "make", "search", "impl",
+         "tilde", "bottom", "dom", "product"]
+
+# The bundled proofs that check, by mode.
+PROOFS = {"hilbert": ["top_three_lines.prf"] + [f"ilm_{c}.prf" for c in "abcdefghij"],
+          "sequent": ([f"kim_p{i}.prf" for i in range(1, 8)]
+                      + ["kimprime_a16.prf", "kimprime_a17.prf"])}
+
+# Formulas whose truth sets phi and psi must keep.
+BATTERY = [parse(t) for t in [
+    "p | ~p", "!p -> ~p", "~~p", "~top", "!!~top <-> ~top",
+    "~(p | q) <-> (~p & ~q)", "p -> ~!p", "!~p -> ~!p",
+    "~p <-> (p -> ~top)", "bot -> p", "(p -> q) -> (~q -> ~p)", "~p | !!p",
+]]
 
 
 @functools.cache
@@ -77,6 +111,26 @@ def chain_product(dims):
 def kim_reduct(alg):
     """Drop the implication of a two-negation algebra."""
     return build_kim(alg.lattice, alg.neg, alg.tilde, name=alg.name)
+
+
+def table_record(lat, tilde_one: int | None, impl=None) -> Algebra:
+    """The `Algebra` record over `lat` with implication `impl` (by default
+    the residuum) and `tilde_one` as ~1, its negations read off `impl` as
+    `attach_negations` reads them.  Nothing checks it: `attach_negations`
+    rejects a ~1 with !!~1 != ~1, and the tests that classify such
+    candidates or corrupted tables build the record here."""
+    impl = derive_heyting(lat) if impl is None else impl
+    neg = tuple(row[lat.bottom] for row in impl)
+    tilde = None if tilde_one is None else tuple(row[tilde_one] for row in impl)
+    return Algebra("record", lat, impl, neg, tilde_one, tilde)
+
+
+def pseudo_complement(lat):
+    """`!` of `lat` read off its residuum, or None when it has none."""
+    try:
+        return tuple(row[lat.bottom] for row in derive_heyting(lat))
+    except LatticeError:
+        return None
 
 
 def subnormal_frames(max_worlds: int, require_d: bool = True) -> list[SubNormalFrame]:

@@ -26,7 +26,7 @@ from twoneg.proofs import (SCHEMES, SEQUENT_RULES, check_derivation,
 from twoneg.translate import phi, psi
 
 from oracles import residuation_mismatch
-from support import kim_reduct, subnormal_frames
+from support import BATTERY, PROOFS, kim_reduct, subnormal_frames, table_record
 
 
 @contextmanager
@@ -96,13 +96,15 @@ def test_criterion_3_enumeration_counts(fixtures_dir):
                 assert len(got) == want, (size, cls, len(got), want)
 
 
-def test_criterion_4_law_suite(candidate):
+def test_criterion_4_law_suite():
     with criterion(4, "equational laws on the catalog up to size 6"):
         for alg in enumerate_algebras("ccpba", 6):
             lat, impl, neg, tilde, t1 = (alg.lattice, alg.impl, alg.neg,
                                          alg.tilde, alg.tilde_one)
             n = lat.size
             for a in range(n):
+                assert tilde[a] == impl[a][t1]
+                assert neg[a] == impl[a][lat.bottom]
                 assert lat.leq[a][tilde[tilde[a]]]                       # (ii)
                 assert tilde[tilde[impl[t1][a]]] == lat.top              # (iii)
                 assert tilde[a] == neg[lat.meet[a][neg[t1]]]             # (iv)
@@ -119,11 +121,12 @@ def test_criterion_4_law_suite(candidate):
             if lat.size == 1:
                 continue
             for t1 in range(lat.size):
-                cand = candidate(lat, t1)
+                cand = table_record(lat, t1)
                 report = classify_algebra(cand)
                 dne = cand.neg[cand.neg[t1]] == t1
                 assert report.is_ccpba.holds == dne
                 assert report.is_jp_algebra.holds == dne
+                assert report.is_kim.holds == dne
 
 
 AXIOM_INSTANCES = {"a": Atom("p"), "b": Atom("q"), "c": Atom("r")}
@@ -158,21 +161,14 @@ def test_criterion_5_soundness_suites(fixtures_dir):
             assert sequent_valid(alg, a18l, a18r).valid == has_em, alg.name
         # derived-theorem goals: the bundled derivation targets
         ccpba5 = enumerate_algebras("ccpba", 5)
-        for name in [f"ilm_{c}.prf" for c in "abcdefghij"]:
+        for name in PROOFS["hilbert"]:
             _, _, script = parse_proof((fixtures_dir / name).read_text())
             for alg in ccpba5:
                 assert algebra_valid(alg, script.goal).valid, (name, alg.name)
-        for name in [f"kim_p{i}.prf" for i in range(1, 8)]:
+        for name in PROOFS["sequent"]:
             _, _, root = parse_proof((fixtures_dir / name).read_text())
             for alg in kim:
                 assert sequent_valid(alg, root.lhs, root.rhs).valid, (name, alg.name)
-
-
-BATTERY = [parse(t) for t in [
-    "p | ~p", "!p -> ~p", "~~p", "~top", "!!~top <-> ~top",
-    "~(p | q) <-> (~p & ~q)", "p -> ~!p", "!~p -> ~!p",
-    "~p <-> (p -> ~top)", "bot -> p", "(p -> q) -> (~q -> ~p)", "~p | !!p",
-]]
 
 
 def _random_subnormal_frames(count: int, max_worlds: int):
@@ -208,14 +204,15 @@ def _random_subnormal_frames(count: int, max_worlds: int):
 
 
 def test_criterion_6_translation_suite():
-    with criterion(6, "round-trip and truth preservation for 200 frames"):
+    with criterion(6, "round-trip and truth preservation for 200 random frames "
+                      "and every frame of at most 4 worlds"):
         frames = _random_subnormal_frames(200, 8)
         # make sure identity frames are represented
         extra = [SubNormalFrame(("a", "b"), ((True, False), (False, True)),
                                 frozenset()),
                  SubNormalFrame(("a", "b"), ((True, True), (False, True)),
                                 frozenset({0, 1}))]
-        frames.extend(extra)
+        frames.extend(extra + subnormal_frames(4))
         rng = random.Random(414213)
         identity_count = 0
         for fr in frames:
@@ -288,14 +285,12 @@ def test_criterion_8_canonicity():
 
 def test_criterion_9_proof_fixtures(fixtures_dir):
     with criterion(9, "bundled proofs check; negatives rejected by class"):
-        positives = (["top_three_lines.prf"]
-                     + [f"ilm_{c}.prf" for c in "abcdefghij"]
-                     + [f"kim_p{i}.prf" for i in range(1, 8)]
-                     + ["kimprime_a16.prf", "kimprime_a17.prf"])
-        for name in positives:
-            mode, system, obj = parse_proof((fixtures_dir / name).read_text())
+        for mode, names in PROOFS.items():
             check = check_hilbert if mode == "hilbert" else check_derivation
-            assert check(system, obj).ok, name
+            for name in names:
+                got, system, obj = parse_proof((fixtures_dir / name).read_text())
+                assert got == mode, name
+                assert check(system, obj).ok, name
         for name, kind in (("neg_bad_instance.prf", "bad-instance"),
                            ("neg_bad_mp.prf", "bad-mp"),
                            ("neg_premise_mismatch.prf", "premise-mismatch")):

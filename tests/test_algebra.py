@@ -6,20 +6,13 @@ from twoneg.algebra import (Algebra, _is_residuum, algebra_valid, attach_negatio
                             build_au, build_kim, ccpba_flags, classify_algebra,
                             classify_negation_pair,
                             enumerate_algebras, evaluate, iso_check,
-                            read_algebra, sequent_valid,
-                            tilde_one_candidates, write_algebra)
+                            read_algebra, sequent_valid, write_algebra)
 from twoneg import algebra
 from twoneg.errors import AlgebraError, BoundGuardError, LatticeError, VerificationError
 from twoneg.formula import parse
 from twoneg.lattice import FiniteLattice, _residuum, build_lattice
 
-from support import kim_reduct
-
-
-def test_tilde_one_candidate_sets(chain3, h5, h6):
-    assert [chain3.elements[i] for i in tilde_one_candidates(chain3)] == ["0", "1"]
-    assert [h5.elements[i] for i in tilde_one_candidates(h5)] == ["0", "a", "b", "1"]
-    assert [h6.elements[i] for i in tilde_one_candidates(h6)] == ["0", "y", "x", "1"]
+from support import kim_reduct, table_record
 
 
 def test_three_chain_classifications(a_prime, b_prime):
@@ -44,19 +37,11 @@ def test_h5_classifications(h5, t1, cvc, witness):
         assert report.is_cvcpba.witness == (witness,)
 
 
-@pytest.mark.parametrize("t1,cvc", [("0", False), ("y", False), ("x", True), ("1", True)])
-def test_h6_classifications(h6, t1, cvc):
-    alg = attach_negations(h6, h6.index(t1))
-    report = classify_algebra(alg)
-    assert report.is_ccpba.holds
-    assert report.is_cvcpba.holds == cvc
-
-
-def test_h6_w_violates_dne(h6, candidate):
+def test_h6_w_violates_dne(h6):
     with pytest.raises(AlgebraError) as e:
         attach_negations(h6, h6.index("w"))
     assert e.value.kind == "dne-violation"
-    alg = candidate(h6, h6.index("w"))
+    alg = table_record(h6, h6.index("w"))
     assert not classify_algebra(alg).is_ccpba.holds
 
 
@@ -69,8 +54,8 @@ def test_kite_constant_one_tilde(chain3):
     assert kite.intuitionistic.witness == ("a",)
 
 
-def test_kite_h6_w(h6, candidate):
-    alg = candidate(h6, h6.index("w"))
+def test_kite_h6_w(h6):
+    alg = table_record(h6, h6.index("w"))
     kite = classify_negation_pair(h6, alg.neg, alg.tilde)
     assert kite.minimal.holds
     assert not kite.dne_tilde_one.holds
@@ -131,6 +116,9 @@ def test_enumerate_exact_counts():
 def test_enumerate_guard():
     with pytest.raises(BoundGuardError):
         enumerate_algebras("ccpba", 9)
+    with pytest.raises(AlgebraError) as e:
+        enumerate_algebras("nope", 3)
+    assert (e.value.kind, e.value.witness) == ("unknown-class", "nope")
     enumerate_algebras("ccpba", 3, False, None)  # guard disabled
 
 
@@ -151,6 +139,11 @@ def test_iso_check(a_prime, b_prime, chain3):
     other = build_lattice(["bot", "mid", "top"], [("bot", "mid"), ("mid", "top")])
     assert iso_check(a_prime, attach_negations(other, 0)) == {
         "0": "bot", "a": "mid", "1": "top"}
+    # another record type, another size, `~` on one side only
+    chain2 = build_lattice(["0", "1"], [("0", "1")])
+    assert iso_check(a_prime, kim_reduct(a_prime)) is None
+    assert iso_check(a_prime, attach_negations(chain2, 0)) is None
+    assert iso_check(attach_negations(chain3, None), a_prime) is None
 
 
 def test_iso_check_raises_on_bad_bijection(monkeypatch, a_prime):

@@ -1,8 +1,9 @@
 """The compiled evaluator against the recursive tree walk it replaced.
 
-`oracles.walk` is the former body of `algebra.evaluate`: values, falsifying
-valuations, error kinds and offending nodes must agree on every catalog
-algebra up to size 5 of all five classes."""
+`oracles.walk` is the former body of `algebra.evaluate`: values, error
+kinds and offending nodes must agree on every catalog algebra up to size 5
+of all five classes.  Verdicts and falsifying valuations are compared with
+the scan in `test_staged_search.py`."""
 
 from __future__ import annotations
 
@@ -20,12 +21,8 @@ from twoneg.formula import TOP, Impl, Tilde, atoms, parse, subformulas
 from twoneg.frames import frame_sequent_valid, frame_upsets, frame_valid, truth_set
 
 from oracles import sequent_scan, walk
-from support import formulas, kim_reduct, outcome, same
+from support import CATALOG, NAMES, formulas, kim_reduct, outcome, same
 
-CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
-
-# Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "meet", "neg", "top_", "x0", "v0", "d0", "make", "search"]
 names3 = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True).map(tuple)
 goals = st.tuples(names3, st.booleans()).flatmap(lambda t: formulas(*t))
 
@@ -49,25 +46,6 @@ def test_values_agree_on_every_valuation(f):
         for combo in itertools.product(range(alg.size), repeat=len(names)):
             value = walk(alg, f, dict(zip(names, combo)))
             assert search(*[(v,) for v in combo]) == combo + (value,)
-
-
-@settings(max_examples=60, deadline=None)
-@given(goals)
-def test_validity_verdicts_agree(f):
-    for alg in CATALOG:
-        assert same(outcome(algebra_valid, alg, f),
-                    outcome(sequent_scan, alg, TOP, f)), alg.name
-
-
-@settings(max_examples=60, deadline=None)
-@given(names3.flatmap(lambda names: st.tuples(formulas(names, False), formulas(names))))
-def test_sequent_verdicts_agree(goal):
-    # the lhs is implication-free, so on Kim algebras an implication in the
-    # rhs alone is raised only when some valuation sends the lhs to top
-    lhs, rhs = goal
-    for alg in CATALOG:
-        assert same(outcome(sequent_valid, alg, lhs, rhs),
-                    outcome(sequent_scan, alg, lhs, rhs)), alg.name
 
 
 @settings(max_examples=60, deadline=None)

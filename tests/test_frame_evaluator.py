@@ -3,41 +3,34 @@ against the recursive frozenset walk it replaced.
 
 `oracles.frame_walk` is the former body of `frames.truth_set`, and
 `oracles.frame_scan` the former valuation search behind `frame_valid` and
-`frame_sequent_valid`.  Truth sets, raised errors (kind and witness),
-verdicts, falsifying valuations and least worlds must agree on sub-normal,
-N-hat and compatibility frames: the canonical frames of small catalogs,
-hand-built frames of 9 and 10 worlds, and N-hat frames whose R1 is not the
-order.  The mask kernel `frames._no_successor_in`, the per-search mappings
-`frames._bind` reads it through, and the complex algebra of a compatibility
-frame are checked against the frozenset clause `oracles.no_successor_in`."""
+`frame_sequent_valid`.  Truth sets and raised errors (kind and witness)
+must agree on sub-normal, N-hat and compatibility frames: the shared frame
+corpus (`support.FRAMES`), hand-built frames of 9 and 10 worlds, and N-hat
+frames whose R1 is not the order; so must verdicts, falsifying valuations
+and least worlds on the last two (the corpus's verdicts are compared in
+`test_staged_search.py`).  The mask kernel `frames._no_successor_in`, the
+per-search mappings `frames._bind` reads it through, and the complex
+algebra of a compatibility frame are checked against the frozenset clause
+`oracles.no_successor_in`."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoneg.algebra import VALID, enumerate_algebras
-from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_kim,
-                           complex_algebra_compat)
+from twoneg.bridge import canonical_frame_kim, complex_algebra_compat
 from twoneg.errors import FrameError
 from twoneg.formula import TOP, And, Atom, Impl, Neg, atoms, parse
 from twoneg import frames
 from twoneg.frames import (NhatFrame, SubNormalFrame, _bind, _no_successor_in, _upsets,
                            build_compat, build_subnormal, frame_sequent_valid,
-                           frame_upsets, frame_valid, read_frame, truth_set)
+                           frame_upsets, frame_valid, truth_set)
 from twoneg.lattice import _bits
 from twoneg.translate import phi
 
 from oracles import frame_scan, frame_walk as walk, no_successor_in
-from support import formulas, off_order, outcome, same
-
-FIXTURES = Path(__file__).parent / "fixtures"
-SUBNORMAL = ([read_frame((FIXTURES / "three_world.frm").read_text())]
-             + [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 6)])
-FRAMES = (SUBNORMAL + [phi(fr) for fr in SUBNORMAL]
-          + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 6)])
+from support import FRAMES, NAMES, formulas, off_order, outcome, same
 
 
 # Two 5-world chains, the second queer; the 3x3 grid; their phi images; and
@@ -56,9 +49,6 @@ LARGE = [
     build_compat(*_CHAINS, [(x, y) for block in (("a0", "a1", "a2"), ("b0", "b1"))
                             for x in block for y in block]),
 ]
-
-# Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "impl", "neg", "tilde", "bottom", "x0", "v0", "d0", "search"]
 
 
 def mask(s) -> int:
@@ -85,20 +75,6 @@ def test_truth_sets_agree(fr, f, bound, rnd):
         assert same(outcome(truth_set, fr, valuation, f), expected), (fr, f)
         if isinstance(expected, tuple):
             break
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(FRAMES), goals)
-def test_validity_verdicts_agree(fr, f):
-    assert same(outcome(frame_valid, fr, f), outcome(frame_scan, fr, TOP, f)), (fr, f)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(FRAMES), names3.flatmap(lambda ns: st.tuples(formulas(ns), formulas(ns))))
-def test_sequent_verdicts_agree(fr, goal):
-    lhs, rhs = goal
-    assert same(outcome(frame_sequent_valid, fr, lhs, rhs),
-                outcome(frame_scan, fr, lhs, rhs)), (fr, goal)
 
 
 @pytest.mark.parametrize("text,kind,witness", [

@@ -36,6 +36,9 @@ def test_unknown_world_rejection():
     with pytest.raises(FrameError) as e:
         build_subnormal(["x", "y"], [("x", "y")], ["z"])
     assert (e.value.kind, e.value.witness) == ("relation-out-of-range", ("y0", "z"))
+    with pytest.raises(FrameError) as e:
+        build_subnormal(["w0"], [], []).index("zz")
+    assert (e.value.kind, e.value.witness) == ("unknown-world", "zz")
 
 
 def test_truth_examples(fork):

@@ -1,6 +1,8 @@
-"""Law suites over the enumerated catalogs: the derived equations of the
-two-negation algebras, the three-way membership equivalence, and the kite
-ordering of the negation flags."""
+"""Law suites over the enumerated catalogs: the kite ordering of the
+negation flags, the ILM1 axioms and P sequents, the excluded-middle
+subclasses, and the catalogs against brute-force and per-class oracles.
+The derived equations and the membership equivalence are acceptance
+criterion 4."""
 
 from __future__ import annotations
 
@@ -9,8 +11,7 @@ import pytest
 from twoneg._record import replace
 from twoneg.algebra import (CATALOG_CLASSES, KimAlgebra, _absorb,
                             _canonical_data, _em, _or_linear, _quasi,
-                            algebra_valid, attach_negations,
-                            classify_algebra, classify_negation_pair,
+                            algebra_valid, attach_negations, classify_negation_pair,
                             enumerate_algebras, kim_violations, sequent_valid,
                             tilde_one_candidates)
 from twoneg.formula import parse
@@ -18,53 +19,6 @@ from twoneg.lattice import (FiniteLattice, _lattice, all_lattices,
                             canonical_form, derive_heyting)
 
 import oracles
-
-
-def _laws(alg):
-    lat, impl, neg, tilde, t1 = (alg.lattice, alg.impl, alg.neg, alg.tilde,
-                                 alg.tilde_one)
-    n = lat.size
-    for a in range(n):
-        assert tilde[a] == impl[a][t1]
-        assert neg[a] == impl[a][lat.bottom]
-        # (ii) a <= ~~a        (v) !a <= ~a         (vi) a <= ~!a
-        assert lat.leq[a][tilde[tilde[a]]]
-        assert lat.leq[neg[a]][tilde[a]]
-        assert lat.leq[a][tilde[neg[a]]]
-        # (iii) ~~(~1 -> a) = 1
-        assert tilde[tilde[impl[t1][a]]] == lat.top
-        # (iv) ~a = !(a /\ !~1)
-        assert tilde[a] == neg[lat.meet[a][neg[t1]]]
-        # (vii) !~a <= ~!a     (viii) ~a = !!~a     (ix) !~!a <= !a
-        assert lat.leq[neg[tilde[a]]][tilde[neg[a]]]
-        assert tilde[a] == neg[neg[tilde[a]]]
-        assert lat.leq[neg[tilde[neg[a]]]][neg[a]]
-        # Peirce special case ((~1 -> a) -> ~1) -> ~1 = 1
-        assert impl[impl[impl[t1][a]][t1]][t1] == lat.top
-        for b in range(n):
-            # (i) a -> ~b = b -> ~a
-            assert impl[a][tilde[b]] == impl[b][tilde[a]]
-
-
-def test_equation_suite_size_5():
-    for alg in enumerate_algebras("ccpba", 5):
-        _laws(alg)
-
-
-def test_membership_equivalence(candidate):
-    """For every candidate ~1 over every lattice up to size 4: membership in
-    the two-negation class, dne of the distinguished element, and the Peirce
-    closure condition coincide."""
-    for lat in all_lattices(4):
-        if lat.size == 1:
-            continue
-        for t1 in range(lat.size):
-            alg = candidate(lat, t1)
-            report = classify_algebra(alg)
-            dne = alg.neg[alg.neg[t1]] == t1
-            assert report.is_ccpba.holds == dne
-            assert report.is_jp_algebra.holds == dne
-            assert report.is_kim.holds == dne
 
 
 def test_kite_order_on_enumerated_pairs():

@@ -5,9 +5,11 @@ walk when the implication is `derive_heyting(lat)` and the record's meets
 are those of its order; the walk runs only to name a witness.  Both flags,
 witnesses included, must agree with `oracles.ccpba_flags` (the former body,
 over the former triple loop `oracles.residuation_witness`) on catalogs,
-relabelled copies, one-cell meet changes and M3 and N5 (no residuum).  On
-relations that are no partial order, where that loop and the walk already
-differed, they must agree with the walk itself.
+relabelled copies, one-cell meet changes, and random and one-cell-changed
+implication tables on every lattice of at most 8 elements and on M3 and N5
+(no residuum), with no ~1 and with every ~1.  On relations that are no
+partial order, where that loop and the walk already differed, they must
+agree with the walk itself.
 """
 
 from __future__ import annotations
@@ -19,20 +21,20 @@ import random
 import pytest
 
 import oracles
-from support import chain_product
+from support import chain_product, table_record
 from twoneg import algebra
 from twoneg._record import replace
-from twoneg.algebra import (Algebra, _is_residuum, _residuation_witness, attach_negations,
+from twoneg.algebra import (_is_residuum, _residuation_witness, attach_negations,
                             build_au, ccpba_flags, classify_algebra, enumerate_algebras,
                             tilde_one_candidates)
 from twoneg.bridge import (canonical_frame_ccpba, canonical_frame_file,
                            complex_algebra_subnormal, frame_embedding, stone_embedding)
 from twoneg.errors import LatticeError
-from twoneg.lattice import FiniteLattice, _bound_table, _up_masks, derive_heyting
+from twoneg.lattice import FiniteLattice, _bound_table, _up_masks, all_lattices, derive_heyting
 
 SEED = 20200
 MEET_CHANGES = 12
-CATALOG = enumerate_algebras("pba", 8) + enumerate_algebras("ccpba", 8)
+ALGEBRAS = enumerate_algebras("pba", 8) + enumerate_algebras("ccpba", 8)
 DIMS = [dims for k in (1, 2, 3) for dims in itertools.combinations_with_replacement((2, 3, 4), k)
         if math.prod(dims) <= 24]
 
@@ -65,30 +67,41 @@ def _meet_changed(alg, rng):
     return replace(alg, lattice=replace(alg.lattice, meet=tuple(map(tuple, rows))))
 
 
-def _record(lat, impl, tilde_one):
-    """An `Algebra` record over `lat` with implication `impl`, its negations
-    read off `impl` as `attach_negations` reads them."""
-    neg = tuple(row[lat.bottom] for row in impl)
-    tilde = None if tilde_one is None else tuple(row[tilde_one] for row in impl)
-    return Algebra("record", lat, impl, neg, tilde_one, tilde)
+def _random_table(n, rng):
+    return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
 
 
 def _random_records(lat, rng, count):
-    n = lat.size
     for _ in range(count):
-        impl = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
-        yield _record(lat, impl, rng.choice([None, *range(n)]))
+        impl = _random_table(lat.size, rng)
+        yield table_record(lat, rng.choice([None, *range(lat.size)]), impl)
+
+
+def _changed_tables(lat, rng):
+    """A random implication table and, where `lat` has a residuum, the
+    residuum with one cell changed; each with no ~1 and with every ~1."""
+    n = lat.size
+    tables = [_random_table(n, rng)]
+    if lat not in (oracles.M3, oracles.N5):
+        rows = [list(row) for row in derive_heyting(lat)]
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        tables.append(tuple(map(tuple, rows)))
+    for impl in tables:
+        for t1 in (None, *range(n)):
+            yield table_record(lat, t1, impl)
 
 
 def _cases():
     rng = random.Random(SEED)
-    for alg in CATALOG:
+    for alg in ALGEBRAS:
         yield alg
         yield _relabelled(alg, rng)
         for _ in range(MEET_CHANGES):
             yield _meet_changed(alg, rng)
     for lat in (oracles.M3, oracles.N5):
         yield from _random_records(lat, rng, 50)
+    for lat in all_lattices(8) + (oracles.M3, oracles.N5):
+        yield from _changed_tables(lat, rng)
 
 
 CASES = list(_cases())
@@ -142,7 +155,7 @@ def test_relations_that_are_no_order_match_the_walk():
             impls = []
         impls += [alg.impl for alg in _random_records(lat, rng, 2)]
         for impl in impls:
-            alg = _record(lat, impl, lat.top)
+            alg = table_record(lat, lat.top, impl)
             decided += _is_residuum(lat, impl)
             assert ccpba_flags(alg) == oracles.ccpba_flags(alg, _residuation_witness), lat
     assert decided > 0

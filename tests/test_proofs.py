@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twoneg.algebra import algebra_valid, enumerate_algebras, iso_check, sequent_valid
+from twoneg.algebra import algebra_valid, iso_check, sequent_valid
 from twoneg.errors import AlgebraError, BoundGuardError, FileFormatError
 from twoneg.formula import parse, substitute, Atom
 from twoneg.proofs import (HILBERT_SYSTEMS, SCHEMES, SEQUENT_RULES,
@@ -16,50 +16,7 @@ from twoneg.proofs import (HILBERT_SYSTEMS, SCHEMES, SEQUENT_RULES,
                            check_hilbert, countermodel_search, expand_neg,
                            hilbert_proof_text, parse_proof, sequent_proof_text)
 
-HILBERT_FIXTURES = ["top_three_lines.prf"] + [f"ilm_{c}.prf" for c in "abcdefghij"]
-SEQUENT_FIXTURES = [f"kim_p{i}.prf" for i in range(1, 8)] + \
-    ["kimprime_a16.prf", "kimprime_a17.prf"]
-
-
-@pytest.mark.parametrize("name", HILBERT_FIXTURES)
-def test_hilbert_fixtures_check(name, fixtures_dir):
-    mode, system, script = parse_proof((fixtures_dir / name).read_text())
-    assert mode == "hilbert"
-    assert check_hilbert(system, script).ok
-
-
-@pytest.mark.parametrize("name", SEQUENT_FIXTURES)
-def test_sequent_fixtures_check(name, fixtures_dir):
-    mode, system, root = parse_proof((fixtures_dir / name).read_text())
-    assert mode == "sequent"
-    assert check_derivation(system, root).ok
-
-
-@pytest.mark.parametrize("name,kind", [
-    ("neg_bad_instance.prf", "bad-instance"),
-    ("neg_bad_mp.prf", "bad-mp"),
-    ("neg_premise_mismatch.prf", "premise-mismatch"),
-])
-def test_negative_fixtures(name, kind, fixtures_dir):
-    mode, system, obj = parse_proof((fixtures_dir / name).read_text())
-    result = (check_hilbert if mode == "hilbert" else check_derivation)(system, obj)
-    assert not result.ok
-    assert result.error == kind
-
-
-@pytest.mark.parametrize("name", HILBERT_FIXTURES)
-def test_hilbert_goals_catalog_valid(name, fixtures_dir):
-    _, _, script = parse_proof((fixtures_dir / name).read_text())
-    for alg in enumerate_algebras("ccpba", 4):
-        assert algebra_valid(alg, script.goal).valid, (name, alg.name)
-
-
-@pytest.mark.parametrize("name", SEQUENT_FIXTURES)
-def test_sequent_goals_catalog_valid(name, fixtures_dir):
-    _, _, root = parse_proof((fixtures_dir / name).read_text())
-    for alg in enumerate_algebras("kim", 4):
-        assert sequent_valid(alg, root.lhs, root.rhs).valid, (name, alg.name)
-
+from support import PROOFS, kim_reduct
 
 def test_goal_mismatch():
     script = ProofScript((ProofLine(1, parse("p -> (q -> p)"), ("axiom", "A1")),),
@@ -148,7 +105,6 @@ def test_countermodel_absent_for_em_extension():
 
 
 def test_countermodel_sequent(b_prime):
-    from support import kim_reduct
     goal = (parse("~~p"), parse("p"))
     found = countermodel_search("Kim", goal, 3)
     assert found is not None
@@ -196,7 +152,7 @@ def test_countermodel_language_checks():
 
 
 def test_proof_text_round_trip(fixtures_dir):
-    for name in HILBERT_FIXTURES:
+    for name in PROOFS["hilbert"]:
         mode, system, script = parse_proof((fixtures_dir / name).read_text())
         assert parse_proof(hilbert_proof_text(system, script)) == (mode, system, script)
     mode, system, root = parse_proof((fixtures_dir / "kim_p7.prf").read_text())

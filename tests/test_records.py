@@ -144,6 +144,14 @@ def test_post_init_rejections():
             Atom(name)
 
 
+def test_verdicts_are_true_exactly_when_they_hold():
+    """A refuted `Verdict` and a rejected `CheckResult` are falsy, so that
+    `if algebra_valid(...)` reads the verdict: a record class without
+    `__bool__` is truthy whatever it holds."""
+    assert bool(algebra.VALID) and not bool(algebra.Verdict(False, {"p": "a"}))
+    assert bool(proofs.ACCEPT) and not bool(proofs.CheckResult(False, "x"))
+
+
 # -- formula nodes ------------------------------------------------------------
 
 def _node_oracles():

@@ -2,18 +2,18 @@
 
 `lattice._below` builds the masks {c : v[c] <= z} for every z at once;
 `derive_heyting`, `algebra._residuation_witness` and `algebra._absorb` read
-them.  Their former bodies, with the former `residuum`,
-`residuation_mismatch` and `ccpba_flags`, are the oracles in `oracles.py`:
-every table, flag, error and witness must agree, on every lattice of size
-<= 8 and on the non-distributive records M3 and N5."""
+them.  Their former bodies, with the former `residuum` and
+`residuation_mismatch`, are the oracles in `oracles.py`: every table, flag,
+error and witness must agree, on every lattice of size <= 8 and on the
+non-distributive records M3 and N5.  `ccpba_flags` on such tables is
+checked in `test_pba_decision.py`."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
 from twoneg._record import replace
-from twoneg.algebra import (Algebra, _absorb, _residuation_witness, ccpba_flags,
-                            enumerate_algebras)
+from twoneg.algebra import _absorb, _residuation_witness, enumerate_algebras
 from twoneg.lattice import _below, all_lattices, build_lattice, derive_heyting
 
 import oracles
@@ -98,19 +98,6 @@ def test_random_and_corrupted_tables_match_oracle(lat, data):
     assert witness == oracles.residuation_witness(lat, impl)
     cell = None if witness is None else tuple(lat.elements[i] for i in witness[:2])
     assert cell == oracles.residuation_mismatch(lat, impl)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(LATTICES), st.data())
-def test_random_and_corrupted_algebras_flag_as_before(lat, data):
-    """`ccpba_flags` on an `Algebra` record holding such a table, its
-    negations read off the table, agrees with the former scan."""
-    impl = _table(data.draw, lat)
-    t1 = data.draw(st.sampled_from([None, *range(lat.size)]))
-    neg = tuple(row[lat.bottom] for row in impl)
-    tilde = None if t1 is None else tuple(row[t1] for row in impl)
-    alg = Algebra("record", lat, impl, neg, t1, tilde)
-    assert ccpba_flags(alg) == oracles.ccpba_flags(alg)
 
 
 @settings(max_examples=300, deadline=None)

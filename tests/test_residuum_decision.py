@@ -23,7 +23,7 @@ from twoneg.bridge import canonical_frame_kim, complex_algebra_compat
 from twoneg.errors import LatticeError
 from twoneg.lattice import all_lattices, derive_heyting
 
-from support import outcome
+from support import outcome, pseudo_complement
 
 SEED = 20181
 PERTURBATIONS = 20
@@ -52,13 +52,6 @@ def _cases():
 CASES = list(_cases())
 
 
-def _pseudo_complement(lat):
-    try:
-        return tuple(row[lat.bottom] for row in derive_heyting(lat))
-    except LatticeError:
-        return None
-
-
 def _law_results():
     """`kim_violations` and `classify_negation_pair` on every case, with `t`
     as the minimal negation against the pseudo-complement (where the lattice
@@ -66,7 +59,7 @@ def _law_results():
     out = []
     for lat, t in CASES:
         pairs = [(t, t)]
-        neg = _pseudo_complement(lat)
+        neg = pseudo_complement(lat)
         if neg is not None:
             pairs.append((neg, t))
         for neg, tilde in pairs:
@@ -79,7 +72,7 @@ def test_cases_reach_every_law_and_both_sides():
     for lat in (oracles.M3, oracles.N5):
         with pytest.raises(LatticeError):
             derive_heyting(lat)
-    residual = sum(1 for lat, t in CASES if _pseudo_complement(lat) is not None
+    residual = sum(1 for lat, t in CASES if pseudo_complement(lat) is not None
                    and t == tuple(row[t[lat.top]] for row in derive_heyting(lat)))
     assert 0 < residual < len(CASES)
     failed = {oracles.path_failure(lat, t)[1] for lat, t in CASES

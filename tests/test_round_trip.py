@@ -54,8 +54,8 @@ def _accepted_frames():
             "compat": compat}
 
 
-FRAMES = _accepted_frames()
-PROOFS = sorted((Path(__file__).parent / "fixtures").glob("*.prf"))
+ACCEPTED = _accepted_frames()
+PROOF_FILES = sorted((Path(__file__).parent / "fixtures").glob("*.prf"))
 WRITERS = {"hilbert": hilbert_proof_text, "sequent": sequent_proof_text}
 
 
@@ -64,9 +64,9 @@ def _annotated(text: str) -> str:
                    for i, line in enumerate(text.splitlines()))
 
 
-@pytest.mark.parametrize("kind", sorted(FRAMES))
+@pytest.mark.parametrize("kind", sorted(ACCEPTED))
 def test_frames_read_back_equal(kind):
-    frames = FRAMES[kind]
+    frames = ACCEPTED[kind]
     assert len(frames) > 100
     for fr in frames:
         text = write_frame(fr)
@@ -94,7 +94,7 @@ def test_canonical_frame_file_reads_back_as_the_canonical_frame(cls, kind, canon
         assert read_frame(canonical_frame_file(alg, kind)) == canonical(alg), alg.name
 
 
-@pytest.mark.parametrize("path", PROOFS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PROOF_FILES, ids=lambda p: p.name)
 def test_proofs_read_back_equal(path):
     parsed = parse_proof(path.read_text())
     mode, system, proof = parsed

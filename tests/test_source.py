@@ -316,23 +316,32 @@ def test_only_the_frame_search_memoizes_clauses():
 
 def test_test_helpers_are_defined_once():
     """The formula strategy, the outcome of a call and its comparison, the
-    sub-normal frames of a size, the unary-map strategy and the module
-    loader live in `tests/support.py` and the `fork` frame fixture in
+    sub-normal frames of a size, the unary-map strategy, the module loader,
+    the implication-table record, the pseudo-complement and the inputs
+    several modules share (the five-class catalog, the frame corpus, the
+    adversarial atom names, the bundled proofs and the phi/psi battery) live
+    in `tests/support.py` and the `fork` frame fixture in
     `tests/conftest.py`; no test module defines its own, save the parser
     tests' deeper round-trip strategy and their `_outcome`, which also
-    reads the expected token set."""
+    reads the expected token set.  The law equations are stated once, in
+    acceptance criterion 4."""
     helpers = {"formulas", "_formulas", "outcome", "_outcome", "same", "_same", "fork",
                "subnormal_frames", "_all_subnormal", "all_subnormal_frames", "unary",
-               "_unary", "load_module"}
+               "_unary", "load_module", "table_record", "candidate",
+               "pseudo_complement", "_pseudo_complement", "_laws", "laws", "CATALOG",
+               "FRAMES", "NAMES", "PROOFS", "BATTERY"}
     found = [(stem, node.name) for stem, _, node in _nodes(ROOT / "tests")
              if isinstance(node, _DEFS) and node.name in helpers]
     found += [(path.stem, t.id) for path in _modules(ROOT / "tests")
               for node in _tree(path).body if isinstance(node, ast.Assign)
               for t in node.targets if isinstance(t, ast.Name) and t.id in helpers]
-    assert sorted(found) == [("conftest", "fork"), ("support", "formulas"),
-                             ("support", "load_module"), ("support", "outcome"),
+    assert sorted(found) == [("conftest", "fork"), ("support", "BATTERY"),
+                             ("support", "CATALOG"), ("support", "FRAMES"),
+                             ("support", "NAMES"), ("support", "PROOFS"),
+                             ("support", "formulas"), ("support", "load_module"),
+                             ("support", "outcome"), ("support", "pseudo_complement"),
                              ("support", "same"), ("support", "subnormal_frames"),
-                             ("support", "unary"),
+                             ("support", "table_record"), ("support", "unary"),
                              ("test_formula", "_outcome"), ("test_formula", "formulas")]
 
 

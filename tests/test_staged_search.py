@@ -1,14 +1,15 @@
 """Staged searches against the scans they replaced.
 
-`algebra.sequent_valid`, `frames.frame_valid` and `frames.frame_sequent_valid`
-run one compiled loop nest per goal (`algebra._program`).
-`oracles.sequent_scan` and `oracles.frame_scan` loop over
-`itertools.product` of the valuations and evaluate each side by a tree
-walk, sharing no code with the compiler.  Both must give the same
+`algebra.algebra_valid`, `algebra.sequent_valid`, `frames.frame_valid` and
+`frames.frame_sequent_valid` run one compiled loop nest per goal
+(`algebra._program`).  `oracles.sequent_scan` and `oracles.frame_scan`
+loop over `itertools.product` of the valuations and evaluate each side by
+a tree walk, sharing no code with the compiler.  Both must give the same
 `Verdict`, world included, or raise the same error naming the same node:
-on every catalog algebra up to size 5 of all five classes, and on
-sub-normal, N-hat (R1 off the order too) and compatibility frames, with 0-3
-atoms and goals whose lhs, rhs or both have a node the language lacks.
+on every catalog algebra up to size 5 of all five classes, and on the
+sub-normal, N-hat and compatibility frames of the shared corpus
+(`support.FRAMES`) and N-hat frames with R1 off the order, with 0-3 atoms
+and goals whose lhs, rhs or both have a node the language lacks.
 Goals of 21 and 25 atoms reach the innermost loop over `product`.  A search
 skips the valuations its guards rule out, some of them by an absorbing law
 (`algebra._ABSORBING`) that it checks on the tables it is given: records
@@ -25,23 +26,13 @@ from hypothesis import given, settings, strategies as st
 
 from twoneg import algebra, frames
 from twoneg._record import replace
-from twoneg.algebra import ATOM_GUARD, enumerate_algebras, evaluate, sequent_valid
-from twoneg.bridge import canonical_frame_ccpba, canonical_frame_kim
+from twoneg.algebra import ATOM_GUARD, algebra_valid, enumerate_algebras, evaluate, sequent_valid
 from twoneg.formula import BOT, TOP, And, Atom, Impl, Neg, Or, Tilde, parse
 from twoneg.frames import (WORLD_GUARD, build_subnormal, frame_sequent_valid, frame_upsets,
                            frame_valid, read_frame, truth_set)
-from twoneg.translate import phi
 
 from oracles import frame_scan, frame_walk, sequent_scan, walk
-from support import formulas, off_order, outcome, same
-
-CATALOG = [alg for cls in algebra.CATALOG_CLASSES for alg in enumerate_algebras(cls, 5)]
-SUBNORMAL = [canonical_frame_ccpba(alg) for alg in enumerate_algebras("ccpba", 5)]
-FRAMES = (SUBNORMAL + [phi(fr) for fr in SUBNORMAL]
-          + [canonical_frame_kim(alg) for alg in enumerate_algebras("kim", 5)])
-
-# Names a careless code generator would confuse with its own identifiers.
-NAMES = ["p", "q", "dom", "d0", "bottom", "product", "x0", "v0"]
+from support import CATALOG, FRAMES, NAMES, formulas, off_order, outcome, same
 
 
 @functools.cache
@@ -56,8 +47,10 @@ def decided_early(names: tuple[str, ...]):
 
 
 def any_sequent(names: tuple[str, ...]):
-    """Any sequent over `names`, or one a guard can decide early."""
-    plain = st.tuples(formulas(names), formulas(names))
+    """Any sequent over `names`, each side with or without `->`, or one a
+    guard can decide early."""
+    plain = st.tuples(st.booleans(), st.booleans()).flatmap(
+        lambda impl: st.tuples(formulas(names, impl[0]), formulas(names, impl[1])))
     return st.one_of(plain, decided_early(names)) if names else plain
 
 
@@ -68,12 +61,16 @@ sequents = (st.lists(st.sampled_from(NAMES), max_size=3, unique=True).map(tuple)
 @settings(max_examples=100, deadline=None)
 @given(sequents)
 def test_algebra_searches_agree(goal):
-    """Kim algebras lack `->` and plain pseudo-Boolean ones `~`, so the
-    goals reach errors in the lhs, the rhs alone and both sides."""
+    """The sequent and the rhs as a Hilbert goal.  Kim algebras lack `->`
+    and plain pseudo-Boolean ones `~`, so the goals reach errors in the lhs,
+    the rhs alone and both sides; a side drawn without `->` lets the Kim
+    algebras search."""
     lhs, rhs = goal
     for alg in CATALOG:
         assert same(outcome(sequent_valid, alg, lhs, rhs),
                     outcome(sequent_scan, alg, lhs, rhs)), (alg.name, goal)
+        assert same(outcome(algebra_valid, alg, rhs),
+                    outcome(sequent_scan, alg, TOP, rhs)), (alg.name, rhs)
 
 
 def test_every_error_case_is_reached():
@@ -180,7 +177,7 @@ def test_searches_agree_on_tables_that_break_a_law(law, data):
     Hilbert goal.  (Intact catalog algebras and frames: the tests above.)"""
     alg, (lhs, rhs) = data.draw(law_breakers(law)), data.draw(sequents)
     assert same(outcome(sequent_valid, alg, lhs, rhs), outcome(sequent_scan, alg, lhs, rhs))
-    assert same(outcome(algebra.algebra_valid, alg, rhs), outcome(sequent_scan, alg, TOP, rhs))
+    assert same(outcome(algebra_valid, alg, rhs), outcome(sequent_scan, alg, TOP, rhs))
 
 
 def test_each_law_a_guard_reads_is_checked():

@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import NoReturn
 
 from twoneg.formula import And, Atom, Bot, Formula, Impl, Neg, Or, Tilde, Top, parse, render
-from twoneg.proofs import (DerivationNode, ProofLine, ProofScript, SCHEMES,
+from twoneg.proofs import (DerivationNode, ProofLine, ProofScript, _is_instance,
                            check_derivation, check_hilbert, hilbert_proof_text,
-                           match_into, sequent_proof_text)
+                           sequent_proof_text)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -32,10 +32,6 @@ BOT = Bot()
 
 def fail(message: str) -> NoReturn:
     raise SystemExit(f"make_proof_fixtures: {message}")
-
-
-def is_instance(f: Formula, sid: str) -> bool:
-    return any(match_into(s, f, {}) for s in SCHEMES[sid])
 
 
 class Hilbert:
@@ -58,7 +54,7 @@ class Hilbert:
         return n
 
     def ax(self, sid: str, inst: Formula) -> int:
-        if not is_instance(inst, sid):
+        if not _is_instance(inst, sid):
             fail(f"{render(inst)} is not an instance of {sid}")
         return self._emit(inst, ("axiom", sid))
 
